@@ -14,7 +14,13 @@ import math
 from pathlib import Path
 
 from vmbsim.apparatus import ApparatusConfig, NoiseModel, NullSource, format_number
-from vmbsim.pipeline import analyze_record, combine_runs, ellipticity_from_deltan
+from vmbsim.pipeline import (
+    analytic_calibration,
+    analyze_record,
+    combine_runs,
+    ellipticity_from_deltan,
+    project_physical,
+)
 from vmbsim.synth import synthesize_run
 
 
@@ -50,6 +56,7 @@ def main() -> None:
         run_id += 1
 
     mean, sigma, hours = combine_runs(estimates)
+    physical, nonphysical = project_physical(mean, analytic_calibration(cfg))
     runs_path = args.out_dir / "per_run_projections.csv"
     with open(runs_path, "w") as fh:
         fh.write("# columns = run_id, hours, deltan_over_B2_phys, deltan_over_B2_nonphys, sigma\n")
@@ -63,10 +70,10 @@ def main() -> None:
     print(f"wrote {runs_path} ({run_id} runs)")
 
     print(f"\ncombined over {hours:.1f} h:")
-    print(f"  physical     : ({format_number(mean.real)}) +/- {format_number(sigma)} T^-2 "
-          f"({mean.real/sigma:+.2f} sigma)")
-    print(f"  non-physical : ({format_number(mean.imag)}) +/- {format_number(sigma)} T^-2 "
-          f"({mean.imag/sigma:+.2f} sigma)")
+    print(f"  physical     : ({format_number(physical)}) +/- {format_number(sigma)} T^-2 "
+          f"({physical/sigma:+.2f} sigma)")
+    print(f"  non-physical : ({format_number(nonphysical)}) +/- {format_number(sigma)} T^-2 "
+          f"({nonphysical/sigma:+.2f} sigma)")
 
 
 if __name__ == "__main__":

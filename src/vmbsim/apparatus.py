@@ -261,25 +261,14 @@ class McpSource:
         return f"mcp:{p.statistics}:eps={p.charge_ratio!r},m={p.mass_energy_ev!r}"
 
 
-def source_ellipticity(source, config: ApparatusConfig) -> float:
-    """Cavity-output ellipticity amplitude a source produces in this apparatus."""
-    from .synth import cavity_ellipticity  # local import to avoid a cycle
-
-    if isinstance(source, FixedEllipticitySource):
-        return source.psi
-    b = config.effective_field_t
-    deltan_u_eff = source.deltan(b) / b**2
-    return cavity_ellipticity(config, deltan_u_eff, math.pi / 4.0)
-
-
-def parse_source(spec: str):
-    """Parse a CLI source description.
+def parse_source(spec: str, config: ApparatusConfig):
+    """Parse a CLI source description into a source for this apparatus.
 
     Grammar: ``none`` | ``qed`` | ``fixed-deltanu:<T^-2>`` |
     ``fixed-ellipticity:<psi>`` | ``gas:<name>:<pressure><unit>`` (unit one of
     atm/mbar/ubar) | ``alp:g=<eV^-1>,m=<eV>`` | ``mcp:<fermion|scalar>:eps=<..>,m=<eV>``.
-    ALP/MCP photon energy and field length come from the apparatus config at
-    synthesis time via ``resolve_source``.
+    ALP and MCP sources take their photon energy (and the ALP its field
+    length) from ``config``.
     """
     parts = spec.strip().split(":")
     kind = parts[0].lower()
@@ -301,25 +290,18 @@ def parse_source(spec: str):
             raise ValueError(f"pressure {amount!r} must end in atm, mbar or ubar")
         if kind == "alp":
             kv = dict(item.split("=") for item in parts[1].split(","))
-            return ("alp", float(kv["g"]), float(kv["m"]))
+            return AlpSource(AlpParams(
+                float(kv["g"]), float(kv["m"]), config.photon_energy_ev, config.field_length_m
+            ))
         if kind == "mcp":
             stats = parts[1]
             kv = dict(item.split("=") for item in parts[2].split(","))
-            return ("mcp", stats, float(kv["eps"]), float(kv["m"]))
+            return McpSource(McpParams(
+                float(kv["eps"]), float(kv["m"]), config.photon_energy_ev, stats
+            ))
     except (IndexError, KeyError, ValueError) as exc:
         raise ValueError(f"cannot parse source spec {spec!r}: {exc}") from exc
     raise ValueError(f"unknown source kind {kind!r} in {spec!r}")
-
-
-def resolve_source(parsed, config: ApparatusConfig):
-    """Attach apparatus-dependent parameters to a parsed ALP/MCP source stub."""
-    if isinstance(parsed, tuple) and parsed and parsed[0] == "alp":
-        _, g, m = parsed
-        return AlpSource(AlpParams(g, m, config.photon_energy_ev, config.field_length_m))
-    if isinstance(parsed, tuple) and parsed and parsed[0] == "mcp":
-        _, stats, eps, m = parsed
-        return McpSource(McpParams(eps, m, config.photon_energy_ev, stats))
-    return parsed
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +398,11 @@ def read_record(path) -> TimeSeriesRecord:
     if data.shape[1] != len(RECORD_COLUMNS):
         raise ValueError(
             f"record file {path} has {data.shape[1]} columns, expected {len(RECORD_COLUMNS)}"
+        )
+    if int(header["n_samples"]) != len(data):
+        raise ValueError(
+            f"record file {path} has {len(data)} sample rows but its header says "
+            f"n_samples = {header['n_samples']}"
         )
     config = ApparatusConfig.from_key_values(header)
     metadata = {

@@ -22,7 +22,6 @@ from .apparatus import (
     format_number,
     parse_source,
     read_record,
-    resolve_source,
     write_record,
 )
 from .configio import ConfigError, RunManifest, load_config, parse_key_values
@@ -38,13 +37,16 @@ from .limits import (
     write_curve,
 )
 from .pipeline import (
+    BlockSpectra,
     CalibrationPhase,
     analytic_calibration,
-    analyze_record,
     averaged_spectrum,
     block_fft,
     calibrate,
     combine_runs,
+    demodulate,
+    estimate_from_spectra,
+    project_physical,
     with_rayleigh_sigma,
 )
 from .synth import synthesize_run
@@ -178,7 +180,7 @@ def _cmd_simulate(args) -> int:
         spurious_tones=_parse_tones(args.tone),
     )
     try:
-        source = resolve_source(parse_source(args.source), config)
+        source = parse_source(args.source, config)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     duration = args.revolutions / config.magnet_rotation_hz
@@ -263,19 +265,17 @@ def _cmd_analyze(args) -> int:
     estimates = []
     for path, record in zip(args.records, records):
         try:
-            est = analyze_record(
-                record, block_size=args.block_size,
-                noise_halfwidth=args.noise_halfwidth, calibration=calibration,
+            spectra = with_rayleigh_sigma(
+                block_fft(demodulate(record), record.config, block_size=args.block_size),
+                args.noise_halfwidth,
             )
+            estimates.append(estimate_from_spectra(spectra, record, calibration))
         except ValueError as exc:
             raise DataError(f"analysis of {path} failed: {exc}") from exc
-        estimates.append(est)
-        _write_spectrum(args, path, record, mhash)
+        _write_spectrum(args.out_dir / f"{path.stem}.spectrum.csv", spectra, mhash)
 
     dn_mean, dn_sigma, hours = combine_runs(estimates)
     cal = calibration or analytic_calibration(records[0].config)
-    from .pipeline import project_physical
-
     phys, nonphys = project_physical(dn_mean, cal)
 
     runs_path = args.out_dir / "runs.csv"
@@ -314,15 +314,8 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _write_spectrum(args, path: Path, record, mhash: str) -> None:
-    from .pipeline import demodulate
-
-    psi = demodulate(record)
-    blocks = with_rayleigh_sigma(
-        block_fft(psi, record.config, block_size=args.block_size), args.noise_halfwidth
-    )
-    freqs, avg = averaged_spectrum(blocks)
-    out = args.out_dir / f"{path.stem}.spectrum.csv"
+def _write_spectrum(out: Path, spectra: BlockSpectra, mhash: str) -> None:
+    freqs, avg = averaged_spectrum(spectra)
     with open(out, "w") as fh:
         fh.write(f"# manifest_hash = {mhash}\n")
         fh.write("# columns = frequency_hz, amplitude, phase_rad\n")
@@ -383,8 +376,8 @@ def _load_estimate(path: Path) -> tuple[BirefringenceLimit, ApparatusConfig]:
         raise DataError(f"estimate file {path} is missing a usable estimate: {exc}") from exc
     try:
         config = ApparatusConfig.from_key_values(kv)
-    except ValueError:
-        config = ApparatusConfig()
+    except ValueError as exc:
+        raise DataError(f"estimate file {path} has an unusable config: {exc}") from exc
     return limit, config
 
 

@@ -32,24 +32,29 @@ RAYLEIGH_MEAN_FACTOR = math.sqrt(math.pi / 2.0)
 
 
 @dataclass(frozen=True)
-class BlockSpectrum:
-    """One-sided amplitude spectrum of a single analysis block."""
+class BlockSpectra:
+    """One-sided amplitude spectra of consecutive analysis blocks, one row per block."""
 
-    block_index: int
-    fft_bins: np.ndarray        # complex amplitudes, length block_size//2 + 1
+    bins: np.ndarray                    # complex, (n_blocks, block_size//2 + 1)
     bin_of_2omega: int
-    sample_rate_hz: float
     revs_per_block: int
-    rayleigh_sigma: float | None = None
+    sample_rate_hz: float
+    rayleigh_sigma: np.ndarray | None = None   # (n_blocks,) per-quadrature noise sigma
+
+    def __len__(self) -> int:
+        return len(self.bins)
 
     @property
-    def amplitude_2omega(self) -> complex:
-        return complex(self.fft_bins[self.bin_of_2omega])
+    def block_size(self) -> int:
+        return 2 * (self.bins.shape[1] - 1)
+
+    @property
+    def amplitude_2omega(self) -> np.ndarray:
+        return self.bins[:, self.bin_of_2omega]
 
     @property
     def frequencies_hz(self) -> np.ndarray:
-        n = 2 * (len(self.fft_bins) - 1)
-        return np.arange(len(self.fft_bins)) * self.sample_rate_hz / n
+        return np.arange(self.bins.shape[1]) * self.sample_rate_hz / self.block_size
 
 
 @dataclass(frozen=True)
@@ -167,13 +172,12 @@ def block_fft(
     psi: np.ndarray,
     config: ApparatusConfig,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    leakage_warning: bool = True,
-) -> list[BlockSpectrum]:
+) -> BlockSpectra:
     """Rectangular-window amplitude FFTs of consecutive blocks.
 
     Blocks must hold an integer number of revolutions so the 2*Omega_Mag tone
     is bin-centered; a prominent off-bin tone (energy in the neighbours of the
-    peak) triggers a leakage warning.
+    peak) in the first block triggers a leakage warning.
     """
     spr = config.samples_per_revolution
     if block_size < spr or block_size % spr:
@@ -185,32 +189,23 @@ def block_fft(
         raise ValueError(f"series of {len(psi)} samples is shorter than one block ({block_size})")
     revs_per_block = block_size // spr
     n_blocks = len(psi) // block_size
-    bin_2omega = 2 * revs_per_block
-    out = []
-    blocks = psi[: n_blocks * block_size].reshape(n_blocks, block_size)
-    spectra = np.fft.rfft(blocks, axis=1)
+    bins = np.fft.rfft(psi[: n_blocks * block_size].reshape(n_blocks, block_size), axis=1)
     # one-sided amplitude normalization: interior bins 2/N, DC and Nyquist 1/N
-    spectra *= 2.0 / block_size
-    spectra[:, 0] *= 0.5
-    spectra[:, -1] *= 0.5
-    for i in range(n_blocks):
-        out.append(
-            BlockSpectrum(
-                block_index=i,
-                fft_bins=spectra[i],
-                bin_of_2omega=bin_2omega,
-                sample_rate_hz=config.sample_rate_hz,
-                revs_per_block=revs_per_block,
-            )
-        )
-    if leakage_warning and out:
-        _warn_on_leakage(out[0])
-    return out
+    bins *= 2.0 / block_size
+    bins[:, 0] *= 0.5
+    bins[:, -1] *= 0.5
+    spectra = BlockSpectra(
+        bins=bins,
+        bin_of_2omega=2 * revs_per_block,
+        revs_per_block=revs_per_block,
+        sample_rate_hz=config.sample_rate_hz,
+    )
+    _warn_on_leakage(bins[0], spectra.bin_of_2omega)
+    return spectra
 
 
-def _warn_on_leakage(block: BlockSpectrum) -> None:
-    bins = np.abs(block.fft_bins)
-    k = block.bin_of_2omega
+def _warn_on_leakage(block_bins: np.ndarray, k: int) -> None:
+    bins = np.abs(block_bins)
     peak_region = bins[max(k - 2, 1): k + 3]
     peak = peak_region.max()
     if peak <= 0:
@@ -225,61 +220,59 @@ def _warn_on_leakage(block: BlockSpectrum) -> None:
         )
 
 
-def parseval_residual(block: BlockSpectrum, samples: np.ndarray) -> float:
-    """Relative mismatch between time-domain power and the one-sided spectrum power."""
-    amps = np.abs(block.fft_bins)
-    power_freq = amps[0] ** 2 + 0.5 * np.sum(amps[1:-1] ** 2) + amps[-1] ** 2
-    power_time = float(np.mean(samples**2))
-    scale = max(power_time, power_freq)
-    if scale == 0.0:
-        return 0.0
-    return abs(power_time - power_freq) / scale
+def parseval_residual(spectra: BlockSpectra, psi: np.ndarray) -> np.ndarray:
+    """Per-block relative mismatch between time-domain and one-sided spectrum power."""
+    amps = np.abs(spectra.bins)
+    power_freq = amps[:, 0] ** 2 + 0.5 * np.sum(amps[:, 1:-1] ** 2, axis=1) + amps[:, -1] ** 2
+    n = len(spectra) * spectra.block_size
+    power_time = np.mean(psi[:n].reshape(len(spectra), -1) ** 2, axis=1)
+    scale = np.maximum(power_time, power_freq)
+    return np.abs(power_time - power_freq) / np.where(scale > 0.0, scale, 1.0)
 
 
 def noise_bin_indices(
-    block: BlockSpectrum, exclusion_halfwidth: int = DEFAULT_NOISE_HALFWIDTH
+    spectra: BlockSpectra, exclusion_halfwidth: int = DEFAULT_NOISE_HALFWIDTH
 ) -> np.ndarray:
-    """Bins around 2*Omega_Mag used for the noise estimate.
+    """Bins around 2*Omega_Mag used for the noise estimate (the same for every block).
 
     The signal bin and every harmonic of the rotation frequency inside the
     window are excluded.
     """
-    k = block.bin_of_2omega
+    k = spectra.bin_of_2omega
     lo = max(1, k - exclusion_halfwidth)
-    hi = min(len(block.fft_bins) - 1, k + exclusion_halfwidth)
+    hi = min(spectra.bins.shape[1] - 1, k + exclusion_halfwidth)
     idx = np.arange(lo, hi + 1)
-    harmonic = idx % block.revs_per_block == 0
+    harmonic = idx % spectra.revs_per_block == 0
     return idx[~harmonic]
 
 
 def rayleigh_sigma(
-    block: BlockSpectrum, exclusion_halfwidth: int = DEFAULT_NOISE_HALFWIDTH
-) -> float:
-    """Per-quadrature noise sigma from the mean Rayleigh amplitude (<rho> = sigma sqrt(pi/2))."""
-    idx = noise_bin_indices(block, exclusion_halfwidth)
+    spectra: BlockSpectra, exclusion_halfwidth: int = DEFAULT_NOISE_HALFWIDTH
+) -> np.ndarray:
+    """Per-block, per-quadrature noise sigma: mean noise-bin amplitude <rho> / sqrt(pi/2)."""
+    idx = noise_bin_indices(spectra, exclusion_halfwidth)
     if len(idx) < 50:
         raise ValueError(
             f"only {len(idx)} noise bins available around the signal bin; need >= 50"
         )
-    mean_amp = float(np.mean(np.abs(block.fft_bins[idx])))
-    return mean_amp / RAYLEIGH_MEAN_FACTOR
+    return np.mean(np.abs(spectra.bins[:, idx]), axis=1) / RAYLEIGH_MEAN_FACTOR
 
 
 def with_rayleigh_sigma(
-    blocks: list[BlockSpectrum], exclusion_halfwidth: int = DEFAULT_NOISE_HALFWIDTH
-) -> list[BlockSpectrum]:
-    """Attach noise sigmas to blocks, floored at the FFT's numerical precision.
+    spectra: BlockSpectra, exclusion_halfwidth: int = DEFAULT_NOISE_HALFWIDTH
+) -> BlockSpectra:
+    """Attach per-block noise sigmas, floored at the FFT's numerical precision.
 
     A noiseless synchronous record is exactly periodic per revolution, so its
     off-harmonic bins are identically zero; the floor (machine epsilon times
     the block's peak amplitude) keeps such records analyzable with an honest
     "numerical precision" uncertainty instead of an infinite weight.
     """
-    out = []
-    for b in blocks:
-        floor = float(np.finfo(float).eps * np.abs(b.fft_bins).max())
-        out.append(replace(b, rayleigh_sigma=max(rayleigh_sigma(b, exclusion_halfwidth), floor)))
-    return out
+    floor = np.finfo(float).eps * np.abs(spectra.bins).max(axis=1)
+    return replace(
+        spectra,
+        rayleigh_sigma=np.maximum(rayleigh_sigma(spectra, exclusion_halfwidth), floor),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -341,23 +334,35 @@ def analyze_record(
     calibration: CalibrationPhase | None = None,
 ) -> RunEstimate:
     """Demodulate, block-average and project one run."""
+    # full-fidelity records land on the same synchronous output grid after demodulation
+    spectra = with_rayleigh_sigma(
+        block_fft(demodulate(record), record.config, block_size=block_size), noise_halfwidth
+    )
+    return estimate_from_spectra(spectra, record, calibration)
+
+
+def estimate_from_spectra(
+    spectra: BlockSpectra,
+    record: TimeSeriesRecord,
+    calibration: CalibrationPhase | None = None,
+) -> RunEstimate:
+    """Vector-average the 2*Omega_Mag bin of a record's block spectra and project it.
+
+    ``spectra`` must carry Rayleigh sigmas (see :func:`with_rayleigh_sigma`);
+    ``record`` supplies the config, the duration scale and the metadata.
+    """
     config = record.config
     if calibration is None:
         calibration = analytic_calibration(config)
-    # full-fidelity records land on the same synchronous output grid after demodulation
-    psi = demodulate(record)
-    blocks = with_rayleigh_sigma(
-        block_fft(psi, config, block_size=block_size), noise_halfwidth
-    )
     amp, sigma = weighted_average(
-        (b.amplitude_2omega, b.rayleigh_sigma) for b in blocks
+        zip(spectra.amplitude_2omega.tolist(), _block_sigmas(spectra).tolist())
     )
     physical, nonphysical = project_physical(amp, calibration)
     dn_complex = deltan_conversion(amp, config)
     dn_sigma = float(deltan_conversion(sigma, config))
     dn_phys, dn_nonphys = project_physical(dn_complex, calibration)
-    n_blocks = len(blocks)
-    duration = n_blocks * block_size / demodulated_sample_rate(record)
+    n_blocks = len(spectra)
+    duration = n_blocks * spectra.block_size / demodulated_sample_rate(record)
     return RunEstimate(
         complex_amplitude_2omega=amp,
         sigma=sigma,
@@ -383,8 +388,9 @@ def analyze_record(
 def combine_runs(estimates: list[RunEstimate]) -> tuple[complex, float, float]:
     """Weighted vector average over runs in Delta n/B^2 space.
 
-    Returns (complex deltan_over_b2, sigma, total_hours).  Runs may differ in
-    finesse or field integral; the conversion to Delta n/B^2 happened per run.
+    Returns (complex deltan_over_b2, sigma, total_hours); project the mean with
+    :func:`project_physical`.  Runs may differ in finesse or field integral;
+    the conversion to Delta n/B^2 happened per run.
     """
     if not estimates:
         raise ValueError("no run estimates to combine")
@@ -395,17 +401,17 @@ def combine_runs(estimates: list[RunEstimate]) -> tuple[complex, float, float]:
     return mean, sigma, hours
 
 
-def averaged_spectrum(blocks: list[BlockSpectrum]) -> tuple[np.ndarray, np.ndarray]:
+def averaged_spectrum(spectra: BlockSpectra) -> tuple[np.ndarray, np.ndarray]:
     """Inverse-variance averaged complex spectrum over blocks: (freq_hz, complex amps)."""
-    if not blocks:
-        raise ValueError("no blocks to average")
-    sigmas = np.array([b.rayleigh_sigma for b in blocks], dtype=float)
-    if np.any(~np.isfinite(sigmas)) or np.any(sigmas <= 0):
+    w = 1.0 / _block_sigmas(spectra) ** 2
+    return spectra.frequencies_hz, np.tensordot(w, spectra.bins, axes=1) / w.sum()
+
+
+def _block_sigmas(spectra: BlockSpectra) -> np.ndarray:
+    sigmas = spectra.rayleigh_sigma
+    if sigmas is None or np.any(~np.isfinite(sigmas)) or np.any(sigmas <= 0):
         raise ValueError("all blocks need a positive rayleigh_sigma (run with_rayleigh_sigma)")
-    w = 1.0 / sigmas**2
-    stack = np.stack([b.fft_bins for b in blocks])
-    avg = np.tensordot(w, stack, axes=1) / w.sum()
-    return blocks[0].frequencies_hz, avg
+    return sigmas
 
 
 # ---------------------------------------------------------------------------

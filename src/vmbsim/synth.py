@@ -30,10 +30,10 @@ import numpy as np
 
 from .apparatus import (
     ApparatusConfig,
+    FixedEllipticitySource,
     NoiseModel,
     QUIET,
     TimeSeriesRecord,
-    source_ellipticity,
 )
 
 MIN_PEM_OVERSAMPLE = 8
@@ -53,6 +53,15 @@ def single_pass_ellipticity(config: ApparatusConfig, deltan_u: float, theta_rad:
 def cavity_ellipticity(config: ApparatusConfig, deltan_u: float, theta_rad: float) -> float:
     """Cavity-amplified ellipticity, N = 2F/pi passes."""
     return config.pass_count * single_pass_ellipticity(config, deltan_u, theta_rad)
+
+
+def source_ellipticity(source, config: ApparatusConfig) -> float:
+    """Cavity-output ellipticity amplitude a source produces in this apparatus."""
+    if isinstance(source, FixedEllipticitySource):
+        return source.psi
+    b = config.effective_field_t
+    deltan_u_eff = source.deltan(b) / b**2
+    return cavity_ellipticity(config, deltan_u_eff, math.pi / 4.0)
 
 
 def _check_duration(config: ApparatusConfig, duration_s: float) -> int:

@@ -36,12 +36,14 @@ from vmbsim.models import (
     qed_unitary_birefringence,
 )
 from vmbsim.pipeline import (
+    analytic_calibration,
     analyze_record,
     averaged_spectrum,
     block_fft,
     combine_runs,
     demodulate,
     ellipticity_from_deltan,
+    project_physical,
     with_rayleigh_sigma,
 )
 from vmbsim.synth import cavity_ellipticity, single_pass_ellipticity, synthesize_run
@@ -109,9 +111,9 @@ def test_criterion_5_helium_round_trip():
     dn_u_sigma = est.deltan_over_b2_sigma / p_atm
     z = (dn_u_rec - 2.1e-16) / dn_u_sigma
 
-    blocks = with_rayleigh_sigma(block_fft(demodulate(rec), CFG))
-    _, avg = averaged_spectrum(blocks)
-    sigma_avg = 1.0 / math.sqrt(sum(1.0 / b.rayleigh_sigma**2 for b in blocks))
+    spectra = with_rayleigh_sigma(block_fft(demodulate(rec), CFG))
+    _, avg = averaged_spectrum(spectra)
+    sigma_avg = 1.0 / math.sqrt(sum(1.0 / s**2 for s in spectra.rayleigh_sigma))
     spurious = [
         k for k in range(1, 17)
         if k != 2 and abs(avg[256 * k]) > 3.0 * sigma_avg
@@ -170,7 +172,7 @@ def test_criterion_7_headline_null_at_matched_noise():
         done += nb
         run_id += 1
     mean, sigma, hours = combine_runs(estimates)
-    central = mean.real
+    central, _ = project_physical(mean, analytic_calibration(CFG))
     elapsed = time.time() - t0
     ok = abs(central) <= 2.0 * sigma and abs(sigma / sigma_target - 1.0) < 0.10
     _report(
@@ -258,8 +260,8 @@ def test_criterion_10_full_vs_fast_fidelity():
     duration = 16 / CFG.magnet_rotation_hz
     rec_fast = synthesize_run(CFG, src, QUIET, duration)
     rec_full = synthesize_run(CFG, src, QUIET, duration, fidelity="full")
-    a_fast = abs(block_fft(demodulate(rec_fast), CFG, block_size=512)[0].amplitude_2omega)
-    a_full = abs(block_fft(demodulate(rec_full), CFG, block_size=512)[0].amplitude_2omega)
+    a_fast = abs(block_fft(demodulate(rec_fast), CFG, block_size=512).amplitude_2omega[0])
+    a_full = abs(block_fft(demodulate(rec_full), CFG, block_size=512).amplitude_2omega[0])
     dev = abs(a_full / a_fast - 1.0)
     elapsed = time.time() - t0
     ok = dev < 0.01 and elapsed < 120.0

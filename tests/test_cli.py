@@ -77,6 +77,30 @@ class TestAnalyze:
         spec_lines = (out / "run-seed7.spectrum.csv").read_text().splitlines()
         assert any("frequency_hz, amplitude, phase_rad" in l for l in spec_lines[:3])
 
+    def test_truncated_record_is_data_error(self, he_record, tmp_path, capsys):
+        # cut at a row boundary: one whole block is left, but the header disagrees
+        cut = tmp_path / "cut.csv"
+        cut.write_text("".join(he_record.read_text().splitlines(keepends=True)[:-100]))
+        assert run("analyze", cut, "--out-dir", tmp_path / "t") == 2
+        assert "n_samples" in capsys.readouterr().err
+
+    def test_one_fft_pass_per_record(self, he_record, tmp_path, monkeypatch):
+        import vmbsim.cli
+        import vmbsim.pipeline
+
+        calls = []
+        block_fft = vmbsim.pipeline.block_fft
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return block_fft(*args, **kwargs)
+
+        # both names, so a pass through analyze_record would be counted too
+        monkeypatch.setattr(vmbsim.cli, "block_fft", counted)
+        monkeypatch.setattr(vmbsim.pipeline, "block_fft", counted)
+        assert run("analyze", he_record, "--out-dir", tmp_path / "a") == 0
+        assert len(calls) == 1
+
     def test_mixed_configs_refused(self, he_record, tmp_path):
         other_sim = tmp_path / "other"
         cfg = tmp_path / "f.cfg"
@@ -201,6 +225,14 @@ class TestLimitsCommand:
         assert run("limits", "mcp", "--estimate", estimate, "--statistics", "scalar",
                    "--out-dir", out, "--points-per-decade", "40") == 0
         assert (out / "mcp_scalar_exclusion.csv").exists()
+
+    def test_corrupt_config_is_data_error(self, estimate, tmp_path, capsys):
+        corrupt = tmp_path / "corrupt.txt"
+        corrupt.write_text(
+            estimate.read_text().replace("config.finesse = 670000.0", "config.finesse = abc")
+        )
+        assert run("limits", "alp", "--estimate", corrupt, "--out-dir", tmp_path / "c") == 2
+        assert "config" in capsys.readouterr().err
 
     def test_missing_estimate(self, tmp_path):
         assert run("limits", "xsec", "--estimate", tmp_path / "none.txt",

@@ -17,7 +17,7 @@ from vmbsim.apparatus import (
 )
 from vmbsim.constants import convert_pressure
 from vmbsim.pipeline import (
-    BlockSpectrum,
+    BlockSpectra,
     CalibrationPhase,
     analytic_calibration,
     analyze_record,
@@ -55,7 +55,7 @@ class TestDemodulate:
 
     def test_fixed_psi_256_revolution_fft_recovery(self):
         rec = synthesize_run(CFG, FixedEllipticitySource(1e-7), QUIET, 256 / 3.0)
-        amp = abs(block_fft(demodulate(rec), CFG)[0].amplitude_2omega)
+        amp = abs(block_fft(demodulate(rec), CFG).amplitude_2omega[0])
         assert amp == pytest.approx(1e-7, rel=1e-3)
 
     def test_zero_signal_noise_statistics(self):
@@ -70,8 +70,8 @@ class TestDemodulate:
         src = FixedEllipticitySource(1.13e-7)
         rec_fast = synthesize_run(CFG, src, QUIET, 16 / 3.0)
         rec_full = synthesize_run(CFG, src, QUIET, 16 / 3.0, fidelity="full")
-        a_fast = abs(block_fft(demodulate(rec_fast), CFG, block_size=512)[0].amplitude_2omega)
-        a_full = abs(block_fft(demodulate(rec_full), CFG, block_size=512)[0].amplitude_2omega)
+        a_fast = abs(block_fft(demodulate(rec_fast), CFG, block_size=512).amplitude_2omega[0])
+        a_full = abs(block_fft(demodulate(rec_full), CFG, block_size=512).amplitude_2omega[0])
         assert a_full == pytest.approx(a_fast, rel=0.01)
 
     def test_vanishing_normalization(self):
@@ -96,12 +96,12 @@ class TestDemodulate:
 class TestBlockFFT:
     def test_pure_tone_normalization(self):
         psi = _tone_block(1e-7, cycles=512)
-        blocks = block_fft(psi, CFG)
-        assert abs(blocks[0].amplitude_2omega) == pytest.approx(1e-7, abs=1e-10)
+        spectra = block_fft(psi, CFG)
+        assert abs(spectra.amplitude_2omega[0]) == pytest.approx(1e-7, abs=1e-10)
 
     def test_fig2_amplitude(self):
         psi = _tone_block(1.13e-7, cycles=512)
-        assert abs(block_fft(psi, CFG)[0].amplitude_2omega) == pytest.approx(1.13e-7, abs=1e-10)
+        assert abs(block_fft(psi, CFG).amplitude_2omega[0]) == pytest.approx(1.13e-7, abs=1e-10)
 
     def test_half_bin_tone_warns(self):
         psi = _tone_block(1e-7, cycles=512.5)
@@ -119,13 +119,13 @@ class TestBlockFFT:
     def test_parseval(self):
         rng = np.random.default_rng(2)
         psi = rng.standard_normal(8192) * 1e-8 + _tone_block(1e-7, 512)
-        block = block_fft(psi, CFG)[0]
-        assert parseval_residual(block, psi) < 1e-9
+        spectra = block_fft(psi, CFG)
+        assert parseval_residual(spectra, psi).max() < 1e-9
 
     def test_phase_convention(self):
         # A*sin(w t) from t=0 reports phase -pi/2
         psi = _tone_block(1e-7, cycles=512)
-        c = block_fft(psi, CFG)[0].amplitude_2omega
+        c = block_fft(psi, CFG).amplitude_2omega[0]
         assert np.angle(c) == pytest.approx(-math.pi / 2.0, abs=1e-9)
 
 
@@ -134,14 +134,14 @@ class TestRayleighSigma:
         asd = 1e-6
         noise = NoiseModel(ellipticity_noise_density=asd, rng_seed=31)
         rec = synthesize_run(CFG, NullSource(), noise, 20 * 256 / 3.0)
-        blocks = with_rayleigh_sigma(block_fft(demodulate(rec), CFG))
+        spectra = with_rayleigh_sigma(block_fft(demodulate(rec), CFG))
         expected = asd / math.sqrt(8192 / CFG.sample_rate_hz)
-        est = np.mean([b.rayleigh_sigma for b in blocks])
+        est = np.mean(spectra.rayleigh_sigma)
         assert est == pytest.approx(expected, rel=0.05)
 
     def test_all_zero_spectrum(self):
-        block = BlockSpectrum(0, np.zeros(4097, dtype=complex), 512, 96.0, 256)
-        assert rayleigh_sigma(block) == 0.0
+        spectra = BlockSpectra(np.zeros((1, 4097), dtype=complex), 512, 256, 96.0)
+        assert np.all(rayleigh_sigma(spectra) == 0.0)
 
     def test_rayleigh_mean_identity(self):
         rng = np.random.default_rng(7)
@@ -149,15 +149,15 @@ class TestRayleighSigma:
         assert np.mean(draws) / math.sqrt(math.pi / 2.0) == pytest.approx(1.0, abs=0.05)
 
     def test_signal_and_harmonics_excluded(self):
-        block = BlockSpectrum(0, np.zeros(4097, dtype=complex), 512, 96.0, 256)
-        idx = noise_bin_indices(block, 64)
+        spectra = BlockSpectra(np.zeros((1, 4097), dtype=complex), 512, 256, 96.0)
+        idx = noise_bin_indices(spectra, 64)
         assert 512 not in idx
         assert len(idx) == 128
 
     def test_too_few_bins(self):
-        block = BlockSpectrum(0, np.zeros(40, dtype=complex), 16, 96.0, 8)
+        spectra = BlockSpectra(np.zeros((1, 40), dtype=complex), 16, 8, 96.0)
         with pytest.raises(ValueError, match="noise bins"):
-            rayleigh_sigma(block, exclusion_halfwidth=20)
+            rayleigh_sigma(spectra, exclusion_halfwidth=20)
 
 
 class TestWeightedAverage:

@@ -16,7 +16,6 @@ from vmbsim.apparatus import (
     QedVacuumSource,
     parse_source,
     read_record,
-    resolve_source,
     write_record,
 )
 from vmbsim.synth import cavity_ellipticity, single_pass_ellipticity, synthesize_run
@@ -208,20 +207,20 @@ class TestSourceParsing:
             ("fixed-ellipticity:1e-7", FixedEllipticitySource),
             ("gas:He:32ubar", GasSource),
         ]:
-            src = resolve_source(parse_source(spec), CFG)
+            src = parse_source(spec, CFG)
             assert isinstance(src, cls)
 
     def test_gas_pressure_units(self):
-        src = resolve_source(parse_source("gas:He:32ubar"), CFG)
+        src = parse_source("gas:He:32ubar", CFG)
         assert src.pressure_atm == pytest.approx(3.158154e-5, rel=1e-6)
 
     def test_alp_and_mcp(self):
-        alp = resolve_source(parse_source("alp:g=1e-16,m=1e-3"), CFG)
+        alp = parse_source("alp:g=1e-16,m=1e-3", CFG)
         assert alp.params.photon_energy_ev == pytest.approx(CFG.photon_energy_ev)
-        mcp = resolve_source(parse_source("mcp:scalar:eps=1e-8,m=0.5"), CFG)
+        mcp = parse_source("mcp:scalar:eps=1e-8,m=0.5", CFG)
         assert mcp.params.statistics == "scalar"
 
     def test_bad_specs(self):
         for spec in ("", "gas:He", "gas:He:32psi", "alp:g=1e-16", "blah:1"):
             with pytest.raises(ValueError):
-                parse_source(spec)
+                parse_source(spec, CFG)

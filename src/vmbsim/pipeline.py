@@ -177,7 +177,8 @@ def block_fft(
 
     Blocks must hold an integer number of revolutions so the 2*Omega_Mag tone
     is bin-centered; a prominent off-bin tone (energy in the neighbours of the
-    peak) in the first block triggers a leakage warning.
+    peak) in the first block triggers a leakage warning. Trailing samples that
+    do not fill a block are dropped with a warning that counts them.
     """
     spr = config.samples_per_revolution
     if block_size < spr or block_size % spr:
@@ -188,7 +189,12 @@ def block_fft(
     if len(psi) < block_size:
         raise ValueError(f"series of {len(psi)} samples is shorter than one block ({block_size})")
     revs_per_block = block_size // spr
-    n_blocks = len(psi) // block_size
+    n_blocks, tail = divmod(len(psi), block_size)
+    if tail:
+        warnings.warn(
+            f"{tail} trailing samples do not fill a block of {block_size} and are dropped",
+            stacklevel=2,
+        )
     bins = np.fft.rfft(psi[: n_blocks * block_size].reshape(n_blocks, block_size), axis=1)
     # one-sided amplitude normalization: interior bins 2/N, DC and Nyquist 1/N
     bins *= 2.0 / block_size

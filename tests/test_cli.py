@@ -84,6 +84,38 @@ class TestAnalyze:
         assert run("analyze", cut, "--out-dir", tmp_path / "t") == 2
         assert "n_samples" in capsys.readouterr().err
 
+    @staticmethod
+    def _corrupt(record, tmp_path, row, edit):
+        """Copy of ``record`` with its data row ``row`` (0-based) replaced by ``edit(fields)``."""
+        lines = record.read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        fields = lines[first + row].rstrip("\n").split(", ")
+        lines[first + row] = edit(fields) + "\n"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines))
+        return bad
+
+    def test_non_finite_value_names_row(self, he_record, tmp_path, capsys):
+        bad = self._corrupt(he_record, tmp_path, 41, lambda f: ", ".join(f[:2] + ["nan"] + f[3:]))
+        assert run("analyze", bad, "--out-dir", tmp_path / "n") == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "row 42" in err and "I_2OmegaPEM" in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda f: ", ".join(f[:1] + ["abc"] + f[2:]),
+        lambda f: ", ".join(f[:4]),
+    ], ids=["non_numeric_cell", "four_field_row"])
+    def test_malformed_row_is_data_error(self, he_record, tmp_path, edit):
+        bad = self._corrupt(he_record, tmp_path, 7, edit)
+        assert run("analyze", bad, "--out-dir", tmp_path / "m") == 2
+
+    def test_header_without_rows_is_data_error(self, he_record, tmp_path, capsys):
+        lines = he_record.read_text().splitlines(keepends=True)
+        empty = tmp_path / "empty.csv"
+        empty.write_text("".join(line for line in lines if line.startswith("#")))
+        assert run("analyze", empty, "--out-dir", tmp_path / "e") == 2
+        assert "no samples" in capsys.readouterr().err
+
     def test_one_fft_pass_per_record(self, he_record, tmp_path, monkeypatch):
         import vmbsim.cli
         import vmbsim.pipeline

@@ -1,6 +1,7 @@
 """Analysis chain: demodulation, FFT normalization, noise statistics, fits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,14 @@ class TestBlockFFT:
         psi = _tone_block(1e-7, cycles=512.5)
         with pytest.warns(UserWarning, match="off bin center"):
             block_fft(psi, CFG)
+
+    def test_dropped_tail_warns(self):
+        # 300 revolutions: one 8192-sample block and 1408 samples left over
+        with pytest.warns(UserWarning, match="1408 trailing samples"):
+            assert len(block_fft(np.zeros(300 * 32), CFG)) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block_fft(np.zeros(2 * 8192), CFG)
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="shorter than one block"):

@@ -1,11 +1,17 @@
 """Forward model: ellipticity formulas, determinism and the two fidelity paths."""
 
+import io
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from vmbsim.apparatus import (
+    RECORD_COLUMNS,
+    _FMT,
     ApparatusConfig,
     FixedDeltanSource,
     FixedEllipticitySource,
@@ -14,6 +20,8 @@ from vmbsim.apparatus import (
     NullSource,
     QUIET,
     QedVacuumSource,
+    _format_rows,
+    format_number,
     parse_source,
     read_record,
     write_record,
@@ -175,8 +183,10 @@ class TestRecordIO:
         assert back.fidelity == "fast"
         assert back.config.content_hash() == rec.config.content_hash()
         assert back.seed == 8
-        assert np.allclose(back.i_omega_pem, rec.i_omega_pem, rtol=1e-8)
         assert back.source_description == rec.source_description
+        for name in ("time", "i_omega_pem", "i_2omega_pem", "i0", "magnet_phase"):
+            written = np.array([float(_FMT % v) for v in getattr(rec, name)])
+            np.testing.assert_array_equal(getattr(back, name), written, err_msg=name)
 
     def test_write_is_deterministic(self, tmp_path):
         rec = synthesize_run(CFG, NullSource(), NoiseModel(1e-7, rng_seed=1), 8 / 3.0)
@@ -196,6 +206,87 @@ class TestRecordIO:
         from vmbsim.pipeline import demodulate
 
         assert np.allclose(demodulate(back), demodulate(rec), rtol=1e-6, atol=1e-12)
+
+
+def savetxt_record(record, path):
+    """Reference writer: the header lines, then np.savetxt formatting row by row."""
+    buf = io.StringIO()
+    for key, value in record.header_items():
+        value_s = format_number(value) if isinstance(value, float) else str(value)
+        buf.write(f"# {key} = {value_s}\n")
+    buf.write("# columns = " + ", ".join(RECORD_COLUMNS) + "\n")
+    cols = np.column_stack(
+        [record.time, record.i_omega_pem, record.i_2omega_pem, record.i0, record.magnet_phase]
+    )
+    np.savetxt(buf, cols, fmt=_FMT, delimiter=", ")
+    with open(path, "w") as fh:
+        fh.write(buf.getvalue())
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _text(values, columns=1) -> bytes:
+    rows = np.array(values, dtype=float).reshape(-1, columns)
+    return "".join(", ".join(_FMT % v for v in row) + "\n" for row in rows.tolist()).encode()
+
+
+FORMAT_VALUES = st.one_of(
+    st.integers(0, 2**64 - 1).map(_from_bits),                   # whole exponent range, nan, inf
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.builds(lambda k, m: k / 2**m, st.integers(-(2**53), 2**53), st.integers(0, 80)),
+    st.floats(min_value=1e100, max_value=1.7e308) | st.floats(min_value=1e-300, max_value=1e-100),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf,
+                     math.nan, 10000.03125, 9.999999995e5, 1e290, -1e-290, 1e22, 1e23]),
+)
+
+
+class TestRecordFormatter:
+    @given(st.lists(FORMAT_VALUES, min_size=1, max_size=40))
+    @example([10000.03125, 0.5 ** 30, 3 / 2**40, 0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan])
+    @example([1.23456789e-100, -9.87654321e+255, 1e-308, 1.7976931348623157e308])
+    def test_matches_percent_format(self, values):
+        assert _format_rows(np.array(values)[:, None]) == _text(values)
+
+    @given(st.lists(FORMAT_VALUES, min_size=5, max_size=40).map(lambda v: v[: len(v) // 5 * 5]))
+    def test_rows_match_savetxt_layout(self, values):
+        assert _format_rows(np.array(values).reshape(-1, 5)) == _text(values, columns=5)
+
+    def test_bulk_against_percent_format(self):
+        rng = np.random.default_rng(11)
+        values = np.concatenate([
+            rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64),
+            rng.integers(1, 2**40, 20_000) / 2.0 ** rng.integers(0, 40, 20_000),  # decimal ties
+            np.arange(20_000) / 96.0,                                              # a time column
+            10.0 ** np.arange(-300, 300),
+            np.nextafter(10.0 ** np.arange(-300, 300), 0.0),                       # under 10**k
+        ])
+        assert _format_rows(values[:, None]) == _text(values)
+
+    def test_write_record_matches_savetxt(self, tmp_path):
+        # 5120 rows: more than one of the writer's row blocks, the last one partial
+        fast = synthesize_run(CFG, GasSource("He", 3e-5), NoiseModel(1e-6, rng_seed=8), 160 / 3.0)
+        full = synthesize_run(SMALL_FULL, FixedEllipticitySource(1e-6), QUIET, 4 / 3.0,
+                              fidelity="full", pem_oversample=8)
+        for rec in (fast, full):
+            new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+            write_record(rec, new)
+            savetxt_record(rec, ref)
+            assert new.read_bytes() == ref.read_bytes()
+
+    def test_reader_memory_is_bounded(self, tmp_path):
+        rec = synthesize_run(CFG, NullSource(), NoiseModel(1e-7, rng_seed=2), 8192 / 3.0)
+        path = tmp_path / "long.csv"
+        write_record(rec, path)
+        tracemalloc.start()
+        try:
+            back = read_record(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        array_bytes = len(back) * len(RECORD_COLUMNS) * 8
+        assert peak < 5 * array_bytes
 
 
 class TestSourceParsing:

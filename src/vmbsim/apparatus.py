@@ -344,6 +344,31 @@ class TimeSeriesRecord:
     def duration_s(self) -> float:
         return len(self.time) / self.sample_rate_hz
 
+    def lockin_layout(self) -> tuple[int, int]:
+        """``(pem_oversample, samples_per_output_bin)`` of a full-fidelity record.
+
+        Each output bin must hold a whole number of PEM cycles, so every bin
+        sees the same lock-in reference row.
+        """
+        layout = []
+        for key in ("pem_oversample", "samples_per_output_bin"):
+            try:
+                value = float(self.metadata[key])
+            except KeyError as exc:
+                raise ValueError(f"full-fidelity record lacks metadata key {exc}") from exc
+            except ValueError:
+                value = math.nan
+            if not (value.is_integer() and value > 0):
+                raise ValueError(f"{key} = {self.metadata[key]!r} is not a positive integer")
+            layout.append(int(value))
+        oversample, samples_per_bin = layout
+        if samples_per_bin % oversample:
+            raise ValueError(
+                f"samples_per_output_bin = {samples_per_bin} is not a multiple of "
+                f"pem_oversample = {oversample}"
+            )
+        return oversample, samples_per_bin
+
     def header_items(self) -> list[tuple[str, object]]:
         items: list[tuple[str, object]] = [
             ("tool_version", __version__),
@@ -358,6 +383,10 @@ class TimeSeriesRecord:
         items.extend(sorted(self.metadata.items()))
         return items
 
+
+# Output bins per chunk of full-fidelity synthesis and lock-in: 64 bins are
+# ~0.53 M raw samples at the default PEM grid, a few MB per chunk temporary.
+_CHUNK_BINS = 64
 
 # Rows formatted per block: at 4096 the kernel's temporaries stay in cache
 # (65536 ran at half the speed), and the writer's memory stays bounded.
@@ -434,11 +463,43 @@ def write_record(record: TimeSeriesRecord, path) -> None:
             fh.write(_format_rows(block))
 
 
+def _data_rows(path):
+    """``(data_row, file_line, cells)`` of each row ``np.loadtxt`` reads, both numbered from 1."""
+    with open(path) as fh:
+        row = 0
+        for line_no, line in enumerate(fh, 1):
+            text = line.partition("#")[0].strip()
+            if text:
+                row += 1
+                yield row, line_no, text.split(",")
+
+
+def _row_error(path, row: int, line: int, reason: str) -> ValueError:
+    return ValueError(f"record file {path}, data row {row} (file line {line}): {reason}")
+
+
+def _malformed_row(path) -> ValueError | None:
+    """The error for the first row of the wrong width or with a cell that is not a number."""
+    for row, line, cells in _data_rows(path):
+        if len(cells) != len(RECORD_COLUMNS):
+            return _row_error(path, row, line,
+                              f"{len(cells)} fields, expected {len(RECORD_COLUMNS)}")
+        for name, cell in zip(RECORD_COLUMNS, cells):
+            try:
+                float(cell)
+            except ValueError:
+                return _row_error(path, row, line,
+                                  f"{cell.strip()!r} in column {name} is not a number")
+    return None
+
+
 def read_record(path) -> TimeSeriesRecord:
     """Read a record written by :func:`write_record`.
 
     The header is the leading block of ``#`` lines; ``#`` lines after the
-    first data row are comments.
+    first data row are comments. A malformed or non-finite row is named by
+    its 1-based data row and file line, and a header ``sample_rate_hz`` that
+    its config does not reproduce is refused.
     """
     header: dict[str, str] = {}
     with open(path) as fh:
@@ -453,7 +514,11 @@ def read_record(path) -> TimeSeriesRecord:
                 header[key.strip()] = value.strip()
         else:
             raise ValueError(f"record file {path} contains no samples")
-    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    except ValueError as exc:
+        # rescanned only on failure, so the message does not depend on numpy's wording
+        raise _malformed_row(path) or ValueError(f"record file {path}: {exc}") from exc
     if data.shape[1] != len(RECORD_COLUMNS):
         raise ValueError(
             f"record file {path} has {data.shape[1]} columns, expected {len(RECORD_COLUMNS)}"
@@ -461,10 +526,9 @@ def read_record(path) -> TimeSeriesRecord:
     finite = np.isfinite(data)
     if not finite.all():
         row, col = divmod(int(np.argmin(finite)), data.shape[1])
-        raise ValueError(
-            f"record file {path} has a non-finite value in data row {row + 1}, "
-            f"column {RECORD_COLUMNS[col]}"
-        )
+        line = next(line for r, line, _ in _data_rows(path) if r == row + 1)
+        raise _row_error(path, row + 1, line,
+                         f"non-finite value in column {RECORD_COLUMNS[col]}")
     if int(header["n_samples"]) != len(data):
         raise ValueError(
             f"record file {path} has {len(data)} sample rows but its header says "
@@ -478,7 +542,7 @@ def read_record(path) -> TimeSeriesRecord:
         and k not in ("tool_version", "fidelity", "sample_rate_hz", "n_samples", "source",
                       "seed", "config_hash", "columns")
     }
-    return TimeSeriesRecord(
+    record = TimeSeriesRecord(
         sample_rate_hz=float(header["sample_rate_hz"]),
         time=data[:, 0],
         i_omega_pem=data[:, 1],
@@ -491,6 +555,18 @@ def read_record(path) -> TimeSeriesRecord:
         seed=int(header.get("seed", 0)),
         metadata=metadata,
     )
+    expected, origin = config.sample_rate_hz, "its config"
+    if record.fidelity == "full":
+        samples_per_bin = record.lockin_layout()[1]
+        expected *= samples_per_bin
+        origin = f"samples_per_output_bin = {samples_per_bin} times its config rate"
+    # the header keeps 9 significant digits
+    if not abs(record.sample_rate_hz - expected) <= 1e-8 * expected:
+        raise ValueError(
+            f"record file {path} has sample_rate_hz = {header['sample_rate_hz']}, but "
+            f"{origin} gives {format_number(expected)}"
+        )
+    return record
 
 
 def truncated(record: TimeSeriesRecord, n: int) -> TimeSeriesRecord:

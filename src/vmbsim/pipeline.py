@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .apparatus import ApparatusConfig, TimeSeriesRecord
+from .apparatus import _CHUNK_BINS, ApparatusConfig, TimeSeriesRecord
 
 DEFAULT_BLOCK_SIZE = 8192
 DEFAULT_NOISE_HALFWIDTH = 64
@@ -133,22 +133,22 @@ def demodulate(record: TimeSeriesRecord) -> np.ndarray:
     if record.fidelity != "full":
         raise ValueError(f"unknown fidelity {record.fidelity!r}")
 
-    meta = record.metadata
-    try:
-        oversample = int(float(meta["pem_oversample"]))
-        samples_per_bin = int(float(meta["samples_per_output_bin"]))
-    except KeyError as exc:
-        raise ValueError(f"full-fidelity record lacks metadata key {exc}") from exc
+    oversample, samples_per_bin = record.lockin_layout()
     n = len(record)
     if n % samples_per_bin:
         raise ValueError("record length is not a whole number of output bins")
-    intensity = record.i_omega_pem  # raw detector channel for full fidelity
-    phase_idx = np.arange(n) % oversample
+    # every output bin holds whole carrier cycles, so all bins share one reference row
+    phase_idx = np.arange(samples_per_bin) % oversample
     ref1 = np.cos(2.0 * math.pi * phase_idx / oversample)
     ref2 = np.cos(4.0 * math.pi * phase_idx / oversample)
-    shape = (n // samples_per_bin, samples_per_bin)
-    ix1 = 2.0 * np.mean((intensity * ref1).reshape(shape), axis=1)
-    ix2 = 2.0 * np.mean((intensity * ref2).reshape(shape), axis=1)
+    # raw detector channel for full fidelity, one row per output bin
+    rows = record.i_omega_pem.reshape(n // samples_per_bin, samples_per_bin)
+    ix1 = np.empty(len(rows))
+    ix2 = np.empty(len(rows))
+    for start in range(0, len(rows), _CHUNK_BINS):
+        chunk = slice(start, start + _CHUNK_BINS)
+        ix1[chunk] = 2.0 * np.mean(rows[chunk] * ref1, axis=1)
+        ix2[chunk] = 2.0 * np.mean(rows[chunk] * ref2, axis=1)
     i0 = float(np.mean(record.i0))
     dc_2omega = float(np.mean(ix2))
     norm = 8.0 * i0 * dc_2omega
@@ -160,8 +160,7 @@ def demodulate(record: TimeSeriesRecord) -> np.ndarray:
 def demodulated_sample_rate(record: TimeSeriesRecord) -> float:
     if record.fidelity == "fast":
         return record.sample_rate_hz
-    samples_per_bin = int(float(record.metadata["samples_per_output_bin"]))
-    return record.sample_rate_hz / samples_per_bin
+    return record.sample_rate_hz / record.lockin_layout()[1]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ Two fidelity levels:
   long Monte-Carlo runs.
 * ``full`` emits the raw analyser intensity (the exact squared-modulus form,
   extinction and PEM carrier included) at many samples per PEM cycle, so the
-  digital lock-in in the analysis chain can be validated end to end.
+  digital lock-in in the analysis chain can be validated end to end.  It is
+  generated ``_CHUNK_BINS`` output bins at a time into arrays allocated once,
+  so its memory is the returned record's arrays plus a fixed chunk working
+  set, independent of the record length.
 
 Lock-in gain convention: demodulated channels carry the full ("peak")
 harmonic amplitude, I_X = 2 <I(t) cos(w t)>.  With a sinusoidal PEM drive
@@ -29,6 +32,7 @@ import math
 import numpy as np
 
 from .apparatus import (
+    _CHUNK_BINS,
     ApparatusConfig,
     FixedEllipticitySource,
     NoiseModel,
@@ -166,23 +170,18 @@ def synthesize_run(
     samples_per_bin = pem_oversample * cycles_per_bin
     fs = pem_eff * pem_oversample
     n_raw = n_out * samples_per_bin
-    t_raw = np.arange(n_raw) / fs
 
-    psi_signal = _signal_ellipticity(config, source, t_raw)
-    alpha = noise.alpha_of(t_raw)
-    noise_zoh = np.repeat(eps_noise, samples_per_bin)
-    # PEM carrier phase is exactly (i mod oversample)/oversample cycles -- no drift.
-    carrier = eta0 * np.cos(
-        2.0 * math.pi * (np.arange(n_raw) % pem_oversample) / pem_oversample
-    )
-    total = carrier + psi_signal + alpha + noise_zoh
-    intensity = i0 * (config.extinction + total**2)
-    if noise.detector_white_noise > 0.0:
-        intensity = intensity * (1.0 + noise.detector_white_noise * rng.standard_normal(n_raw))
-
-    theta_raw = (
-        2.0 * math.pi * config.magnet_rotation_hz * t_raw + config.polarizer_angle_rad
-    ) % (2.0 * math.pi)
+    t_raw = np.empty(n_raw)
+    intensity = np.empty(n_raw)
+    theta_raw = np.empty(n_raw)
+    for rows, t, chunk in _raw_intensity_chunks(
+        config, source, noise, rng, eps_noise, samples_per_bin, pem_oversample, fs
+    ):
+        t_raw[rows] = t
+        intensity[rows] = chunk
+        theta_raw[rows] = (
+            2.0 * math.pi * config.magnet_rotation_hz * t + config.polarizer_angle_rad
+        ) % (2.0 * math.pi)
     return TimeSeriesRecord(
         sample_rate_hz=fs,
         time=t_raw,
@@ -202,6 +201,44 @@ def synthesize_run(
             "samples_per_output_bin": samples_per_bin,
         },
     )
+
+
+def _raw_intensity_chunks(
+    config: ApparatusConfig,
+    source,
+    noise: NoiseModel,
+    rng: np.random.Generator,
+    eps_noise: np.ndarray,
+    samples_per_bin: int,
+    pem_oversample: int,
+    fs: float,
+):
+    """Yield ``(rows, t, intensity)`` of the raw record, ``_CHUNK_BINS`` output bins at a time.
+
+    ``rows`` is the chunk's slice of the whole record.  Every raw sample is
+    computed by the same expression, in the same order, as in one pass over the
+    whole record, and the intensity noise is drawn from ``rng`` chunk by chunk,
+    so the samples do not depend on the chunk size.
+    """
+    i0 = config.incident_power_w
+    # PEM carrier phase is exactly (i mod oversample)/oversample cycles -- no drift.
+    # A chunk starts on a bin, and so on a whole carrier cycle.
+    carrier = config.pem_depth * np.cos(
+        2.0 * math.pi * np.arange(pem_oversample) / pem_oversample
+    )
+    n_out = len(eps_noise)
+    for b0 in range(0, n_out, _CHUNK_BINS):
+        b1 = min(b0 + _CHUNK_BINS, n_out)
+        rows = slice(b0 * samples_per_bin, b1 * samples_per_bin)
+        t = np.arange(rows.start, rows.stop) / fs
+        total = np.tile(carrier, (b1 - b0) * (samples_per_bin // pem_oversample))
+        total += _signal_ellipticity(config, source, t)
+        total += noise.alpha_of(t)
+        total += np.repeat(eps_noise[b0:b1], samples_per_bin)
+        intensity = i0 * (config.extinction + total**2)
+        if noise.detector_white_noise > 0.0:
+            intensity *= 1.0 + noise.detector_white_noise * rng.standard_normal(len(t))
+        yield rows, t, intensity
 
 
 def _describe(source) -> str:

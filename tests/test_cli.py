@@ -109,6 +109,65 @@ class TestAnalyze:
         bad = self._corrupt(he_record, tmp_path, 7, edit)
         assert run("analyze", bad, "--out-dir", tmp_path / "m") == 2
 
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda f: ", ".join(f[:1] + ["abc"] + f[2:]),
+         "'abc' in column I_OmegaPEM is not a number"),
+        (lambda f: ", ".join(f[:4]), "4 fields, expected 5"),
+    ], ids=["non_numeric_cell", "four_field_row"])
+    def test_malformed_row_names_data_row_and_file_line(self, he_record, tmp_path, capsys,
+                                                        edit, reason):
+        bad = self._corrupt(he_record, tmp_path, 7, edit)
+        header_lines = sum(line.startswith("#") for line in bad.read_text().splitlines())
+        assert run("analyze", bad, "--out-dir", tmp_path / "m") == 2
+        err = capsys.readouterr().err
+        assert f"data row 8 (file line {header_lines + 8}): {reason}" in err
+        assert "usecols" not in err
+
+    @pytest.fixture()
+    def small_full_record(self, tmp_path):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("pem_frequency = 960 Hz\nmagnet_rotation = 3 Hz\n")
+        sim = tmp_path / "full"
+        assert run("simulate", "--config", cfg, "--source", "fixed-ellipticity:1e-6",
+                   "--revolutions", "32", "--fidelity", "full", "--out-dir", sim) == 0
+        return sim / "run-seed0.csv"
+
+    @staticmethod
+    def _edit_header(record, tmp_path, line, replacement):
+        text = record.read_text()
+        assert f"\n{line}\n" in text
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text.replace(f"\n{line}\n", f"\n{replacement}\n", 1))
+        return bad
+
+    @pytest.mark.parametrize("record, line, replacement, key", [
+        ("small_full_record", "# pem_oversample = 16", "# pem_oversample = 16.5",
+         "pem_oversample"),
+        ("small_full_record", "# pem_oversample = 16", "# pem_oversample = 0", "pem_oversample"),
+        ("small_full_record", "# pem_oversample = 16", "# pem_oversample = 12", "pem_oversample"),
+        ("small_full_record", "# samples_per_output_bin = 160",
+         "# samples_per_output_bin = 168", "samples_per_output_bin"),
+        ("small_full_record", "# sample_rate_hz = 1.53600000e+04",
+         "# sample_rate_hz = 1.53600010e+04", "sample_rate_hz"),
+        ("he_record", "# sample_rate_hz = 9.60000000e+01", "# sample_rate_hz = 9.70000000e+01",
+         "sample_rate_hz"),
+    ], ids=["oversample_fraction", "oversample_zero", "oversample_not_a_divisor",
+            "bin_not_whole_cycles", "full_sample_rate", "fast_sample_rate"])
+    def test_inconsistent_header_is_data_error(self, request, tmp_path, capsys, record, line,
+                                               replacement, key):
+        bad = self._edit_header(request.getfixturevalue(record), tmp_path, line, replacement)
+        # block and noise window that analyze both uncorrupted records
+        assert run("analyze", bad, "--blocks", "1024", "--noise-halfwidth", "60",
+                   "--out-dir", tmp_path / "h") == 2
+        assert key in capsys.readouterr().err
+
+    def test_sample_rate_within_header_precision_accepted(self, small_full_record, tmp_path):
+        # one unit in the 9th digit is within the header's rounding
+        bad = self._edit_header(small_full_record, tmp_path, "# sample_rate_hz = 1.53600000e+04",
+                                "# sample_rate_hz = 1.53600001e+04")
+        assert run("analyze", bad, "--blocks", "1024", "--noise-halfwidth", "60",
+                   "--out-dir", tmp_path / "a") == 0
+
     def test_header_without_rows_is_data_error(self, he_record, tmp_path, capsys):
         lines = he_record.read_text().splitlines(keepends=True)
         empty = tmp_path / "empty.csv"

@@ -83,6 +83,21 @@ class TestDemodulate:
         with pytest.raises(ValueError, match="normalization"):
             demodulate(broken)
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("pem_oversample", "16.5", "pem_oversample"),
+        ("pem_oversample", 0, "pem_oversample"),
+        ("samples_per_output_bin", -160, "samples_per_output_bin"),
+        ("samples_per_output_bin", "nan", "samples_per_output_bin"),
+        ("pem_oversample", "abc", "pem_oversample"),
+        ("pem_oversample", 12, "not a multiple of pem_oversample"),
+    ])
+    def test_inconsistent_lockin_layout_refused(self, key, value, match):
+        small = ApparatusConfig(pem_frequency_hz=960.0)
+        rec = synthesize_run(small, NullSource(), QUIET, 2 / 3.0, fidelity="full")
+        broken = type(rec)(**{**rec.__dict__, "metadata": {**rec.metadata, key: value}})
+        with pytest.raises(ValueError, match=match):
+            demodulate(broken)
+
     def test_noise_realization_shared_across_fidelities(self):
         # same seed -> identical per-output-sample noise in both paths; with no
         # signal the demodulated series must agree to numerical precision

@@ -11,6 +11,7 @@ from hypothesis import example, given, strategies as st
 
 from vmbsim.apparatus import (
     RECORD_COLUMNS,
+    _CHUNK_BINS,
     _FMT,
     ApparatusConfig,
     FixedDeltanSource,
@@ -26,7 +27,16 @@ from vmbsim.apparatus import (
     read_record,
     write_record,
 )
-from vmbsim.synth import cavity_ellipticity, single_pass_ellipticity, synthesize_run
+from vmbsim.pipeline import demodulate
+from vmbsim.synth import (
+    _check_duration,
+    _ellipticity_noise,
+    _output_grid,
+    _signal_ellipticity,
+    cavity_ellipticity,
+    single_pass_ellipticity,
+    synthesize_run,
+)
 
 CFG = ApparatusConfig()
 
@@ -170,6 +180,88 @@ class TestFullSynthesis:
         a = synthesize_run(SMALL_FULL, NullSource(), noise, 2 / 3.0, fidelity="full")
         b = synthesize_run(SMALL_FULL, NullSource(), noise, 2 / 3.0, fidelity="full")
         assert np.array_equal(a.i_omega_pem, b.i_omega_pem)
+
+
+CHANNELS = ("time", "i_omega_pem", "i_2omega_pem", "i0", "magnet_phase")
+
+
+def whole_array_full(config, source, noise, duration_s, pem_oversample):
+    """Reference full synthesis: the same formulas, each over whole-record arrays."""
+    rng = np.random.default_rng(noise.rng_seed)
+    n_out = len(_output_grid(config, _check_duration(config, duration_s)))
+    eps_noise = _ellipticity_noise(noise, rng, n_out, config.sample_rate_hz)
+    cycles_per_bin = max(1, round(config.pem_frequency_hz / config.sample_rate_hz))
+    samples_per_bin = pem_oversample * cycles_per_bin
+    fs = cycles_per_bin * config.sample_rate_hz * pem_oversample
+    n_raw = n_out * samples_per_bin
+    t_raw = np.arange(n_raw) / fs
+    carrier = config.pem_depth * np.cos(
+        2.0 * math.pi * (np.arange(n_raw) % pem_oversample) / pem_oversample
+    )
+    total = (carrier + _signal_ellipticity(config, source, t_raw) + noise.alpha_of(t_raw)
+             + np.repeat(eps_noise, samples_per_bin))
+    intensity = config.incident_power_w * (config.extinction + total**2)
+    if noise.detector_white_noise > 0.0:
+        intensity = intensity * (1.0 + noise.detector_white_noise * rng.standard_normal(n_raw))
+    theta_raw = (
+        2.0 * math.pi * config.magnet_rotation_hz * t_raw + config.polarizer_angle_rad
+    ) % (2.0 * math.pi)
+    channels = (t_raw, intensity, np.zeros(n_raw), np.full(n_raw, config.incident_power_w),
+                theta_raw)
+    return dict(zip(CHANNELS, channels)), samples_per_bin
+
+
+def whole_array_demodulate(intensity, i0, pem_oversample, samples_per_bin):
+    """Reference lock-in: references and products over the whole raw record."""
+    phase_idx = np.arange(len(intensity)) % pem_oversample
+    ref1 = np.cos(2.0 * math.pi * phase_idx / pem_oversample)
+    ref2 = np.cos(4.0 * math.pi * phase_idx / pem_oversample)
+    shape = (len(intensity) // samples_per_bin, samples_per_bin)
+    ix1 = 2.0 * np.mean((intensity * ref1).reshape(shape), axis=1)
+    ix2 = 2.0 * np.mean((intensity * ref2).reshape(shape), axis=1)
+    return ix1 / math.sqrt(8.0 * float(np.mean(i0)) * float(np.mean(ix2)))
+
+
+RIN_AND_TONE = NoiseModel(1e-6, 1e-4, ((0.7, 1e-6, 0.3),), rng_seed=5)
+
+
+class TestChunkedFullSynthesis:
+    # 3 revolutions are 96 output bins: a whole chunk of _CHUNK_BINS = 64 and a partial one
+    @pytest.mark.parametrize("config, source, noise, revolutions, oversample", [
+        (SMALL_FULL, GasSource("He", 3e-5), NoiseModel(1e-6, rng_seed=3), 4, 8),
+        (SMALL_FULL, FixedEllipticitySource(1e-6), RIN_AND_TONE, 8, 16),
+        (SMALL_FULL, QedVacuumSource(), RIN_AND_TONE, 3, 8),
+        (CFG, FixedEllipticitySource(1e-6), RIN_AND_TONE, 3, 16),
+    ], ids=["oversample_8", "oversample_16_rin_tone", "partial_chunk_8", "partial_chunk_default"])
+    def test_bit_identical_to_whole_array(self, config, source, noise, revolutions, oversample):
+        rec = synthesize_run(config, source, noise, revolutions / 3.0, fidelity="full",
+                             pem_oversample=oversample)
+        ref, samples_per_bin = whole_array_full(config, source, noise, revolutions / 3.0,
+                                                oversample)
+        assert rec.metadata["samples_per_output_bin"] == samples_per_bin
+        for name in CHANNELS:
+            assert np.array_equal(getattr(rec, name), ref[name]), name
+        psi = whole_array_demodulate(ref["i_omega_pem"], ref["i0"], oversample, samples_per_bin)
+        assert np.array_equal(demodulate(rec), psi)
+
+    def test_memory_is_bounded(self):
+        duration = 64 / 3.0
+        tracemalloc.start()
+        try:
+            rec = synthesize_run(SMALL_FULL, FixedEllipticitySource(1e-6), RIN_AND_TONE, duration,
+                                 fidelity="full")
+            synth_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            demodulate(rec)
+            demod_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        record_bytes = sum(getattr(rec, name).nbytes for name in CHANNELS)
+        chunk_bytes = _CHUNK_BINS * rec.metadata["samples_per_output_bin"] * 8
+        assert len(rec) >= 16 * _CHUNK_BINS * rec.metadata["samples_per_output_bin"]
+        assert synth_peak < record_bytes + 16 * chunk_bytes
+        assert demod_peak < 0.1 * rec.i_omega_pem.nbytes
 
 
 class TestRecordIO:

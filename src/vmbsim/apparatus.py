@@ -307,6 +307,19 @@ def parse_source(spec: str, config: ApparatusConfig):
 # Time-series records
 # ---------------------------------------------------------------------------
 
+def grid_rate(config: ApparatusConfig, lockin_layout: tuple[int, int] | None = None) -> float:
+    """Exact sample rate of a record's grid, from its config and its lock-in layout.
+
+    A fast record (``lockin_layout=None``) is sampled at
+    ``config.sample_rate_hz``; a full-fidelity one at ``pem_oversample``
+    samples per PEM cycle, with a whole number of cycles per output bin.
+    """
+    if lockin_layout is None:
+        return config.sample_rate_hz
+    oversample, samples_per_bin = lockin_layout
+    return samples_per_bin // oversample * config.sample_rate_hz * oversample
+
+
 @dataclass(frozen=True)
 class TimeSeriesRecord:
     """Sampled channels of one run plus the metadata needed to analyze it.
@@ -314,15 +327,16 @@ class TimeSeriesRecord:
     For fast-fidelity records the channels are the lock-in outputs; for
     full-fidelity records ``i_omega_pem`` holds the raw (undemodulated)
     detector intensity and ``i_2omega_pem`` is zero -- the file schema keeps a
-    single fixed column order either way.
+    single fixed column order either way.  Only ``i_omega_pem`` varies from
+    sample to sample: synthesis stores ``i_2omega_pem`` and ``i0`` as
+    zero-stride views of one value, and ``time`` and ``magnet_phase`` are not
+    stored but derived from the config and the sample grid on demand.
     """
 
     sample_rate_hz: float
-    time: np.ndarray
     i_omega_pem: np.ndarray
     i_2omega_pem: np.ndarray
     i0: np.ndarray
-    magnet_phase: np.ndarray
     fidelity: str                      # "fast" | "full"
     config: ApparatusConfig
     source_description: str
@@ -330,19 +344,44 @@ class TimeSeriesRecord:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        n = len(self.time)
-        for name in ("i_omega_pem", "i_2omega_pem", "i0", "magnet_phase"):
-            if len(getattr(self, name)) != n:
-                raise ValueError("all channels must have equal length")
+        n = len(self.i_omega_pem)
+        if len(self.i_2omega_pem) != n or len(self.i0) != n:
+            raise ValueError("all channels must have equal length")
         if self.fidelity not in ("fast", "full"):
             raise ValueError(f"fidelity must be 'fast' or 'full', got {self.fidelity!r}")
 
     def __len__(self) -> int:
-        return len(self.time)
+        return len(self.i_omega_pem)
 
     @property
     def duration_s(self) -> float:
-        return len(self.time) / self.sample_rate_hz
+        return len(self) / self.sample_rate_hz
+
+    @property
+    def grid_rate_hz(self) -> float:
+        """Exact rate of the sample grid; the header's ``sample_rate_hz`` keeps 9 digits."""
+        return grid_rate(self.config, self.lockin_layout() if self.fidelity == "full" else None)
+
+    def derived_columns(self, start: int = 0, stop: int | None = None):
+        """``(time, magnet_phase)`` of the samples ``start`` to ``stop`` (default: the end).
+
+        Computed by the expressions synthesis samples with, so they are the
+        columns a record file holds; the rate comes from the config, never
+        from the 9-digit ``sample_rate_hz``.
+        """
+        t = np.arange(start, len(self) if stop is None else stop) / self.grid_rate_hz
+        phase = (
+            2.0 * math.pi * self.config.magnet_rotation_hz * t + self.config.polarizer_angle_rad
+        ) % (2.0 * math.pi)
+        return t, phase
+
+    @property
+    def time(self) -> np.ndarray:
+        return self.derived_columns()[0]
+
+    @property
+    def magnet_phase(self) -> np.ndarray:
+        return self.derived_columns()[1]
 
     def lockin_layout(self) -> tuple[int, int]:
         """``(pem_oversample, samples_per_output_bin)`` of a full-fidelity record.
@@ -374,7 +413,7 @@ class TimeSeriesRecord:
             ("tool_version", __version__),
             ("fidelity", self.fidelity),
             ("sample_rate_hz", self.sample_rate_hz),
-            ("n_samples", len(self.time)),
+            ("n_samples", len(self)),
             ("source", self.source_description),
             ("seed", self.seed),
             ("config_hash", self.config.content_hash()),
@@ -391,6 +430,8 @@ _CHUNK_BINS = 64
 # Rows formatted per block: at 4096 the kernel's temporaries stay in cache
 # (65536 ran at half the speed), and the writer's memory stays bounded.
 _WRITE_ROWS = 1 << 12
+# Rows per block of the reader's check of the derived columns, which bounds its temporaries.
+_CHECK_ROWS = 1 << 16
 _FIELD = 16  # widest _FMT text, "-1.23456789e-100"
 _P0 = 300
 _POW10 = np.array([float(f"1e{k}") for k in range(-_P0, _P0 + 1)])  # correctly rounded
@@ -453,13 +494,15 @@ def write_record(record: TimeSeriesRecord, path) -> None:
         for key, value in record.header_items()
     )
     header += "# columns = " + ", ".join(RECORD_COLUMNS) + "\n"
-    channels = (record.time, record.i_omega_pem, record.i_2omega_pem, record.i0,
-                record.magnet_phase)
+    n = len(record)
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        for start in range(0, len(record), _WRITE_ROWS):
-            rows = slice(start, start + _WRITE_ROWS)
-            block = np.column_stack([c[rows] for c in channels]).astype(np.float64, copy=False)
+        for start in range(0, n, _WRITE_ROWS):
+            rows = slice(start, min(start + _WRITE_ROWS, n))
+            t, phase = record.derived_columns(rows.start, rows.stop)
+            block = np.column_stack(
+                (t, record.i_omega_pem[rows], record.i_2omega_pem[rows], record.i0[rows], phase)
+            ).astype(np.float64, copy=False)
             fh.write(_format_rows(block))
 
 
@@ -476,6 +519,12 @@ def _data_rows(path):
 
 def _row_error(path, row: int, line: int, reason: str) -> ValueError:
     return ValueError(f"record file {path}, data row {row} (file line {line}): {reason}")
+
+
+def _sample_error(path, index: int, reason: str) -> ValueError:
+    """:func:`_row_error` for the sample at 0-based ``index`` of the loaded data."""
+    line = next(line for row, line, _ in _data_rows(path) if row == index + 1)
+    return _row_error(path, index + 1, line, reason)
 
 
 def _malformed_row(path) -> ValueError | None:
@@ -498,8 +547,10 @@ def read_record(path) -> TimeSeriesRecord:
 
     The header is the leading block of ``#`` lines; ``#`` lines after the
     first data row are comments. A malformed or non-finite row is named by
-    its 1-based data row and file line, and a header ``sample_rate_hz`` that
-    its config does not reproduce is refused.
+    its 1-based data row and file line. A ``config_hash`` that the header's
+    config does not hash to, a header ``sample_rate_hz`` that its config does
+    not reproduce, and a ``time`` or ``magnet_phase`` cell off the grid that
+    the config derives are refused; the record keeps neither column.
     """
     header: dict[str, str] = {}
     with open(path) as fh:
@@ -526,15 +577,18 @@ def read_record(path) -> TimeSeriesRecord:
     finite = np.isfinite(data)
     if not finite.all():
         row, col = divmod(int(np.argmin(finite)), data.shape[1])
-        line = next(line for r, line, _ in _data_rows(path) if r == row + 1)
-        raise _row_error(path, row + 1, line,
-                         f"non-finite value in column {RECORD_COLUMNS[col]}")
+        raise _sample_error(path, row, f"non-finite value in column {RECORD_COLUMNS[col]}")
     if int(header["n_samples"]) != len(data):
         raise ValueError(
             f"record file {path} has {len(data)} sample rows but its header says "
             f"n_samples = {header['n_samples']}"
         )
     config = ApparatusConfig.from_key_values(header)
+    if header["config_hash"] != config.content_hash():
+        raise ValueError(
+            f"record file {path} has config_hash = {header['config_hash']}, but its "
+            f"config.* values hash to {config.content_hash()}"
+        )
     metadata = {
         k: v
         for k, v in header.items()
@@ -544,11 +598,9 @@ def read_record(path) -> TimeSeriesRecord:
     }
     record = TimeSeriesRecord(
         sample_rate_hz=float(header["sample_rate_hz"]),
-        time=data[:, 0],
         i_omega_pem=data[:, 1],
         i_2omega_pem=data[:, 2],
         i0=data[:, 3],
-        magnet_phase=data[:, 4],
         fidelity=header["fidelity"],
         config=config,
         source_description=header.get("source", "unknown"),
@@ -566,16 +618,47 @@ def read_record(path) -> TimeSeriesRecord:
             f"record file {path} has sample_rate_hz = {header['sample_rate_hz']}, but "
             f"{origin} gives {format_number(expected)}"
         )
+    _check_derived_columns(record, data, path)
     return record
+
+
+def _check_derived_columns(record: TimeSeriesRecord, data: np.ndarray, path) -> None:
+    """Refuse a ``time`` or ``magnet_phase`` cell off the grid the record's config derives.
+
+    A cell may differ from the derived value by its ``%.8e`` rounding,
+    5e-9 of the value.  A phase cell is compared with the unwrapped phase
+    2 pi f t + theta0 modulo whole turns, within 1e-8 of that phase plus one
+    turn: the header config holds 9 digits too, so a rotation rate or
+    polarizer angle with more digits moves the derived phase by up to 5e-9
+    of the unwrapped phase, across the wrap for samples next to 0.
+    """
+    rate = record.grid_rate_hz
+    f = record.config.magnet_rotation_hz
+    theta0 = record.config.polarizer_angle_rad
+    for start in range(0, len(record), _CHECK_ROWS):
+        stop = min(start + _CHECK_ROWS, len(record))
+        t = np.arange(start, stop) / rate
+        off_t = np.abs(data[start:stop, 0] - t) > 1e-8 * t
+        # on the grid, the cell minus the unwrapped phase is a whole number of turns
+        turns = (data[start:stop, 4] - (2.0 * math.pi * f * t + theta0)) / (2.0 * math.pi)
+        tolerance = 1e-8 * (f * t + 1.0 + abs(theta0) / (2.0 * math.pi))
+        off = off_t | (np.abs(turns - np.rint(turns)) > tolerance)
+        if off.any():
+            i = int(np.argmax(off))
+            t_i, phase_i = record.derived_columns(start + i, start + i + 1)
+            col, derived = (0, t_i[0]) if off_t[i] else (4, phase_i[0])
+            raise _sample_error(
+                path, start + i,
+                f"{RECORD_COLUMNS[col]} = {float(data[start + i, col])!r}, but the sample grid "
+                f"of its config gives {float(derived)!r}",
+            )
 
 
 def truncated(record: TimeSeriesRecord, n: int) -> TimeSeriesRecord:
     """First n samples of a record (block-aligned truncation helper)."""
     return replace(
         record,
-        time=record.time[:n],
         i_omega_pem=record.i_omega_pem[:n],
         i_2omega_pem=record.i_2omega_pem[:n],
         i0=record.i0[:n],
-        magnet_phase=record.magnet_phase[:n],
     )

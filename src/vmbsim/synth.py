@@ -4,13 +4,16 @@ Two fidelity levels:
 
 * ``fast`` emits the lock-in output channels directly at the synchronous rate
   of ``samples_per_revolution`` per magnet turn.  This is the workhorse for
-  long Monte-Carlo runs.
+  long Monte-Carlo runs.  Only ``I_OmegaPEM`` is computed per sample, and
+  the ``sin(2 theta)`` signal and the spurious tones only when they are
+  nonzero: the constant channels are zero-stride views and ``time`` and
+  ``magnet_phase`` are derived by the record on demand.
 * ``full`` emits the raw analyser intensity (the exact squared-modulus form,
   extinction and PEM carrier included) at many samples per PEM cycle, so the
   digital lock-in in the analysis chain can be validated end to end.  It is
-  generated ``_CHUNK_BINS`` output bins at a time into arrays allocated once,
-  so its memory is the returned record's arrays plus a fixed chunk working
-  set, independent of the record length.
+  generated ``_CHUNK_BINS`` output bins at a time into the record's one raw
+  array, so its memory is that array plus a fixed chunk working set,
+  independent of the record length.
 
 Lock-in gain convention: demodulated channels carry the full ("peak")
 harmonic amplitude, I_X = 2 <I(t) cos(w t)>.  With a sinusoidal PEM drive
@@ -38,6 +41,7 @@ from .apparatus import (
     NoiseModel,
     QUIET,
     TimeSeriesRecord,
+    grid_rate,
 )
 
 MIN_PEM_OVERSAMPLE = 8
@@ -127,30 +131,27 @@ def synthesize_run(
         raise ValueError(f"fidelity must be 'fast' or 'full', got {fidelity!r}")
     n_revs = _check_duration(config, duration_s)
     rng = np.random.default_rng(noise.rng_seed)
-    t_out = _output_grid(config, n_revs)
-    n_out = len(t_out)
+    n_out = n_revs * config.samples_per_revolution
     eps_noise = _ellipticity_noise(noise, rng, n_out, config.sample_rate_hz)
     i0 = config.incident_power_w
     eta0 = config.pem_depth
 
-    theta = (2.0 * math.pi * config.magnet_rotation_hz * t_out + config.polarizer_angle_rad) % (
-        2.0 * math.pi
-    )
-
     if fidelity == "fast":
-        psi_t = _signal_ellipticity(config, source, t_out) + noise.alpha_of(t_out) + eps_noise
+        psi = source_ellipticity(source, config)
+        t_out = _output_grid(config, n_revs) if psi or noise.spurious_tones else None
+        # an absent term is a scalar 0.0, which adds as the zero array it replaces
+        # (the sum turns a -0.0 into +0.0 either way)
+        signal = _signal_ellipticity(config, source, t_out) if psi else 0.0
+        alpha = noise.alpha_of(t_out) if noise.spurious_tones else 0.0
+        psi_t = signal + alpha + eps_noise
         ch_omega = 2.0 * i0 * eta0 * psi_t
-        ch_2omega = np.full(n_out, 0.5 * i0 * eta0**2)
-        ch_i0 = np.full(n_out, i0)
         if noise.detector_white_noise > 0.0:
             ch_omega = ch_omega + i0 * noise.detector_white_noise * rng.standard_normal(n_out)
         return TimeSeriesRecord(
-            sample_rate_hz=config.sample_rate_hz,
-            time=t_out,
+            sample_rate_hz=grid_rate(config),
             i_omega_pem=ch_omega,
-            i_2omega_pem=ch_2omega,
-            i0=ch_i0,
-            magnet_phase=theta,
+            i_2omega_pem=np.broadcast_to(0.5 * i0 * eta0**2, n_out),
+            i0=np.broadcast_to(i0, n_out),
             fidelity="fast",
             config=config,
             source_description=_describe(source),
@@ -164,31 +165,21 @@ def synthesize_run(
             f"pem_oversample must be >= {MIN_PEM_OVERSAMPLE} to resolve the "
             f"2*Omega_PEM harmonic, got {pem_oversample}"
         )
-    bin_rate = config.sample_rate_hz
-    cycles_per_bin = max(1, round(config.pem_frequency_hz / bin_rate))
-    pem_eff = cycles_per_bin * bin_rate
+    cycles_per_bin = max(1, round(config.pem_frequency_hz / config.sample_rate_hz))
     samples_per_bin = pem_oversample * cycles_per_bin
-    fs = pem_eff * pem_oversample
+    fs = grid_rate(config, (pem_oversample, samples_per_bin))
     n_raw = n_out * samples_per_bin
 
-    t_raw = np.empty(n_raw)
     intensity = np.empty(n_raw)
-    theta_raw = np.empty(n_raw)
-    for rows, t, chunk in _raw_intensity_chunks(
+    for rows, chunk in _raw_intensity_chunks(
         config, source, noise, rng, eps_noise, samples_per_bin, pem_oversample, fs
     ):
-        t_raw[rows] = t
         intensity[rows] = chunk
-        theta_raw[rows] = (
-            2.0 * math.pi * config.magnet_rotation_hz * t + config.polarizer_angle_rad
-        ) % (2.0 * math.pi)
     return TimeSeriesRecord(
         sample_rate_hz=fs,
-        time=t_raw,
         i_omega_pem=intensity,
-        i_2omega_pem=np.zeros(n_raw),
-        i0=np.full(n_raw, i0),
-        magnet_phase=theta_raw,
+        i_2omega_pem=np.broadcast_to(0.0, n_raw),
+        i0=np.broadcast_to(i0, n_raw),
         fidelity="full",
         config=config,
         source_description=_describe(source),
@@ -196,7 +187,7 @@ def synthesize_run(
         metadata={
             "duration_s": duration_s,
             "revolutions": n_revs,
-            "pem_frequency_effective_hz": pem_eff,
+            "pem_frequency_effective_hz": cycles_per_bin * config.sample_rate_hz,
             "pem_oversample": pem_oversample,
             "samples_per_output_bin": samples_per_bin,
         },
@@ -213,7 +204,7 @@ def _raw_intensity_chunks(
     pem_oversample: int,
     fs: float,
 ):
-    """Yield ``(rows, t, intensity)`` of the raw record, ``_CHUNK_BINS`` output bins at a time.
+    """Yield ``(rows, intensity)`` of the raw record, ``_CHUNK_BINS`` output bins at a time.
 
     ``rows`` is the chunk's slice of the whole record.  Every raw sample is
     computed by the same expression, in the same order, as in one pass over the
@@ -238,7 +229,7 @@ def _raw_intensity_chunks(
         intensity = i0 * (config.extinction + total**2)
         if noise.detector_white_noise > 0.0:
             intensity *= 1.0 + noise.detector_white_noise * rng.standard_normal(len(t))
-        yield rows, t, intensity
+        yield rows, intensity
 
 
 def _describe(source) -> str:

@@ -168,6 +168,48 @@ class TestAnalyze:
         assert run("analyze", bad, "--blocks", "1024", "--noise-halfwidth", "60",
                    "--out-dir", tmp_path / "a") == 0
 
+    def test_config_hash_mismatch_is_data_error(self, he_record, tmp_path, capsys):
+        bad = self._edit_header(he_record, tmp_path, "# config.finesse = 6.70000000e+05",
+                                "# config.finesse = 3.00000000e+05")
+        assert run("analyze", bad, "--out-dir", tmp_path / "c") == 2
+        err = capsys.readouterr().err
+        written = ApparatusConfig().content_hash()
+        assert f"config_hash = {written}" in err
+        assert ApparatusConfig(finesse=3e5).content_hash() in err
+
+    @pytest.mark.parametrize("record, row, col, shift, name", [
+        ("he_record", 41, 0, 1.0 / 96.0, "time"),
+        ("he_record", 41, 4, 0.5, "magnet_phase"),
+        ("he_record", 0, 4, 0.5, "magnet_phase"),
+        ("small_full_record", 1000, 0, -1e-5, "time"),
+        ("small_full_record", 1000, 4, 0.5, "magnet_phase"),
+    ], ids=["fast_time", "fast_phase", "fast_phase_first_row", "full_time", "full_phase"])
+    def test_shifted_derived_column_is_data_error(self, request, tmp_path, capsys, record, row,
+                                                  col, shift, name):
+        def edit(fields):
+            fields[col] = "%.8e" % (float(fields[col]) + shift)
+            return ", ".join(fields)
+
+        bad = self._corrupt(request.getfixturevalue(record), tmp_path, row, edit)
+        header_lines = sum(line.startswith("#") for line in bad.read_text().splitlines())
+        assert run("analyze", bad, "--blocks", "1024", "--noise-halfwidth", "60",
+                   "--out-dir", tmp_path / "s") == 2
+        err = capsys.readouterr().err
+        assert f"data row {row + 1} (file line {header_lines + row + 1}): {name} = " in err
+
+    @pytest.mark.parametrize("fidelity", ["fast", "full"])
+    def test_config_beyond_header_digits_accepted(self, tmp_path, fidelity):
+        # both values have more than the header's 9 digits, so the derived phase
+        # moves by up to 5e-9 of the unwrapped phase and crosses the wrap near 0
+        cfg = tmp_path / "odd.cfg"
+        cfg.write_text("polarizer_angle = 45 deg\nmagnet_rotation = 2.7182818284 Hz\n"
+                       "pem_frequency = 960 Hz\n")
+        sim = tmp_path / "sim"
+        assert run("simulate", "--config", cfg, "--source", "gas:He:32ubar", "--revolutions",
+                   "64", "--fidelity", fidelity, "--noise-asd", "3e-7", "--out-dir", sim) == 0
+        assert run("analyze", sim / "run-seed0.csv", "--blocks", "1024", "--noise-halfwidth",
+                   "60", "--out-dir", tmp_path / "a") == 0
+
     def test_header_without_rows_is_data_error(self, he_record, tmp_path, capsys):
         lines = he_record.read_text().splitlines(keepends=True)
         empty = tmp_path / "empty.csv"

@@ -4,6 +4,7 @@ import io
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from vmbsim.apparatus import (
     format_number,
     parse_source,
     read_record,
+    truncated,
     write_record,
 )
 from vmbsim.pipeline import demodulate
@@ -257,11 +259,65 @@ class TestChunkedFullSynthesis:
             demod_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        record_bytes = sum(getattr(rec, name).nbytes for name in CHANNELS)
         chunk_bytes = _CHUNK_BINS * rec.metadata["samples_per_output_bin"] * 8
         assert len(rec) >= 16 * _CHUNK_BINS * rec.metadata["samples_per_output_bin"]
-        assert synth_peak < record_bytes + 16 * chunk_bytes
+        assert synth_peak < rec.i_omega_pem.nbytes + 16 * chunk_bytes
         assert demod_peak < 0.1 * rec.i_omega_pem.nbytes
+
+
+def whole_array_fast(config, source, noise, duration_s):
+    """Reference fast synthesis: every channel built over the whole record and stored."""
+    rng = np.random.default_rng(noise.rng_seed)
+    t_out = _output_grid(config, _check_duration(config, duration_s))
+    n_out = len(t_out)
+    eps_noise = _ellipticity_noise(noise, rng, n_out, config.sample_rate_hz)
+    i0 = config.incident_power_w
+    eta0 = config.pem_depth
+    theta = (2.0 * math.pi * config.magnet_rotation_hz * t_out + config.polarizer_angle_rad) % (
+        2.0 * math.pi
+    )
+    psi_t = _signal_ellipticity(config, source, t_out) + noise.alpha_of(t_out) + eps_noise
+    ch_omega = 2.0 * i0 * eta0 * psi_t
+    if noise.detector_white_noise > 0.0:
+        ch_omega = ch_omega + i0 * noise.detector_white_noise * rng.standard_normal(n_out)
+    channels = (t_out, ch_omega, np.full(n_out, 0.5 * i0 * eta0**2), np.full(n_out, i0), theta)
+    return dict(zip(CHANNELS, channels))
+
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")  # the diagnostic-mode warning
+    TWO_MAGNETS = ApparatusConfig(second_magnet_rotation_hz=2.4)
+
+
+class TestLeanFastSynthesis:
+    @pytest.mark.parametrize("config, source, noise", [
+        (CFG, NullSource(), NoiseModel(1e-6, rng_seed=3)),
+        (CFG, NullSource(), QUIET),
+        (CFG, GasSource("He", 3e-5), NoiseModel(1e-6, rng_seed=4)),
+        # negative, so the signal starts at -0.0
+        (CFG, FixedEllipticitySource(-1e-7), QUIET),
+        (CFG, NullSource(), NoiseModel(1e-6, 0.0, ((0.7, 1e-6, 0.3), (5.0, 2e-7, 1.0)), 5)),
+        (TWO_MAGNETS, FixedDeltanSource(1e-20), NoiseModel(1e-6, rng_seed=6)),
+        (CFG, GasSource("He", 3e-5), NoiseModel(1e-6, 1e-4, rng_seed=7)),
+    ], ids=["null_noise", "null_quiet", "gas", "fixed_ellipticity", "spurious_tones",
+            "second_magnet", "detector_noise"])
+    def test_bit_identical_to_whole_array(self, config, source, noise):
+        rec = synthesize_run(config, source, noise, 32 / 3.0)
+        ref = whole_array_fast(config, source, noise, 32 / 3.0)
+        for name in CHANNELS:
+            assert np.array_equal(getattr(rec, name), ref[name]), name
+        assert np.array_equal(np.signbit(rec.i_omega_pem), np.signbit(ref["i_omega_pem"]))
+
+    def test_records_store_only_the_varying_channel(self, tmp_path):
+        fast = synthesize_run(CFG, NullSource(), NoiseModel(1e-6, rng_seed=1), 8 / 3.0)
+        full = synthesize_run(SMALL_FULL, NullSource(), QUIET, 2 / 3.0, fidelity="full")
+        path = tmp_path / "fast.csv"
+        write_record(fast, path)
+        synthesized = (fast, full, truncated(fast, 64))
+        for rec in synthesized + (read_record(path),):
+            assert not {"time", "magnet_phase"} & set(vars(rec))
+        for rec in synthesized:
+            assert rec.i0.strides == (0,) and rec.i_2omega_pem.strides == (0,)
 
 
 class TestRecordIO:
@@ -276,9 +332,12 @@ class TestRecordIO:
         assert back.config.content_hash() == rec.config.content_hash()
         assert back.seed == 8
         assert back.source_description == rec.source_description
-        for name in ("time", "i_omega_pem", "i_2omega_pem", "i0", "magnet_phase"):
+        for name in ("i_omega_pem", "i_2omega_pem", "i0"):
             written = np.array([float(_FMT % v) for v in getattr(rec, name)])
             np.testing.assert_array_equal(getattr(back, name), written, err_msg=name)
+        # the reader checks the written time and phase columns, then derives them again
+        for name in ("time", "magnet_phase"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(rec, name), err_msg=name)
 
     def test_write_is_deterministic(self, tmp_path):
         rec = synthesize_run(CFG, NullSource(), NoiseModel(1e-7, rng_seed=1), 8 / 3.0)

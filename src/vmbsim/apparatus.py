@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import warnings
 from dataclasses import dataclass, field, fields, replace
 
@@ -151,10 +152,19 @@ class NoiseModel:
             raise ValueError("noise amplitudes must be >= 0")
 
     def alpha_of(self, t: np.ndarray) -> np.ndarray:
-        """Slowly varying spurious ellipticity alpha(t) as a sum of tones."""
+        """Slowly varying spurious ellipticity alpha(t) as a sum of tones.
+
+        Each tone is amp * cos(2 pi freq t + phase), evaluated in place in one
+        scratch array, so the working set is two arrays the size of ``t``.
+        """
         out = np.zeros_like(t)
+        tone = np.empty_like(t)
         for freq, amp, phase in self.spurious_tones:
-            out += amp * np.cos(2.0 * math.pi * freq * t + phase)
+            np.multiply(t, 2.0 * math.pi * freq, out=tone)
+            tone += phase
+            np.cos(tone, out=tone)
+            tone *= amp
+            out += tone
         return out
 
     def describe(self) -> str:
@@ -423,9 +433,49 @@ class TimeSeriesRecord:
         return items
 
 
-# Output bins per chunk of full-fidelity synthesis and lock-in: 64 bins are
-# ~0.53 M raw samples at the default PEM grid, a few MB per chunk temporary.
+# Output bins per chunk of full-fidelity synthesis and lock-in, the unit of work
+# of one worker thread: 64 bins are ~0.53 M raw samples at the default PEM grid.
 _CHUNK_BINS = 64
+# Most worker threads of the chunk loops; each running chunk holds its own working set.
+_MAX_CHUNK_WORKERS = 8
+# Raw samples per block, the unit in which a chunk is computed (in whole bins).
+# A worker's temporaries are a few block-sized arrays of ~0.5 MB, which stay in
+# its core's cache and leave little behind in its thread's malloc arena: with
+# chunk-sized ones (4 MB), two workers raised the peak RSS of a 64-revolution
+# run by ~25 MB, and one-bin blocks (8336 samples) lose more to per-call
+# overhead than they save.
+_BLOCK_SAMPLES = 1 << 16
+
+
+def _chunk_workers() -> int:
+    """Worker threads of the chunk loops: one per CPU this process may run on, capped."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_CHUNK_WORKERS)
+
+
+def _map_chunks(func, n_bins: int):
+    """Yield ``func(b0)`` for each chunk start ``b0`` of ``n_bins`` output bins, in chunk order.
+
+    The chunks run on up to :func:`_chunk_workers` threads, which overlap
+    because numpy releases the interpreter lock inside its array loops.  A
+    result is yielded once its chunk is done, so the caller can finish the
+    chunks in order while later ones are still running.  ``func`` must not
+    depend on the order in which chunks run.
+    """
+    starts = range(0, n_bins, _CHUNK_BINS)
+    workers = min(_chunk_workers(), len(starts))
+    if workers <= 1:
+        yield from map(func, starts)
+        return
+    # imported here: it costs every process that imports vmbsim ~8 ms otherwise
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        yield from pool.map(func, starts)
+
 
 # Rows formatted per block: at 4096 the kernel's temporaries stay in cache
 # (65536 ran at half the speed), and the writer's memory stays bounded.
@@ -550,7 +600,9 @@ def read_record(path) -> TimeSeriesRecord:
     its 1-based data row and file line. A ``config_hash`` that the header's
     config does not hash to, a header ``sample_rate_hz`` that its config does
     not reproduce, and a ``time`` or ``magnet_phase`` cell off the grid that
-    the config derives are refused; the record keeps neither column.
+    the config derives are refused; the record keeps neither column. Like a
+    synthesized record, it stores ``I_OmegaPEM`` as its own array, and ``I0``
+    and ``I_2OmegaPEM`` as zero-stride views when they are constant.
     """
     header: dict[str, str] = {}
     with open(path) as fh:
@@ -619,7 +671,17 @@ def read_record(path) -> TimeSeriesRecord:
             f"{origin} gives {format_number(expected)}"
         )
     _check_derived_columns(record, data, path)
-    return record
+    # hold only what varies, so the whole (n, 5) array the text reader built can go
+    return replace(record, i_omega_pem=data[:, 1].copy(), i_2omega_pem=_stored(data[:, 2]),
+                   i0=_stored(data[:, 3]))
+
+
+def _stored(column: np.ndarray) -> np.ndarray:
+    """A zero-stride view of the first value of a bitwise-constant column, else a copy."""
+    bits = column.view(np.uint64)
+    if (bits == bits[0]).all():
+        return np.broadcast_to(column[0], len(column))
+    return column.copy()
 
 
 def _check_derived_columns(record: TimeSeriesRecord, data: np.ndarray, path) -> None:

@@ -24,7 +24,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .apparatus import _CHUNK_BINS, ApparatusConfig, TimeSeriesRecord
+from .apparatus import (
+    _BLOCK_SAMPLES,
+    _CHUNK_BINS,
+    ApparatusConfig,
+    TimeSeriesRecord,
+    _map_chunks,
+)
 
 DEFAULT_BLOCK_SIZE = 8192
 DEFAULT_NOISE_HALFWIDTH = 64
@@ -145,10 +151,17 @@ def demodulate(record: TimeSeriesRecord) -> np.ndarray:
     rows = record.i_omega_pem.reshape(n // samples_per_bin, samples_per_bin)
     ix1 = np.empty(len(rows))
     ix2 = np.empty(len(rows))
-    for start in range(0, len(rows), _CHUNK_BINS):
-        chunk = slice(start, start + _CHUNK_BINS)
-        ix1[chunk] = 2.0 * np.mean(rows[chunk] * ref1, axis=1)
-        ix2[chunk] = 2.0 * np.mean(rows[chunk] * ref2, axis=1)
+    step = max(1, _BLOCK_SAMPLES // samples_per_bin)
+
+    def lock_in(start: int) -> None:
+        stop = min(start + _CHUNK_BINS, len(rows))
+        for b0 in range(start, stop, step):
+            block = slice(b0, min(b0 + step, stop))
+            ix1[block] = 2.0 * np.mean(rows[block] * ref1, axis=1)
+            ix2[block] = 2.0 * np.mean(rows[block] * ref2, axis=1)
+
+    for _ in _map_chunks(lock_in, len(rows)):
+        pass
     i0 = float(np.mean(record.i0))
     dc_2omega = float(np.mean(ix2))
     norm = 8.0 * i0 * dc_2omega

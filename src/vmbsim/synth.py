@@ -11,9 +11,12 @@ Two fidelity levels:
 * ``full`` emits the raw analyser intensity (the exact squared-modulus form,
   extinction and PEM carrier included) at many samples per PEM cycle, so the
   digital lock-in in the analysis chain can be validated end to end.  It is
-  generated ``_CHUNK_BINS`` output bins at a time into the record's one raw
-  array, so its memory is that array plus a fixed chunk working set,
-  independent of the record length.
+  generated ``_CHUNK_BINS`` output bins at a time, each chunk in place in its
+  slice of the record's one raw array, on up to one worker thread per
+  available CPU, a block of a few bins at a time.  Its memory is that array
+  plus a block working set per worker, independent of the record length.  A
+  chunk is a pure function of its bins, and the detector intensity noise is
+  drawn in chunk order, so the samples do not depend on the number of CPUs.
 
 Lock-in gain convention: demodulated channels carry the full ("peak")
 harmonic amplitude, I_X = 2 <I(t) cos(w t)>.  With a sinusoidal PEM drive
@@ -35,12 +38,14 @@ import math
 import numpy as np
 
 from .apparatus import (
+    _BLOCK_SAMPLES,
     _CHUNK_BINS,
     ApparatusConfig,
     FixedEllipticitySource,
     NoiseModel,
     QUIET,
     TimeSeriesRecord,
+    _map_chunks,
     grid_rate,
 )
 
@@ -85,17 +90,30 @@ def _check_duration(config: ApparatusConfig, duration_s: float) -> int:
 
 def _signal_ellipticity(config: ApparatusConfig, source, t: np.ndarray) -> np.ndarray:
     """psi(t) = psi * sin(2 theta(t)), summed over magnets when they co-rotate or not."""
-    psi = source_ellipticity(source, config)
+    return _magnet_signal(config, source_ellipticity(source, config), t)
+
+
+def _magnet_signal(config: ApparatusConfig, psi: float, t: np.ndarray) -> np.ndarray:
+    """:func:`_signal_ellipticity` for a cavity-output ellipticity amplitude ``psi``."""
     theta0 = config.polarizer_angle_rad
     f1 = config.magnet_rotation_hz
     f2 = config.second_magnet_rotation_hz
     if f2 is None or f2 == f1:
-        theta = 2.0 * math.pi * f1 * t + theta0
-        return psi * np.sin(2.0 * theta)
+        return _sin_2theta(psi, f1, theta0, t)
     # Diagnostic mode: each magnet carries half the field integral at its own frequency.
     half = 0.5 * psi
-    out = half * np.sin(2.0 * (2.0 * math.pi * f1 * t + theta0))
-    out += half * np.sin(2.0 * (2.0 * math.pi * f2 * t + theta0))
+    out = _sin_2theta(half, f1, theta0, t)
+    out += _sin_2theta(half, f2, theta0, t)
+    return out
+
+
+def _sin_2theta(amp: float, f: float, theta0: float, t: np.ndarray) -> np.ndarray:
+    """amp * sin(2 (2 pi f t + theta0)), operation by operation in one new array."""
+    out = np.multiply(t, 2.0 * math.pi * f)
+    out += theta0
+    out *= 2.0
+    np.sin(out, out=out)
+    out *= amp
     return out
 
 
@@ -171,10 +189,23 @@ def synthesize_run(
     n_raw = n_out * samples_per_bin
 
     intensity = np.empty(n_raw)
-    for rows, chunk in _raw_intensity_chunks(
-        config, source, noise, rng, eps_noise, samples_per_bin, pem_oversample, fs
-    ):
-        intensity[rows] = chunk
+    fill = _raw_intensity(config, source, noise, eps_noise, samples_per_bin, pem_oversample, fs)
+
+    def chunk(b0: int) -> slice:
+        b1 = min(b0 + _CHUNK_BINS, n_out)
+        rows = slice(b0 * samples_per_bin, b1 * samples_per_bin)
+        fill(b0, b1, intensity[rows])
+        return rows
+
+    # The intensity noise is drawn here, chunk by chunk in chunk order, so the
+    # random stream does not depend on which chunk finishes first.
+    rin = noise.detector_white_noise
+    for rows in _map_chunks(chunk, n_out):
+        if rin > 0.0:
+            factor = rng.standard_normal(rows.stop - rows.start)
+            factor *= rin
+            factor += 1.0
+            intensity[rows] *= factor
     return TimeSeriesRecord(
         sample_rate_hz=fs,
         i_omega_pem=intensity,
@@ -194,42 +225,55 @@ def synthesize_run(
     )
 
 
-def _raw_intensity_chunks(
+def _raw_intensity(
     config: ApparatusConfig,
     source,
     noise: NoiseModel,
-    rng: np.random.Generator,
     eps_noise: np.ndarray,
     samples_per_bin: int,
     pem_oversample: int,
     fs: float,
 ):
-    """Yield ``(rows, intensity)`` of the raw record, ``_CHUNK_BINS`` output bins at a time.
+    """``fill(b0, b1, out)``: the raw intensity of output bins ``b0`` to ``b1``, into ``out``.
 
-    ``rows`` is the chunk's slice of the whole record.  Every raw sample is
-    computed by the same expression, in the same order, as in one pass over the
-    whole record, and the intensity noise is drawn from ``rng`` chunk by chunk,
-    so the samples do not depend on the chunk size.
+    ``out`` receives ``(b1 - b0) * samples_per_bin`` samples before the
+    detector's intensity noise, which the caller applies.  Every sample is
+    computed by the same operations, in the same order, as in one pass over
+    the whole record, so a chunk is a pure function of its bins: chunks may be
+    filled in any order, on any thread, and the samples do not depend on the
+    chunk size.  ``out`` is filled ``_BLOCK_SAMPLES`` raw samples (whole bins)
+    at a time, and besides ``out`` the working set is at most three arrays of
+    a block's size.
     """
     i0 = config.incident_power_w
+    psi = source_ellipticity(source, config)
     # PEM carrier phase is exactly (i mod oversample)/oversample cycles -- no drift.
-    # A chunk starts on a bin, and so on a whole carrier cycle.
+    # A block starts on a bin, and so on a whole carrier cycle.
     carrier = config.pem_depth * np.cos(
         2.0 * math.pi * np.arange(pem_oversample) / pem_oversample
     )
-    n_out = len(eps_noise)
-    for b0 in range(0, n_out, _CHUNK_BINS):
-        b1 = min(b0 + _CHUNK_BINS, n_out)
-        rows = slice(b0 * samples_per_bin, b1 * samples_per_bin)
-        t = np.arange(rows.start, rows.stop) / fs
-        total = np.tile(carrier, (b1 - b0) * (samples_per_bin // pem_oversample))
-        total += _signal_ellipticity(config, source, t)
-        total += noise.alpha_of(t)
-        total += np.repeat(eps_noise[b0:b1], samples_per_bin)
-        intensity = i0 * (config.extinction + total**2)
-        if noise.detector_white_noise > 0.0:
-            intensity *= 1.0 + noise.detector_white_noise * rng.standard_normal(len(t))
-        yield rows, intensity
+
+    step = max(1, _BLOCK_SAMPLES // samples_per_bin)
+
+    def fill(b0: int, b1: int, out: np.ndarray) -> None:
+        for c0 in range(b0, b1, step):
+            c1 = min(c0 + step, b1)
+            block = out[(c0 - b0) * samples_per_bin:(c1 - b0) * samples_per_bin]
+            # whole numbers in float64 are exact, so t is the integer grid divided by fs
+            t = np.arange(c0 * samples_per_bin, c1 * samples_per_bin, dtype=np.float64)
+            t /= fs
+            block.reshape(-1, pem_oversample)[...] = carrier
+            block += _magnet_signal(config, psi, t)
+            # without tones alpha is +0.0, which changes at most the sign of a zero before the square
+            if noise.spurious_tones:
+                block += noise.alpha_of(t)
+            per_bin = block.reshape(c1 - c0, samples_per_bin)
+            per_bin += eps_noise[c0:c1, None]
+            np.square(block, out=block)
+            block += config.extinction
+            block *= i0
+
+    return fill
 
 
 def _describe(source) -> str:

@@ -3,13 +3,16 @@
 import io
 import math
 import struct
+import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from vmbsim import apparatus, pipeline, synth
 from vmbsim.apparatus import (
     RECORD_COLUMNS,
     _CHUNK_BINS,
@@ -246,23 +249,85 @@ class TestChunkedFullSynthesis:
         psi = whole_array_demodulate(ref["i_omega_pem"], ref["i0"], oversample, samples_per_bin)
         assert np.array_equal(demodulate(rec), psi)
 
-    def test_memory_is_bounded(self):
-        duration = 64 / 3.0
-        tracemalloc.start()
-        try:
-            rec = synthesize_run(SMALL_FULL, FixedEllipticitySource(1e-6), RIN_AND_TONE, duration,
-                                 fidelity="full")
-            synth_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            held = tracemalloc.get_traced_memory()[0]
-            demodulate(rec)
-            demod_peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
+    def test_memory_is_bounded(self, monkeypatch):
+        rec, synth_peak, demod_peak = memory_peaks(monkeypatch, workers=1)
         chunk_bytes = _CHUNK_BINS * rec.metadata["samples_per_output_bin"] * 8
         assert len(rec) >= 16 * _CHUNK_BINS * rec.metadata["samples_per_output_bin"]
         assert synth_peak < rec.i_omega_pem.nbytes + 16 * chunk_bytes
         assert demod_peak < 0.1 * rec.i_omega_pem.nbytes
+
+    def test_memory_is_bounded_on_four_workers(self, monkeypatch):
+        # measured on the second run: the first also pays the thread pool's one-time imports
+        for _ in range(2):
+            rec, synth_peak, demod_peak = memory_peaks(monkeypatch, workers=4)
+        chunk_bytes = _CHUNK_BINS * rec.metadata["samples_per_output_bin"] * 8
+        assert len(rec) >= 16 * _CHUNK_BINS * rec.metadata["samples_per_output_bin"]
+        assert synth_peak < rec.i_omega_pem.nbytes + 16 * chunk_bytes
+        # each worker's lock-in holds what the serial lock-in holds
+        assert demod_peak < 4 * 0.1 * rec.i_omega_pem.nbytes
+
+
+def memory_peaks(monkeypatch, workers):
+    """``(record, synthesis peak, lock-in peak above the record)`` of a 64-revolution full run."""
+    monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
+    tracemalloc.start()
+    try:
+        rec = synthesize_run(SMALL_FULL, FixedEllipticitySource(1e-6), RIN_AND_TONE, 64 / 3.0,
+                             fidelity="full")
+        synth_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        demodulate(rec)
+        demod_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    return rec, synth_peak, demod_peak
+
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")  # the diagnostic-mode warning
+    TWO_MAGNETS = ApparatusConfig(second_magnet_rotation_hz=2.4)
+    SMALL_TWO_MAGNETS = ApparatusConfig(pem_frequency_hz=960.0, second_magnet_rotation_hz=2.4)
+
+
+def reversed_map_chunks(func, n_bins):
+    """A ``_map_chunks`` that runs the chunks last first, then yields their results in order."""
+    starts = range(0, n_bins, _CHUNK_BINS)
+    results = {b0: func(b0) for b0 in reversed(starts)}
+    return (results[b0] for b0 in starts)
+
+
+class TestChunkWorkers:
+    # 24 revolutions are 768 output bins, 12 chunks
+    def full_run(self):
+        rec = synthesize_run(SMALL_TWO_MAGNETS, FixedEllipticitySource(1e-6), RIN_AND_TONE,
+                             24 / 3.0, fidelity="full", pem_oversample=8)
+        assert len(rec) >= 8 * _CHUNK_BINS * rec.metadata["samples_per_output_bin"]
+        return rec.i_omega_pem, demodulate(rec)
+
+    def test_samples_do_not_depend_on_the_worker_count(self, monkeypatch):
+        ref, samples_per_bin = whole_array_full(SMALL_TWO_MAGNETS, FixedEllipticitySource(1e-6),
+                                                RIN_AND_TONE, 24 / 3.0, 8)
+        psi = whole_array_demodulate(ref["i_omega_pem"], ref["i0"], 8, samples_per_bin)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to shake out shared writes
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
+                raw, psi_workers = self.full_run()
+                assert np.array_equal(raw, ref["i_omega_pem"]), workers
+                assert np.array_equal(psi_workers, psi), workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_detector_noise_is_drawn_in_chunk_order(self, monkeypatch):
+        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: 1)
+        raw, psi = self.full_run()
+        monkeypatch.setattr(synth, "_map_chunks", reversed_map_chunks)
+        monkeypatch.setattr(pipeline, "_map_chunks", reversed_map_chunks)
+        raw_reversed, psi_reversed = self.full_run()
+        assert np.array_equal(raw_reversed, raw)
+        assert np.array_equal(psi_reversed, psi)
 
 
 def whole_array_fast(config, source, noise, duration_s):
@@ -282,11 +347,6 @@ def whole_array_fast(config, source, noise, duration_s):
         ch_omega = ch_omega + i0 * noise.detector_white_noise * rng.standard_normal(n_out)
     channels = (t_out, ch_omega, np.full(n_out, 0.5 * i0 * eta0**2), np.full(n_out, i0), theta)
     return dict(zip(CHANNELS, channels))
-
-
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")  # the diagnostic-mode warning
-    TWO_MAGNETS = ApparatusConfig(second_magnet_rotation_hz=2.4)
 
 
 class TestLeanFastSynthesis:
@@ -311,13 +371,25 @@ class TestLeanFastSynthesis:
     def test_records_store_only_the_varying_channel(self, tmp_path):
         fast = synthesize_run(CFG, NullSource(), NoiseModel(1e-6, rng_seed=1), 8 / 3.0)
         full = synthesize_run(SMALL_FULL, NullSource(), QUIET, 2 / 3.0, fidelity="full")
-        path = tmp_path / "fast.csv"
-        write_record(fast, path)
+        varying_i0 = replace(fast, i0=fast.i0 * (1.0 + 1e-6 * np.arange(len(fast))))
+        read = []
+        for name, rec in (("fast", fast), ("full", full), ("varying_i0", varying_i0)):
+            write_record(rec, tmp_path / f"{name}.csv")
+            read.append(read_record(tmp_path / f"{name}.csv"))
         synthesized = (fast, full, truncated(fast, 64))
-        for rec in synthesized + (read_record(path),):
+        for rec in synthesized + tuple(read):
             assert not {"time", "magnet_phase"} & set(vars(rec))
-        for rec in synthesized:
+        for rec in synthesized + tuple(read[:2]):
             assert rec.i0.strides == (0,) and rec.i_2omega_pem.strides == (0,)
+        # a read record does not keep the whole (n, 5) array of the file alive
+        for rec in read:
+            for name in ("i_omega_pem", "i0"):
+                base = getattr(rec, name).base
+                assert base is None or base.shape != (len(rec), len(RECORD_COLUMNS)), name
+        back = read[2]
+        assert back.i0.flags.c_contiguous and back.i_2omega_pem.strides == (0,)
+        written = np.array([float(_FMT % v) for v in varying_i0.i0])
+        assert np.array_equal(back.i0, written)
 
 
 class TestRecordIO:

@@ -259,10 +259,9 @@ class AlpSource:
 @dataclass(frozen=True)
 class McpSource:
     params: McpParams
-    allow_gap: bool = True
 
     def deltan(self, b_tesla: float) -> float:
-        value, _ = mcp_deltan(self.params, b_tesla, allow_gap=self.allow_gap)
+        value, _ = mcp_deltan(self.params, b_tesla, allow_gap=True)
         return value
 
     def describe(self) -> str:
@@ -339,11 +338,11 @@ class TimeSeriesRecord:
     detector intensity and ``i_2omega_pem`` is zero -- the file schema keeps a
     single fixed column order either way.  Only ``i_omega_pem`` varies from
     sample to sample: synthesis stores ``i_2omega_pem`` and ``i0`` as
-    zero-stride views of one value, and ``time`` and ``magnet_phase`` are not
-    stored but derived from the config and the sample grid on demand.
+    zero-stride views of one value.  The sample grid is not stored either:
+    ``sample_rate_hz`` is derived by :func:`grid_rate` from the config and the
+    lock-in layout, and ``time`` and ``magnet_phase`` from that rate on demand.
     """
 
-    sample_rate_hz: float
     i_omega_pem: np.ndarray
     i_2omega_pem: np.ndarray
     i0: np.ndarray
@@ -364,22 +363,17 @@ class TimeSeriesRecord:
         return len(self.i_omega_pem)
 
     @property
-    def duration_s(self) -> float:
-        return len(self) / self.sample_rate_hz
-
-    @property
-    def grid_rate_hz(self) -> float:
-        """Exact rate of the sample grid; the header's ``sample_rate_hz`` keeps 9 digits."""
+    def sample_rate_hz(self) -> float:
+        """Exact rate of the sample grid; a record file's header keeps it to 9 digits."""
         return grid_rate(self.config, self.lockin_layout() if self.fidelity == "full" else None)
 
     def derived_columns(self, start: int = 0, stop: int | None = None):
         """``(time, magnet_phase)`` of the samples ``start`` to ``stop`` (default: the end).
 
         Computed by the expressions synthesis samples with, so they are the
-        columns a record file holds; the rate comes from the config, never
-        from the 9-digit ``sample_rate_hz``.
+        columns a record file holds.
         """
-        t = np.arange(start, len(self) if stop is None else stop) / self.grid_rate_hz
+        t = np.arange(start, len(self) if stop is None else stop) / self.sample_rate_hz
         phase = (
             2.0 * math.pi * self.config.magnet_rotation_hz * t + self.config.polarizer_angle_rad
         ) % (2.0 * math.pi)
@@ -456,25 +450,36 @@ def _chunk_workers() -> int:
     return min(cpus, _MAX_CHUNK_WORKERS)
 
 
-def _map_chunks(func, n_bins: int):
-    """Yield ``func(b0)`` for each chunk start ``b0`` of ``n_bins`` output bins, in chunk order.
+def _map_chunks(func, n_bins: int, samples_per_bin: int):
+    """Run ``func(c0, c1)`` over ``n_bins`` output bins; yield each chunk's ``(b0, b1)`` in order.
 
-    The chunks run on up to :func:`_chunk_workers` threads, which overlap
-    because numpy releases the interpreter lock inside its array loops.  A
-    result is yielded once its chunk is done, so the caller can finish the
-    chunks in order while later ones are still running.  ``func`` must not
-    depend on the order in which chunks run.
+    The bins are cut into chunks of ``_CHUNK_BINS``, and each chunk into
+    blocks of whole bins ``c0`` to ``c1`` of about ``_BLOCK_SAMPLES`` raw
+    samples (``samples_per_bin`` each); ``func`` computes one block.  The
+    chunks run on up to :func:`_chunk_workers` threads, which overlap because
+    numpy releases the interpreter lock inside its array loops.  A chunk's
+    bins are yielded once it is done, so the caller can finish the chunks in
+    order while later ones are still running.  ``func`` must not depend on
+    the order in which blocks run.
     """
+    step = max(1, _BLOCK_SAMPLES // samples_per_bin)
+
+    def chunk(b0: int) -> tuple[int, int]:
+        b1 = min(b0 + _CHUNK_BINS, n_bins)
+        for c0 in range(b0, b1, step):
+            func(c0, min(c0 + step, b1))
+        return b0, b1
+
     starts = range(0, n_bins, _CHUNK_BINS)
     workers = min(_chunk_workers(), len(starts))
     if workers <= 1:
-        yield from map(func, starts)
+        yield from map(chunk, starts)
         return
     # imported here: it costs every process that imports vmbsim ~8 ms otherwise
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(workers) as pool:
-        yield from pool.map(func, starts)
+        yield from pool.map(chunk, starts)
 
 
 # Rows formatted per block: at 4096 the kernel's temporaries stay in cache
@@ -598,9 +603,10 @@ def read_record(path) -> TimeSeriesRecord:
     The header is the leading block of ``#`` lines; ``#`` lines after the
     first data row are comments. A malformed or non-finite row is named by
     its 1-based data row and file line. A ``config_hash`` that the header's
-    config does not hash to, a header ``sample_rate_hz`` that its config does
-    not reproduce, and a ``time`` or ``magnet_phase`` cell off the grid that
-    the config derives are refused; the record keeps neither column. Like a
+    config does not hash to, a header ``sample_rate_hz`` more than 1e-8 away
+    from the rate that the config and lock-in layout derive, and a ``time`` or
+    ``magnet_phase`` cell off that grid are refused; the record keeps neither
+    column, and uses only the derived rate, as a synthesized one does. Like a
     synthesized record, it stores ``I_OmegaPEM`` as its own array, and ``I0``
     and ``I_2OmegaPEM`` as zero-stride views when they are constant.
     """
@@ -649,7 +655,6 @@ def read_record(path) -> TimeSeriesRecord:
                       "seed", "config_hash", "columns")
     }
     record = TimeSeriesRecord(
-        sample_rate_hz=float(header["sample_rate_hz"]),
         i_omega_pem=data[:, 1],
         i_2omega_pem=data[:, 2],
         i0=data[:, 3],
@@ -659,16 +664,12 @@ def read_record(path) -> TimeSeriesRecord:
         seed=int(header.get("seed", 0)),
         metadata=metadata,
     )
-    expected, origin = config.sample_rate_hz, "its config"
-    if record.fidelity == "full":
-        samples_per_bin = record.lockin_layout()[1]
-        expected *= samples_per_bin
-        origin = f"samples_per_output_bin = {samples_per_bin} times its config rate"
-    # the header keeps 9 significant digits
-    if not abs(record.sample_rate_hz - expected) <= 1e-8 * expected:
+    # the header keeps 9 significant digits; past this check only the derived rate is used
+    rate = record.sample_rate_hz
+    if not abs(float(header["sample_rate_hz"]) - rate) <= 1e-8 * rate:
         raise ValueError(
             f"record file {path} has sample_rate_hz = {header['sample_rate_hz']}, but "
-            f"{origin} gives {format_number(expected)}"
+            f"its config and lock-in layout give {format_number(rate)}"
         )
     _check_derived_columns(record, data, path)
     # hold only what varies, so the whole (n, 5) array the text reader built can go
@@ -694,7 +695,7 @@ def _check_derived_columns(record: TimeSeriesRecord, data: np.ndarray, path) -> 
     polarizer angle with more digits moves the derived phase by up to 5e-9
     of the unwrapped phase, across the wrap for samples next to 0.
     """
-    rate = record.grid_rate_hz
+    rate = record.sample_rate_hz
     f = record.config.magnet_rotation_hz
     theta0 = record.config.polarizer_angle_rad
     for start in range(0, len(record), _CHECK_ROWS):

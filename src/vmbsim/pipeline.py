@@ -24,13 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .apparatus import (
-    _BLOCK_SAMPLES,
-    _CHUNK_BINS,
-    ApparatusConfig,
-    TimeSeriesRecord,
-    _map_chunks,
-)
+from .apparatus import ApparatusConfig, TimeSeriesRecord, _map_chunks
 
 DEFAULT_BLOCK_SIZE = 8192
 DEFAULT_NOISE_HALFWIDTH = 64
@@ -151,16 +145,12 @@ def demodulate(record: TimeSeriesRecord) -> np.ndarray:
     rows = record.i_omega_pem.reshape(n // samples_per_bin, samples_per_bin)
     ix1 = np.empty(len(rows))
     ix2 = np.empty(len(rows))
-    step = max(1, _BLOCK_SAMPLES // samples_per_bin)
 
-    def lock_in(start: int) -> None:
-        stop = min(start + _CHUNK_BINS, len(rows))
-        for b0 in range(start, stop, step):
-            block = slice(b0, min(b0 + step, stop))
-            ix1[block] = 2.0 * np.mean(rows[block] * ref1, axis=1)
-            ix2[block] = 2.0 * np.mean(rows[block] * ref2, axis=1)
+    def lock_in(c0: int, c1: int) -> None:
+        ix1[c0:c1] = 2.0 * np.mean(rows[c0:c1] * ref1, axis=1)
+        ix2[c0:c1] = 2.0 * np.mean(rows[c0:c1] * ref2, axis=1)
 
-    for _ in _map_chunks(lock_in, len(rows)):
+    for _ in _map_chunks(lock_in, len(rows), samples_per_bin):
         pass
     i0 = float(np.mean(record.i0))
     dc_2omega = float(np.mean(ix2))
@@ -168,12 +158,6 @@ def demodulate(record: TimeSeriesRecord) -> np.ndarray:
     if norm <= 0.0:
         raise ValueError("vanishing I0 * I_2OmegaPEM(DC) normalization")
     return ix1 / math.sqrt(norm)
-
-
-def demodulated_sample_rate(record: TimeSeriesRecord) -> float:
-    if record.fidelity == "fast":
-        return record.sample_rate_hz
-    return record.sample_rate_hz / record.lockin_layout()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +350,9 @@ def estimate_from_spectra(
 ) -> RunEstimate:
     """Vector-average the 2*Omega_Mag bin of a record's block spectra and project it.
 
-    ``spectra`` must carry Rayleigh sigmas (see :func:`with_rayleigh_sigma`);
-    ``record`` supplies the config, the duration scale and the metadata.
+    ``spectra`` must carry Rayleigh sigmas (see :func:`with_rayleigh_sigma`)
+    and set the duration by their sample rate; ``record`` supplies the config
+    and the metadata.
     """
     config = record.config
     if calibration is None:
@@ -380,7 +365,7 @@ def estimate_from_spectra(
     dn_sigma = float(deltan_conversion(sigma, config))
     dn_phys, dn_nonphys = project_physical(dn_complex, calibration)
     n_blocks = len(spectra)
-    duration = n_blocks * spectra.block_size / demodulated_sample_rate(record)
+    duration = n_blocks * spectra.block_size / spectra.sample_rate_hz
     return RunEstimate(
         complex_amplitude_2omega=amp,
         sigma=sigma,
@@ -458,32 +443,27 @@ def weighted_linear_fit(x: np.ndarray, y: np.ndarray, sigma: np.ndarray):
 
 
 def calibrate(
-    records_or_estimates,
+    records,
     gas_name: str,
-    pressures_atm: list[float] | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
     noise_halfwidth: int = DEFAULT_NOISE_HALFWIDTH,
 ) -> CalibrationPhase:
     """Derive the physical phase and the gas coefficient from pressure-scan runs.
 
-    Accepts TimeSeriesRecords (pressures read from their source descriptions or
-    given explicitly) or pre-computed (RunEstimate, pressure_atm) pairs.  The
+    Each TimeSeriesRecord's pressure is read from its source description.  The
     phase comes from the highest-SNR point, sign-corrected with the known sign
     of the gas coefficient; per-run phases are kept for drift diagnostics.
     """
     from .models import gas_species
 
     gas = gas_species(gas_name)
-    pairs = []
-    for i, item in enumerate(records_or_estimates):
-        if isinstance(item, tuple):
-            est, p = item
-        else:
-            est = analyze_record(item, block_size=block_size, noise_halfwidth=noise_halfwidth)
-            p = pressures_atm[i] if pressures_atm else _pressure_from_description(
-                item.source_description
-            )
-        pairs.append((est, float(p)))
+    pairs = [
+        (
+            analyze_record(record, block_size=block_size, noise_halfwidth=noise_halfwidth),
+            _pressure_from_description(record.source_description),
+        )
+        for record in records
+    ]
     if len(pairs) < 2:
         raise ValueError("calibration needs at least two pressure points")
     pressures = np.array([p for _, p in pairs])
@@ -523,6 +503,4 @@ def _pressure_from_description(description: str) -> float:
     parts = description.split(":")
     if len(parts) == 3 and parts[0] == "gas" and parts[2].endswith("atm"):
         return float(parts[2][:-3])
-    raise ValueError(
-        f"cannot infer pressure from source {description!r}; pass pressures_atm explicitly"
-    )
+    raise ValueError(f"cannot infer pressure from source {description!r}")

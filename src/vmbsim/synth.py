@@ -11,12 +11,12 @@ Two fidelity levels:
 * ``full`` emits the raw analyser intensity (the exact squared-modulus form,
   extinction and PEM carrier included) at many samples per PEM cycle, so the
   digital lock-in in the analysis chain can be validated end to end.  It is
-  generated ``_CHUNK_BINS`` output bins at a time, each chunk in place in its
-  slice of the record's one raw array, on up to one worker thread per
-  available CPU, a block of a few bins at a time.  Its memory is that array
-  plus a block working set per worker, independent of the record length.  A
-  chunk is a pure function of its bins, and the detector intensity noise is
-  drawn in chunk order, so the samples do not depend on the number of CPUs.
+  generated by ``apparatus._map_chunks`` in chunks of output bins, a block of
+  a few bins at a time, in place in the record's one raw array, on up to one
+  worker thread per available CPU.  Its memory is that array plus a block
+  working set per worker, independent of the record length.  A block is a
+  pure function of its bins, and the detector intensity noise is drawn in
+  chunk order, so the samples do not depend on the number of CPUs.
 
 Lock-in gain convention: demodulated channels carry the full ("peak")
 harmonic amplitude, I_X = 2 <I(t) cos(w t)>.  With a sinusoidal PEM drive
@@ -38,8 +38,6 @@ import math
 import numpy as np
 
 from .apparatus import (
-    _BLOCK_SAMPLES,
-    _CHUNK_BINS,
     ApparatusConfig,
     FixedEllipticitySource,
     NoiseModel,
@@ -166,7 +164,6 @@ def synthesize_run(
         if noise.detector_white_noise > 0.0:
             ch_omega = ch_omega + i0 * noise.detector_white_noise * rng.standard_normal(n_out)
         return TimeSeriesRecord(
-            sample_rate_hz=grid_rate(config),
             i_omega_pem=ch_omega,
             i_2omega_pem=np.broadcast_to(0.5 * i0 * eta0**2, n_out),
             i0=np.broadcast_to(i0, n_out),
@@ -191,23 +188,20 @@ def synthesize_run(
     intensity = np.empty(n_raw)
     fill = _raw_intensity(config, source, noise, eps_noise, samples_per_bin, pem_oversample, fs)
 
-    def chunk(b0: int) -> slice:
-        b1 = min(b0 + _CHUNK_BINS, n_out)
-        rows = slice(b0 * samples_per_bin, b1 * samples_per_bin)
-        fill(b0, b1, intensity[rows])
-        return rows
+    def block(c0: int, c1: int) -> None:
+        fill(c0, c1, intensity[c0 * samples_per_bin:c1 * samples_per_bin])
 
     # The intensity noise is drawn here, chunk by chunk in chunk order, so the
     # random stream does not depend on which chunk finishes first.
     rin = noise.detector_white_noise
-    for rows in _map_chunks(chunk, n_out):
+    for b0, b1 in _map_chunks(block, n_out, samples_per_bin):
         if rin > 0.0:
+            rows = slice(b0 * samples_per_bin, b1 * samples_per_bin)
             factor = rng.standard_normal(rows.stop - rows.start)
             factor *= rin
             factor += 1.0
             intensity[rows] *= factor
     return TimeSeriesRecord(
-        sample_rate_hz=fs,
         i_omega_pem=intensity,
         i_2omega_pem=np.broadcast_to(0.0, n_raw),
         i0=np.broadcast_to(i0, n_raw),
@@ -234,16 +228,15 @@ def _raw_intensity(
     pem_oversample: int,
     fs: float,
 ):
-    """``fill(b0, b1, out)``: the raw intensity of output bins ``b0`` to ``b1``, into ``out``.
+    """``fill(c0, c1, out)``: the raw intensity of output bins ``c0`` to ``c1``, into ``out``.
 
-    ``out`` receives ``(b1 - b0) * samples_per_bin`` samples before the
+    ``out`` receives ``(c1 - c0) * samples_per_bin`` samples before the
     detector's intensity noise, which the caller applies.  Every sample is
     computed by the same operations, in the same order, as in one pass over
-    the whole record, so a chunk is a pure function of its bins: chunks may be
+    the whole record, so a block is a pure function of its bins: blocks may be
     filled in any order, on any thread, and the samples do not depend on the
-    chunk size.  ``out`` is filled ``_BLOCK_SAMPLES`` raw samples (whole bins)
-    at a time, and besides ``out`` the working set is at most three arrays of
-    a block's size.
+    block size.  Besides ``out`` the working set is at most three arrays of
+    the block's size.
     """
     i0 = config.incident_power_w
     psi = source_ellipticity(source, config)
@@ -253,25 +246,25 @@ def _raw_intensity(
         2.0 * math.pi * np.arange(pem_oversample) / pem_oversample
     )
 
-    step = max(1, _BLOCK_SAMPLES // samples_per_bin)
-
-    def fill(b0: int, b1: int, out: np.ndarray) -> None:
-        for c0 in range(b0, b1, step):
-            c1 = min(c0 + step, b1)
-            block = out[(c0 - b0) * samples_per_bin:(c1 - b0) * samples_per_bin]
-            # whole numbers in float64 are exact, so t is the integer grid divided by fs
-            t = np.arange(c0 * samples_per_bin, c1 * samples_per_bin, dtype=np.float64)
-            t /= fs
-            block.reshape(-1, pem_oversample)[...] = carrier
-            block += _magnet_signal(config, psi, t)
-            # without tones alpha is +0.0, which changes at most the sign of a zero before the square
-            if noise.spurious_tones:
-                block += noise.alpha_of(t)
-            per_bin = block.reshape(c1 - c0, samples_per_bin)
-            per_bin += eps_noise[c0:c1, None]
-            np.square(block, out=block)
-            block += config.extinction
-            block *= i0
+    def fill(c0: int, c1: int, out: np.ndarray) -> None:
+        # t lives in out until the terms that need it exist, so a block frees one array:
+        # freeing a t array with the signal made glibc return the heap top to the
+        # system and fault it back in for every block (serial synthesis took 40% longer).
+        # Whole numbers in float64 are exact, so t is the integer grid divided by fs.
+        t = np.divide(np.arange(c0 * samples_per_bin, c1 * samples_per_bin, dtype=np.float64),
+                      fs, out=out)
+        signal = _magnet_signal(config, psi, t)
+        # without tones alpha is +0.0, which changes at most the sign of a zero before the square
+        alpha = noise.alpha_of(t) if noise.spurious_tones else None
+        out.reshape(-1, pem_oversample)[...] = carrier
+        out += signal
+        if alpha is not None:
+            out += alpha
+        per_bin = out.reshape(c1 - c0, samples_per_bin)
+        per_bin += eps_noise[c0:c1, None]
+        np.square(out, out=out)
+        out += config.extinction
+        out *= i0
 
     return fill
 

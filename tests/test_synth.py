@@ -15,6 +15,7 @@ from hypothesis import example, given, strategies as st
 from vmbsim import apparatus, pipeline, synth
 from vmbsim.apparatus import (
     RECORD_COLUMNS,
+    _BLOCK_SAMPLES,
     _CHUNK_BINS,
     _FMT,
     ApparatusConfig,
@@ -32,7 +33,7 @@ from vmbsim.apparatus import (
     truncated,
     write_record,
 )
-from vmbsim.pipeline import demodulate
+from vmbsim.pipeline import analyze_record, demodulate
 from vmbsim.synth import (
     _check_duration,
     _ellipticity_noise,
@@ -270,6 +271,7 @@ class TestChunkedFullSynthesis:
 def memory_peaks(monkeypatch, workers):
     """``(record, synthesis peak, lock-in peak above the record)`` of a 64-revolution full run."""
     monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
+    np.random.default_rng()  # numpy imports numpy.random lazily; keep that out of the peaks
     tracemalloc.start()
     try:
         rec = synthesize_run(SMALL_FULL, FixedEllipticitySource(1e-6), RIN_AND_TONE, 64 / 3.0,
@@ -290,11 +292,14 @@ with warnings.catch_warnings():
     SMALL_TWO_MAGNETS = ApparatusConfig(pem_frequency_hz=960.0, second_magnet_rotation_hz=2.4)
 
 
-def reversed_map_chunks(func, n_bins):
-    """A ``_map_chunks`` that runs the chunks last first, then yields their results in order."""
-    starts = range(0, n_bins, _CHUNK_BINS)
-    results = {b0: func(b0) for b0 in reversed(starts)}
-    return (results[b0] for b0 in starts)
+def reversed_map_chunks(func, n_bins, samples_per_bin):
+    """A ``_map_chunks`` that runs the chunks last first, then yields their bins in order."""
+    step = max(1, _BLOCK_SAMPLES // samples_per_bin)
+    chunks = [(b0, min(b0 + _CHUNK_BINS, n_bins)) for b0 in range(0, n_bins, _CHUNK_BINS)]
+    for b0, b1 in reversed(chunks):
+        for c0 in range(b0, b1, step):
+            func(c0, min(c0 + step, b1))
+    return iter(chunks)
 
 
 class TestChunkWorkers:
@@ -429,6 +434,21 @@ class TestRecordIO:
         from vmbsim.pipeline import demodulate
 
         assert np.allclose(demodulate(back), demodulate(rec), rtol=1e-6, atol=1e-12)
+
+    @pytest.mark.parametrize("rotation_hz", [2.71828183, 3.14159265])
+    @pytest.mark.parametrize("fidelity", ["fast", "full"])
+    def test_duration_does_not_change_on_a_read(self, tmp_path, rotation_hz, fidelity):
+        # both rates round-trip through the header's 9 digits, the grid rate does not
+        full = {"pem_frequency_hz": 960.0} if fidelity == "full" else {}
+        config = ApparatusConfig(magnet_rotation_hz=rotation_hz, **full)
+        rec = synthesize_run(config, NullSource(), NoiseModel(1e-6, rng_seed=4),
+                             32 / rotation_hz, fidelity=fidelity)
+        path = tmp_path / "rec.csv"
+        write_record(rec, path)
+        back = read_record(path)
+        assert back.config == config
+        assert (analyze_record(back, block_size=1024).duration_s
+                == analyze_record(rec, block_size=1024).duration_s)
 
 
 def savetxt_record(record, path):

@@ -56,15 +56,16 @@ def main() -> None:
         run_id += 1
 
     mean, sigma, hours = combine_runs(estimates)
-    physical, nonphysical = project_physical(mean, analytic_calibration(cfg))
+    cal = analytic_calibration(cfg)
+    physical, nonphysical = project_physical(mean, cal)
     runs_path = args.out_dir / "per_run_projections.csv"
     with open(runs_path, "w") as fh:
         fh.write("# columns = run_id, hours, deltan_over_B2_phys, deltan_over_B2_nonphys, sigma\n")
         for i, est in enumerate(estimates):
+            run_phys, run_nonphys = project_physical(est.deltan_over_b2, cal)
             fh.write(
                 f"{i}, {format_number(est.hours)}, "
-                f"{format_number(est.deltan_over_b2_physical)}, "
-                f"{format_number(est.deltan_over_b2_nonphysical)}, "
+                f"{format_number(run_phys)}, {format_number(run_nonphys)}, "
                 f"{format_number(est.deltan_over_b2_sigma)}\n"
             )
     print(f"wrote {runs_path} ({run_id} runs)")

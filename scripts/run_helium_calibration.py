@@ -12,7 +12,7 @@ from pathlib import Path
 
 from vmbsim.apparatus import ApparatusConfig, GasSource, NoiseModel, format_number
 from vmbsim.constants import convert_pressure
-from vmbsim.pipeline import analyze_record, calibrate
+from vmbsim.pipeline import analyze_record, calibrate, project_physical
 from vmbsim.synth import synthesize_run
 
 
@@ -31,13 +31,14 @@ def main() -> None:
     duration = args.blocks_per_run * 8192 / cfg.sample_rate_hz
     print(f"synthesizing {len(args.pressures_ubar)} helium runs of {duration/3600:.2f} h each")
 
-    records = []
+    estimates = []
     for i, ubar in enumerate(args.pressures_ubar):
         p_atm = convert_pressure(ubar, "ubar", "atm")
         noise = NoiseModel(ellipticity_noise_density=args.noise_asd, rng_seed=args.seed + i)
-        records.append(synthesize_run(cfg, GasSource("He", p_atm), noise, duration))
+        record = synthesize_run(cfg, GasSource("He", p_atm), noise, duration)
+        estimates.append(analyze_record(record))
 
-    cal = calibrate(records, "He")
+    cal = calibrate(estimates, "He")
     print(f"physical phase        : {cal.phase_rad:.6f} rad (axis mod pi: {cal.axis_phase:.6f})")
     print(f"fitted deltan_u(He)   : {cal.fit_slope:.4e} +/- {cal.fit_slope_sigma:.1e} T^-2 atm^-1")
     print(f"fitted intercept      : {cal.fit_intercept:+.2e} +/- {cal.fit_intercept_sigma:.1e} T^-2")
@@ -46,11 +47,11 @@ def main() -> None:
     scan_path = args.out_dir / "pressure_scan.csv"
     with open(scan_path, "w") as fh:
         fh.write("# columns = pressure_atm, deltan_over_B2_phys, sigma\n")
-        for rec, ubar in zip(records, args.pressures_ubar):
-            est = analyze_record(rec, calibration=cal)
+        for est, ubar in zip(estimates, args.pressures_ubar):
             p_atm = convert_pressure(ubar, "ubar", "atm")
+            physical, _ = project_physical(est.deltan_over_b2, cal)
             fh.write(
-                f"{format_number(p_atm)}, {format_number(est.deltan_over_b2_physical)}, "
+                f"{format_number(p_atm)}, {format_number(physical)}, "
                 f"{format_number(est.deltan_over_b2_sigma)}\n"
             )
     print(f"wrote {scan_path}")
@@ -59,10 +60,11 @@ def main() -> None:
     p_check = convert_pressure(48.0, "ubar", "atm")
     noise = NoiseModel(ellipticity_noise_density=args.noise_asd, rng_seed=args.seed + 99)
     rec = synthesize_run(cfg, GasSource("He", p_check), noise, duration)
-    est = analyze_record(rec, calibration=cal)
+    est = analyze_record(rec)
+    measured, _ = project_physical(est.deltan_over_b2, cal)
     predicted = cal.fit_intercept + cal.fit_slope * p_check
-    z = (est.deltan_over_b2_physical - predicted) / est.deltan_over_b2_sigma
-    print(f"check run at 48 ubar  : measured {est.deltan_over_b2_physical:.4e} T^-2, "
+    z = (measured - predicted) / est.deltan_over_b2_sigma
+    print(f"check run at 48 ubar  : measured {measured:.4e} T^-2, "
           f"fit predicts {predicted:.4e} (z = {z:+.2f})")
 
     cal_path = args.out_dir / "calibration.txt"

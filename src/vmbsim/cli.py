@@ -37,9 +37,12 @@ from .limits import (
     write_curve,
 )
 from .pipeline import (
+    DEFAULT_BLOCK_SIZE,
+    DEFAULT_NOISE_HALFWIDTH,
     BlockSpectra,
     CalibrationPhase,
     analytic_calibration,
+    analyze_record,
     averaged_spectrum,
     block_fft,
     calibrate,
@@ -78,26 +81,33 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", type=Path, help="apparatus config file (key = value)")
         p.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
 
+    def add_synthesis(p):
+        p.add_argument("--source", default="none", help="birefringence source spec")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--revolutions", type=int, default=256)
+        p.add_argument("--fidelity", choices=("fast", "full"), default="fast")
+        p.add_argument("--noise-asd", type=float, default=0.0,
+                       help="ellipticity noise density, 1/sqrt(Hz)")
+        p.add_argument("--detector-noise", type=float, default=0.0,
+                       help="relative intensity noise per sample")
+        p.add_argument("--tone", action="append", default=[],
+                       help="spurious ellipticity tone freq_hz:amp:phase (repeatable)")
+
+    def add_analysis(p):
+        p.add_argument("--blocks", "--block-size", dest="block_size", type=int,
+                       default=DEFAULT_BLOCK_SIZE)
+        p.add_argument("--noise-halfwidth", type=int, default=DEFAULT_NOISE_HALFWIDTH)
+
     sim = sub.add_parser("simulate", help="synthesize a run record")
     add_common(sim)
-    sim.add_argument("--source", default="none", help="birefringence source spec")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--revolutions", type=int, default=256)
-    sim.add_argument("--fidelity", choices=("fast", "full"), default="fast")
+    add_synthesis(sim)
     sim.add_argument("--pem-oversample", type=int, default=16)
-    sim.add_argument("--noise-asd", type=float, default=0.0,
-                     help="ellipticity noise density, 1/sqrt(Hz)")
-    sim.add_argument("--detector-noise", type=float, default=0.0,
-                     help="relative intensity noise per sample")
-    sim.add_argument("--tone", action="append", default=[],
-                     help="spurious ellipticity tone freq_hz:amp:phase (repeatable)")
     sim.add_argument("--name", default=None, help="output file stem (default run-seed<seed>)")
 
     ana = sub.add_parser("analyze", help="run the lock-in/FFT/Rayleigh analysis")
     add_common(ana)
     ana.add_argument("records", nargs="*", type=Path)
-    ana.add_argument("--blocks", "--block-size", dest="block_size", type=int, default=8192)
-    ana.add_argument("--noise-halfwidth", type=int, default=64)
+    add_analysis(ana)
     ana.add_argument("--calibration", type=Path, help="calibration file from 'calibrate'")
     ana.add_argument("--allow-mismatch", action="store_true",
                      help="accept records whose config hash differs from --config")
@@ -106,8 +116,7 @@ def _build_parser() -> _Parser:
     add_common(cal)
     cal.add_argument("records", nargs="*", type=Path)
     cal.add_argument("--gas", required=True)
-    cal.add_argument("--blocks", "--block-size", dest="block_size", type=int, default=8192)
-    cal.add_argument("--noise-halfwidth", type=int, default=64)
+    add_analysis(cal)
 
     lim = sub.add_parser("limits", help="convert an estimate into physics bounds")
     add_common(lim)
@@ -121,15 +130,8 @@ def _build_parser() -> _Parser:
 
     pipe = sub.add_parser("pipeline", help="simulate, analyze and compute limits in one go")
     add_common(pipe)
-    pipe.add_argument("--source", default="none")
-    pipe.add_argument("--seed", type=int, default=0)
-    pipe.add_argument("--revolutions", type=int, default=256)
-    pipe.add_argument("--fidelity", choices=("fast", "full"), default="fast")
-    pipe.add_argument("--noise-asd", type=float, default=0.0)
-    pipe.add_argument("--detector-noise", type=float, default=0.0)
-    pipe.add_argument("--tone", action="append", default=[])
-    pipe.add_argument("--blocks", "--block-size", dest="block_size", type=int, default=8192)
-    pipe.add_argument("--noise-halfwidth", type=int, default=64)
+    add_synthesis(pipe)
+    add_analysis(pipe)
     pipe.add_argument("--cl", type=float, default=0.95)
     pipe.add_argument("--points-per-decade", type=int, default=40)
     return parser
@@ -269,7 +271,7 @@ def _cmd_analyze(args) -> int:
                 block_fft(demodulate(record), record.config, block_size=args.block_size),
                 args.noise_halfwidth,
             )
-            estimates.append(estimate_from_spectra(spectra, record, calibration))
+            estimates.append(estimate_from_spectra(spectra, record))
         except ValueError as exc:
             raise DataError(f"analysis of {path} failed: {exc}") from exc
         _write_spectrum(args.out_dir / f"{path.stem}.spectrum.csv", spectra, mhash)
@@ -285,11 +287,14 @@ def _cmd_analyze(args) -> int:
             "# columns = run_id, hours, deltan_over_B2_phys, deltan_over_B2_nonphys, "
             "sigma, finesse, field_integral\n"
         )
-        for i, (path, est) in enumerate(zip(args.records, estimates)):
+        for path, est in zip(args.records, estimates):
+            # each run on its own analytic axis unless a calibration file sets one
+            run_phys, run_nonphys = project_physical(
+                est.deltan_over_b2, calibration or analytic_calibration(est.config)
+            )
             fh.write(
                 f"{path.stem}, {format_number(est.hours)}, "
-                f"{format_number(est.deltan_over_b2_physical)}, "
-                f"{format_number(est.deltan_over_b2_nonphysical)}, "
+                f"{format_number(run_phys)}, {format_number(run_nonphys)}, "
                 f"{format_number(est.deltan_over_b2_sigma)}, "
                 f"{format_number(est.config.finesse)}, "
                 f"{format_number(est.config.field_integral_t2m)}\n"
@@ -338,9 +343,11 @@ def _cmd_calibrate(args) -> int:
         extra=tuple(("input", str(p.name)) for p in args.records),
     )
     try:
-        cal = calibrate(
-            records, args.gas, block_size=args.block_size, noise_halfwidth=args.noise_halfwidth
-        )
+        estimates = [
+            analyze_record(r, block_size=args.block_size, noise_halfwidth=args.noise_halfwidth)
+            for r in records
+        ]
+        cal = calibrate(estimates, args.gas)
     except (ValueError, KeyError) as exc:
         raise DataError(str(exc)) from exc
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -383,12 +390,13 @@ def _load_estimate(path: Path) -> tuple[BirefringenceLimit, ApparatusConfig]:
 
 def _cmd_limits(args) -> int:
     limit, config = _load_estimate(args.estimate)
+    rule = args.rule or ("one-sigma" if args.what == "xsec" else "gaussian-one-sided")
     args.out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         command=f"limits-{args.what}",
         config=config,
         cl=args.cl,
-        cl_rule=args.rule or ("one-sigma" if args.what == "xsec" else "gaussian-one-sided"),
+        cl_rule=rule,
         extra=(
             ("estimate", str(args.estimate.name)),
             ("central", format_number(limit.central)),
@@ -400,7 +408,6 @@ def _cmd_limits(args) -> int:
     mhash = manifest.hash()
 
     if args.what == "alp":
-        rule = args.rule or "gaussian-one-sided"
         curve = alp_exclusion(
             limit, config, default_mass_grid("ALP", args.points_per_decade),
             cl=args.cl, rule=rule,
@@ -410,7 +417,6 @@ def _cmd_limits(args) -> int:
         write_curve(curve, out)
         print(f"wrote {out} ({len(curve.mass_grid_ev)} masses)")
     elif args.what == "mcp":
-        rule = args.rule or "gaussian-one-sided"
         curve = mcp_exclusion(
             limit, config, default_mass_grid("MCP", args.points_per_decade),
             statistics=args.statistics, cl=args.cl, rule=rule,
@@ -420,7 +426,6 @@ def _cmd_limits(args) -> int:
         write_curve(curve, out)
         print(f"wrote {out} ({len(curve.mass_grid_ev)} masses)")
     elif args.what == "xsec":
-        rule = args.rule or "one-sigma"
         result = cross_section_limit(limit, config.wavelength_m, rule=rule, cl=args.cl)
         _write_kv(args.out_dir / "xsec_limit.txt", sorted(result.items()), mhash)
         print(

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .apparatus import ApparatusConfig, TimeSeriesRecord, _map_chunks
+from .apparatus import ApparatusConfig, GasSource, TimeSeriesRecord, _map_chunks, parse_source
 
 DEFAULT_BLOCK_SIZE = 8192
 DEFAULT_NOISE_HALFWIDTH = 64
@@ -88,15 +88,16 @@ def analytic_calibration(config: ApparatusConfig) -> CalibrationPhase:
 
 @dataclass(frozen=True)
 class RunEstimate:
-    """Result of one run: complex 2*Omega_Mag amplitude with Rayleigh sigma."""
+    """What one run measured: complex 2*Omega_Mag amplitude with Rayleigh sigma.
+
+    The estimate is calibration-free; project ``deltan_over_b2`` (or the
+    ellipticity amplitude) onto a physical axis with :func:`project_physical`
+    where a number is reported.
+    """
 
     complex_amplitude_2omega: complex   # ellipticity units
     sigma: float                        # per-quadrature, ellipticity units
-    physical: float                     # signed projection, ellipticity units
-    nonphysical: float
-    deltan_over_b2: complex             # T^-2 (complex; Re along physical axis after projection)
-    deltan_over_b2_physical: float
-    deltan_over_b2_nonphysical: float
+    deltan_over_b2: complex             # T^-2, same phase as the ellipticity amplitude
     deltan_over_b2_sigma: float
     duration_s: float
     n_blocks: int
@@ -333,49 +334,33 @@ def analyze_record(
     record: TimeSeriesRecord,
     block_size: int = DEFAULT_BLOCK_SIZE,
     noise_halfwidth: int = DEFAULT_NOISE_HALFWIDTH,
-    calibration: CalibrationPhase | None = None,
 ) -> RunEstimate:
-    """Demodulate, block-average and project one run."""
+    """Demodulate and block-average one run."""
     # full-fidelity records land on the same synchronous output grid after demodulation
     spectra = with_rayleigh_sigma(
         block_fft(demodulate(record), record.config, block_size=block_size), noise_halfwidth
     )
-    return estimate_from_spectra(spectra, record, calibration)
+    return estimate_from_spectra(spectra, record)
 
 
-def estimate_from_spectra(
-    spectra: BlockSpectra,
-    record: TimeSeriesRecord,
-    calibration: CalibrationPhase | None = None,
-) -> RunEstimate:
-    """Vector-average the 2*Omega_Mag bin of a record's block spectra and project it.
+def estimate_from_spectra(spectra: BlockSpectra, record: TimeSeriesRecord) -> RunEstimate:
+    """Vector-average the 2*Omega_Mag bin of a record's block spectra.
 
     ``spectra`` must carry Rayleigh sigmas (see :func:`with_rayleigh_sigma`)
     and set the duration by their sample rate; ``record`` supplies the config
-    and the metadata.
+    and the metadata.  No calibration is applied.
     """
     config = record.config
-    if calibration is None:
-        calibration = analytic_calibration(config)
     amp, sigma = weighted_average(
         zip(spectra.amplitude_2omega.tolist(), _block_sigmas(spectra).tolist())
     )
-    physical, nonphysical = project_physical(amp, calibration)
-    dn_complex = deltan_conversion(amp, config)
-    dn_sigma = float(deltan_conversion(sigma, config))
-    dn_phys, dn_nonphys = project_physical(dn_complex, calibration)
     n_blocks = len(spectra)
-    duration = n_blocks * spectra.block_size / spectra.sample_rate_hz
     return RunEstimate(
         complex_amplitude_2omega=amp,
         sigma=sigma,
-        physical=physical,
-        nonphysical=nonphysical,
-        deltan_over_b2=dn_complex,
-        deltan_over_b2_physical=dn_phys,
-        deltan_over_b2_nonphysical=dn_nonphys,
-        deltan_over_b2_sigma=dn_sigma,
-        duration_s=duration,
+        deltan_over_b2=deltan_conversion(amp, config),
+        deltan_over_b2_sigma=float(deltan_conversion(sigma, config)),
+        duration_s=n_blocks * spectra.block_size / spectra.sample_rate_hz,
         n_blocks=n_blocks,
         config=config,
         metadata={
@@ -383,7 +368,6 @@ def estimate_from_spectra(
             "seed": record.seed,
             "fidelity": record.fidelity,
             "phase_rad": float(np.angle(amp)) if abs(amp) > 0 else 0.0,
-            "calibration_phase_rad": calibration.phase_rad,
         },
     )
 
@@ -442,35 +426,30 @@ def weighted_linear_fit(x: np.ndarray, y: np.ndarray, sigma: np.ndarray):
     return a, b, math.sqrt(sxx / delta), math.sqrt(s / delta)
 
 
-def calibrate(
-    records,
-    gas_name: str,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    noise_halfwidth: int = DEFAULT_NOISE_HALFWIDTH,
-) -> CalibrationPhase:
+def calibrate(estimates: list[RunEstimate], gas_name: str) -> CalibrationPhase:
     """Derive the physical phase and the gas coefficient from pressure-scan runs.
 
-    Each TimeSeriesRecord's pressure is read from its source description.  The
-    phase comes from the highest-SNR point, sign-corrected with the known sign
-    of the gas coefficient; per-run phases are kept for drift diagnostics.
+    Each estimate's pressure is parsed from its ``metadata["source"]``, which
+    must describe a gas.  The phase comes from the highest-SNR point,
+    sign-corrected with the known sign of the gas coefficient; per-run phases
+    are kept for drift diagnostics.
     """
     from .models import gas_species
 
     gas = gas_species(gas_name)
-    pairs = [
-        (
-            analyze_record(record, block_size=block_size, noise_halfwidth=noise_halfwidth),
-            _pressure_from_description(record.source_description),
-        )
-        for record in records
-    ]
-    if len(pairs) < 2:
+    pressures = []
+    for est in estimates:
+        source = parse_source(est.metadata["source"], est.config)
+        if not isinstance(source, GasSource):
+            raise ValueError(f"cannot infer pressure from source {est.metadata['source']!r}")
+        pressures.append(source.pressure_atm)
+    if len(pressures) < 2:
         raise ValueError("calibration needs at least two pressure points")
-    pressures = np.array([p for _, p in pairs])
+    pressures = np.array(pressures)
     if np.ptp(pressures) == 0.0:
         raise ValueError("degenerate calibration: all pressures identical")
 
-    best, _ = max(pairs, key=lambda ep: ep[0].snr)
+    best = max(estimates, key=lambda est: est.snr)
     measured_phase = math.atan2(
         best.complex_amplitude_2omega.imag, best.complex_amplitude_2omega.real
     )
@@ -478,14 +457,8 @@ def calibrate(
     phase %= 2.0 * math.pi
     cal = CalibrationPhase(phase_rad=phase, source_gas=gas_name)
 
-    dn_phys = []
-    dn_sigma = []
-    run_phases = []
-    for est, _ in pairs:
-        p_phys, _ = project_physical(est.deltan_over_b2, cal)
-        dn_phys.append(p_phys)
-        dn_sigma.append(est.deltan_over_b2_sigma)
-        run_phases.append(est.metadata.get("phase_rad", float("nan")))
+    dn_phys = [project_physical(est.deltan_over_b2, cal)[0] for est in estimates]
+    dn_sigma = [est.deltan_over_b2_sigma for est in estimates]
     a, b, sa, sb = weighted_linear_fit(pressures, np.array(dn_phys), np.array(dn_sigma))
     return CalibrationPhase(
         phase_rad=phase,
@@ -494,13 +467,5 @@ def calibrate(
         fit_slope_sigma=sb,
         fit_intercept=a,
         fit_intercept_sigma=sa,
-        per_run_phases=tuple(run_phases),
+        per_run_phases=tuple(est.metadata["phase_rad"] for est in estimates),
     )
-
-
-def _pressure_from_description(description: str) -> float:
-    # source descriptions look like "gas:He:3.158e-05atm"
-    parts = description.split(":")
-    if len(parts) == 3 and parts[0] == "gas" and parts[2].endswith("atm"):
-        return float(parts[2][:-3])
-    raise ValueError(f"cannot infer pressure from source {description!r}")

@@ -169,7 +169,7 @@ def synthesize_run(
             i0=np.broadcast_to(i0, n_out),
             fidelity="fast",
             config=config,
-            source_description=_describe(source),
+            source_description=source.describe(),
             seed=noise.rng_seed,
             metadata={"duration_s": duration_s, "revolutions": n_revs},
         )
@@ -207,7 +207,7 @@ def synthesize_run(
         i0=np.broadcast_to(i0, n_raw),
         fidelity="full",
         config=config,
-        source_description=_describe(source),
+        source_description=source.describe(),
         seed=noise.rng_seed,
         metadata={
             "duration_s": duration_s,
@@ -267,8 +267,3 @@ def _raw_intensity(
         out *= i0
 
     return fill
-
-
-def _describe(source) -> str:
-    describe = getattr(source, "describe", None)
-    return describe() if describe else str(source)

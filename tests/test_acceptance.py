@@ -107,7 +107,7 @@ def test_criterion_5_helium_round_trip():
     rec = synthesize_run(CFG, src, NoiseModel(ellipticity_noise_density=asd, rng_seed=42),
                          duration)
     est = analyze_record(rec)
-    dn_u_rec = est.deltan_over_b2_physical / p_atm
+    dn_u_rec = project_physical(est.deltan_over_b2, analytic_calibration(CFG))[0] / p_atm
     dn_u_sigma = est.deltan_over_b2_sigma / p_atm
     z = (dn_u_rec - 2.1e-16) / dn_u_sigma
 
@@ -137,7 +137,8 @@ def test_criterion_6_null_coverage_and_time_scaling():
                                 16 * 256 / CFG.magnet_rotation_hz)
         est_4t = analyze_record(rec_4t)
         est_t = analyze_record(truncated(rec_4t, 4 * 8192))
-        if abs(est_t.physical) < 2.0 * est_t.sigma:
+        physical, _ = project_physical(est_t.complex_amplitude_2omega, analytic_calibration(CFG))
+        if abs(physical) < 2.0 * est_t.sigma:
             n_cover += 1
         ratios.append(est_t.sigma / est_4t.sigma)
     scaling_dev = abs(float(np.mean(ratios)) / 2.0 - 1.0)

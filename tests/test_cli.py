@@ -234,6 +234,43 @@ class TestAnalyze:
         assert run("analyze", he_record, "--out-dir", tmp_path / "a") == 0
         assert len(calls) == 1
 
+    def test_calibration_file_sets_the_axis(self, he_record, tmp_path):
+        from vmbsim.apparatus import format_number, read_record
+        from vmbsim.configio import parse_key_values
+        from vmbsim.pipeline import (
+            CalibrationPhase,
+            analytic_calibration,
+            analyze_record,
+            combine_runs,
+            project_physical,
+        )
+
+        other = tmp_path / "p64"
+        assert run("simulate", "--source", "gas:He:64ubar", "--seed", "8",
+                   "--revolutions", "512", "--noise-asd", "3e-7", "--out-dir", other) == 0
+        records = [he_record, other / "run-seed8.csv"]
+        assert run("calibrate", *records, "--gas", "He", "--out-dir", tmp_path / "cal") == 0
+        cal_file = tmp_path / "cal" / "calibration.txt"
+        out = tmp_path / "a"
+        assert run("analyze", *records, "--calibration", cal_file, "--out-dir", out) == 0
+
+        phase_rad = float(parse_key_values(cal_file.read_text())["phase_rad"])
+        cal = CalibrationPhase(phase_rad=phase_rad)
+        estimates = [analyze_record(read_record(path)) for path in records]
+        rows = [line.split(", ") for line in (out / "runs.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        assert [row[0] for row in rows] == ["run-seed7", "run-seed8"]
+        for row, est in zip(rows, estimates):
+            physical, nonphysical = project_physical(est.deltan_over_b2, cal)
+            assert row[2:4] == [format_number(physical), format_number(nonphysical)]
+            # the file's axis, not the analytic one
+            analytic, _ = project_physical(est.deltan_over_b2, analytic_calibration(est.config))
+            assert row[2] != format_number(analytic)
+        kv = parse_key_values((out / "estimate.txt").read_text())
+        mean, _, _ = combine_runs(estimates)
+        assert kv["deltanu_physical"] == format_number(project_physical(mean, cal)[0])
+        assert kv["calibration_phase_rad"] == format_number(cal.phase_rad)
+
     def test_mixed_configs_refused(self, he_record, tmp_path):
         other_sim = tmp_path / "other"
         cfg = tmp_path / "f.cfg"
@@ -382,6 +419,32 @@ class TestPipelineCommand:
         for name in ("record.csv", "estimate.txt", "xsec_limit.txt", "comparison.csv",
                      "alp_exclusion.csv", "mcp_fermion_exclusion.csv"):
             assert (out / name).exists(), name
+
+
+class TestScripts:
+    def test_helium_calibration_analyses_each_record_once(self, tmp_path, monkeypatch):
+        import runpy
+        import sys
+        from pathlib import Path
+
+        import vmbsim.pipeline
+
+        calls = []
+        block_fft = vmbsim.pipeline.block_fft
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return block_fft(*args, **kwargs)
+
+        monkeypatch.setattr(vmbsim.pipeline, "block_fft", counted)
+        script = Path(__file__).parents[1] / "scripts" / "run_helium_calibration.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--blocks-per-run", "4",
+                                          "--out-dir", str(tmp_path)])
+        runpy.run_path(str(script), run_name="__main__")
+        # three scan runs and the check run
+        assert len(calls) == 4
+        assert (tmp_path / "pressure_scan.csv").exists()
+        assert (tmp_path / "calibration.txt").exists()
 
 
 class TestConfigFile:

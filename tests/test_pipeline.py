@@ -281,7 +281,7 @@ class TestProjection:
         rec = synthesize_run(CFG, GasSource("O2", p),
                              NoiseModel(ellipticity_noise_density=1e-7, rng_seed=4), 256 / 3.0)
         est = analyze_record(rec)
-        assert est.deltan_over_b2_physical < 0
+        assert project_physical(est.deltan_over_b2, analytic_calibration(CFG))[0] < 0
 
 
 class TestDeltanConversion:
@@ -305,7 +305,10 @@ class TestAnalyzeRecord:
         rec = synthesize_run(CFG, FixedDeltanSource(1e-21), noise, 4 * 256 / 3.0)
         est = analyze_record(rec)
         assert est.sigma > 0
-        norm = est.physical**2 + est.nonphysical**2
+        physical, nonphysical = project_physical(
+            est.complex_amplitude_2omega, analytic_calibration(CFG)
+        )
+        norm = physical**2 + nonphysical**2
         assert norm == pytest.approx(abs(est.complex_amplitude_2omega) ** 2, rel=1e-12)
         assert est.n_blocks == 4
         assert est.hours == pytest.approx(4 * 8192 / 96.0 / 3600.0, rel=1e-9)
@@ -316,7 +319,8 @@ class TestAnalyzeRecord:
         recovered = []
         for dn in injected:
             rec = synthesize_run(CFG, FixedDeltanSource(dn), QUIET, 256 / 3.0)
-            recovered.append(analyze_record(rec).deltan_over_b2_physical)
+            measured = analyze_record(rec).deltan_over_b2
+            recovered.append(project_physical(measured, analytic_calibration(CFG))[0])
         slope = np.polyfit(np.log10(injected), np.log10(recovered), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.005)
 
@@ -337,7 +341,7 @@ class TestCalibrate:
     def test_zero_noise_two_point_fit_exact(self):
         pressures = [convert_pressure(u, "ubar", "atm") for u in (32.0, 64.0)]
         recs = [synthesize_run(CFG, GasSource("He", p), QUIET, 256 / 3.0) for p in pressures]
-        cal = calibrate(recs, "He")
+        cal = calibrate([analyze_record(r) for r in recs], "He")
         assert cal.fit_slope == pytest.approx(2.1e-16, rel=1e-9)
         assert abs(cal.fit_intercept) < 1e-6 * abs(cal.fit_slope * pressures[0])
 
@@ -347,7 +351,7 @@ class TestCalibrate:
             p = convert_pressure(u, "ubar", "atm")
             noise = NoiseModel(ellipticity_noise_density=2e-7, rng_seed=100 + i)
             recs.append(synthesize_run(CFG, GasSource("He", p), noise, 8 * 256 / 3.0))
-        cal = calibrate(recs, "He")
+        cal = calibrate([analyze_record(r) for r in recs], "He")
         assert abs(cal.fit_slope - 2.1e-16) < 2.0 * cal.fit_slope_sigma
         assert abs(cal.fit_intercept) < 2.0 * cal.fit_intercept_sigma
         assert cal.phase_rad == pytest.approx(
@@ -362,13 +366,13 @@ class TestCalibrate:
             for s in (1, 2)
         ]
         with pytest.raises(ValueError, match="degenerate"):
-            calibrate(recs, "He")
+            calibrate([analyze_record(r) for r in recs], "He")
 
     def test_single_point_rejected(self):
         p = convert_pressure(32.0, "ubar", "atm")
         rec = synthesize_run(CFG, GasSource("He", p), NoiseModel(1e-7, rng_seed=1), 256 / 3.0)
         with pytest.raises(ValueError, match="two pressure points"):
-            calibrate([rec], "He")
+            calibrate([analyze_record(rec)], "He")
 
     def test_weighted_linear_fit_basics(self):
         x = np.array([0.0, 1.0, 2.0])

@@ -254,7 +254,8 @@ class TestChunkedFullSynthesis:
         rec, synth_peak, demod_peak = memory_peaks(monkeypatch, workers=1)
         chunk_bytes = _CHUNK_BINS * rec.metadata["samples_per_output_bin"] * 8
         assert len(rec) >= 16 * _CHUNK_BINS * rec.metadata["samples_per_output_bin"]
-        assert synth_peak < rec.i_omega_pem.nbytes + 16 * chunk_bytes
+        # a serial synthesis holds ~4.3 chunks above the record
+        assert synth_peak < rec.i_omega_pem.nbytes + 8 * chunk_bytes
         assert demod_peak < 0.1 * rec.i_omega_pem.nbytes
 
     def test_memory_is_bounded_on_four_workers(self, monkeypatch):

@@ -10,10 +10,14 @@ harmonic, then sampled synchronously with the magnet rotation.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
+import mmap
 import os
 import warnings
+from collections import deque
 from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 
 import numpy as np
 
@@ -430,7 +434,7 @@ class TimeSeriesRecord:
 # Output bins per chunk of full-fidelity synthesis and lock-in, the unit of work
 # of one worker thread: 64 bins are ~0.53 M raw samples at the default PEM grid.
 _CHUNK_BINS = 64
-# Most worker threads of the chunk loops; each running chunk holds its own working set.
+# Most worker threads of :func:`_map_ordered`; each running item holds its own working set.
 _MAX_CHUNK_WORKERS = 8
 # Raw samples per block, the unit in which a chunk is computed (in whole bins).
 # A worker's temporaries are a few block-sized arrays of ~0.5 MB, which stay in
@@ -442,12 +446,42 @@ _BLOCK_SAMPLES = 1 << 16
 
 
 def _chunk_workers() -> int:
-    """Worker threads of the chunk loops: one per CPU this process may run on, capped."""
+    """Worker threads of :func:`_map_ordered`: one per CPU this process may run on, capped."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         cpus = os.cpu_count() or 1
     return min(cpus, _MAX_CHUNK_WORKERS)
+
+
+def _map_ordered(func, items):
+    """Yield ``func(item)`` for each of ``items`` in order, computed on worker threads.
+
+    The items run on up to :func:`_chunk_workers` threads, which overlap
+    because numpy releases the interpreter lock inside its array loops.  At
+    most two items per thread are taken from ``items`` ahead of the result
+    being yielded, so a lazy ``items`` is read only that far ahead and the
+    results waiting for the caller stay bounded.  ``func`` must not depend on
+    the order in which items run.
+    """
+    workers = _chunk_workers()
+    if workers <= 1:
+        yield from map(func, items)
+        return
+    # imported here: it costs every process that imports vmbsim ~8 ms otherwise
+    from concurrent.futures import ThreadPoolExecutor
+
+    items = iter(items)
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque(pool.submit(func, item) for item in islice(items, 2 * workers))
+        try:
+            while pending:
+                result = pending.popleft().result()
+                pending.extend(pool.submit(func, item) for item in islice(items, 1))
+                yield result
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def _map_chunks(func, n_bins: int, samples_per_bin: int):
@@ -456,11 +490,10 @@ def _map_chunks(func, n_bins: int, samples_per_bin: int):
     The bins are cut into chunks of ``_CHUNK_BINS``, and each chunk into
     blocks of whole bins ``c0`` to ``c1`` of about ``_BLOCK_SAMPLES`` raw
     samples (``samples_per_bin`` each); ``func`` computes one block.  The
-    chunks run on up to :func:`_chunk_workers` threads, which overlap because
-    numpy releases the interpreter lock inside its array loops.  A chunk's
-    bins are yielded once it is done, so the caller can finish the chunks in
-    order while later ones are still running.  ``func`` must not depend on
-    the order in which blocks run.
+    chunks run through :func:`_map_ordered`, so a chunk's bins are yielded
+    once it is done and the caller can finish the chunks in order while later
+    ones are still running.  ``func`` must not depend on the order in which
+    blocks run.
     """
     step = max(1, _BLOCK_SAMPLES // samples_per_bin)
 
@@ -470,23 +503,15 @@ def _map_chunks(func, n_bins: int, samples_per_bin: int):
             func(c0, min(c0 + step, b1))
         return b0, b1
 
-    starts = range(0, n_bins, _CHUNK_BINS)
-    workers = min(_chunk_workers(), len(starts))
-    if workers <= 1:
-        yield from map(chunk, starts)
-        return
-    # imported here: it costs every process that imports vmbsim ~8 ms otherwise
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool:
-        yield from pool.map(chunk, starts)
+    return _map_ordered(chunk, range(0, n_bins, _CHUNK_BINS))
 
 
-# Rows formatted per block: at 4096 the kernel's temporaries stay in cache
-# (65536 ran at half the speed), and the writer's memory stays bounded.
-_WRITE_ROWS = 1 << 12
-# Rows per block of the reader's check of the derived columns, which bounds its temporaries.
-_CHECK_ROWS = 1 << 16
+# Rows formatted per block, the writer's unit of work on one worker thread (~0.65 MB
+# of text), and bytes read per block, completed to a whole row, the reader's (~6.6 k
+# rows).  Larger blocks ran faster, but each worker thread's malloc arena keeps the
+# block temporaries it held at its peak, which counts in the process's resident memory.
+_WRITE_ROWS = 1 << 13
+_READ_BYTES = 1 << 19
 _FIELD = 16  # widest _FMT text, "-1.23456789e-100"
 _P0 = 300
 _POW10 = np.array([float(f"1e{k}") for k in range(-_P0, _P0 + 1)])  # correctly rounded
@@ -507,58 +532,335 @@ _DIGITS4 = sum(
 )
 
 
-def _format_rows(cols: np.ndarray) -> bytes:
-    """``np.savetxt(fh, cols, fmt=_FMT, delimiter=", ")`` text of a float64 (rows, columns) block.
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of ``x`` into a high and a low half of 26 bits, whose products are exact."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _product_error(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``a * b - p`` exactly, for ``p`` the rounded product ``a * b`` (Dekker's product).
+
+    Exact while no partial product overflows or underflows.
+    """
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    err = p - a_hi * b_hi
+    err -= a_lo * b_hi
+    err -= a_hi * b_lo
+    return a_lo * b_lo - err
+
+
+def _cell_words(values: np.ndarray, separator: np.uint64) -> np.ndarray:
+    """The three words of each value's ``_FMT`` text and ``separator``, shape ``values.shape + (3,)``.
 
     The float arithmetic settles a value when its mantissa, scaled by
-    10**(8 - floor(log10|x|)), lies in [1e8, 1e9) and is at least 1e-5 away
-    from a rounding tie; the scaling error is below 1e-6 there, so rounding
-    it gives the digits of the exact decimal expansion. Every other nonzero
-    value (ties, values next to a power of ten where log10 misses by one,
-    non-finite, subnormal or huge magnitudes) is formatted by ``_FMT`` itself.
+    10**(8 - floor(log10|x|)), lies in [1e8, 1e9).  Where that power of ten
+    is an exact double (|x| from 1e-14 to below 1e9), the scaled mantissa is
+    the correctly rounded product, so rounding it to an integer gives the
+    digits of the exact decimal expansion -- unless it is a half-integer; then
+    the product's rounding error, which Dekker's product finds exactly, tells
+    on which side of the tie the exact value lies, and an exact tie is rounded
+    to even, as ``%e`` does.  Elsewhere the scaling error is below 1e-6, so a
+    value at least 1e-5 away from a rounding tie is settled too.  Every other
+    nonzero value (ties there, values next to a power of ten where log10
+    misses by one, non-finite, subnormal or huge magnitudes) is formatted by
+    ``_FMT`` itself.
     """
-    a = np.abs(cols)
+    a = np.abs(values)
     normal = (a >= 1e-290) & (a < 1e290)
     a = np.where(normal, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
-    s = a * _POW10[_P0 + 8 - e]
+    scale = _POW10[_P0 + 8 - e]
+    s = a * scale
     m = np.rint(s)
-    exact = normal & (s >= 1e8) & (m < 1e9) & (np.abs(s - m) <= 0.5 - 1e-5)
+    off = np.abs(s - m)
+    exact_scale = (e >= -14) & (e <= 8)
+    tie = exact_scale & (off == 0.5)
+    if tie.any():
+        err = _product_error(a[tie], scale[tie], s[tie])
+        m[tie] = np.where(err == 0.0, m[tie], s[tie] + np.copysign(0.5, err))
+    exact = normal & (s >= 1e8) & (m < 1e9) & (exact_scale | (off <= 0.5 - 1e-5))
     # exact zeros keep m = 0 and e = 0, "0.00000000e+00" signed by signbit
-    m = np.where(exact, m, 0.0).astype(np.int64)
-    lead, m = np.divmod(m, 100_000_000)
-    hi, lo = np.divmod(m, 10_000)
-    words = np.empty(cols.shape + (3,), dtype="<u8")
-    words[..., 0] = _LEAD.take(lead + 10 * np.signbit(cols))
+    m = np.where(exact, m, 0.0).astype(np.uint64)
+    # m // 10**8 and then // 10**4 as exact multiply-and-shift steps, for m < 10**9
+    lead = (m * np.uint64(720_575_941)) >> 56
+    m -= lead * np.uint64(100_000_000)
+    hi = (m * np.uint64(109_951_163)) >> 40
+    lo = m - hi * np.uint64(10_000)
+    words = np.empty(values.shape + (3,), dtype="<u8")
+    words[..., 0] = _LEAD.take(lead + np.uint64(10) * np.signbit(values))
     words[..., 1] = _DIGITS4.take(hi) | (_DIGITS4.take(lo) << 32)
-    words[..., 2] = _EXP.take(_P0 + np.where(exact, e, 0))
-    words[..., :-1, 2] |= _SEP[0]
-    words[..., -1, 2] |= _SEP[1]
-    slow = ~exact & (cols != 0.0)
+    words[..., 2] = _EXP.take(_P0 + np.where(exact, e, 0)) | separator
+    slow = ~exact & (values != 0.0)
     if slow.any():
-        text = np.array([_FMT % v for v in cols[slow].tolist()], dtype=f"S{_FIELD}")
+        text = np.array([_FMT % v for v in values[slow].tolist()], dtype=f"S{_FIELD}")
         words[slow, :2] = text.view("<u8").reshape(-1, 2)
-        words[slow, 2] &= ~np.uint64(0xFF_FFFF_FFFF)  # keep only the separator bytes
-    return words.tobytes().translate(None, b"\0")
+        words[slow, 2] = separator
+    return words
+
+
+def _format_rows(columns) -> bytes:
+    """``np.savetxt(fh, np.column_stack(columns), fmt=_FMT, delimiter=", ")`` text of float columns.
+
+    ``columns`` is a sequence of equal-length 1-D arrays, such as the
+    transpose of a ``(rows, columns)`` array.  A zero-stride column, one
+    value repeated, is formatted once.
+    """
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    words = np.empty((len(columns[0]), len(columns), 3), dtype="<u8")
+    for j, column in enumerate(columns):
+        separator = _SEP[0] if j < len(columns) - 1 else _SEP[1]
+        if column.strides == (0,):
+            column = column[:1]
+        words[:, j] = _cell_words(column, separator)
+    text = words.view(np.uint8).reshape(-1)
+    return text[text != 0].tobytes()
 
 
 def write_record(record: TimeSeriesRecord, path) -> None:
-    """Serialize to the columnar text format (header block, then fixed columns)."""
+    """Serialize to the columnar text format (header block, then fixed columns).
+
+    Blocks of rows are formatted by :func:`_map_ordered` on worker threads
+    and written in order, so the bytes do not depend on the number of threads.
+    """
     header = "".join(
         f"# {key} = {format_number(value) if isinstance(value, float) else str(value)}\n"
         for key, value in record.header_items()
     )
     header += "# columns = " + ", ".join(RECORD_COLUMNS) + "\n"
     n = len(record)
+
+    def block(start: int) -> bytes:
+        stop = min(start + _WRITE_ROWS, n)
+        t, phase = record.derived_columns(start, stop)
+        return _format_rows((t, record.i_omega_pem[start:stop], record.i_2omega_pem[start:stop],
+                             record.i0[start:stop], phase))
+
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        for start in range(0, n, _WRITE_ROWS):
-            rows = slice(start, min(start + _WRITE_ROWS, n))
-            t, phase = record.derived_columns(rows.start, rows.stop)
-            block = np.column_stack(
-                (t, record.i_omega_pem[rows], record.i_2omega_pem[rows], record.i0[rows], phase)
-            ).astype(np.float64, copy=False)
-            fh.write(_format_rows(block))
+        for text in _map_ordered(block, range(0, n, _WRITE_ROWS)):
+            fh.write(text)
+
+
+# Newline bytes on either side of a reader block, which the decoder's loads of the
+# 24 bytes from 16 before each "e" reach into.
+_PAD = 24
+# 10**(e - 8) for a cell of exponent e, |e - 8| <= 22, in one correctly rounded operation
+# (Clinger's fast path): mantissa * _SCALE_MUL[i] / _SCALE_DIV[i] with i = e - 8 + 22,
+# plus 45 for a negative cell, where one of the two factors is 1 and the other exact.
+_TENS = [float(f"1e{k}") for k in range(23)]
+_SCALE_MUL = np.array([1.0] * 22 + _TENS + [-1.0] * 22 + [-t for t in _TENS])
+_SCALE_DIV = np.array(_TENS[:0:-1] + [1.0] * 23)
+
+
+def _bytes_of(c: bytes) -> np.uint64:
+    return np.uint64(int.from_bytes(c * 8, "little"))
+
+
+def _eight_digits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(value, ok)`` of eight ASCII digits in each little-endian word, the first lowest.
+
+    ``ok`` is False where a byte is not a digit.  The value is three
+    multiply-and-add steps that join digits into pairs, quads and octets.
+    """
+    high = _bytes_of(b"\xf0")
+    ok = ((words & high) | (((words + _bytes_of(b"\x06")) & high) >> 4)) == _bytes_of(b"\x33")
+    d = words - _bytes_of(b"0")
+    d = d * 10 + (d >> 8)
+    quads = np.uint64(0x000000FF000000FF)
+    d = ((d & quads) * np.uint64(100 + (1_000_000 << 32))
+         + ((d >> 16) & quads) * np.uint64(1 + (10_000 << 32))) >> 32
+    return d, ok
+
+
+def _decode_rows(block: np.ndarray) -> np.ndarray | None:
+    """Values of a padded reader block of canonical rows as ``(rows, 5)`` float64, else None.
+
+    A canonical row is five ``-?D.DDDDDDDDe[+-]DD[D]`` cells joined by ", "
+    and ended by "\\n", as :func:`write_record` writes them; ``block`` holds
+    whole rows between ``_PAD`` newline bytes.  Each cell is found from its
+    "e", and every byte of the block must fit the layout, else the result is
+    None.  A cell is a 9-digit integer M times 10**(e - 8); where |e - 8| <= 22
+    that is one correctly rounded operation on exact doubles, the value
+    strtod (and so ``np.loadtxt``) returns, -0.0 included.  Other cells are
+    read by ``float``.
+    """
+    p = np.flatnonzero(block == ord("e"))
+    n = len(p)
+    if n == 0 or n % len(RECORD_COLUMNS):
+        return None
+    # the 24 bytes from 16 before each "e", as three words: the byte before the
+    # cell, the first digit and "." end the first; eight digits; then "e", the
+    # exponent's sign and digits and the separator
+    cells = np.ndarray((len(block) - 23,), dtype="V24", buffer=block, strides=(1,))
+    head, digits, tail = cells[p - 16].view("<u8").reshape(n, 3).T.copy()
+    mantissa, ok = _eight_digits(digits)
+    # temporaries go as soon as they are used: a worker thread's malloc arena
+    # keeps the peak of its block temporaries resident (~6.8 blocks of text)
+    del digits
+    negative = ((head >> 40) & 0xFF) == ord("-")
+    # the first digit and ".": a digit value below 10 only if both bytes are right
+    lead = (head >> 48) - int.from_bytes(b"0.", "little")
+    del head
+    ok &= lead < 10
+    exp_sign = (tail >> 8) & 0xFF
+    ok &= (exp_sign == ord("+")) | (exp_sign == ord("-"))
+    e1 = ((tail >> 16) & 0xFF) - 48
+    e2 = ((tail >> 24) & 0xFF) - 48
+    e3 = ((tail >> 32) & 0xFF) - 48
+    ok &= (e1 < 10) & (e2 < 10)
+    three = e3 < 10
+    separator = ((tail >> (32 + (three.astype(np.uint64) << 3))) & 0xFFFF).reshape(-1, 5)
+    del tail
+    # the cells tile the block: each starts where the one before ends
+    start = p - 10 - negative
+    end = p + 6 + three
+    end[4::5] -= 1
+    if not (ok.all() and (separator[:, :4] == int.from_bytes(b", ", "little")).all()
+            and ((separator[:, 4] & 0xFF) == ord("\n")).all()
+            and start[0] == _PAD and end[-1] == len(block) - _PAD
+            and np.array_equal(start[1:], end[:-1])):
+        return None
+    del ok, separator, end
+    mantissa += lead * 100_000_000
+    values = mantissa.astype(np.float64)
+    del mantissa, lead
+    e = e1 * 10 + e2
+    e[three] = e[three] * 10 + e3[three]
+    # the scale index e - 8 + 22; below 0 it wraps past the end of the tables
+    i = np.where(exp_sign == ord("-"), 14 - e, e + 14)
+    slow = i > 44
+    i[slow] = 22
+    values *= _SCALE_MUL[i + np.uint64(45) * negative]
+    values /= _SCALE_DIV[i]
+    for j in np.flatnonzero(slow).tolist():
+        values[j] = float(block[start[j]:p[j] + 4 + three[j]].tobytes())
+    return values.reshape(-1, len(RECORD_COLUMNS))
+
+
+def _text_blocks(fh):
+    """The rest of binary ``fh`` in blocks of whole lines, each between ``_PAD`` newline bytes.
+
+    Each block is an anonymous memory map, not a heap allocation: heap
+    blocks, made and freed one after another in the calling thread while the
+    record's arrays are allocated, fragmented its heap and left ~15 MB of
+    freed pages resident after a 6 h record.
+    """
+    pad = b"\n" * _PAD
+    rest = b""
+    while True:
+        start = _PAD + len(rest)
+        block = mmap.mmap(-1, start + _READ_BYTES + _PAD)
+        block[:start] = pad + rest
+        got = fh.readinto(memoryview(block)[start:start + _READ_BYTES])
+        end = start + got
+        # the block ends after its last newline, or at the end of the file
+        cut = block.rfind(b"\n", _PAD, end) + 1 if got else end
+        rest = block[max(cut, _PAD):end]
+        if cut > _PAD:
+            block[cut:cut + _PAD] = pad
+            yield np.frombuffer(block, dtype=np.uint8, count=cut + _PAD)
+        if not got:
+            return
+
+
+def _skip_header(fh) -> None:
+    """Move binary ``fh`` past its leading ``#`` and blank lines.
+
+    It stops early at a line with a "\\r", which text mode would split:
+    every line skipped is one the text header and ``np.loadtxt`` skip too.
+    """
+    while True:
+        start = fh.tell()
+        line = fh.readline()
+        text = line.strip()
+        if not line or (text and not text.startswith(b"#")) or b"\r" in line:
+            fh.seek(start)
+            return
+
+
+def _loadtxt_block(block: np.ndarray) -> np.ndarray | None:
+    """``np.loadtxt`` of the rows of a reader block, as ``(rows, columns)``; None if it refuses them.
+
+    This reads any block the canonical decoder does not, with the text
+    decoding and newline handling of ``np.loadtxt`` on the whole file.
+    """
+    text = io.TextIOWrapper(io.BytesIO(block[_PAD:-_PAD].tobytes()))
+    with warnings.catch_warnings():
+        # a block of comment lines holds no rows
+        warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+        try:
+            return np.loadtxt(text, delimiter=",", comments="#", ndmin=2)
+        except ValueError:
+            return None
+
+
+class _Channel:
+    """A channel of a record being read: its first value while it is bitwise constant, then all."""
+
+    def __init__(self, capacity: int, constant: bool):
+        self.capacity = capacity
+        self.first = None
+        self.values = None if constant else np.empty(capacity)
+
+    def add(self, start: int, values: np.ndarray) -> None:
+        """Take the values of the rows from ``start``; rows past the capacity are dropped."""
+        if self.values is None:
+            if self.first is None:
+                self.first = values[:1].copy()
+            if (values.view(np.uint64) == self.first.view(np.uint64)).all():
+                return
+            self.values = np.empty(self.capacity)
+            self.values[:start] = self.first
+        stop = min(start + len(values), self.capacity)
+        self.values[start:stop] = values[:max(stop - start, 0)]
+
+    def array(self, n: int) -> np.ndarray:
+        """The channel of ``n`` samples: a zero-stride view of a constant, else the stored values."""
+        return np.broadcast_to(self.first[0], n) if self.values is None else self.values
+
+
+class _RecordRows:
+    """What the reader keeps of a record file's rows, taken block by block in order.
+
+    The channels, the row count and width, and the first non-finite cell and
+    the first ``time`` or ``magnet_phase`` cell off the grid of ``grid`` (a
+    record without samples, or None when its header is unusable), each as
+    ``(row, reason)``, so the caller can raise the errors in the order the
+    checks of the whole file raise them.
+    """
+
+    def __init__(self, capacity: int, grid: TimeSeriesRecord | None):
+        self.grid = grid
+        self.count = 0
+        self.width = None
+        self.non_finite = None
+        self.off_grid = None
+        self.channels = [_Channel(capacity, constant) for constant in (False, True, True)]
+
+    def add(self, values: np.ndarray) -> bool:
+        """Take a block's ``(rows, columns)`` values; False if its rows are of another width."""
+        if not len(values):
+            return True
+        if self.width is None:
+            self.width = values.shape[1]
+        if values.shape[1] != self.width:
+            return False
+        if self.width == len(RECORD_COLUMNS):
+            if self.non_finite is None:
+                finite = np.isfinite(values)
+                if not finite.all():
+                    row, col = divmod(int(np.argmin(finite)), self.width)
+                    self.non_finite = (self.count + row,
+                                       f"non-finite value in column {RECORD_COLUMNS[col]}")
+            if self.off_grid is None and self.grid is not None:
+                self.off_grid = _off_grid(self.grid, self.count, values)
+            for channel, col in zip(self.channels, (1, 2, 3)):
+                channel.add(self.count, values[:, col])
+        self.count += len(values)
+        return True
 
 
 def _data_rows(path):
@@ -577,7 +879,7 @@ def _row_error(path, row: int, line: int, reason: str) -> ValueError:
 
 
 def _sample_error(path, index: int, reason: str) -> ValueError:
-    """:func:`_row_error` for the sample at 0-based ``index`` of the loaded data."""
+    """:func:`_row_error` for the sample at 0-based ``index`` of the data rows."""
     line = next(line for row, line, _ in _data_rows(path) if row == index + 1)
     return _row_error(path, index + 1, line, reason)
 
@@ -597,6 +899,21 @@ def _malformed_row(path) -> ValueError | None:
     return None
 
 
+def _parse_error(path) -> ValueError:
+    """The error for a record file whose rows ``np.loadtxt`` refuses.
+
+    It names the first malformed row, so the message does not depend on
+    numpy's wording; failing that, it is numpy's message for the whole file.
+    """
+    error = _malformed_row(path)
+    if error is None:
+        try:
+            np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        except ValueError as exc:
+            error = ValueError(f"record file {path}: {exc}")
+    return error
+
+
 def read_record(path) -> TimeSeriesRecord:
     """Read a record written by :func:`write_record`.
 
@@ -609,6 +926,14 @@ def read_record(path) -> TimeSeriesRecord:
     column, and uses only the derived rate, as a synthesized one does. Like a
     synthesized record, it stores ``I_OmegaPEM`` as its own array, and ``I0``
     and ``I_2OmegaPEM`` as zero-stride views when they are constant.
+
+    The rows are read in blocks, decoded on worker threads by
+    :func:`_map_ordered` and checked in order, so the values and errors do not
+    depend on the number of threads.  Blocks of canonical rows are decoded
+    exactly by :func:`_decode_rows`, any other block by ``np.loadtxt``; of a
+    file with several faults, the one reported is the one the checks of the
+    whole file reach first: a malformed row, the width, a non-finite cell,
+    ``n_samples``, ``config_hash``, ``sample_rate_hz``, the grid.
     """
     header: dict[str, str] = {}
     with open(path) as fh:
@@ -624,23 +949,49 @@ def read_record(path) -> TimeSeriesRecord:
         else:
             raise ValueError(f"record file {path} contains no samples")
     try:
-        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    except ValueError as exc:
-        # rescanned only on failure, so the message does not depend on numpy's wording
-        raise _malformed_row(path) or ValueError(f"record file {path}: {exc}") from exc
-    if data.shape[1] != len(RECORD_COLUMNS):
+        record, header_error = _header_record(header, path), None
+    except (KeyError, ValueError) as exc:
+        record, header_error = None, exc  # raised after the checks of the rows, as before
+    try:
+        expected = int(header["n_samples"])
+    except (KeyError, ValueError):
+        expected = 0
+    with open(path, "rb") as fh:
+        _skip_header(fh)
+        # a data row holds at least 5 one-byte cells, 4 commas and a newline
+        capacity = max(0, min(expected, (os.fstat(fh.fileno()).st_size - fh.tell() + 1) // 10))
+        rows = _RecordRows(capacity, record)
+        for block, values in _map_ordered(lambda b: (b, _decode_rows(b)), _text_blocks(fh)):
+            if values is None:
+                values = _loadtxt_block(block)
+            if values is None or not rows.add(values):
+                raise _parse_error(path)
+    if rows.width != len(RECORD_COLUMNS):
         raise ValueError(
-            f"record file {path} has {data.shape[1]} columns, expected {len(RECORD_COLUMNS)}"
+            f"record file {path} has {rows.width} columns, expected {len(RECORD_COLUMNS)}"
         )
-    finite = np.isfinite(data)
-    if not finite.all():
-        row, col = divmod(int(np.argmin(finite)), data.shape[1])
-        raise _sample_error(path, row, f"non-finite value in column {RECORD_COLUMNS[col]}")
-    if int(header["n_samples"]) != len(data):
+    if rows.non_finite is not None:
+        raise _sample_error(path, *rows.non_finite)
+    if int(header["n_samples"]) != rows.count:
         raise ValueError(
-            f"record file {path} has {len(data)} sample rows but its header says "
+            f"record file {path} has {rows.count} sample rows but its header says "
             f"n_samples = {header['n_samples']}"
         )
+    if header_error is not None:
+        raise header_error
+    if rows.off_grid is not None:
+        raise _sample_error(path, *rows.off_grid)
+    omega, two_omega, i0 = (channel.array(rows.count) for channel in rows.channels)
+    return replace(record, i_omega_pem=omega, i_2omega_pem=two_omega, i0=i0)
+
+
+def _header_record(header: dict[str, str], path) -> TimeSeriesRecord:
+    """The record a record file's header describes, without samples, once its checks pass.
+
+    The ``config_hash`` must be the hash of the header's config, and the
+    9-digit ``sample_rate_hz`` within 1e-8 of the rate that the config and
+    the lock-in layout derive; past this check only the derived rate is used.
+    """
     config = ApparatusConfig.from_key_values(header)
     if header["config_hash"] != config.content_hash():
         raise ValueError(
@@ -654,67 +1005,53 @@ def read_record(path) -> TimeSeriesRecord:
         and k not in ("tool_version", "fidelity", "sample_rate_hz", "n_samples", "source",
                       "seed", "config_hash", "columns")
     }
+    none = np.empty(0)
     record = TimeSeriesRecord(
-        i_omega_pem=data[:, 1],
-        i_2omega_pem=data[:, 2],
-        i0=data[:, 3],
+        i_omega_pem=none,
+        i_2omega_pem=none,
+        i0=none,
         fidelity=header["fidelity"],
         config=config,
         source_description=header.get("source", "unknown"),
         seed=int(header.get("seed", 0)),
         metadata=metadata,
     )
-    # the header keeps 9 significant digits; past this check only the derived rate is used
     rate = record.sample_rate_hz
     if not abs(float(header["sample_rate_hz"]) - rate) <= 1e-8 * rate:
         raise ValueError(
             f"record file {path} has sample_rate_hz = {header['sample_rate_hz']}, but "
             f"its config and lock-in layout give {format_number(rate)}"
         )
-    _check_derived_columns(record, data, path)
-    # hold only what varies, so the whole (n, 5) array the text reader built can go
-    return replace(record, i_omega_pem=data[:, 1].copy(), i_2omega_pem=_stored(data[:, 2]),
-                   i0=_stored(data[:, 3]))
+    return record
 
 
-def _stored(column: np.ndarray) -> np.ndarray:
-    """A zero-stride view of the first value of a bitwise-constant column, else a copy."""
-    bits = column.view(np.uint64)
-    if (bits == bits[0]).all():
-        return np.broadcast_to(column[0], len(column))
-    return column.copy()
+def _off_grid(record: TimeSeriesRecord, start: int, values: np.ndarray):
+    """``(row, reason)`` of the first ``time`` or ``magnet_phase`` cell off the grid, else None.
 
-
-def _check_derived_columns(record: TimeSeriesRecord, data: np.ndarray, path) -> None:
-    """Refuse a ``time`` or ``magnet_phase`` cell off the grid the record's config derives.
-
-    A cell may differ from the derived value by its ``%.8e`` rounding,
-    5e-9 of the value.  A phase cell is compared with the unwrapped phase
-    2 pi f t + theta0 modulo whole turns, within 1e-8 of that phase plus one
-    turn: the header config holds 9 digits too, so a rotation rate or
-    polarizer angle with more digits moves the derived phase by up to 5e-9
-    of the unwrapped phase, across the wrap for samples next to 0.
+    ``values`` are the ``(rows, 5)`` cells of the rows from ``start`` of a
+    file of ``record``.  A cell may differ from the derived value by its
+    ``%.8e`` rounding, 5e-9 of the value.  A phase cell is compared with the
+    unwrapped phase 2 pi f t + theta0 modulo whole turns, within 1e-8 of that
+    phase plus one turn: the header config holds 9 digits too, so a rotation
+    rate or polarizer angle with more digits moves the derived phase by up to
+    5e-9 of the unwrapped phase, across the wrap for samples next to 0.
     """
     rate = record.sample_rate_hz
     f = record.config.magnet_rotation_hz
     theta0 = record.config.polarizer_angle_rad
-    for start in range(0, len(record), _CHECK_ROWS):
-        stop = min(start + _CHECK_ROWS, len(record))
-        t = np.arange(start, stop) / rate
-        off_t = np.abs(data[start:stop, 0] - t) > 1e-8 * t
-        # on the grid, the cell minus the unwrapped phase is a whole number of turns
-        turns = (data[start:stop, 4] - (2.0 * math.pi * f * t + theta0)) / (2.0 * math.pi)
-        tolerance = 1e-8 * (f * t + 1.0 + abs(theta0) / (2.0 * math.pi))
-        off = off_t | (np.abs(turns - np.rint(turns)) > tolerance)
-        if off.any():
-            i = int(np.argmax(off))
-            t_i, phase_i = record.derived_columns(start + i, start + i + 1)
-            col, derived = (0, t_i[0]) if off_t[i] else (4, phase_i[0])
-            raise _sample_error(
-                path, start + i,
-                f"{RECORD_COLUMNS[col]} = {float(data[start + i, col])!r}, but the sample grid "
-                f"of its config gives {float(derived)!r}",
-            )
+    t = np.arange(start, start + len(values)) / rate
+    off_t = np.abs(values[:, 0] - t) > 1e-8 * t
+    # on the grid, the cell minus the unwrapped phase is a whole number of turns
+    turns = (values[:, 4] - (2.0 * math.pi * f * t + theta0)) / (2.0 * math.pi)
+    tolerance = 1e-8 * (f * t + 1.0 + abs(theta0) / (2.0 * math.pi))
+    off = off_t | (np.abs(turns - np.rint(turns)) > tolerance)
+    if not off.any():
+        return None
+    i = int(np.argmax(off))
+    t_i, phase_i = record.derived_columns(start + i, start + i + 1)
+    col, derived = (0, t_i[0]) if off_t[i] else (4, phase_i[0])
+    return start + i, (f"{RECORD_COLUMNS[col]} = {float(values[i, col])!r}, but the sample "
+                       f"grid of its config gives {float(derived)!r}")
 
 
 def truncated(record: TimeSeriesRecord, n: int) -> TimeSeriesRecord:

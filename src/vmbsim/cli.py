@@ -19,6 +19,7 @@ from . import __version__
 from .apparatus import (
     ApparatusConfig,
     TimeSeriesRecord,
+    _format_rows,
     format_number,
     parse_source,
     read_record,
@@ -52,7 +53,7 @@ from .pipeline import (
     project_physical,
     with_rayleigh_sigma,
 )
-from .synth import synthesize_run
+from .synth import DEFAULT_PEM_OVERSAMPLE, synthesize_run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,7 +102,7 @@ def _build_parser() -> _Parser:
     sim = sub.add_parser("simulate", help="synthesize a run record")
     add_common(sim)
     add_synthesis(sim)
-    sim.add_argument("--pem-oversample", type=int, default=16)
+    sim.add_argument("--pem-oversample", type=int, default=DEFAULT_PEM_OVERSAMPLE)
     sim.add_argument("--name", default=None, help="output file stem (default run-seed<seed>)")
 
     ana = sub.add_parser("analyze", help="run the lock-in/FFT/Rayleigh analysis")
@@ -214,20 +215,28 @@ def _load_records(args) -> list[TimeSeriesRecord]:
     return records
 
 
-def _check_config_consistency(records, args, config) -> None:
+def _check_config_consistency(records, args, config, override: bool = True) -> None:
+    """Refuse records of several configurations, or of another one than ``--config``.
+
+    With ``override`` the command has ``--allow-mismatch``, which skips the
+    check and which the errors name.
+    """
+    if override and args.allow_mismatch:
+        return
     hashes = {r.config.content_hash() for r in records}
-    if len(hashes) > 1 and not args.allow_mismatch:
+    if len(hashes) > 1:
         raise DataError(
-            f"records carry {len(hashes)} different configurations; "
-            "pass --allow-mismatch to analyze them together"
+            f"records carry {len(hashes)} different configurations"
+            + ("; pass --allow-mismatch to analyze them together" if override else "")
         )
-    if args.config is not None and not args.allow_mismatch:
+    if args.config is not None:
         expected = config.content_hash()
         for r, path in zip(records, args.records):
             if r.config.content_hash() != expected:
                 raise DataError(
                     f"record {path} config hash {r.config.content_hash()} does not match "
-                    f"--config hash {expected}; pass --allow-mismatch to override"
+                    f"--config hash {expected}"
+                    + ("; pass --allow-mismatch to override" if override else "")
                 )
 
 
@@ -321,19 +330,19 @@ def _cmd_analyze(args) -> int:
 
 def _write_spectrum(out: Path, spectra: BlockSpectra, mhash: str) -> None:
     freqs, avg = averaged_spectrum(spectra)
-    with open(out, "w") as fh:
-        fh.write(f"# manifest_hash = {mhash}\n")
-        fh.write("# columns = frequency_hz, amplitude, phase_rad\n")
-        for f, c in zip(freqs, avg):
-            fh.write(
-                f"{format_number(float(f))}, {format_number(abs(c))}, "
-                f"{format_number(float(np.angle(c)))}\n"
-            )
+    # adding 0.0 turns -0.0 into +0.0, as format_number does, and keeps every other value
+    columns = (freqs + 0.0, np.abs(avg) + 0.0, np.angle(avg) + 0.0)
+    with open(out, "wb") as fh:
+        fh.write(f"# manifest_hash = {mhash}\n".encode())
+        fh.write(b"# columns = frequency_hz, amplitude, phase_rad\n")
+        fh.write(_format_rows(columns))
 
 
 def _cmd_calibrate(args) -> int:
-    _load_config_arg(args)
+    config = _load_config_arg(args)
     records = _load_records(args)
+    # a scan fitted across configurations is refused; calibrate has no --allow-mismatch
+    _check_config_consistency(records, args, config, override=False)
     manifest = RunManifest(
         command="calibrate",
         config=records[0].config,
@@ -449,7 +458,7 @@ def _cmd_pipeline(args) -> int:
     args.allow_mismatch = False
     sim_args = argparse.Namespace(**vars(args))
     sim_args.name = "record"
-    sim_args.pem_oversample = 16
+    sim_args.pem_oversample = DEFAULT_PEM_OVERSAMPLE
     _cmd_simulate(sim_args)
 
     ana_args = argparse.Namespace(**vars(args))

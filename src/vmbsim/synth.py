@@ -48,6 +48,8 @@ from .apparatus import (
 )
 
 MIN_PEM_OVERSAMPLE = 8
+# Raw samples per PEM cycle of a full-fidelity record, unless the caller chooses another.
+DEFAULT_PEM_OVERSAMPLE = 16
 
 
 def single_pass_ellipticity(config: ApparatusConfig, deltan_u: float, theta_rad: float) -> float:
@@ -134,7 +136,7 @@ def synthesize_run(
     noise: NoiseModel = QUIET,
     duration_s: float = 0.0,
     fidelity: str = "fast",
-    pem_oversample: int = 16,
+    pem_oversample: int = DEFAULT_PEM_OVERSAMPLE,
 ) -> TimeSeriesRecord:
     """Produce a deterministic synthetic run record.
 

@@ -7,7 +7,7 @@ import pytest
 
 from vmbsim.cli import main
 from vmbsim.configio import RunManifest, config_text, load_config, parse_config
-from vmbsim.apparatus import ApparatusConfig
+from vmbsim.apparatus import ApparatusConfig, format_number
 
 
 def run(*argv):
@@ -76,6 +76,19 @@ class TestAnalyze:
         # spectrum has the documented columns
         spec_lines = (out / "run-seed7.spectrum.csv").read_text().splitlines()
         assert any("frequency_hz, amplitude, phase_rad" in l for l in spec_lines[:3])
+
+    def test_spectrum_rows_format_each_value(self, he_record, tmp_path):
+        from vmbsim.apparatus import read_record
+        from vmbsim.pipeline import averaged_spectrum, block_fft, demodulate, with_rayleigh_sigma
+
+        out = tmp_path / "ana"
+        assert run("analyze", he_record, "--out-dir", out) == 0
+        record = read_record(he_record)
+        freqs, avg = averaged_spectrum(with_rayleigh_sigma(block_fft(demodulate(record),
+                                                                     record.config)))
+        rows = [f"{format_number(float(f))}, {format_number(abs(c))}, "
+                f"{format_number(float(np.angle(c)))}" for f, c in zip(freqs, avg)]
+        assert (out / "run-seed7.spectrum.csv").read_text().splitlines()[2:] == rows
 
     def test_truncated_record_is_data_error(self, he_record, tmp_path, capsys):
         # cut at a row boundary: one whole block is left, but the header disagrees
@@ -355,6 +368,19 @@ class TestCalibrateCommand:
         assert abs(slope - 2.1e-16) < 3.0 * slope_sigma
         assert float(kv["phase_rad"]) == pytest.approx(1.5 * math.pi, abs=0.05)
 
+    def test_config_mismatch_refused(self, tmp_path):
+        paths = []
+        for ubar in (32, 64, 128):
+            out = tmp_path / f"p{ubar}"
+            assert run("simulate", "--source", f"gas:He:{ubar}ubar", "--seed", str(ubar),
+                       "--revolutions", "256", "--noise-asd", "2e-7", "--out-dir", out) == 0
+            paths.append(out / f"run-seed{ubar}.csv")
+        other = tmp_path / "other.cfg"
+        other.write_text("finesse = 500000\n")
+        assert run("calibrate", *paths, "--gas", "He", "--config", other,
+                   "--out-dir", tmp_path / "cal") == 2
+        assert not (tmp_path / "cal" / "calibration.txt").exists()
+
 
 class TestLimitsCommand:
     @pytest.fixture()
@@ -419,6 +445,18 @@ class TestPipelineCommand:
         for name in ("record.csv", "estimate.txt", "xsec_limit.txt", "comparison.csv",
                      "alp_exclusion.csv", "mcp_fermion_exclusion.csv"):
             assert (out / name).exists(), name
+
+    def test_full_fidelity_uses_the_default_oversampling(self, tmp_path):
+        from vmbsim.synth import DEFAULT_PEM_OVERSAMPLE
+
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("pem_frequency = 960 Hz\nmagnet_rotation = 3 Hz\n")
+        out = tmp_path / "pipe"
+        assert run("pipeline", "--config", cfg, "--source", "fixed-ellipticity:1e-6",
+                   "--revolutions", "32", "--fidelity", "full", "--blocks", "1024",
+                   "--noise-halfwidth", "60", "--out-dir", out) == 0
+        header = (out / "record.csv").read_text().split("\n", 60)
+        assert f"# pem_oversample = {DEFAULT_PEM_OVERSAMPLE}" in header
 
 
 class TestScripts:

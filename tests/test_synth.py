@@ -26,6 +26,8 @@ from vmbsim.apparatus import (
     NullSource,
     QUIET,
     QedVacuumSource,
+    _PAD,
+    _decode_rows,
     _format_rows,
     format_number,
     parse_source,
@@ -491,11 +493,11 @@ class TestRecordFormatter:
     @example([10000.03125, 0.5 ** 30, 3 / 2**40, 0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan])
     @example([1.23456789e-100, -9.87654321e+255, 1e-308, 1.7976931348623157e308])
     def test_matches_percent_format(self, values):
-        assert _format_rows(np.array(values)[:, None]) == _text(values)
+        assert _format_rows([np.array(values)]) == _text(values)
 
     @given(st.lists(FORMAT_VALUES, min_size=5, max_size=40).map(lambda v: v[: len(v) // 5 * 5]))
     def test_rows_match_savetxt_layout(self, values):
-        assert _format_rows(np.array(values).reshape(-1, 5)) == _text(values, columns=5)
+        assert _format_rows(np.array(values).reshape(-1, 5).T) == _text(values, columns=5)
 
     def test_bulk_against_percent_format(self):
         rng = np.random.default_rng(11)
@@ -506,11 +508,12 @@ class TestRecordFormatter:
             10.0 ** np.arange(-300, 300),
             np.nextafter(10.0 ** np.arange(-300, 300), 0.0),                       # under 10**k
         ])
-        assert _format_rows(values[:, None]) == _text(values)
+        assert _format_rows([values]) == _text(values)
 
     def test_write_record_matches_savetxt(self, tmp_path):
-        # 5120 rows: more than one of the writer's row blocks, the last one partial
-        fast = synthesize_run(CFG, GasSource("He", 3e-5), NoiseModel(1e-6, rng_seed=8), 160 / 3.0)
+        # 9216 rows: more than one of the writer's row blocks, the last one partial
+        fast = synthesize_run(CFG, GasSource("He", 3e-5), NoiseModel(1e-6, rng_seed=8), 288 / 3.0)
+        assert apparatus._WRITE_ROWS < len(fast) < 2 * apparatus._WRITE_ROWS
         full = synthesize_run(SMALL_FULL, FixedEllipticitySource(1e-6), QUIET, 4 / 3.0,
                               fidelity="full", pem_oversample=8)
         for rec in (fast, full):
@@ -519,18 +522,168 @@ class TestRecordFormatter:
             savetxt_record(rec, ref)
             assert new.read_bytes() == ref.read_bytes()
 
-    def test_reader_memory_is_bounded(self, tmp_path):
+    def test_reader_memory_is_bounded(self, tmp_path, monkeypatch):
         rec = synthesize_run(CFG, NullSource(), NoiseModel(1e-7, rng_seed=2), 8192 / 3.0)
         path = tmp_path / "long.csv"
         write_record(rec, path)
-        tracemalloc.start()
+        assert path.stat().st_size > 16 * apparatus._READ_BYTES
+        np.random.default_rng()  # numpy imports numpy.random lazily; keep that out of the peak
+        for workers in (1, 2):
+            monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
+            tracemalloc.start()
+            try:
+                back = read_record(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the stored column, plus ~6.8 blocks of decoding per worker
+            assert peak < back.i_omega_pem.nbytes + 9 * workers * apparatus._READ_BYTES, workers
+
+    def test_writer_memory_is_bounded(self, tmp_path, monkeypatch):
+        rec = synthesize_run(CFG, NullSource(), NoiseModel(1e-7, rng_seed=2), 8192 / 3.0)
+        assert len(rec) >= 16 * apparatus._WRITE_ROWS
+        block_bytes = apparatus._WRITE_ROWS * len(RECORD_COLUMNS) * 8
+        for workers in (1, 2):
+            monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
+            tracemalloc.start()
+            try:
+                write_record(rec, tmp_path / "long.csv")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # ~10.4 blocks of float64 rows per worker, independent of the record length
+            assert peak < 14 * workers * block_bytes, workers
+
+
+def _block(text: bytes) -> np.ndarray:
+    """A reader block: whole rows between the padding newlines."""
+    return np.frombuffer(b"\n" * _PAD + text + b"\n" * _PAD, dtype=np.uint8)
+
+
+def _loadtxt(text: bytes) -> np.ndarray:
+    return np.loadtxt(io.StringIO(text.decode()), delimiter=",", comments="#", ndmin=2)
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+FINITE_VALUES = FORMAT_VALUES.filter(math.isfinite)
+
+
+class TestRecordDecoder:
+    @given(st.lists(FINITE_VALUES, min_size=5, max_size=60).map(lambda v: v[: len(v) // 5 * 5]))
+    # 3-digit exponents, |e - 8| > 22 on both sides, -0.0 and the edges of the fast path
+    @example([1.23456789e-100, -9.87654321e+255, 1e-308, 5e-324, -0.0,
+              1e-15, -9.99999999e-15, 1e-14, 1e30, 9.99999999e30,
+              1e31, -1.7976931348623157e308, 0.0, 123456789.0, 1e22])
+    def test_canonical_rows_match_loadtxt(self, values):
+        text = _text(values, columns=5)
+        decoded = _decode_rows(_block(text))
+        assert decoded is not None
+        assert np.array_equal(_bits(decoded), _bits(_loadtxt(text)))
+
+    def test_bulk_matches_loadtxt(self):
+        rng = np.random.default_rng(12)
+        values = np.concatenate([
+            rng.integers(0, 2**64, 40_000, dtype=np.uint64).view(np.float64),
+            rng.standard_normal(40_000) * 10.0 ** rng.integers(-40, 40, 40_000),
+        ])
+        values = values[np.isfinite(values)][:75_000]
+        text = _text(values, columns=5)
+        assert np.array_equal(_bits(_decode_rows(_block(text))), _bits(_loadtxt(text)))
+
+    @pytest.mark.parametrize("row", [
+        b"0.5, 1.00000000e+00, 1.00000000e+00, 1.00000000e+00, 1.00000000e+00\n",
+        b"1.00000000e+00,1.00000000e+00, 1.00000000e+00, 1.00000000e+00, 1.00000000e+00\n",
+        b"+1.00000000e+00, 1.00000000e+00, 1.00000000e+00, 1.00000000e+00, 1.00000000e+00\n",
+        b"1.00000000e+00, 1.00000000E+00, 1.00000000e+00, 1.00000000e+00, 1.00000000e+00\n",
+        b"1.00000000e+00, 1.0000000e+00, 1.00000000e+00, 1.00000000e+00, 1.00000000e+00\n",
+        b"1.00000000e+00, 1.00000000e+0, 1.00000000e+00, 1.00000000e+00, 1.00000000e+00\n",
+        b"1.00000000e+00, 1.00000000e+00, 1.00000000e+00, 1.00000000e+00, 1.00000000e+00 \n",
+        b"1.00000000e+00, 1.00000000e+00, 1.00000000e+00, 1.00000000e+00, 1.00000000e+00\r\n",
+        b"1.00000000e+00, 1.00000000e+00, 1.00000000e+00, 1.00000000e+00\n",
+        b"# 1.00000000e+00, 1.00000000e+00, 1.00000000e+00, 1.00000000e+00, 1.0e+00\n",
+        b"\n",
+        b"1.00000000e+00, nan, 1.00000000e+00, 1.00000000e+00, 1.00000000e+00\n",
+    ], ids=["short_cell", "no_space", "plus_sign", "capital_e", "eight_digits",
+            "one_exponent_digit", "trailing_space", "crlf", "four_cells", "comment", "blank", "nan"])
+    def test_other_rows_are_left_to_loadtxt(self, row):
+        canonical = _text(np.arange(10.0), columns=5)
+        assert _decode_rows(_block(canonical)) is not None
+        assert _decode_rows(_block(canonical + row + canonical)) is None
+
+
+class TestStreamingReader:
+    """A record read in many small blocks, with faults placed in different blocks."""
+
+    @pytest.fixture()
+    def lines(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(apparatus, "_READ_BYTES", 4096)  # ~50 rows per block
+        rec = synthesize_run(CFG, NullSource(), NoiseModel(1e-6, rng_seed=4), 64 / 3.0)
+        write_record(rec, tmp_path / "rec.csv")
+        lines = (tmp_path / "rec.csv").read_bytes().splitlines(keepends=True)
+        self.first = next(i for i, line in enumerate(lines) if not line.startswith(b"#"))
+        return lines
+
+    def edit(self, lines, row, col, cell: bytes):
+        cells = lines[self.first + row].rstrip(b"\n").split(b", ")
+        cells[col] = cell
+        lines[self.first + row] = b", ".join(cells) + b"\n"
+
+    def test_non_canonical_cells_read_as_loadtxt_reads_them(self, tmp_path, lines):
+        # a middle block holds a valid cell in another notation and another I0
+        self.edit(lines, 1000, 1, repr(float(lines[self.first + 1000].split(b", ")[1])).encode())
+        self.edit(lines, 1001, 3, b"0.0011")
+        path = tmp_path / "edited.csv"
+        path.write_bytes(b"".join(lines))
+        back = read_record(path)
+        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        for name, col in (("i_omega_pem", 1), ("i_2omega_pem", 2), ("i0", 3)):
+            assert np.array_equal(_bits(getattr(back, name)), _bits(data[:, col])), name
+        assert back.i0.flags.c_contiguous and back.i_2omega_pem.strides == (0,)
+
+    @pytest.mark.parametrize("late_cell, message", [
+        (b"abc", "data row 1801 (file line {}): 'abc' in column I_OmegaPEM is not a number"),
+        (b"inf", "data row 1801 (file line {}): non-finite value in column I_OmegaPEM"),
+    ], ids=["malformed", "non_finite"])
+    def test_a_late_fault_is_reported_before_an_early_grid_fault(self, tmp_path, lines,
+                                                               late_cell, message):
+        self.edit(lines, 20, 4, b"5.00000000e-01")
+        self.edit(lines, 1800, 1, late_cell)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError) as err:
+            read_record(path)
+        assert message.format(self.first + 1801) in str(err.value)
+        # the early grid fault alone is named as before
+        self.edit(lines, 1800, 1, b"0.00000000e+00")
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError, match="data row 21 .*: magnet_phase = 0.5"):
+            read_record(path)
+
+    def test_bytes_and_values_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(apparatus, "_WRITE_ROWS", 1000)
+        monkeypatch.setattr(apparatus, "_READ_BYTES", 16384)
+        rec = synthesize_run(CFG, GasSource("He", 3e-5), NoiseModel(1e-6, 1e-4, rng_seed=6),
+                             256 / 3.0)
+        written, read = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to shake out shared writes
         try:
-            back = read_record(path)
-            peak = tracemalloc.get_traced_memory()[1]
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
+                path = tmp_path / f"w{workers}.csv"
+                write_record(rec, path)
+                written.append(path.read_bytes())
+                read.append(read_record(path))
         finally:
-            tracemalloc.stop()
-        array_bytes = len(back) * len(RECORD_COLUMNS) * 8
-        assert peak < 5 * array_bytes
+            sys.setswitchinterval(interval)
+        assert written[0].count(b"\n") > 8 * 1000
+        assert written[1] == written[0] and written[2] == written[0]
+        for back in read[1:]:
+            for name in ("i_omega_pem", "i_2omega_pem", "i0"):
+                assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(read[0], name)))
 
 
 class TestSourceParsing:

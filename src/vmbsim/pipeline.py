@@ -9,6 +9,16 @@ the signal bin is summarized by the Rayleigh-amplitude relation
 magnet rotation frequency are combined by an inverse-variance vector average.
 The same vector average combines runs.
 
+Memory: :func:`analyze_record` walks the record once, in chunks of whole
+blocks of about ``apparatus._BLOCK_SAMPLES`` samples (8 blocks at the
+defaults).  Each chunk is divided by the lock-in normalization, Fourier
+transformed, normalized and reduced to its blocks' 2*Omega_Mag amplitudes and
+floored Rayleigh sigmas while it is in cache, so the analysis holds the record
+plus one chunk's working set, whatever the run length; it never holds the
+ellipticity series or the spectra.  :func:`block_fft` and
+:func:`with_rayleigh_sigma`, which keep the spectra, run the same chunk pass,
+so every block is computed by the same operations either way.
+
 FFT normalization: one-sided amplitude spectrum; a real tone of ellipticity
 amplitude A centered on a bin reports |c| = A.  A tone A*sin(w t + phi0)
 sampled from t = 0 reports complex phase phi0 - pi/2, so for a rotating-field
@@ -24,7 +34,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .apparatus import ApparatusConfig, GasSource, TimeSeriesRecord, _map_chunks, parse_source
+from .apparatus import (
+    ApparatusConfig,
+    GasSource,
+    TimeSeriesRecord,
+    _BLOCK_SAMPLES,
+    _map_chunks,
+    parse_source,
+)
 
 DEFAULT_BLOCK_SIZE = 8192
 DEFAULT_NOISE_HALFWIDTH = 64
@@ -124,16 +141,30 @@ def demodulate(record: TimeSeriesRecord) -> np.ndarray:
     PEM frequency and its second harmonic (boxcar over an integer number of
     carrier cycles per output sample, peak-amplitude gain convention).
     """
-    if record.fidelity == "fast":
-        dc_2omega = float(np.mean(record.i_2omega_pem))
-        i0 = float(np.mean(record.i0))
-        norm = 8.0 * i0 * dc_2omega
-        if norm <= 0.0:
-            raise ValueError("vanishing I0 * I_2OmegaPEM(DC) normalization")
-        return record.i_omega_pem / math.sqrt(norm)
-    if record.fidelity != "full":
-        raise ValueError(f"unknown fidelity {record.fidelity!r}")
+    series, root_norm = _lock_in(record)
+    return series / root_norm
 
+
+def _lock_in(record: TimeSeriesRecord) -> tuple[np.ndarray, float]:
+    """``(I_OmegaPEM on the output grid, sqrt(8 I0 I_2OmegaPEM(DC)))`` of a record.
+
+    :func:`demodulate` divides the first by the second; the analysis divides
+    it chunk by chunk.  A fast record's channel is returned as it is stored.
+    """
+    if record.fidelity == "fast":
+        series, dc_2omega = record.i_omega_pem, float(np.mean(record.i_2omega_pem))
+    elif record.fidelity == "full":
+        series, dc_2omega = _digital_lock_in(record)
+    else:
+        raise ValueError(f"unknown fidelity {record.fidelity!r}")
+    norm = 8.0 * float(np.mean(record.i0)) * dc_2omega
+    if norm <= 0.0:
+        raise ValueError("vanishing I0 * I_2OmegaPEM(DC) normalization")
+    return series, math.sqrt(norm)
+
+
+def _digital_lock_in(record: TimeSeriesRecord) -> tuple[np.ndarray, float]:
+    """``(I_OmegaPEM, I_2OmegaPEM(DC))`` of a full-fidelity record on the output grid."""
     oversample, samples_per_bin = record.lockin_layout()
     n = len(record)
     if n % samples_per_bin:
@@ -153,12 +184,7 @@ def demodulate(record: TimeSeriesRecord) -> np.ndarray:
 
     for _ in _map_chunks(lock_in, len(rows), samples_per_bin):
         pass
-    i0 = float(np.mean(record.i0))
-    dc_2omega = float(np.mean(ix2))
-    norm = 8.0 * i0 * dc_2omega
-    if norm <= 0.0:
-        raise ValueError("vanishing I0 * I_2OmegaPEM(DC) normalization")
-    return ix1 / math.sqrt(norm)
+    return ix1, float(np.mean(ix2))
 
 
 # ---------------------------------------------------------------------------
@@ -177,26 +203,10 @@ def block_fft(
     peak) in the first block triggers a leakage warning. Trailing samples that
     do not fill a block are dropped with a warning that counts them.
     """
-    spr = config.samples_per_revolution
-    if block_size < spr or block_size % spr:
-        raise ValueError(
-            f"block_size {block_size} must be a positive multiple of "
-            f"samples_per_revolution {spr}"
-        )
-    if len(psi) < block_size:
-        raise ValueError(f"series of {len(psi)} samples is shorter than one block ({block_size})")
-    revs_per_block = block_size // spr
-    n_blocks, tail = divmod(len(psi), block_size)
-    if tail:
-        warnings.warn(
-            f"{tail} trailing samples do not fill a block of {block_size} and are dropped",
-            stacklevel=2,
-        )
-    bins = np.fft.rfft(psi[: n_blocks * block_size].reshape(n_blocks, block_size), axis=1)
-    # one-sided amplitude normalization: interior bins 2/N, DC and Nyquist 1/N
-    bins *= 2.0 / block_size
-    bins[:, 0] *= 0.5
-    bins[:, -1] *= 0.5
+    n_blocks, revs_per_block = _whole_blocks(len(psi), config, block_size)
+    bins = np.empty((n_blocks, block_size // 2 + 1), dtype=complex)
+    for _ in _block_spectra(psi, None, block_size, n_blocks, out=bins):
+        pass
     spectra = BlockSpectra(
         bins=bins,
         bin_of_2omega=2 * revs_per_block,
@@ -205,6 +215,72 @@ def block_fft(
     )
     _warn_on_leakage(bins[0], spectra.bin_of_2omega)
     return spectra
+
+
+def _whole_blocks(n_samples: int, config: ApparatusConfig, block_size: int) -> tuple[int, int]:
+    """``(n_blocks, revs_per_block)`` of a series; warns about a dropped tail."""
+    spr = config.samples_per_revolution
+    if block_size < spr or block_size % spr:
+        raise ValueError(
+            f"block_size {block_size} must be a positive multiple of "
+            f"samples_per_revolution {spr}"
+        )
+    if n_samples < block_size:
+        raise ValueError(f"series of {n_samples} samples is shorter than one block ({block_size})")
+    n_blocks, tail = divmod(n_samples, block_size)
+    if tail:
+        warnings.warn(
+            f"{tail} trailing samples do not fill a block of {block_size} and are dropped",
+            stacklevel=3,
+        )
+    return n_blocks, block_size // spr
+
+
+def _block_chunks(n_blocks: int, block_size: int):
+    """``(r0, r1)`` of consecutive chunks of whole blocks of about ``_BLOCK_SAMPLES`` samples.
+
+    A chunk holds at least two blocks unless the record has only one: numpy
+    sums the noise bins gathered from several rows in index order, but those
+    of a single row pairwise, so a one-block chunk of a longer record would
+    round its Rayleigh mean otherwise than one pass over all the blocks does.
+    """
+    step = max(2, _BLOCK_SAMPLES // block_size)
+    r0 = 0
+    while r0 < n_blocks:
+        # a last single block joins the chunk before it
+        r1 = n_blocks if n_blocks - r0 <= step + 1 else r0 + step
+        yield r0, r1
+        r0 = r1
+
+
+def _block_spectra(
+    series: np.ndarray,
+    root_norm: float | None,
+    block_size: int,
+    n_blocks: int,
+    out: np.ndarray | None = None,
+):
+    """Yield ``(r0, r1, bins)``: the spectra of blocks ``r0`` to ``r1`` of ``series / root_norm``.
+
+    The one pass over a record's blocks that every analysis runs, a chunk of
+    :func:`_block_chunks` at a time, so a chunk's series and spectra stay in
+    cache.  ``root_norm`` None leaves the series undivided.  ``bins`` is
+    ``out[r0:r1]`` when ``out`` is given, and otherwise one chunk-sized buffer
+    that the next chunk overwrites.  Each value takes the same operations as in
+    one pass over the whole record.
+    """
+    chunks = list(_block_chunks(n_blocks, block_size))
+    if out is None:
+        scratch = np.empty((max(r1 - r0 for r0, r1 in chunks), block_size // 2 + 1), dtype=complex)
+    for r0, r1 in chunks:
+        bins = scratch[:r1 - r0] if out is None else out[r0:r1]
+        rows = series[r0 * block_size:r1 * block_size].reshape(r1 - r0, block_size)
+        np.fft.rfft(rows if root_norm is None else rows / root_norm, axis=1, out=bins)
+        # one-sided amplitude normalization: interior bins 2/N, DC and Nyquist 1/N
+        bins *= 2.0 / block_size
+        bins[:, 0] *= 0.5
+        bins[:, -1] *= 0.5
+        yield r0, r1, bins
 
 
 def _warn_on_leakage(block_bins: np.ndarray, k: int) -> None:
@@ -241,24 +317,37 @@ def noise_bin_indices(
     The signal bin and every harmonic of the rotation frequency inside the
     window are excluded.
     """
-    k = spectra.bin_of_2omega
+    return _noise_bins(
+        spectra.bin_of_2omega, spectra.bins.shape[1], spectra.revs_per_block, exclusion_halfwidth
+    )
+
+
+def _noise_bins(k: int, n_freqs: int, revs_per_block: int, exclusion_halfwidth: int) -> np.ndarray:
     lo = max(1, k - exclusion_halfwidth)
-    hi = min(spectra.bins.shape[1] - 1, k + exclusion_halfwidth)
+    hi = min(n_freqs - 1, k + exclusion_halfwidth)
     idx = np.arange(lo, hi + 1)
-    harmonic = idx % spectra.revs_per_block == 0
+    harmonic = idx % revs_per_block == 0
     return idx[~harmonic]
+
+
+def _enough_noise_bins(idx: np.ndarray) -> np.ndarray:
+    if len(idx) < 50:
+        raise ValueError(
+            f"only {len(idx)} noise bins available around the signal bin; need >= 50"
+        )
+    return idx
 
 
 def rayleigh_sigma(
     spectra: BlockSpectra, exclusion_halfwidth: int = DEFAULT_NOISE_HALFWIDTH
 ) -> np.ndarray:
     """Per-block, per-quadrature noise sigma: mean noise-bin amplitude <rho> / sqrt(pi/2)."""
-    idx = noise_bin_indices(spectra, exclusion_halfwidth)
-    if len(idx) < 50:
-        raise ValueError(
-            f"only {len(idx)} noise bins available around the signal bin; need >= 50"
-        )
-    return np.mean(np.abs(spectra.bins[:, idx]), axis=1) / RAYLEIGH_MEAN_FACTOR
+    idx = _enough_noise_bins(noise_bin_indices(spectra, exclusion_halfwidth))
+    return _rayleigh(np.abs(spectra.bins[:, idx]))
+
+
+def _rayleigh(noise_amplitudes: np.ndarray) -> np.ndarray:
+    return np.mean(noise_amplitudes, axis=1) / RAYLEIGH_MEAN_FACTOR
 
 
 def with_rayleigh_sigma(
@@ -271,11 +360,17 @@ def with_rayleigh_sigma(
     the block's peak amplitude) keeps such records analyzable with an honest
     "numerical precision" uncertainty instead of an infinite weight.
     """
-    floor = np.finfo(float).eps * np.abs(spectra.bins).max(axis=1)
-    return replace(
-        spectra,
-        rayleigh_sigma=np.maximum(rayleigh_sigma(spectra, exclusion_halfwidth), floor),
-    )
+    idx = _enough_noise_bins(noise_bin_indices(spectra, exclusion_halfwidth))
+    sigmas = np.empty(len(spectra))
+    for r0, r1 in _block_chunks(len(spectra), spectra.block_size):
+        sigmas[r0:r1] = _floored_sigma(spectra.bins[r0:r1], idx)
+    return replace(spectra, rayleigh_sigma=sigmas)
+
+
+def _floored_sigma(bins: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rayleigh sigma of each row of ``bins`` over the noise bins ``idx``, with its floor."""
+    amps = np.abs(bins)
+    return np.maximum(_rayleigh(amps[:, idx]), np.finfo(float).eps * amps.max(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +430,28 @@ def analyze_record(
     block_size: int = DEFAULT_BLOCK_SIZE,
     noise_halfwidth: int = DEFAULT_NOISE_HALFWIDTH,
 ) -> RunEstimate:
-    """Demodulate and block-average one run."""
+    """Demodulate and block-average one run.
+
+    Equal, value for value, to ``estimate_from_spectra(with_rayleigh_sigma(
+    block_fft(demodulate(record), ...)), record)``, but in one pass over
+    chunks of blocks that keeps only each block's 2*Omega_Mag amplitude and
+    sigma.
+    """
     # full-fidelity records land on the same synchronous output grid after demodulation
-    spectra = with_rayleigh_sigma(
-        block_fft(demodulate(record), record.config, block_size=block_size), noise_halfwidth
+    series, root_norm = _lock_in(record)
+    n_blocks, revs_per_block = _whole_blocks(len(series), record.config, block_size)
+    k = 2 * revs_per_block
+    idx = _enough_noise_bins(
+        _noise_bins(k, block_size // 2 + 1, revs_per_block, noise_halfwidth)
     )
-    return estimate_from_spectra(spectra, record)
+    amplitudes = np.empty(n_blocks, dtype=complex)
+    sigmas = np.empty(n_blocks)
+    for r0, r1, bins in _block_spectra(series, root_norm, block_size, n_blocks):
+        if r0 == 0:
+            _warn_on_leakage(bins[0], k)
+        amplitudes[r0:r1] = bins[:, k]
+        sigmas[r0:r1] = _floored_sigma(bins, idx)
+    return _run_estimate(amplitudes, sigmas, block_size, record.config.sample_rate_hz, record)
 
 
 def estimate_from_spectra(spectra: BlockSpectra, record: TimeSeriesRecord) -> RunEstimate:
@@ -350,17 +461,39 @@ def estimate_from_spectra(spectra: BlockSpectra, record: TimeSeriesRecord) -> Ru
     and set the duration by their sample rate; ``record`` supplies the config
     and the metadata.  No calibration is applied.
     """
-    config = record.config
-    amp, sigma = weighted_average(
-        zip(spectra.amplitude_2omega.tolist(), _block_sigmas(spectra).tolist())
+    return _run_estimate(
+        spectra.amplitude_2omega, spectra.rayleigh_sigma, spectra.block_size,
+        spectra.sample_rate_hz, record,
     )
-    n_blocks = len(spectra)
+
+
+def _run_estimate(
+    amplitudes: np.ndarray,
+    sigmas: np.ndarray | None,
+    block_size: int,
+    sample_rate_hz: float,
+    record: TimeSeriesRecord,
+) -> RunEstimate:
+    """The run estimate of per-block 2*Omega_Mag amplitudes and sigmas.
+
+    Refuses a record whose magnets do not co-rotate: each magnet's signal
+    then sits at its own 2*Omega, and one bin holds only part of it.
+    """
+    config = record.config
+    f1, f2 = config.magnet_rotation_hz, config.second_magnet_rotation_hz
+    if f2 is not None and f2 != f1:
+        raise ValueError(
+            f"the magnets rotate at {f1:.9g} Hz and {f2:.9g} Hz; the analysis reads the "
+            "2*Omega_Mag bin of co-rotating magnets only"
+        )
+    amp, sigma = weighted_average(zip(amplitudes.tolist(), _positive_sigmas(sigmas).tolist()))
+    n_blocks = len(amplitudes)
     return RunEstimate(
         complex_amplitude_2omega=amp,
         sigma=sigma,
         deltan_over_b2=deltan_conversion(amp, config),
         deltan_over_b2_sigma=float(deltan_conversion(sigma, config)),
-        duration_s=n_blocks * spectra.block_size / spectra.sample_rate_hz,
+        duration_s=n_blocks * block_size / sample_rate_hz,
         n_blocks=n_blocks,
         config=config,
         metadata={
@@ -390,12 +523,11 @@ def combine_runs(estimates: list[RunEstimate]) -> tuple[complex, float, float]:
 
 def averaged_spectrum(spectra: BlockSpectra) -> tuple[np.ndarray, np.ndarray]:
     """Inverse-variance averaged complex spectrum over blocks: (freq_hz, complex amps)."""
-    w = 1.0 / _block_sigmas(spectra) ** 2
+    w = 1.0 / _positive_sigmas(spectra.rayleigh_sigma) ** 2
     return spectra.frequencies_hz, np.tensordot(w, spectra.bins, axes=1) / w.sum()
 
 
-def _block_sigmas(spectra: BlockSpectra) -> np.ndarray:
-    sigmas = spectra.rayleigh_sigma
+def _positive_sigmas(sigmas: np.ndarray | None) -> np.ndarray:
     if sigmas is None or np.any(~np.isfinite(sigmas)) or np.any(sigmas <= 0):
         raise ValueError("all blocks need a positive rayleigh_sigma (run with_rayleigh_sigma)")
     return sigmas

@@ -7,7 +7,10 @@ Two fidelity levels:
   long Monte-Carlo runs.  Only ``I_OmegaPEM`` is computed per sample, and
   the ``sin(2 theta)`` signal and the spurious tones only when they are
   nonzero: the constant channels are zero-stride views and ``time`` and
-  ``magnet_phase`` are derived by the record on demand.
+  ``magnet_phase`` are derived by the record on demand.  ``I_OmegaPEM`` is
+  built in place in the buffer of the ellipticity noise draw, the signal a
+  block of samples at a time, so synthesis holds the record plus a block's
+  working set.
 * ``full`` emits the raw analyser intensity (the exact squared-modulus form,
   extinction and PEM carrier included) at many samples per PEM cycle, so the
   digital lock-in in the analysis chain can be validated end to end.  It is
@@ -43,6 +46,7 @@ from .apparatus import (
     NoiseModel,
     QUIET,
     TimeSeriesRecord,
+    _BLOCK_SAMPLES,
     _map_chunks,
     grid_rate,
 )
@@ -88,13 +92,11 @@ def _check_duration(config: ApparatusConfig, duration_s: float) -> int:
     return n_revs
 
 
-def _signal_ellipticity(config: ApparatusConfig, source, t: np.ndarray) -> np.ndarray:
-    """psi(t) = psi * sin(2 theta(t)), summed over magnets when they co-rotate or not."""
-    return _magnet_signal(config, source_ellipticity(source, config), t)
-
-
 def _magnet_signal(config: ApparatusConfig, psi: float, t: np.ndarray) -> np.ndarray:
-    """:func:`_signal_ellipticity` for a cavity-output ellipticity amplitude ``psi``."""
+    """psi(t) = psi * sin(2 theta(t)) of a cavity-output ellipticity amplitude ``psi``.
+
+    Summed over the magnets, whether they co-rotate or not.
+    """
     theta0 = config.polarizer_angle_rad
     f1 = config.magnet_rotation_hz
     f2 = config.second_magnet_rotation_hz
@@ -117,17 +119,31 @@ def _sin_2theta(amp: float, f: float, theta0: float, t: np.ndarray) -> np.ndarra
     return out
 
 
-def _output_grid(config: ApparatusConfig, n_revs: int) -> np.ndarray:
-    n = n_revs * config.samples_per_revolution
-    return np.arange(n) / config.sample_rate_hz
+def _output_grid(config: ApparatusConfig, start: int, stop: int) -> np.ndarray:
+    """Times of the output samples ``start`` to ``stop``."""
+    return np.arange(start, stop) / config.sample_rate_hz
+
+
+def _signal_and_alpha(config: ApparatusConfig, psi: float, noise: NoiseModel, s0: int, s1: int):
+    """Signal plus spurious ellipticity of the output samples ``s0`` to ``s1``.
+
+    An absent term is a scalar 0.0, which adds as the zero array it replaces
+    (the sum turns a -0.0 into +0.0 either way).
+    """
+    t = _output_grid(config, s0, s1) if psi or noise.spurious_tones else None
+    signal = _magnet_signal(config, psi, t) if psi else 0.0
+    alpha = noise.alpha_of(t) if noise.spurious_tones else 0.0
+    return signal + alpha
 
 
 def _ellipticity_noise(noise: NoiseModel, rng: np.random.Generator, n: int, sample_rate: float):
-    """Per-output-sample white ellipticity noise with the requested one-sided ASD."""
+    """Per-output-sample white ellipticity noise with the requested one-sided ASD, a new array."""
     if noise.ellipticity_noise_density == 0.0:
         return np.zeros(n)
     sigma_t = noise.ellipticity_noise_density * math.sqrt(sample_rate / 2.0)
-    return sigma_t * rng.standard_normal(n)
+    draw = rng.standard_normal(n)
+    draw *= sigma_t
+    return draw
 
 
 def synthesize_run(
@@ -155,16 +171,19 @@ def synthesize_run(
     eta0 = config.pem_depth
 
     if fidelity == "fast":
+        # I_OmegaPEM = 2 I0 eta0 (signal + alpha + eps), built in place in the noise
+        # draw's buffer, a block of samples at a time; a + b is b + a bit for bit, so
+        # every sample is the sum and product of fresh whole-record arrays
+        ch_omega = eps_noise
         psi = source_ellipticity(source, config)
-        t_out = _output_grid(config, n_revs) if psi or noise.spurious_tones else None
-        # an absent term is a scalar 0.0, which adds as the zero array it replaces
-        # (the sum turns a -0.0 into +0.0 either way)
-        signal = _signal_ellipticity(config, source, t_out) if psi else 0.0
-        alpha = noise.alpha_of(t_out) if noise.spurious_tones else 0.0
-        psi_t = signal + alpha + eps_noise
-        ch_omega = 2.0 * i0 * eta0 * psi_t
+        for s0 in range(0, n_out, _BLOCK_SAMPLES):
+            s1 = min(s0 + _BLOCK_SAMPLES, n_out)
+            ch_omega[s0:s1] += _signal_and_alpha(config, psi, noise, s0, s1)
+        ch_omega *= 2.0 * i0 * eta0
         if noise.detector_white_noise > 0.0:
-            ch_omega = ch_omega + i0 * noise.detector_white_noise * rng.standard_normal(n_out)
+            detector = rng.standard_normal(n_out)
+            detector *= i0 * noise.detector_white_noise
+            ch_omega += detector
         return TimeSeriesRecord(
             i_omega_pem=ch_omega,
             i_2omega_pem=np.broadcast_to(0.5 * i0 * eta0**2, n_out),

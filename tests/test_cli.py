@@ -231,19 +231,17 @@ class TestAnalyze:
         assert "no samples" in capsys.readouterr().err
 
     def test_one_fft_pass_per_record(self, he_record, tmp_path, monkeypatch):
-        import vmbsim.cli
         import vmbsim.pipeline
 
         calls = []
-        block_fft = vmbsim.pipeline.block_fft
+        block_spectra = vmbsim.pipeline._block_spectra
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return block_fft(*args, **kwargs)
+            return block_spectra(*args, **kwargs)
 
-        # both names, so a pass through analyze_record would be counted too
-        monkeypatch.setattr(vmbsim.cli, "block_fft", counted)
-        monkeypatch.setattr(vmbsim.pipeline, "block_fft", counted)
+        # the chunk pass that block_fft and analyze_record both run
+        monkeypatch.setattr(vmbsim.pipeline, "_block_spectra", counted)
         assert run("analyze", he_record, "--out-dir", tmp_path / "a") == 0
         assert len(calls) == 1
 
@@ -382,6 +380,26 @@ class TestCalibrateCommand:
         assert not (tmp_path / "cal" / "calibration.txt").exists()
 
 
+class TestTwoMagnets:
+    @pytest.mark.filterwarnings("ignore:magnets rotating at different frequencies")
+    def test_analysis_refuses_magnets_that_do_not_co_rotate(self, tmp_path, capsys):
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("second_magnet_rotation = 2.4 Hz\n")
+        sim = tmp_path / "sim"
+        assert run("simulate", "--source", "fixed-deltanu:1e-20", "--revolutions", "1024",
+                   "--noise-asd", "1e-8", "--seed", "1", "--config", cfg, "--out-dir", sim) == 0
+        record = sim / "run-seed1.csv"
+        capsys.readouterr()
+        assert run("analyze", record, "--out-dir", tmp_path / "a") == 2
+        err = capsys.readouterr().err
+        assert "3 Hz" in err and "2.4 Hz" in err
+        assert not (tmp_path / "a" / "estimate.txt").exists()
+        assert run("calibrate", record, record, "--gas", "He", "--out-dir", tmp_path / "c") == 2
+        err = capsys.readouterr().err
+        assert "3 Hz" in err and "2.4 Hz" in err
+        assert not (tmp_path / "c" / "calibration.txt").exists()
+
+
 class TestLimitsCommand:
     @pytest.fixture()
     def estimate(self, tmp_path):
@@ -468,13 +486,14 @@ class TestScripts:
         import vmbsim.pipeline
 
         calls = []
-        block_fft = vmbsim.pipeline.block_fft
+        block_spectra = vmbsim.pipeline._block_spectra
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return block_fft(*args, **kwargs)
+            return block_spectra(*args, **kwargs)
 
-        monkeypatch.setattr(vmbsim.pipeline, "block_fft", counted)
+        # the chunk pass that block_fft and analyze_record both run
+        monkeypatch.setattr(vmbsim.pipeline, "_block_spectra", counted)
         script = Path(__file__).parents[1] / "scripts" / "run_helium_calibration.py"
         monkeypatch.setattr(sys, "argv", [str(script), "--blocks-per-run", "4",
                                           "--out-dir", str(tmp_path)])

@@ -1,7 +1,9 @@
 """Analysis chain: demodulation, FFT normalization, noise statistics, fits."""
 
 import math
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from vmbsim.pipeline import (
     deltan_conversion,
     demodulate,
     ellipticity_from_deltan,
+    estimate_from_spectra,
     noise_bin_indices,
     parseval_residual,
     project_physical,
@@ -335,6 +338,127 @@ class TestAnalyzeRecord:
         assert hours == pytest.approx(sum(e.hours for e in ests))
         expected_sigma = 1.0 / math.sqrt(sum(1.0 / e.deltan_over_b2_sigma**2 for e in ests))
         assert sigma == pytest.approx(expected_sigma, rel=1e-12)
+
+
+def spectra_chain(rec, block_size=8192, noise_halfwidth=64):
+    """The spectra chain, which keeps every block's spectrum."""
+    spectra = block_fft(demodulate(rec), rec.config, block_size=block_size)
+    return with_rayleigh_sigma(spectra, noise_halfwidth)
+
+
+def whole_array_spectra(rec, block_size=8192, noise_halfwidth=64):
+    """Reference spectra with sigmas: each step over the arrays of all the blocks at once."""
+    psi = demodulate(rec)
+    n_blocks = len(psi) // block_size
+    bins = np.fft.rfft(psi[:n_blocks * block_size].reshape(n_blocks, block_size), axis=1)
+    bins *= 2.0 / block_size
+    bins[:, 0] *= 0.5
+    bins[:, -1] *= 0.5
+    revs = block_size // rec.config.samples_per_revolution
+    spectra = BlockSpectra(bins, 2 * revs, revs, rec.config.sample_rate_hz)
+    idx = noise_bin_indices(spectra, noise_halfwidth)
+    sigmas = np.maximum(np.mean(np.abs(bins[:, idx]), axis=1) / math.sqrt(math.pi / 2.0),
+                        np.finfo(float).eps * np.abs(bins).max(axis=1))
+    return replace(spectra, rayleigh_sigma=sigmas)
+
+
+def warning_messages(func, *args, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = func(*args, **kwargs)
+    return result, [str(w.message) for w in caught]
+
+
+SMALL_FULL = ApparatusConfig(pem_frequency_hz=960.0)
+ESTIMATE_FIELDS = ("complex_amplitude_2omega", "sigma", "deltan_over_b2", "deltan_over_b2_sigma",
+                   "duration_s", "n_blocks", "config", "metadata")
+HELIUM = GasSource("He", 3e-5)
+
+
+class TestOnePassAnalysis:
+    @pytest.mark.parametrize("config, source, noise, revolutions, fidelity, kwargs", [
+        # 9 blocks: a chunk of 8 and one that folds the last single block in
+        (CFG, HELIUM, NoiseModel(1e-6, rng_seed=4), 9 * 256, "fast", {}),
+        (SMALL_FULL, FixedEllipticitySource(1e-6),
+         NoiseModel(1e-8, 1e-4, ((0.7, 1e-7, 0.1),), rng_seed=16), 96, "full",
+         {"block_size": 1024}),
+        (CFG, NullSource(), NoiseModel(1e-6, 1e-4, ((0.7, 1e-6, 0.3), (5.0, 2e-7, 1.0)), 5),
+         17 * 256, "fast", {}),
+        # 9 blocks and 1408 trailing samples
+        (CFG, HELIUM, NoiseModel(1e-6, rng_seed=10), 9 * 256 + 44, "fast", {}),
+        (CFG, HELIUM, NoiseModel(1e-6, rng_seed=12), 9 * 256, "fast",
+         {"block_size": 512, "noise_halfwidth": 40}),
+        (CFG, HELIUM, NoiseModel(1e-6, rng_seed=13), 3 * 256, "fast",
+         {"block_size": 8192, "noise_halfwidth": 100}),
+        # one chunk of three blocks of more than _BLOCK_SAMPLES samples each
+        (CFG, HELIUM, NoiseModel(1e-6, rng_seed=25), 3 * 2048, "fast", {"block_size": 65536}),
+        (CFG, FixedEllipticitySource(-1e-7), QUIET, 5 * 256, "fast", {}),
+        # a tone half a bin above 2*Omega_Mag
+        (CFG, NullSource(), NoiseModel(1e-9, 0.0, ((6.0 + 0.5 * 96.0 / 8192, 1e-5, 0.2),), 15),
+         3 * 256, "fast", {}),
+    ], ids=["fast", "full", "tones_and_detector_noise", "trailing_samples", "block_512",
+            "halfwidth_100", "block_65536", "noiseless", "leaky_block_0"])
+    def test_equals_the_spectra_chain(self, config, source, noise, revolutions, fidelity, kwargs):
+        rec = synthesize_run(config, source, noise, revolutions / config.magnet_rotation_hz,
+                             fidelity=fidelity)
+        est, one_pass_warnings = warning_messages(analyze_record, rec, **kwargs)
+        spectra, chain_warnings = warning_messages(spectra_chain, rec, **kwargs)
+        whole = whole_array_spectra(rec, **kwargs)
+        assert np.array_equal(spectra.bins, whole.bins)
+        assert np.array_equal(spectra.rayleigh_sigma, whole.rayleigh_sigma)
+        chain, ref = estimate_from_spectra(spectra, rec), estimate_from_spectra(whole, rec)
+        for name in ESTIMATE_FIELDS:
+            assert getattr(est, name) == getattr(ref, name), name
+            assert getattr(chain, name) == getattr(ref, name), name
+        assert one_pass_warnings == chain_warnings
+
+    def test_warnings_of_the_one_pass(self):
+        tail = synthesize_run(CFG, HELIUM, NoiseModel(1e-6, rng_seed=10), (9 * 256 + 44) / 3.0)
+        with pytest.warns(UserWarning, match="1408 trailing samples"):
+            analyze_record(tail)
+        tone = (6.0 + 0.5 * 96.0 / 8192, 1e-5, 0.2)
+        leaky = synthesize_run(CFG, NullSource(), NoiseModel(1e-9, 0.0, (tone,), 15), 256.0)
+        with pytest.warns(UserWarning, match="off bin center"):
+            analyze_record(leaky)
+
+    def test_noiseless_record_takes_the_floor(self):
+        rec = synthesize_run(CFG, FixedEllipticitySource(-1e-7), QUIET, 5 * 256 / 3.0)
+        # one revolution repeated: every off-harmonic bin is exactly zero
+        periodic = replace(rec, i_omega_pem=np.tile(rec.i_omega_pem[:32], 5 * 256))
+        spectra = with_rayleigh_sigma(block_fft(demodulate(periodic), CFG))
+        floor = np.finfo(float).eps * np.abs(spectra.bins).max(axis=1)
+        assert np.all(rayleigh_sigma(spectra) < floor)
+        assert np.array_equal(spectra.rayleigh_sigma, floor)
+        est, ref = analyze_record(periodic), estimate_from_spectra(spectra, periodic)
+        for name in ESTIMATE_FIELDS:
+            assert getattr(est, name) == getattr(ref, name), name
+
+    def test_memory_is_one_chunk_above_the_record(self):
+        analyze_record(synthesize_run(CFG, NullSource(), NoiseModel(1e-6, rng_seed=1), 256.0))
+        # the run length of the null campaign: 211 blocks
+        rec = synthesize_run(CFG, NullSource(), NoiseModel(3e-7, rng_seed=5), 211 * 256 / 3.0)
+        tracemalloc.start()  # traces what is allocated from here on, not the held record
+        try:
+            analyze_record(rec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * rec.i_omega_pem.nbytes
+
+    def test_magnets_that_do_not_co_rotate_are_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the diagnostic-mode warning
+            two = ApparatusConfig(second_magnet_rotation_hz=2.4)
+        rec = synthesize_run(two, FixedDeltanSource(1e-20), NoiseModel(1e-8, rng_seed=1),
+                             1024 / 3.0)
+        with pytest.raises(ValueError, match="3 Hz and 2.4 Hz"):
+            analyze_record(rec)
+        with pytest.raises(ValueError, match="3 Hz and 2.4 Hz"):
+            estimate_from_spectra(spectra_chain(rec), rec)
+        # a second magnet at the first one's frequency co-rotates
+        same = synthesize_run(replace(CFG, second_magnet_rotation_hz=3.0),
+                              FixedDeltanSource(1e-20), NoiseModel(1e-8, rng_seed=1), 1024 / 3.0)
+        assert analyze_record(same).n_blocks == 4
 
 
 class TestCalibrate:

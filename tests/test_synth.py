@@ -38,11 +38,10 @@ from vmbsim.apparatus import (
 from vmbsim.pipeline import analyze_record, demodulate
 from vmbsim.synth import (
     _check_duration,
-    _ellipticity_noise,
-    _output_grid,
-    _signal_ellipticity,
+    _magnet_signal,
     cavity_ellipticity,
     single_pass_ellipticity,
+    source_ellipticity,
     synthesize_run,
 )
 
@@ -193,11 +192,19 @@ class TestFullSynthesis:
 CHANNELS = ("time", "i_omega_pem", "i_2omega_pem", "i0", "magnet_phase")
 
 
+def whole_array_noise(config, noise, rng, n_out):
+    """Reference ellipticity noise: the density times one draw of the whole record."""
+    if noise.ellipticity_noise_density == 0.0:
+        return np.zeros(n_out)
+    sigma_t = noise.ellipticity_noise_density * math.sqrt(config.sample_rate_hz / 2.0)
+    return sigma_t * rng.standard_normal(n_out)
+
+
 def whole_array_full(config, source, noise, duration_s, pem_oversample):
     """Reference full synthesis: the same formulas, each over whole-record arrays."""
     rng = np.random.default_rng(noise.rng_seed)
-    n_out = len(_output_grid(config, _check_duration(config, duration_s)))
-    eps_noise = _ellipticity_noise(noise, rng, n_out, config.sample_rate_hz)
+    n_out = _check_duration(config, duration_s) * config.samples_per_revolution
+    eps_noise = whole_array_noise(config, noise, rng, n_out)
     cycles_per_bin = max(1, round(config.pem_frequency_hz / config.sample_rate_hz))
     samples_per_bin = pem_oversample * cycles_per_bin
     fs = cycles_per_bin * config.sample_rate_hz * pem_oversample
@@ -206,8 +213,8 @@ def whole_array_full(config, source, noise, duration_s, pem_oversample):
     carrier = config.pem_depth * np.cos(
         2.0 * math.pi * (np.arange(n_raw) % pem_oversample) / pem_oversample
     )
-    total = (carrier + _signal_ellipticity(config, source, t_raw) + noise.alpha_of(t_raw)
-             + np.repeat(eps_noise, samples_per_bin))
+    signal = _magnet_signal(config, source_ellipticity(source, config), t_raw)
+    total = carrier + signal + noise.alpha_of(t_raw) + np.repeat(eps_noise, samples_per_bin)
     intensity = config.incident_power_w * (config.extinction + total**2)
     if noise.detector_white_noise > 0.0:
         intensity = intensity * (1.0 + noise.detector_white_noise * rng.standard_normal(n_raw))
@@ -341,15 +348,16 @@ class TestChunkWorkers:
 def whole_array_fast(config, source, noise, duration_s):
     """Reference fast synthesis: every channel built over the whole record and stored."""
     rng = np.random.default_rng(noise.rng_seed)
-    t_out = _output_grid(config, _check_duration(config, duration_s))
-    n_out = len(t_out)
-    eps_noise = _ellipticity_noise(noise, rng, n_out, config.sample_rate_hz)
+    n_out = _check_duration(config, duration_s) * config.samples_per_revolution
+    t_out = np.arange(n_out) / config.sample_rate_hz
+    eps_noise = whole_array_noise(config, noise, rng, n_out)
     i0 = config.incident_power_w
     eta0 = config.pem_depth
     theta = (2.0 * math.pi * config.magnet_rotation_hz * t_out + config.polarizer_angle_rad) % (
         2.0 * math.pi
     )
-    psi_t = _signal_ellipticity(config, source, t_out) + noise.alpha_of(t_out) + eps_noise
+    signal = _magnet_signal(config, source_ellipticity(source, config), t_out)
+    psi_t = signal + noise.alpha_of(t_out) + eps_noise
     ch_omega = 2.0 * i0 * eta0 * psi_t
     if noise.detector_white_noise > 0.0:
         ch_omega = ch_omega + i0 * noise.detector_white_noise * rng.standard_normal(n_out)
@@ -367,14 +375,43 @@ class TestLeanFastSynthesis:
         (CFG, NullSource(), NoiseModel(1e-6, 0.0, ((0.7, 1e-6, 0.3), (5.0, 2e-7, 1.0)), 5)),
         (TWO_MAGNETS, FixedDeltanSource(1e-20), NoiseModel(1e-6, rng_seed=6)),
         (CFG, GasSource("He", 3e-5), NoiseModel(1e-6, 1e-4, rng_seed=7)),
+        (CFG, FixedEllipticitySource(1e-7), NoiseModel(0.0, 1e-4, rng_seed=8)),
+        (CFG, GasSource("He", 3e-5), NoiseModel(1e-6, 1e-4, ((0.7, 1e-6, 0.3),), 9)),
     ], ids=["null_noise", "null_quiet", "gas", "fixed_ellipticity", "spurious_tones",
-            "second_magnet", "detector_noise"])
+            "second_magnet", "detector_noise", "detector_noise_only", "every_term"])
     def test_bit_identical_to_whole_array(self, config, source, noise):
         rec = synthesize_run(config, source, noise, 32 / 3.0)
         ref = whole_array_fast(config, source, noise, 32 / 3.0)
         for name in CHANNELS:
             assert np.array_equal(getattr(rec, name), ref[name]), name
         assert np.array_equal(np.signbit(rec.i_omega_pem), np.signbit(ref["i_omega_pem"]))
+
+    @pytest.mark.parametrize("source, noise", [
+        (NullSource(), NoiseModel(1e-6, rng_seed=3)),
+        (GasSource("He", 3e-5), NoiseModel(1e-6, 1e-4, ((0.7, 1e-6, 0.3),), 9)),
+    ], ids=["null_noise", "every_term"])
+    def test_bit_identical_across_blocks(self, source, noise):
+        # 4128 revolutions span two blocks of _BLOCK_SAMPLES samples and part of a third
+        rec = synthesize_run(CFG, source, noise, 4128 / 3.0)
+        ref = whole_array_fast(CFG, source, noise, 4128 / 3.0)
+        assert len(rec) > 2 * apparatus._BLOCK_SAMPLES
+        assert np.array_equal(rec.i_omega_pem, ref["i_omega_pem"])
+        assert np.array_equal(np.signbit(rec.i_omega_pem), np.signbit(ref["i_omega_pem"]))
+
+    @pytest.mark.parametrize("source, noise", [
+        (NullSource(), NoiseModel(3e-7, rng_seed=5)),
+        (GasSource("He", 3e-5), NoiseModel(3e-7, 0.0, ((0.7, 1e-6, 0.3), (5.0, 2e-7, 1.0)), 6)),
+    ], ids=["null", "gas_and_tones"])
+    def test_channel_is_built_in_the_draw(self, source, noise):
+        np.random.default_rng()  # numpy imports numpy.random lazily; keep that out of the peak
+        tracemalloc.start()
+        try:
+            # the run length of the null campaign: 211 blocks
+            rec = synthesize_run(CFG, source, noise, 211 * 256 / 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * rec.i_omega_pem.nbytes
 
     def test_records_store_only_the_varying_channel(self, tmp_path):
         fast = synthesize_run(CFG, NullSource(), NoiseModel(1e-6, rng_seed=1), 8 / 3.0)

@@ -54,7 +54,6 @@ class ApparatusConfig:
     peak_field_t: float = 2.5
     field_length_m: float = 1.92            # sum of the two magnet bores
     magnet_rotation_hz: float = 3.0
-    second_magnet_rotation_hz: float | None = None   # set != first only for diagnostics
     pem_frequency_hz: float = 50047.0
     pem_depth: float = 1e-3                 # eta0, carrier ellipticity amplitude
     extinction: float = 1e-7                # sigma^2 of the crossed polarizers
@@ -86,15 +85,6 @@ class ApparatusConfig:
                 f"field integral {self.field_integral_t2m} T^2m exceeds "
                 f"B_max^2*L = {self.peak_field_t**2 * self.field_length_m} T^2m"
             )
-        if (
-            self.second_magnet_rotation_hz is not None
-            and self.second_magnet_rotation_hz != self.magnet_rotation_hz
-        ):
-            warnings.warn(
-                "magnets rotating at different frequencies is an experimental "
-                "diagnostic mode; the standard analysis assumes co-rotation",
-                stacklevel=2,
-            )
 
     @property
     def pass_count(self) -> float:
@@ -116,22 +106,23 @@ class ApparatusConfig:
         return self.samples_per_revolution * self.magnet_rotation_hz
 
     def to_key_values(self) -> dict[str, object]:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None:
-                continue
-            out[f"config.{f.name}"] = v
-        return out
+        return {f"config.{f.name}": getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_key_values(cls, kv: dict[str, str]) -> "ApparatusConfig":
+        """The config of the ``config.*`` keys of ``kv``; a missing field takes its default.
+
+        A ``config.*`` key that names no field is refused, naming the key.
+        """
+        names = {f.name for f in fields(cls)}
         kwargs = {}
-        for f in fields(cls):
-            key = f"config.{f.name}"
-            if key in kv:
-                raw = kv[key]
-                kwargs[f.name] = int(raw) if f.name == "samples_per_revolution" else float(raw)
+        for key, raw in kv.items():
+            if not key.startswith("config."):
+                continue
+            name = key.removeprefix("config.")
+            if name not in names:
+                raise ValueError(f"unknown config key {key!r}")
+            kwargs[name] = int(raw) if name == "samples_per_revolution" else float(raw)
         return cls(**kwargs)
 
     def content_hash(self) -> str:

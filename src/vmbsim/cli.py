@@ -394,6 +394,11 @@ def _load_estimate(path: Path) -> tuple[BirefringenceLimit, ApparatusConfig]:
         config = ApparatusConfig.from_key_values(kv)
     except ValueError as exc:
         raise DataError(f"estimate file {path} has an unusable config: {exc}") from exc
+    if "config_hash" in kv and kv["config_hash"] != config.content_hash():
+        raise DataError(
+            f"estimate file {path} has config_hash = {kv['config_hash']}, but its "
+            f"config.* values hash to {config.content_hash()}"
+        )
     return limit, config
 
 

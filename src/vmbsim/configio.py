@@ -23,7 +23,6 @@ _UNIT_SCALES = {
     "peak_field": {"T": 1.0},
     "field_length": {"m": 1.0, "cm": 1e-2},
     "magnet_rotation": {"Hz": 1.0, "kHz": 1e3},
-    "second_magnet_rotation": {"Hz": 1.0, "kHz": 1e3},
     "pem_frequency": {"Hz": 1.0, "kHz": 1e3},
     "incident_power": {"W": 1.0, "mW": 1e-3, "uW": 1e-6},
     "polarizer_angle": {"rad": 1.0, "deg": math.pi / 180.0},
@@ -37,7 +36,6 @@ _KEY_TO_FIELD = {
     "peak_field": "peak_field_t",
     "field_length": "field_length_m",
     "magnet_rotation": "magnet_rotation_hz",
-    "second_magnet_rotation": "second_magnet_rotation_hz",
     "pem_frequency": "pem_frequency_hz",
     "pem_depth": "pem_depth",
     "extinction": "extinction",
@@ -121,10 +119,6 @@ def config_text(config: ApparatusConfig) -> str:
         f"samples_per_revolution = {config.samples_per_revolution}",
         f"polarizer_angle = {format_number(config.polarizer_angle_rad)} rad",
     ]
-    if config.second_magnet_rotation_hz is not None:
-        lines.insert(
-            6, f"second_magnet_rotation = {format_number(config.second_magnet_rotation_hz)} Hz"
-        )
     return "\n".join(lines) + "\n"
 
 

@@ -474,18 +474,8 @@ def _run_estimate(
     sample_rate_hz: float,
     record: TimeSeriesRecord,
 ) -> RunEstimate:
-    """The run estimate of per-block 2*Omega_Mag amplitudes and sigmas.
-
-    Refuses a record whose magnets do not co-rotate: each magnet's signal
-    then sits at its own 2*Omega, and one bin holds only part of it.
-    """
+    """The run estimate of per-block 2*Omega_Mag amplitudes and sigmas."""
     config = record.config
-    f1, f2 = config.magnet_rotation_hz, config.second_magnet_rotation_hz
-    if f2 is not None and f2 != f1:
-        raise ValueError(
-            f"the magnets rotate at {f1:.9g} Hz and {f2:.9g} Hz; the analysis reads the "
-            "2*Omega_Mag bin of co-rotating magnets only"
-        )
     amp, sigma = weighted_average(zip(amplitudes.tolist(), _positive_sigmas(sigmas).tolist()))
     n_blocks = len(amplitudes)
     return RunEstimate(

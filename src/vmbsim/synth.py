@@ -21,6 +21,10 @@ Two fidelity levels:
   pure function of its bins, and the detector intensity noise is drawn in
   chunk order, so the samples do not depend on the number of CPUs.
 
+The magnets rotate together, so both levels carry one signal,
+psi(t) = psi sin(2 (2 pi f_Mag t + theta0)), whose 2*Omega_Mag line is the
+bin the analysis reads.
+
 Lock-in gain convention: demodulated channels carry the full ("peak")
 harmonic amplitude, I_X = 2 <I(t) cos(w t)>.  With a sinusoidal PEM drive
 eta(t) = eta0 cos(w_pem t) this makes I_OmegaPEM = 2 I0 eta0 psi(t) and
@@ -92,23 +96,6 @@ def _check_duration(config: ApparatusConfig, duration_s: float) -> int:
     return n_revs
 
 
-def _magnet_signal(config: ApparatusConfig, psi: float, t: np.ndarray) -> np.ndarray:
-    """psi(t) = psi * sin(2 theta(t)) of a cavity-output ellipticity amplitude ``psi``.
-
-    Summed over the magnets, whether they co-rotate or not.
-    """
-    theta0 = config.polarizer_angle_rad
-    f1 = config.magnet_rotation_hz
-    f2 = config.second_magnet_rotation_hz
-    if f2 is None or f2 == f1:
-        return _sin_2theta(psi, f1, theta0, t)
-    # Diagnostic mode: each magnet carries half the field integral at its own frequency.
-    half = 0.5 * psi
-    out = _sin_2theta(half, f1, theta0, t)
-    out += _sin_2theta(half, f2, theta0, t)
-    return out
-
-
 def _sin_2theta(amp: float, f: float, theta0: float, t: np.ndarray) -> np.ndarray:
     """amp * sin(2 (2 pi f t + theta0)), operation by operation in one new array."""
     out = np.multiply(t, 2.0 * math.pi * f)
@@ -131,7 +118,9 @@ def _signal_and_alpha(config: ApparatusConfig, psi: float, noise: NoiseModel, s0
     (the sum turns a -0.0 into +0.0 either way).
     """
     t = _output_grid(config, s0, s1) if psi or noise.spurious_tones else None
-    signal = _magnet_signal(config, psi, t) if psi else 0.0
+    signal = (
+        _sin_2theta(psi, config.magnet_rotation_hz, config.polarizer_angle_rad, t) if psi else 0.0
+    )
     alpha = noise.alpha_of(t) if noise.spurious_tones else 0.0
     return signal + alpha
 
@@ -274,7 +263,7 @@ def _raw_intensity(
         # Whole numbers in float64 are exact, so t is the integer grid divided by fs.
         t = np.divide(np.arange(c0 * samples_per_bin, c1 * samples_per_bin, dtype=np.float64),
                       fs, out=out)
-        signal = _magnet_signal(config, psi, t)
+        signal = _sin_2theta(psi, config.magnet_rotation_hz, config.polarizer_angle_rad, t)
         # without tones alpha is +0.0, which changes at most the sign of a zero before the square
         alpha = noise.alpha_of(t) if noise.spurious_tones else None
         out.reshape(-1, pem_oversample)[...] = carrier

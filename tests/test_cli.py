@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, file formats, determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,6 +190,13 @@ class TestAnalyze:
         written = ApparatusConfig().content_hash()
         assert f"config_hash = {written}" in err
         assert ApparatusConfig(finesse=3e5).content_hash() in err
+
+    def test_config_key_that_names_no_field_is_data_error(self, he_record, tmp_path, capsys):
+        line = "# config.finesse = 6.70000000e+05"
+        bad = self._edit_header(he_record, tmp_path, line,
+                                f"{line}\n# config.second_magnet_rotation_hz = 2.4")
+        assert run("analyze", bad, "--out-dir", tmp_path / "k") == 2
+        assert "config.second_magnet_rotation_hz" in capsys.readouterr().err
 
     @pytest.mark.parametrize("record, row, col, shift, name", [
         ("he_record", 41, 0, 1.0 / 96.0, "time"),
@@ -380,26 +388,6 @@ class TestCalibrateCommand:
         assert not (tmp_path / "cal" / "calibration.txt").exists()
 
 
-class TestTwoMagnets:
-    @pytest.mark.filterwarnings("ignore:magnets rotating at different frequencies")
-    def test_analysis_refuses_magnets_that_do_not_co_rotate(self, tmp_path, capsys):
-        cfg = tmp_path / "two.cfg"
-        cfg.write_text("second_magnet_rotation = 2.4 Hz\n")
-        sim = tmp_path / "sim"
-        assert run("simulate", "--source", "fixed-deltanu:1e-20", "--revolutions", "1024",
-                   "--noise-asd", "1e-8", "--seed", "1", "--config", cfg, "--out-dir", sim) == 0
-        record = sim / "run-seed1.csv"
-        capsys.readouterr()
-        assert run("analyze", record, "--out-dir", tmp_path / "a") == 2
-        err = capsys.readouterr().err
-        assert "3 Hz" in err and "2.4 Hz" in err
-        assert not (tmp_path / "a" / "estimate.txt").exists()
-        assert run("calibrate", record, record, "--gas", "He", "--out-dir", tmp_path / "c") == 2
-        err = capsys.readouterr().err
-        assert "3 Hz" in err and "2.4 Hz" in err
-        assert not (tmp_path / "c" / "calibration.txt").exists()
-
-
 class TestLimitsCommand:
     @pytest.fixture()
     def estimate(self, tmp_path):
@@ -451,6 +439,39 @@ class TestLimitsCommand:
     def test_missing_estimate(self, tmp_path):
         assert run("limits", "xsec", "--estimate", tmp_path / "none.txt",
                    "--out-dir", tmp_path) == 2
+
+    @pytest.fixture()
+    def analyzed_estimate(self, tmp_path):
+        """The estimate.txt, with its config_hash, of a run of a non-default config."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("finesse = 500000\npolarizer_angle = 10 deg\n")
+        assert run("simulate", "--source", "fixed-deltanu:1e-21", "--revolutions", "256",
+                   "--noise-asd", "1e-7", "--config", cfg, "--out-dir", tmp_path / "sim") == 0
+        assert run("analyze", tmp_path / "sim" / "run-seed0.csv", "--config", cfg,
+                   "--out-dir", tmp_path / "ana") == 0
+        return tmp_path / "ana" / "estimate.txt"
+
+    def test_edited_config_is_data_error(self, analyzed_estimate, tmp_path, capsys):
+        # the file as written hashes to its config_hash
+        assert run("limits", "xsec", "--estimate", analyzed_estimate,
+                   "--out-dir", tmp_path / "lx") == 0
+        text = analyzed_estimate.read_text()
+        line = "config.finesse = 5.00000000e+05"
+        assert f"\n{line}\n" in text
+        edited = tmp_path / "edited.txt"
+        edited.write_text(text.replace(line, "config.finesse = 6.70000000e+05"))
+        assert run("limits", "xsec", "--estimate", edited, "--out-dir", tmp_path / "le") == 2
+        err = capsys.readouterr().err
+        written = load_config(tmp_path / "c.cfg")
+        assert f"config_hash = {written.content_hash()}" in err
+        assert replace(written, finesse=6.7e5).content_hash() in err
+
+    def test_config_key_that_names_no_field_is_data_error(self, analyzed_estimate, tmp_path,
+                                                           capsys):
+        extra = tmp_path / "extra.txt"
+        extra.write_text(analyzed_estimate.read_text() + "config.no_such_field = 1.0\n")
+        assert run("limits", "xsec", "--estimate", extra, "--out-dir", tmp_path / "lx") == 2
+        assert "config.no_such_field" in capsys.readouterr().err
 
 
 class TestPipelineCommand:
@@ -532,11 +553,6 @@ class TestConfigFile:
     def test_comments_ignored(self):
         cfg = parse_config("# a comment\nfinesse = 500000  # inline\n")
         assert cfg.finesse == 500000.0
-
-    def test_second_magnet_key(self):
-        with pytest.warns(UserWarning, match="experimental"):
-            cfg = parse_config("second_magnet_rotation = 2.4 Hz\n")
-        assert cfg.second_magnet_rotation_hz == pytest.approx(2.4)
 
 
 class TestManifest:

@@ -445,21 +445,6 @@ class TestOnePassAnalysis:
             tracemalloc.stop()
         assert peak < 0.1 * rec.i_omega_pem.nbytes
 
-    def test_magnets_that_do_not_co_rotate_are_refused(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the diagnostic-mode warning
-            two = ApparatusConfig(second_magnet_rotation_hz=2.4)
-        rec = synthesize_run(two, FixedDeltanSource(1e-20), NoiseModel(1e-8, rng_seed=1),
-                             1024 / 3.0)
-        with pytest.raises(ValueError, match="3 Hz and 2.4 Hz"):
-            analyze_record(rec)
-        with pytest.raises(ValueError, match="3 Hz and 2.4 Hz"):
-            estimate_from_spectra(spectra_chain(rec), rec)
-        # a second magnet at the first one's frequency co-rotates
-        same = synthesize_run(replace(CFG, second_magnet_rotation_hz=3.0),
-                              FixedDeltanSource(1e-20), NoiseModel(1e-8, rng_seed=1), 1024 / 3.0)
-        assert analyze_record(same).n_blocks == 4
-
 
 class TestCalibrate:
     def test_zero_noise_two_point_fit_exact(self):

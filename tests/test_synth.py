@@ -5,7 +5,6 @@ import math
 import struct
 import sys
 import tracemalloc
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -38,7 +37,6 @@ from vmbsim.apparatus import (
 from vmbsim.pipeline import analyze_record, demodulate
 from vmbsim.synth import (
     _check_duration,
-    _magnet_signal,
     cavity_ellipticity,
     single_pass_ellipticity,
     source_ellipticity,
@@ -103,10 +101,6 @@ class TestConfigValidation:
 
     def test_effective_field(self):
         assert CFG.effective_field_t == pytest.approx(math.sqrt(10.25 / 1.92), rel=1e-12)
-
-    def test_diagnostic_mode_warns(self):
-        with pytest.warns(UserWarning, match="experimental"):
-            ApparatusConfig(second_magnet_rotation_hz=2.4)
 
 
 class TestFastSynthesis:
@@ -213,7 +207,9 @@ def whole_array_full(config, source, noise, duration_s, pem_oversample):
     carrier = config.pem_depth * np.cos(
         2.0 * math.pi * (np.arange(n_raw) % pem_oversample) / pem_oversample
     )
-    signal = _magnet_signal(config, source_ellipticity(source, config), t_raw)
+    signal = source_ellipticity(source, config) * np.sin(
+        2.0 * (2.0 * math.pi * config.magnet_rotation_hz * t_raw + config.polarizer_angle_rad)
+    )
     total = carrier + signal + noise.alpha_of(t_raw) + np.repeat(eps_noise, samples_per_bin)
     intensity = config.incident_power_w * (config.extinction + total**2)
     if noise.detector_white_noise > 0.0:
@@ -296,12 +292,6 @@ def memory_peaks(monkeypatch, workers):
     return rec, synth_peak, demod_peak
 
 
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")  # the diagnostic-mode warning
-    TWO_MAGNETS = ApparatusConfig(second_magnet_rotation_hz=2.4)
-    SMALL_TWO_MAGNETS = ApparatusConfig(pem_frequency_hz=960.0, second_magnet_rotation_hz=2.4)
-
-
 def reversed_map_chunks(func, n_bins, samples_per_bin):
     """A ``_map_chunks`` that runs the chunks last first, then yields their bins in order."""
     step = max(1, _BLOCK_SAMPLES // samples_per_bin)
@@ -315,13 +305,13 @@ def reversed_map_chunks(func, n_bins, samples_per_bin):
 class TestChunkWorkers:
     # 24 revolutions are 768 output bins, 12 chunks
     def full_run(self):
-        rec = synthesize_run(SMALL_TWO_MAGNETS, FixedEllipticitySource(1e-6), RIN_AND_TONE,
+        rec = synthesize_run(SMALL_FULL, FixedEllipticitySource(1e-6), RIN_AND_TONE,
                              24 / 3.0, fidelity="full", pem_oversample=8)
         assert len(rec) >= 8 * _CHUNK_BINS * rec.metadata["samples_per_output_bin"]
         return rec.i_omega_pem, demodulate(rec)
 
     def test_samples_do_not_depend_on_the_worker_count(self, monkeypatch):
-        ref, samples_per_bin = whole_array_full(SMALL_TWO_MAGNETS, FixedEllipticitySource(1e-6),
+        ref, samples_per_bin = whole_array_full(SMALL_FULL, FixedEllipticitySource(1e-6),
                                                 RIN_AND_TONE, 24 / 3.0, 8)
         psi = whole_array_demodulate(ref["i_omega_pem"], ref["i0"], 8, samples_per_bin)
         interval = sys.getswitchinterval()
@@ -356,7 +346,9 @@ def whole_array_fast(config, source, noise, duration_s):
     theta = (2.0 * math.pi * config.magnet_rotation_hz * t_out + config.polarizer_angle_rad) % (
         2.0 * math.pi
     )
-    signal = _magnet_signal(config, source_ellipticity(source, config), t_out)
+    signal = source_ellipticity(source, config) * np.sin(
+        2.0 * (2.0 * math.pi * config.magnet_rotation_hz * t_out + config.polarizer_angle_rad)
+    )
     psi_t = signal + noise.alpha_of(t_out) + eps_noise
     ch_omega = 2.0 * i0 * eta0 * psi_t
     if noise.detector_white_noise > 0.0:
@@ -373,12 +365,11 @@ class TestLeanFastSynthesis:
         # negative, so the signal starts at -0.0
         (CFG, FixedEllipticitySource(-1e-7), QUIET),
         (CFG, NullSource(), NoiseModel(1e-6, 0.0, ((0.7, 1e-6, 0.3), (5.0, 2e-7, 1.0)), 5)),
-        (TWO_MAGNETS, FixedDeltanSource(1e-20), NoiseModel(1e-6, rng_seed=6)),
         (CFG, GasSource("He", 3e-5), NoiseModel(1e-6, 1e-4, rng_seed=7)),
         (CFG, FixedEllipticitySource(1e-7), NoiseModel(0.0, 1e-4, rng_seed=8)),
         (CFG, GasSource("He", 3e-5), NoiseModel(1e-6, 1e-4, ((0.7, 1e-6, 0.3),), 9)),
     ], ids=["null_noise", "null_quiet", "gas", "fixed_ellipticity", "spurious_tones",
-            "second_magnet", "detector_noise", "detector_noise_only", "every_term"])
+            "detector_noise", "detector_noise_only", "every_term"])
     def test_bit_identical_to_whole_array(self, config, source, noise):
         rec = synthesize_run(config, source, noise, 32 / 3.0)
         ref = whole_array_fast(config, source, noise, 32 / 3.0)

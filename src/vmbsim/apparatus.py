@@ -9,15 +9,17 @@ harmonic, then sampled synchronously with the magnet rotation.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import io
 import math
 import mmap
 import os
+import threading
 import warnings
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
@@ -324,6 +326,104 @@ def grid_rate(config: ApparatusConfig, lockin_layout: tuple[int, int] | None = N
     return samples_per_bin // oversample * config.sample_rate_hz * oversample
 
 
+class _RawIntensity:
+    """The raw detector channel of a full-fidelity record, as the function of its bins it is.
+
+    ``fill(c0, c1, out)`` writes the intensity of output bins ``c0`` to ``c1``
+    into ``out``, ``samples_per_bin`` raw samples per bin, before the
+    detector's intensity noise.  That noise multiplies each sample by
+    ``1 + rin * n``, with ``n`` the standard normal stream of ``rng`` (the
+    synthesis generator after its ellipticity draw) drawn chunk by chunk in
+    chunk order.  Every pass over the channel draws the same stream from a
+    copy of ``rng``, so it computes the same samples, bit for bit.
+    """
+
+    def __init__(self, fill, n_bins: int, samples_per_bin: int, rin: float,
+                 rng: np.random.Generator):
+        self.fill = fill
+        self.n_bins = n_bins
+        self.samples_per_bin = samples_per_bin
+        self.rin = rin
+        self.rng = rng
+
+    def __len__(self) -> int:
+        return self.n_bins * self.samples_per_bin
+
+    def _noise(self):
+        """``draw(n)``: the intensity noise factors of the next ``n`` samples of a new pass."""
+        rng = copy.deepcopy(self.rng)
+
+        def draw(n: int) -> np.ndarray:
+            factor = rng.standard_normal(n)
+            factor *= self.rin
+            factor += 1.0
+            return factor
+
+        return draw
+
+    def map_rows(self, func):
+        """Run ``func(c0, c1, rows)`` over the blocks of :func:`_map_chunks`; yield each chunk's bins.
+
+        ``rows`` is the ``(c1 - c0, samples_per_bin)`` block of samples,
+        computed into a buffer of the worker thread that its next block
+        overwrites.  A chunk's noise is drawn as the chunk is taken, so the
+        noise of the chunks ahead is what this holds besides the buffers.
+        """
+        spb = self.samples_per_bin
+        buffers = threading.local()
+
+        def block(c0: int, c1: int, factor: np.ndarray | None) -> None:
+            n = (c1 - c0) * spb
+            raw = getattr(buffers, "raw", None)
+            if raw is None or len(raw) < n:
+                raw = buffers.raw = np.empty(n)
+            raw = raw[:n]
+            self.fill(c0, c1, raw)
+            if factor is not None:
+                raw *= factor
+            func(c0, c1, raw.reshape(c1 - c0, spb))
+
+        return _map_chunks(block, self.n_bins, spb, self._noise() if self.rin > 0.0 else None)
+
+    def array(self) -> np.ndarray:
+        """The channel as one array, each block computed in place in it.
+
+        The noise of a chunk is drawn and applied once the chunk is done, in
+        chunk order, so no more than one chunk's noise exists at a time.
+        """
+        spb = self.samples_per_bin
+        out = np.empty(len(self))
+        draw = self._noise()
+        for b0, b1 in _map_chunks(lambda c0, c1, _: self.fill(c0, c1, out[c0 * spb:c1 * spb]),
+                                  self.n_bins, spb):
+            if self.rin > 0.0:
+                out[b0 * spb:b1 * spb] *= draw((b1 - b0) * spb)
+        return out
+
+
+class _Materialised:
+    """``TimeSeriesRecord.i_omega_pem``: the stored array, built at the first read if needed.
+
+    A record stores an array, or a :class:`_RawIntensity`, which the first
+    read turns into the array it computes and stores in its place.  Reading
+    it on the class raises ``AttributeError``, so the field has no default.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            raise AttributeError(self.name)
+        channel = vars(record)[self.name]
+        if isinstance(channel, _RawIntensity):
+            channel = vars(record)[self.name] = channel.array()
+        return channel
+
+    def __set__(self, record, channel):
+        vars(record)[self.name] = channel
+
+
 @dataclass(frozen=True)
 class TimeSeriesRecord:
     """Sampled channels of one run plus the metadata needed to analyze it.
@@ -336,9 +436,16 @@ class TimeSeriesRecord:
     zero-stride views of one value.  The sample grid is not stored either:
     ``sample_rate_hz`` is derived by :func:`grid_rate` from the config and the
     lock-in layout, and ``time`` and ``magnet_phase`` from that rate on demand.
+
+    A synthesized full-fidelity record does not store its raw channel: it
+    keeps the function of the bins that computes it (a ``_RawIntensity``).
+    The lock-in reduces that channel block by block as it is computed, so no
+    raw array exists; reading ``i_omega_pem`` builds the array, exactly as a
+    whole-record synthesis would, and the record keeps it from then on.
+    ``len`` does not build it.
     """
 
-    i_omega_pem: np.ndarray
+    i_omega_pem: np.ndarray = _Materialised()   # no default: stored by _Materialised
     i_2omega_pem: np.ndarray
     i0: np.ndarray
     fidelity: str                      # "fast" | "full"
@@ -348,14 +455,14 @@ class TimeSeriesRecord:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        n = len(self.i_omega_pem)
+        n = len(self)
         if len(self.i_2omega_pem) != n or len(self.i0) != n:
             raise ValueError("all channels must have equal length")
         if self.fidelity not in ("fast", "full"):
             raise ValueError(f"fidelity must be 'fast' or 'full', got {self.fidelity!r}")
 
     def __len__(self) -> int:
-        return len(self.i_omega_pem)
+        return len(vars(self)["i_omega_pem"])
 
     @property
     def sample_rate_hz(self) -> float:
@@ -427,6 +534,8 @@ class TimeSeriesRecord:
 _CHUNK_BINS = 64
 # Most worker threads of :func:`_map_ordered`; each running item holds its own working set.
 _MAX_CHUNK_WORKERS = 8
+# Items per worker thread that :func:`_map_ordered` takes ahead of the result it yields.
+_AHEAD_PER_WORKER = 2
 # Raw samples per block, the unit in which a chunk is computed (in whole bins).
 # A worker's temporaries are a few block-sized arrays of ~0.5 MB, which stay in
 # its core's cache and leave little behind in its thread's malloc arena: with
@@ -450,10 +559,10 @@ def _map_ordered(func, items):
 
     The items run on up to :func:`_chunk_workers` threads, which overlap
     because numpy releases the interpreter lock inside its array loops.  At
-    most two items per thread are taken from ``items`` ahead of the result
-    being yielded, so a lazy ``items`` is read only that far ahead and the
-    results waiting for the caller stay bounded.  ``func`` must not depend on
-    the order in which items run.
+    most ``_AHEAD_PER_WORKER`` items per thread are taken from ``items`` ahead
+    of the result being yielded, so a lazy ``items`` is read only that far
+    ahead, in the calling thread, and the results waiting for the caller stay
+    bounded.  ``func`` must not depend on the order in which items run.
     """
     workers = _chunk_workers()
     if workers <= 1:
@@ -464,7 +573,8 @@ def _map_ordered(func, items):
 
     items = iter(items)
     with ThreadPoolExecutor(workers) as pool:
-        pending = deque(pool.submit(func, item) for item in islice(items, 2 * workers))
+        pending = deque(pool.submit(func, item)
+                        for item in islice(items, _AHEAD_PER_WORKER * workers))
         try:
             while pending:
                 result = pending.popleft().result()
@@ -475,8 +585,8 @@ def _map_ordered(func, items):
                 future.cancel()
 
 
-def _map_chunks(func, n_bins: int, samples_per_bin: int):
-    """Run ``func(c0, c1)`` over ``n_bins`` output bins; yield each chunk's ``(b0, b1)`` in order.
+def _map_chunks(func, n_bins: int, samples_per_bin: int, draw=None):
+    """Run ``func(c0, c1, drawn)`` over ``n_bins`` output bins; yield each chunk's ``(b0, b1)`` in order.
 
     The bins are cut into chunks of ``_CHUNK_BINS``, and each chunk into
     blocks of whole bins ``c0`` to ``c1`` of about ``_BLOCK_SAMPLES`` raw
@@ -484,17 +594,45 @@ def _map_chunks(func, n_bins: int, samples_per_bin: int):
     chunks run through :func:`_map_ordered`, so a chunk's bins are yielded
     once it is done and the caller can finish the chunks in order while later
     ones are still running.  ``func`` must not depend on the order in which
-    blocks run.
+    blocks run.  ``draw(n)``, if given, is called in the calling thread for
+    each chunk, in chunk order, with the chunk's number of raw samples, and
+    ``drawn`` is the block's slice of what it returned; else ``drawn`` is None.
     """
     step = max(1, _BLOCK_SAMPLES // samples_per_bin)
 
-    def chunk(b0: int) -> tuple[int, int]:
-        b1 = min(b0 + _CHUNK_BINS, n_bins)
+    def chunks():
+        for b0 in range(0, n_bins, _CHUNK_BINS):
+            b1 = min(b0 + _CHUNK_BINS, n_bins)
+            yield b0, b1, None if draw is None else draw((b1 - b0) * samples_per_bin)
+
+    def chunk(item) -> tuple[int, int]:
+        b0, b1, drawn = item
         for c0 in range(b0, b1, step):
-            func(c0, min(c0 + step, b1))
+            c1 = min(c0 + step, b1)
+            func(c0, c1, None if drawn is None
+                 else drawn[(c0 - b0) * samples_per_bin:(c1 - b0) * samples_per_bin])
         return b0, b1
 
-    return _map_ordered(chunk, range(0, n_bins, _CHUNK_BINS))
+    return _map_ordered(chunk, chunks())
+
+
+def _map_raw_rows(func, record: TimeSeriesRecord, samples_per_bin: int):
+    """Run ``func(c0, c1, rows)`` over the raw channel of a full-fidelity record; yield chunks' bins.
+
+    ``rows`` is the ``(c1 - c0, samples_per_bin)`` block of the raw samples
+    of output bins ``c0`` to ``c1``, in the blocks and chunks of
+    :func:`_map_chunks`: a view of a stored channel, or, for a channel kept
+    as a ``_RawIntensity``, the block computed into a buffer of the worker
+    thread, so that no raw array exists.
+    """
+    channel = vars(record)["i_omega_pem"]
+    if isinstance(channel, _RawIntensity):
+        if channel.samples_per_bin != samples_per_bin:
+            raise ValueError(f"samples_per_output_bin = {samples_per_bin} is not the "
+                             f"{channel.samples_per_bin} the record was synthesized with")
+        return channel.map_rows(func)
+    rows = channel.reshape(-1, samples_per_bin)
+    return _map_chunks(lambda c0, c1, _: func(c0, c1, rows[c0:c1]), len(rows), samples_per_bin)
 
 
 # Rows formatted per block, the writer's unit of work on one worker thread (~0.65 MB
@@ -622,11 +760,12 @@ def write_record(record: TimeSeriesRecord, path) -> None:
     )
     header += "# columns = " + ", ".join(RECORD_COLUMNS) + "\n"
     n = len(record)
+    omega = record.i_omega_pem  # built here once, if the record keeps a function of its bins
 
     def block(start: int) -> bytes:
         stop = min(start + _WRITE_ROWS, n)
         t, phase = record.derived_columns(start, stop)
-        return _format_rows((t, record.i_omega_pem[start:stop], record.i_2omega_pem[start:stop],
+        return _format_rows((t, omega[start:stop], record.i_2omega_pem[start:stop],
                              record.i0[start:stop], phase))
 
     with open(path, "wb") as fh:
@@ -734,16 +873,26 @@ def _decode_rows(block: np.ndarray) -> np.ndarray | None:
 def _text_blocks(fh):
     """The rest of binary ``fh`` in blocks of whole lines, each between ``_PAD`` newline bytes.
 
-    Each block is an anonymous memory map, not a heap allocation: heap
-    blocks, made and freed one after another in the calling thread while the
-    record's arrays are allocated, fragmented its heap and left ~15 MB of
-    freed pages resident after a 6 h record.
+    Blocks are read into a fixed ring of anonymous memory maps, one per block
+    that :func:`_map_ordered` can hold at once: the ``_AHEAD_PER_WORKER``
+    blocks per worker it reads ahead, the block its caller holds and the one
+    being read.  So a block is overwritten only once nothing reads it, and
+    each map's pages are faulted in once, not once per block.  Maps, not heap
+    blocks: heap blocks made and freed one after another in the calling
+    thread while the record's arrays are allocated fragmented its heap and
+    left ~15 MB of freed pages resident after a 6 h record.  A map is one
+    page longer than a block, room for the start of a line carried over from
+    the block before; a longer line gets a larger map.
     """
     pad = b"\n" * _PAD
     rest = b""
-    while True:
+    ring = [b""] * (_AHEAD_PER_WORKER * _chunk_workers() + 2)
+    for i in count():
         start = _PAD + len(rest)
-        block = mmap.mmap(-1, start + _READ_BYTES + _PAD)
+        size = start + _READ_BYTES + _PAD
+        block = ring[i % len(ring)]
+        if len(block) < size:
+            block = ring[i % len(ring)] = mmap.mmap(-1, size + mmap.PAGESIZE)
         block[:start] = pad + rest
         got = fh.readinto(memoryview(block)[start:start + _READ_BYTES])
         end = start + got

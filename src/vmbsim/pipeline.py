@@ -39,7 +39,7 @@ from .apparatus import (
     GasSource,
     TimeSeriesRecord,
     _BLOCK_SAMPLES,
-    _map_chunks,
+    _map_raw_rows,
     parse_source,
 )
 
@@ -164,7 +164,12 @@ def _lock_in(record: TimeSeriesRecord) -> tuple[np.ndarray, float]:
 
 
 def _digital_lock_in(record: TimeSeriesRecord) -> tuple[np.ndarray, float]:
-    """``(I_OmegaPEM, I_2OmegaPEM(DC))`` of a full-fidelity record on the output grid."""
+    """``(I_OmegaPEM, I_2OmegaPEM(DC))`` of a full-fidelity record on the output grid.
+
+    Each block of bins is reduced as it comes: a view of a stored raw channel,
+    or, for a synthesized record that keeps the function of its bins, the
+    block just computed into its worker's buffer.  No raw array is built.
+    """
     oversample, samples_per_bin = record.lockin_layout()
     n = len(record)
     if n % samples_per_bin:
@@ -173,16 +178,15 @@ def _digital_lock_in(record: TimeSeriesRecord) -> tuple[np.ndarray, float]:
     phase_idx = np.arange(samples_per_bin) % oversample
     ref1 = np.cos(2.0 * math.pi * phase_idx / oversample)
     ref2 = np.cos(4.0 * math.pi * phase_idx / oversample)
-    # raw detector channel for full fidelity, one row per output bin
-    rows = record.i_omega_pem.reshape(n // samples_per_bin, samples_per_bin)
-    ix1 = np.empty(len(rows))
-    ix2 = np.empty(len(rows))
+    ix1 = np.empty(n // samples_per_bin)
+    ix2 = np.empty(n // samples_per_bin)
 
-    def lock_in(c0: int, c1: int) -> None:
-        ix1[c0:c1] = 2.0 * np.mean(rows[c0:c1] * ref1, axis=1)
-        ix2[c0:c1] = 2.0 * np.mean(rows[c0:c1] * ref2, axis=1)
+    # rows: the raw detector channel of bins c0 to c1, one row per output bin
+    def lock_in(c0: int, c1: int, rows: np.ndarray) -> None:
+        ix1[c0:c1] = 2.0 * np.mean(rows * ref1, axis=1)
+        ix2[c0:c1] = 2.0 * np.mean(rows * ref2, axis=1)
 
-    for _ in _map_chunks(lock_in, len(rows), samples_per_bin):
+    for _ in _map_raw_rows(lock_in, record, samples_per_bin):
         pass
     return ix1, float(np.mean(ix2))
 

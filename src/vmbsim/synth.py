@@ -13,13 +13,16 @@ Two fidelity levels:
   working set.
 * ``full`` emits the raw analyser intensity (the exact squared-modulus form,
   extinction and PEM carrier included) at many samples per PEM cycle, so the
-  digital lock-in in the analysis chain can be validated end to end.  It is
-  generated by ``apparatus._map_chunks`` in chunks of output bins, a block of
-  a few bins at a time, in place in the record's one raw array, on up to one
-  worker thread per available CPU.  Its memory is that array plus a block
-  working set per worker, independent of the record length.  A block is a
-  pure function of its bins, and the detector intensity noise is drawn in
-  chunk order, so the samples do not depend on the number of CPUs.
+  digital lock-in in the analysis chain can be validated end to end.  A block
+  of a few output bins is a pure function of its bins, and the detector
+  intensity noise is drawn from the generator's state after the ellipticity
+  draw, chunk by chunk in chunk order.  So the record keeps that function and
+  that state, not a raw array: the lock-in computes each block into a buffer
+  of its worker thread and reduces it there, chunks of bins on up to one
+  worker thread per available CPU (``apparatus._map_chunks``), and its memory
+  is a block working set per worker, independent of the record length.
+  Reading ``i_omega_pem`` builds the raw array the same way, in place.  The
+  samples do not depend on the number of CPUs.
 
 The magnets rotate together, so both levels carry one signal,
 psi(t) = psi sin(2 (2 pi f_Mag t + theta0)), whose 2*Omega_Mag line is the
@@ -51,7 +54,7 @@ from .apparatus import (
     QUIET,
     TimeSeriesRecord,
     _BLOCK_SAMPLES,
-    _map_chunks,
+    _RawIntensity,
     grid_rate,
 )
 
@@ -194,23 +197,13 @@ def synthesize_run(
     samples_per_bin = pem_oversample * cycles_per_bin
     fs = grid_rate(config, (pem_oversample, samples_per_bin))
     n_raw = n_out * samples_per_bin
-
-    intensity = np.empty(n_raw)
-    fill = _raw_intensity(config, source, noise, eps_noise, samples_per_bin, pem_oversample, fs)
-
-    def block(c0: int, c1: int) -> None:
-        fill(c0, c1, intensity[c0 * samples_per_bin:c1 * samples_per_bin])
-
-    # The intensity noise is drawn here, chunk by chunk in chunk order, so the
-    # random stream does not depend on which chunk finishes first.
-    rin = noise.detector_white_noise
-    for b0, b1 in _map_chunks(block, n_out, samples_per_bin):
-        if rin > 0.0:
-            rows = slice(b0 * samples_per_bin, b1 * samples_per_bin)
-            factor = rng.standard_normal(rows.stop - rows.start)
-            factor *= rin
-            factor += 1.0
-            intensity[rows] *= factor
+    # The record keeps the function of its bins and the generator after the
+    # ellipticity draw, from which the intensity noise is drawn chunk by chunk
+    # in chunk order; the lock-in computes the samples block by block from it.
+    intensity = _RawIntensity(
+        _raw_intensity(config, source, noise, eps_noise, samples_per_bin, pem_oversample, fs),
+        n_out, samples_per_bin, noise.detector_white_noise, rng,
+    )
     return TimeSeriesRecord(
         i_omega_pem=intensity,
         i_2omega_pem=np.broadcast_to(0.0, n_raw),

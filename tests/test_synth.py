@@ -2,6 +2,7 @@
 
 import io
 import math
+import mmap
 import struct
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from vmbsim import apparatus, pipeline, synth
+from vmbsim import apparatus, cli
 from vmbsim.apparatus import (
     RECORD_COLUMNS,
     _BLOCK_SAMPLES,
@@ -274,14 +275,103 @@ class TestChunkedFullSynthesis:
         assert demod_peak < 4 * 0.1 * rec.i_omega_pem.nbytes
 
 
+# The cases of TestChunkedFullSynthesis, each at a length the analysis can take (a
+# block of at least 5 revolutions has 50 noise bins): 5 and 7 revolutions are 160 and
+# 224 output bins, whole chunks of _CHUNK_BINS = 64 and a partial one.
+FUSED_CASES = [
+    (SMALL_FULL, GasSource("He", 3e-5), NoiseModel(1e-6, rng_seed=3), 5, 8),
+    (SMALL_FULL, FixedEllipticitySource(1e-6), RIN_AND_TONE, 8, 16),
+    (SMALL_FULL, QedVacuumSource(), RIN_AND_TONE, 7, 8),
+    (CFG, FixedEllipticitySource(1e-6), RIN_AND_TONE, 7, 16),
+]
+FUSED_IDS = ["oversample_8", "oversample_16_rin_tone", "partial_chunk_8", "partial_chunk_default"]
+ESTIMATE_FIELDS = ("complex_amplitude_2omega", "sigma", "deltan_over_b2", "deltan_over_b2_sigma",
+                   "duration_s", "n_blocks", "config", "metadata")
+
+
+def is_stored(rec) -> bool:
+    """Whether a record holds its raw channel as an array, not as the function of its bins."""
+    return not isinstance(vars(rec)["i_omega_pem"], apparatus._RawIntensity)
+
+
+class TestFusedLockIn:
+    """The lock-in of a synthesized full record reduces each block as it is computed."""
+
+    @pytest.mark.parametrize("chunk_map", ["one_worker", "four_workers", "reversed_chunks"])
+    @pytest.mark.parametrize("config, source, noise, revolutions, oversample", FUSED_CASES,
+                             ids=FUSED_IDS)
+    def test_bit_identical_to_the_stored_channel(self, monkeypatch, chunk_map, config, source,
+                                                 noise, revolutions, oversample):
+        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: 4 if chunk_map == "four_workers"
+                            else 1)
+        if chunk_map == "reversed_chunks":
+            monkeypatch.setattr(apparatus, "_map_chunks", reversed_map_chunks)
+
+        def run():
+            return synthesize_run(config, source, noise, revolutions / 3.0, fidelity="full",
+                                  pem_oversample=oversample)
+
+        fused, stored = run(), run()
+        assert not is_stored(stored)
+        stored.i_omega_pem
+        assert is_stored(stored)
+        ref, samples_per_bin = whole_array_full(config, source, noise, revolutions / 3.0,
+                                                oversample)
+        psi = whole_array_demodulate(ref["i_omega_pem"], ref["i0"], oversample, samples_per_bin)
+        assert np.array_equal(demodulate(fused), psi)
+        assert np.array_equal(demodulate(stored), psi)
+        block_size = config.samples_per_revolution * revolutions
+        est = analyze_record(fused, block_size=block_size)
+        est_stored = analyze_record(stored, block_size=block_size)
+        for name in ESTIMATE_FIELDS:
+            assert getattr(est, name) == getattr(est_stored, name), name
+        assert not is_stored(fused)
+        # read after the analysis, the channel has the bytes of a whole-record synthesis
+        assert fused.i_omega_pem.tobytes() == ref["i_omega_pem"].tobytes()
+        assert is_stored(fused)
+
+    def test_memory_does_not_depend_on_the_length(self, monkeypatch):
+        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: 2)
+        np.random.default_rng()  # numpy imports numpy.random lazily; keep that out of the peaks
+        for revolutions in (64, 256):
+            tracemalloc.start()
+            try:
+                rec = synthesize_run(CFG, FixedEllipticitySource(1e-6), RIN_AND_TONE,
+                                     revolutions / 3.0, fidelity="full")
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                n = len(rec)
+                len_peak = tracemalloc.get_traced_memory()[1] - held
+                analyze_record(rec, block_size=CFG.samples_per_revolution * revolutions)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            samples_per_bin = rec.metadata["samples_per_output_bin"]
+            chunk_bytes = _CHUNK_BINS * samples_per_bin * 8
+            assert n == revolutions * CFG.samples_per_revolution * samples_per_bin
+            # len allocates no more than the int it returns
+            assert len_peak < 100
+            assert not is_stored(rec)
+            # the detector noise of at most 5 chunks (4 taken ahead of the 2 workers, and
+            # one drawn as another finishes) and up to 5 block-sized arrays per worker
+            # (~0.55 chunk): measured 5.0 chunks at both lengths
+            assert peak < 7 * chunk_bytes, revolutions
+
+
 def memory_peaks(monkeypatch, workers):
-    """``(record, synthesis peak, lock-in peak above the record)`` of a 64-revolution full run."""
+    """``(record, synthesis peak, lock-in peak above the record)`` of a 64-revolution full run.
+
+    The synthesis peak includes building the raw array, which synthesis
+    itself leaves to the first read of ``i_omega_pem``; the lock-in runs on
+    that stored array.
+    """
     monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
     np.random.default_rng()  # numpy imports numpy.random lazily; keep that out of the peaks
     tracemalloc.start()
     try:
         rec = synthesize_run(SMALL_FULL, FixedEllipticitySource(1e-6), RIN_AND_TONE, 64 / 3.0,
                              fidelity="full")
+        rec.i_omega_pem
         synth_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
@@ -292,13 +382,20 @@ def memory_peaks(monkeypatch, workers):
     return rec, synth_peak, demod_peak
 
 
-def reversed_map_chunks(func, n_bins, samples_per_bin):
-    """A ``_map_chunks`` that runs the chunks last first, then yields their bins in order."""
+def reversed_map_chunks(func, n_bins, samples_per_bin, draw=None):
+    """A ``_map_chunks`` that runs the chunks last first, then yields their bins in order.
+
+    What ``draw`` returns is drawn for every chunk first, in chunk order, as
+    ``_map_chunks`` draws it in the calling thread before a chunk runs.
+    """
     step = max(1, _BLOCK_SAMPLES // samples_per_bin)
     chunks = [(b0, min(b0 + _CHUNK_BINS, n_bins)) for b0 in range(0, n_bins, _CHUNK_BINS)]
-    for b0, b1 in reversed(chunks):
+    drawn = [None if draw is None else draw((b1 - b0) * samples_per_bin) for b0, b1 in chunks]
+    for (b0, b1), chunk_drawn in reversed(list(zip(chunks, drawn))):
         for c0 in range(b0, b1, step):
-            func(c0, min(c0 + step, b1))
+            c1 = min(c0 + step, b1)
+            func(c0, c1, None if chunk_drawn is None
+                 else chunk_drawn[(c0 - b0) * samples_per_bin:(c1 - b0) * samples_per_bin])
     return iter(chunks)
 
 
@@ -308,7 +405,8 @@ class TestChunkWorkers:
         rec = synthesize_run(SMALL_FULL, FixedEllipticitySource(1e-6), RIN_AND_TONE,
                              24 / 3.0, fidelity="full", pem_oversample=8)
         assert len(rec) >= 8 * _CHUNK_BINS * rec.metadata["samples_per_output_bin"]
-        return rec.i_omega_pem, demodulate(rec)
+        psi = demodulate(rec)  # the lock-in computes the blocks, then the array is built
+        return rec.i_omega_pem, psi
 
     def test_samples_do_not_depend_on_the_worker_count(self, monkeypatch):
         ref, samples_per_bin = whole_array_full(SMALL_FULL, FixedEllipticitySource(1e-6),
@@ -328,8 +426,7 @@ class TestChunkWorkers:
     def test_detector_noise_is_drawn_in_chunk_order(self, monkeypatch):
         monkeypatch.setattr(apparatus, "_chunk_workers", lambda: 1)
         raw, psi = self.full_run()
-        monkeypatch.setattr(synth, "_map_chunks", reversed_map_chunks)
-        monkeypatch.setattr(pipeline, "_map_chunks", reversed_map_chunks)
+        monkeypatch.setattr(apparatus, "_map_chunks", reversed_map_chunks)
         raw_reversed, psi_reversed = self.full_run()
         assert np.array_equal(raw_reversed, raw)
         assert np.array_equal(psi_reversed, psi)
@@ -689,6 +786,52 @@ class TestStreamingReader:
         path.write_bytes(b"".join(lines))
         with pytest.raises(ValueError, match="data row 21 .*: magnet_phase = 0.5"):
             read_record(path)
+
+    @staticmethod
+    def count_maps(monkeypatch) -> list:
+        """The anonymous maps made from here on, as they are made."""
+        maps = []
+        make = mmap.mmap
+
+        def counted(*args, **kwargs):
+            maps.append(make(*args, **kwargs))
+            return maps[-1]
+
+        monkeypatch.setattr(mmap, "mmap", counted)
+        return maps
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_blocks_are_read_into_a_ring_of_maps(self, tmp_path, lines, monkeypatch, capsys,
+                                                 workers):
+        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
+        path = tmp_path / "rec.csv"
+        path.write_bytes(b"".join(lines))
+        maps = self.count_maps(monkeypatch)
+        back = read_record(path)
+        ring = apparatus._AHEAD_PER_WORKER * workers + 2
+        assert path.stat().st_size > 3 * ring * apparatus._READ_BYTES
+        assert len(maps) == ring
+        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        for name, col in (("i_omega_pem", 1), ("i_2omega_pem", 2), ("i0", 3)):
+            assert np.array_equal(_bits(getattr(back, name)), _bits(data[:, col])), name
+        # a malformed row in a late block is named, and analyze exits 2
+        self.edit(lines, 1800, 1, b"abc")
+        path.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert cli.main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert (f"data row 1801 (file line {self.first + 1801}): 'abc' in column I_OmegaPEM "
+                "is not a number") in capsys.readouterr().err
+
+    def test_a_line_longer_than_a_block_gets_a_larger_map(self, tmp_path, lines, monkeypatch):
+        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: 2)
+        lines.insert(self.first + 1000, b"# " + b"x" * (3 * apparatus._READ_BYTES) + b"\n")
+        path = tmp_path / "long_line.csv"
+        path.write_bytes(b"".join(lines))
+        maps = self.count_maps(monkeypatch)
+        back = read_record(path)
+        assert max(len(m) for m in maps) > 3 * apparatus._READ_BYTES
+        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        assert np.array_equal(_bits(back.i_omega_pem), _bits(data[:, 1]))
 
     def test_bytes_and_values_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
         monkeypatch.setattr(apparatus, "_WRITE_ROWS", 1000)

@@ -327,86 +327,117 @@ def grid_rate(config: ApparatusConfig, lockin_layout: tuple[int, int] | None = N
 
 
 class _RawIntensity:
-    """The raw detector channel of a full-fidelity record, as the function of its bins it is.
+    """A synthesized record's varying channel, as the function of its samples it is.
 
-    ``fill(c0, c1, out)`` writes the intensity of output bins ``c0`` to ``c1``
-    into ``out``, ``samples_per_bin`` raw samples per bin, before the
-    detector's intensity noise.  That noise multiplies each sample by
-    ``1 + rin * n``, with ``n`` the standard normal stream of ``rng`` (the
-    synthesis generator after its ellipticity draw) drawn chunk by chunk in
-    chunk order.  Every pass over the channel draws the same stream from a
-    copy of ``rng``, so it computes the same samples, bit for bit.
+    Both fidelities keep one: a full-fidelity record its raw detector
+    intensity, ``samples_per_bin`` raw samples per output bin, and a fast
+    record its ``I_OmegaPEM``, one sample per bin.  ``fill(c0, c1, out)``
+    computes the samples of bins ``c0`` to ``c1`` in place in ``out``.  When
+    ``rng`` is not None the samples are also a function of its standard
+    normal stream, one draw per sample in sample order: ``out`` then holds
+    the draws of those samples on entry.  Every pass over the channel draws
+    from a copy of ``rng``, so it computes the same samples, bit for bit, and
+    a block is a pure function of its bins and their draws: blocks may be
+    filled in any order, on any thread.
     """
 
-    def __init__(self, fill, n_bins: int, samples_per_bin: int, rin: float,
-                 rng: np.random.Generator):
+    def __init__(self, fill, n_bins: int, samples_per_bin: int, rng: np.random.Generator | None):
         self.fill = fill
         self.n_bins = n_bins
         self.samples_per_bin = samples_per_bin
-        self.rin = rin
         self.rng = rng
 
     def __len__(self) -> int:
         return self.n_bins * self.samples_per_bin
 
-    def _noise(self):
-        """``draw(n)``: the intensity noise factors of the next ``n`` samples of a new pass."""
+    def _draw(self):
+        """``draw(out)``: fills ``out`` with the next draws of a new pass (None: no stream)."""
+        if self.rng is None:
+            return None
         rng = copy.deepcopy(self.rng)
+        return lambda out: rng.standard_normal(out=out)
 
-        def draw(n: int) -> np.ndarray:
-            factor = rng.standard_normal(n)
-            factor *= self.rin
-            factor += 1.0
-            return factor
+    def chunks(self, stops, out: np.ndarray | None = None):
+        """Yield the samples of the bins from 0 to each of ``stops`` in turn, in order.
 
-        return draw
+        The samples of bins ``c0`` to ``c1`` are computed into
+        ``out[c0 * samples_per_bin:c1 * samples_per_bin]`` when ``out`` is
+        given, and otherwise into a chunk-sized buffer that the caller may use
+        until it asks for the next chunk.  ``fill`` runs in the
+        calling thread.  With more than one chunk and more than one CPU, a
+        helper thread draws the stream of the next chunks meanwhile
+        (:func:`_drawn_ahead`); otherwise each chunk's share is drawn just
+        before it is filled.
+        """
+        spb = self.samples_per_bin
+        bounds = list(zip([0, *stops[:-1]], stops))
+        draw = self._draw()
+        threaded = draw is not None and len(bounds) > 1 and _chunk_workers() > 1
+        ahead = _DRAWN_AHEAD if threaded else 0
+        if out is None:
+            ring = [np.empty(max(c1 - c0 for c0, c1 in bounds) * spb) for _ in range(ahead + 1)]
+            targets = [ring[i % len(ring)][:(c1 - c0) * spb] for i, (c0, c1) in enumerate(bounds)]
+        else:
+            targets = [out[c0 * spb:c1 * spb] for c0, c1 in bounds]
+        if ahead:
+            targets = _drawn_ahead(draw, targets, ahead)
+        elif draw is not None:
+            targets = map(draw, targets)
+        for samples, (c0, c1) in zip(targets, bounds):
+            self.fill(c0, c1, samples)
+            yield samples
 
     def map_rows(self, func):
         """Run ``func(c0, c1, rows)`` over the blocks of :func:`_map_chunks`; yield each chunk's bins.
 
         ``rows`` is the ``(c1 - c0, samples_per_bin)`` block of samples,
-        computed into a buffer of the worker thread that its next block
-        overwrites.  A chunk's noise is drawn as the chunk is taken, so the
-        noise of the chunks ahead is what this holds besides the buffers.
+        computed on a worker thread into the array its draws were drawn into,
+        or, without a stream, into a buffer of the worker thread that its next
+        block overwrites.  The draws are taken a block at a time as
+        :func:`_map_chunks` takes the block, so this holds the draws of the
+        blocks in flight besides the buffers.
         """
         spb = self.samples_per_bin
         buffers = threading.local()
+        draw = self._draw()
 
-        def block(c0: int, c1: int, factor: np.ndarray | None) -> None:
-            n = (c1 - c0) * spb
-            raw = getattr(buffers, "raw", None)
-            if raw is None or len(raw) < n:
-                raw = buffers.raw = np.empty(n)
-            raw = raw[:n]
+        def block(c0: int, c1: int, drawn: np.ndarray | None) -> None:
+            raw = drawn
+            if raw is None:
+                n = (c1 - c0) * spb
+                raw = getattr(buffers, "raw", None)
+                if raw is None or len(raw) < n:
+                    raw = buffers.raw = np.empty(n)
+                raw = raw[:n]
             self.fill(c0, c1, raw)
-            if factor is not None:
-                raw *= factor
             func(c0, c1, raw.reshape(c1 - c0, spb))
 
-        return _map_chunks(block, self.n_bins, spb, self._noise() if self.rin > 0.0 else None)
+        return _map_chunks(block, self.n_bins, spb,
+                           None if draw is None else lambda n: draw(np.empty(n)))
 
     def array(self) -> np.ndarray:
-        """The channel as one array, each block computed in place in it.
+        """The channel as one array, computed in place in it, a block at a time.
 
-        The noise of a chunk is drawn and applied once the chunk is done, in
-        chunk order, so no more than one chunk's noise exists at a time.
+        A fast channel's blocks hold ``_BLOCK_SAMPLES`` samples, a full one's
+        are those of :func:`_map_chunks`, which hold at most ``_CHUNK_BINS``
+        bins.  The working set besides the array is one block's.
         """
-        spb = self.samples_per_bin
         out = np.empty(len(self))
-        draw = self._noise()
-        for b0, b1 in _map_chunks(lambda c0, c1, _: self.fill(c0, c1, out[c0 * spb:c1 * spb]),
-                                  self.n_bins, spb):
-            if self.rin > 0.0:
-                out[b0 * spb:b1 * spb] *= draw((b1 - b0) * spb)
+        step = max(1, _BLOCK_SAMPLES // self.samples_per_bin)
+        if self.samples_per_bin > 1:
+            step = min(step, _CHUNK_BINS)
+        for _ in self.chunks([*range(step, self.n_bins, step), self.n_bins], out):
+            pass
         return out
 
 
 class _Materialised:
     """``TimeSeriesRecord.i_omega_pem``: the stored array, built at the first read if needed.
 
-    A record stores an array, or a :class:`_RawIntensity`, which the first
-    read turns into the array it computes and stores in its place.  Reading
-    it on the class raises ``AttributeError``, so the field has no default.
+    A record stores an array, or, if synthesized, a :class:`_RawIntensity`,
+    which the first read turns into the array it computes and stores in its
+    place.  Reading it on the class raises ``AttributeError``, so the field
+    has no default.
     """
 
     def __set_name__(self, owner, name):
@@ -437,12 +468,12 @@ class TimeSeriesRecord:
     ``sample_rate_hz`` is derived by :func:`grid_rate` from the config and the
     lock-in layout, and ``time`` and ``magnet_phase`` from that rate on demand.
 
-    A synthesized full-fidelity record does not store its raw channel: it
-    keeps the function of the bins that computes it (a ``_RawIntensity``).
-    The lock-in reduces that channel block by block as it is computed, so no
-    raw array exists; reading ``i_omega_pem`` builds the array, exactly as a
-    whole-record synthesis would, and the record keeps it from then on.
-    ``len`` does not build it.
+    A synthesized record does not store ``i_omega_pem`` either: it keeps the
+    function of its samples that computes it and the state of the generator
+    it draws from (a ``_RawIntensity``).  The analysis reduces that channel
+    chunk by chunk as it is computed, so the array never exists; reading
+    ``i_omega_pem`` builds it, exactly as a whole-record synthesis would, and
+    the record keeps it from then on.  ``len`` does not build it.
     """
 
     i_omega_pem: np.ndarray = _Materialised()   # no default: stored by _Materialised
@@ -462,7 +493,7 @@ class TimeSeriesRecord:
             raise ValueError(f"fidelity must be 'fast' or 'full', got {self.fidelity!r}")
 
     def __len__(self) -> int:
-        return len(vars(self)["i_omega_pem"])
+        return len(_varying_channel(self))
 
     @property
     def sample_rate_hz(self) -> float:
@@ -536,6 +567,8 @@ _CHUNK_BINS = 64
 _MAX_CHUNK_WORKERS = 8
 # Items per worker thread that :func:`_map_ordered` takes ahead of the result it yields.
 _AHEAD_PER_WORKER = 2
+# Chunks whose draws :func:`_drawn_ahead` takes ahead of the chunk its caller holds.
+_DRAWN_AHEAD = 2
 # Raw samples per block, the unit in which a chunk is computed (in whole bins).
 # A worker's temporaries are a few block-sized arrays of ~0.5 MB, which stay in
 # its core's cache and leave little behind in its thread's malloc arena: with
@@ -597,12 +630,15 @@ def _map_chunks(func, n_bins: int, samples_per_bin: int, draw=None):
     blocks run.  ``draw(n)``, if given, is called in the calling thread for
     each chunk, in chunk order, with the chunk's number of raw samples, and
     ``drawn`` is the block's slice of what it returned; else ``drawn`` is None.
+    A chunk that draws is one block, so what is drawn ahead is the draws of
+    the blocks in flight, not of whole chunks.
     """
     step = max(1, _BLOCK_SAMPLES // samples_per_bin)
+    per_chunk = _CHUNK_BINS if draw is None else min(step, _CHUNK_BINS)
 
     def chunks():
-        for b0 in range(0, n_bins, _CHUNK_BINS):
-            b1 = min(b0 + _CHUNK_BINS, n_bins)
+        for b0 in range(0, n_bins, per_chunk):
+            b1 = min(b0 + per_chunk, n_bins)
             yield b0, b1, None if draw is None else draw((b1 - b0) * samples_per_bin)
 
     def chunk(item) -> tuple[int, int]:
@@ -622,10 +658,10 @@ def _map_raw_rows(func, record: TimeSeriesRecord, samples_per_bin: int):
     ``rows`` is the ``(c1 - c0, samples_per_bin)`` block of the raw samples
     of output bins ``c0`` to ``c1``, in the blocks and chunks of
     :func:`_map_chunks`: a view of a stored channel, or, for a channel kept
-    as a ``_RawIntensity``, the block computed into a buffer of the worker
-    thread, so that no raw array exists.
+    as a ``_RawIntensity``, the block computed on the worker thread
+    (:meth:`_RawIntensity.map_rows`), so that no raw array exists.
     """
-    channel = vars(record)["i_omega_pem"]
+    channel = _varying_channel(record)
     if isinstance(channel, _RawIntensity):
         if channel.samples_per_bin != samples_per_bin:
             raise ValueError(f"samples_per_output_bin = {samples_per_bin} is not the "
@@ -633,6 +669,67 @@ def _map_raw_rows(func, record: TimeSeriesRecord, samples_per_bin: int):
         return channel.map_rows(func)
     rows = channel.reshape(-1, samples_per_bin)
     return _map_chunks(lambda c0, c1, _: func(c0, c1, rows[c0:c1]), len(rows), samples_per_bin)
+
+
+def _varying_channel(record: TimeSeriesRecord):
+    """``i_omega_pem`` as the record keeps it: an array, or a ``_RawIntensity`` left unbuilt."""
+    return vars(record)["i_omega_pem"]
+
+
+def _spans(channel, stops):
+    """Yield the samples of a fast record's channel from 0 to each of ``stops`` in turn.
+
+    Views of a stored array, or, for a ``_RawIntensity`` (one sample per
+    bin), the samples it computes (:meth:`_RawIntensity.chunks`), which the
+    caller may use until it asks for the next span.
+    """
+    if isinstance(channel, _RawIntensity):
+        return channel.chunks(stops)
+    return (channel[start:stop] for start, stop in zip([0, *stops[:-1]], stops))
+
+
+def _drawn_ahead(draw, targets: list, ahead: int):
+    """Yield each of ``targets`` in order, once ``draw(target)`` has filled it on a helper thread.
+
+    One helper thread draws the targets in order, at most ``ahead`` beyond
+    the one the caller holds; the caller holds a target until it asks for the
+    next.  So the caller's work on one target overlaps the draws of the next,
+    and ``targets`` may reuse ``ahead + 1`` buffers in turn.  A draw that
+    raises raises in the caller.
+    """
+    drawn = deque()
+    ready = threading.Semaphore(0)
+    free = threading.Semaphore(ahead + 1)
+    stop = threading.Event()
+
+    def helper() -> None:
+        try:
+            for target in targets:
+                free.acquire()
+                if stop.is_set():
+                    return
+                draw(target)
+                drawn.append(target)
+                ready.release()
+        except BaseException as exc:  # raised in the caller
+            drawn.append(exc)
+            ready.release()
+
+    # a daemon, so that a pass its caller abandons without closing cannot hold up the exit
+    thread = threading.Thread(target=helper, name="vmbsim-draw-ahead", daemon=True)
+    thread.start()
+    try:
+        for _ in targets:
+            ready.acquire()
+            target = drawn.popleft()
+            if isinstance(target, BaseException):
+                raise target
+            yield target
+            free.release()
+    finally:
+        stop.set()
+        free.release()
+        thread.join()
 
 
 # Rows formatted per block, the writer's unit of work on one worker thread (~0.65 MB

@@ -13,9 +13,13 @@ Memory: :func:`analyze_record` walks the record once, in chunks of whole
 blocks of about ``apparatus._BLOCK_SAMPLES`` samples (8 blocks at the
 defaults).  Each chunk is divided by the lock-in normalization, Fourier
 transformed, normalized and reduced to its blocks' 2*Omega_Mag amplitudes and
-floored Rayleigh sigmas while it is in cache, so the analysis holds the record
-plus one chunk's working set, whatever the run length; it never holds the
-ellipticity series or the spectra.  :func:`block_fft` and
+floored Rayleigh sigmas while it is in cache; it never holds the ellipticity
+series or the spectra.  A stored record (read from a file, or built) is
+walked in views of it, so the analysis holds the record plus one chunk's
+working set.  A synthesized fast record keeps no array: its chunks are
+computed in turn in the calling thread while a helper thread draws the noise
+of the next ones, at most two chunks ahead, so synthesis and analysis hold a
+few chunks, whatever the run length.  :func:`block_fft` and
 :func:`with_rayleigh_sigma`, which keep the spectra, run the same chunk pass,
 so every block is computed by the same operations either way.
 
@@ -40,6 +44,8 @@ from .apparatus import (
     TimeSeriesRecord,
     _BLOCK_SAMPLES,
     _map_raw_rows,
+    _spans,
+    _varying_channel,
     parse_source,
 )
 
@@ -142,17 +148,21 @@ def demodulate(record: TimeSeriesRecord) -> np.ndarray:
     carrier cycles per output sample, peak-amplitude gain convention).
     """
     series, root_norm = _lock_in(record)
+    if not isinstance(series, np.ndarray):
+        series = record.i_omega_pem  # a synthesized fast record builds its channel and keeps it
     return series / root_norm
 
 
-def _lock_in(record: TimeSeriesRecord) -> tuple[np.ndarray, float]:
+def _lock_in(record: TimeSeriesRecord):
     """``(I_OmegaPEM on the output grid, sqrt(8 I0 I_2OmegaPEM(DC)))`` of a record.
 
     :func:`demodulate` divides the first by the second; the analysis divides
-    it chunk by chunk.  A fast record's channel is returned as it is stored.
+    it chunk by chunk.  A fast record's channel is returned as the record
+    keeps it: an array, or, if synthesized, the function of its samples that
+    the analysis computes chunk by chunk (see :func:`_block_spectra`).
     """
     if record.fidelity == "fast":
-        series, dc_2omega = record.i_omega_pem, float(np.mean(record.i_2omega_pem))
+        series, dc_2omega = _varying_channel(record), float(np.mean(record.i_2omega_pem))
     elif record.fidelity == "full":
         series, dc_2omega = _digital_lock_in(record)
     else:
@@ -258,7 +268,7 @@ def _block_chunks(n_blocks: int, block_size: int):
 
 
 def _block_spectra(
-    series: np.ndarray,
+    series,
     root_norm: float | None,
     block_size: int,
     n_blocks: int,
@@ -268,17 +278,20 @@ def _block_spectra(
 
     The one pass over a record's blocks that every analysis runs, a chunk of
     :func:`_block_chunks` at a time, so a chunk's series and spectra stay in
-    cache.  ``root_norm`` None leaves the series undivided.  ``bins`` is
-    ``out[r0:r1]`` when ``out`` is given, and otherwise one chunk-sized buffer
-    that the next chunk overwrites.  Each value takes the same operations as in
-    one pass over the whole record.
+    cache.  ``series`` is an array, whose chunks are views, or a synthesized
+    fast channel, whose chunks are computed in turn while a helper thread
+    draws the noise of the next ones (``apparatus._spans``).  ``root_norm``
+    None leaves the series undivided.  ``bins`` is ``out[r0:r1]`` when
+    ``out`` is given, and otherwise one chunk-sized buffer that the next chunk
+    overwrites.  Each value takes the same operations as in one pass over the
+    whole record.
     """
     chunks = list(_block_chunks(n_blocks, block_size))
     if out is None:
         scratch = np.empty((max(r1 - r0 for r0, r1 in chunks), block_size // 2 + 1), dtype=complex)
-    for r0, r1 in chunks:
+    for samples, (r0, r1) in zip(_spans(series, [r1 * block_size for _, r1 in chunks]), chunks):
         bins = scratch[:r1 - r0] if out is None else out[r0:r1]
-        rows = series[r0 * block_size:r1 * block_size].reshape(r1 - r0, block_size)
+        rows = samples.reshape(r1 - r0, block_size)
         np.fft.rfft(rows if root_norm is None else rows / root_norm, axis=1, out=bins)
         # one-sided amplitude normalization: interior bins 2/N, DC and Nyquist 1/N
         bins *= 2.0 / block_size

@@ -4,25 +4,36 @@ Two fidelity levels:
 
 * ``fast`` emits the lock-in output channels directly at the synchronous rate
   of ``samples_per_revolution`` per magnet turn.  This is the workhorse for
-  long Monte-Carlo runs.  Only ``I_OmegaPEM`` is computed per sample, and
-  the ``sin(2 theta)`` signal and the spurious tones only when they are
-  nonzero: the constant channels are zero-stride views and ``time`` and
-  ``magnet_phase`` are derived by the record on demand.  ``I_OmegaPEM`` is
-  built in place in the buffer of the ellipticity noise draw, the signal a
-  block of samples at a time, so synthesis holds the record plus a block's
-  working set.
+  long Monte-Carlo runs.  Only ``I_OmegaPEM`` varies from sample to sample,
+  and the ``sin(2 theta)`` signal and the spurious tones are computed only
+  when they are nonzero: the constant channels are zero-stride views and
+  ``time`` and ``magnet_phase`` are derived by the record on demand.
+  Synthesis does not build ``I_OmegaPEM`` either.  The record keeps the
+  function of its samples and the generator state it draws from: the
+  ellipticity noise's stream, or, with detector noise, the detector noise's,
+  which follows the whole ellipticity draw, so that the ellipticity noise is
+  then drawn at synthesis and kept.  The analysis computes the channel a
+  chunk of blocks at a time in the calling thread while a helper thread
+  draws the stream of the next chunks (``apparatus._RawIntensity.chunks``),
+  so its memory is a few chunks, independent of the run length.  Reading
+  ``i_omega_pem`` builds the array in place in the buffer the stream is
+  drawn into, a block of samples at a time.
 * ``full`` emits the raw analyser intensity (the exact squared-modulus form,
   extinction and PEM carrier included) at many samples per PEM cycle, so the
   digital lock-in in the analysis chain can be validated end to end.  A block
-  of a few output bins is a pure function of its bins, and the detector
-  intensity noise is drawn from the generator's state after the ellipticity
-  draw, chunk by chunk in chunk order.  So the record keeps that function and
-  that state, not a raw array: the lock-in computes each block into a buffer
-  of its worker thread and reduces it there, chunks of bins on up to one
-  worker thread per available CPU (``apparatus._map_chunks``), and its memory
-  is a block working set per worker, independent of the record length.
-  Reading ``i_omega_pem`` builds the raw array the same way, in place.  The
-  samples do not depend on the number of CPUs.
+  of a few output bins is a pure function of its bins and of the detector
+  intensity noise's draws, which follow the ellipticity draw in the stream.
+  So the record keeps that function and the generator state, not a raw
+  array: the lock-in computes each block and reduces it on a worker thread,
+  chunks of bins on up to one worker thread per available CPU
+  (``apparatus._map_chunks``), the draws taken a block at a time in stream
+  order, and its memory is a block working set per worker, independent of
+  the record length.  Reading ``i_omega_pem`` builds the raw array in place,
+  a block at a time.
+
+Either way every sample takes the same operations as in one pass over
+whole-record arrays, every pass draws from a copy of the generator state,
+and the samples do not depend on the number of CPUs.
 
 The magnets rotate together, so both levels carry one signal,
 psi(t) = psi sin(2 (2 pi f_Mag t + theta0)), whose 2*Omega_Mag line is the
@@ -53,7 +64,6 @@ from .apparatus import (
     NoiseModel,
     QUIET,
     TimeSeriesRecord,
-    _BLOCK_SAMPLES,
     _RawIntensity,
     grid_rate,
 )
@@ -128,14 +138,52 @@ def _signal_and_alpha(config: ApparatusConfig, psi: float, noise: NoiseModel, s0
     return signal + alpha
 
 
+def _noise_sigma(noise: NoiseModel, sample_rate: float) -> float:
+    """Per-output-sample sigma of white ellipticity noise with the requested one-sided ASD."""
+    return noise.ellipticity_noise_density * math.sqrt(sample_rate / 2.0)
+
+
 def _ellipticity_noise(noise: NoiseModel, rng: np.random.Generator, n: int, sample_rate: float):
-    """Per-output-sample white ellipticity noise with the requested one-sided ASD, a new array."""
+    """Per-output-sample white ellipticity noise: a new array, or a zero-stride zero without it."""
     if noise.ellipticity_noise_density == 0.0:
-        return np.zeros(n)
-    sigma_t = noise.ellipticity_noise_density * math.sqrt(sample_rate / 2.0)
+        return np.broadcast_to(0.0, n)
     draw = rng.standard_normal(n)
-    draw *= sigma_t
+    draw *= _noise_sigma(noise, sample_rate)
     return draw
+
+
+def _fast_channel(config: ApparatusConfig, psi: float, noise: NoiseModel, eps_noise):
+    """``fill(s0, s1, out)``: a fast record's I_OmegaPEM of samples ``s0`` to ``s1``, into ``out``.
+
+    I_OmegaPEM = 2 I0 eta0 (signal + alpha + eps), plus the detector noise.
+
+    ``eps_noise`` None means that ``out`` holds on entry the standard normals
+    of the ellipticity noise, which is scaled in place; otherwise the
+    ellipticity noise is ``eps_noise``, and with detector noise ``out`` holds
+    on entry that noise's standard normals.  Every sample takes the same
+    operations as over whole-record arrays (a + b is b + a bit for bit), so
+    the samples do not depend on the spans they are filled in.
+    """
+    gain = 2.0 * config.incident_power_w * config.pem_depth
+    sigma_t = _noise_sigma(noise, config.sample_rate_hz)
+    detector_sigma = config.incident_power_w * noise.detector_white_noise
+
+    def fill(s0: int, s1: int, out: np.ndarray) -> None:
+        if eps_noise is None:
+            out *= sigma_t
+            out += _signal_and_alpha(config, psi, noise, s0, s1)
+            out *= gain
+            return
+        # an absent noise is a zero-stride zero, and the sum turns a -0.0 signal into +0.0
+        psi_t = eps_noise[s0:s1] + _signal_and_alpha(config, psi, noise, s0, s1)
+        if detector_sigma > 0.0:
+            psi_t *= gain
+            out *= detector_sigma
+            out += psi_t
+        else:
+            np.multiply(psi_t, gain, out=out)
+
+    return fill
 
 
 def synthesize_run(
@@ -158,26 +206,22 @@ def synthesize_run(
     n_revs = _check_duration(config, duration_s)
     rng = np.random.default_rng(noise.rng_seed)
     n_out = n_revs * config.samples_per_revolution
-    eps_noise = _ellipticity_noise(noise, rng, n_out, config.sample_rate_hz)
     i0 = config.incident_power_w
     eta0 = config.pem_depth
 
     if fidelity == "fast":
-        # I_OmegaPEM = 2 I0 eta0 (signal + alpha + eps), built in place in the noise
-        # draw's buffer, a block of samples at a time; a + b is b + a bit for bit, so
-        # every sample is the sum and product of fresh whole-record arrays
-        ch_omega = eps_noise
+        # The record keeps the function of its samples and the stream it draws: the
+        # ellipticity noise, or, with detector noise, that noise, which follows the whole
+        # ellipticity draw in the stream; so the ellipticity noise is then drawn and kept here.
+        if noise.detector_white_noise == 0.0 and noise.ellipticity_noise_density > 0.0:
+            eps_noise, stream = None, rng
+        else:
+            eps_noise = _ellipticity_noise(noise, rng, n_out, config.sample_rate_hz)
+            stream = rng if noise.detector_white_noise > 0.0 else None
         psi = source_ellipticity(source, config)
-        for s0 in range(0, n_out, _BLOCK_SAMPLES):
-            s1 = min(s0 + _BLOCK_SAMPLES, n_out)
-            ch_omega[s0:s1] += _signal_and_alpha(config, psi, noise, s0, s1)
-        ch_omega *= 2.0 * i0 * eta0
-        if noise.detector_white_noise > 0.0:
-            detector = rng.standard_normal(n_out)
-            detector *= i0 * noise.detector_white_noise
-            ch_omega += detector
         return TimeSeriesRecord(
-            i_omega_pem=ch_omega,
+            i_omega_pem=_RawIntensity(_fast_channel(config, psi, noise, eps_noise), n_out, 1,
+                                      stream),
             i_2omega_pem=np.broadcast_to(0.5 * i0 * eta0**2, n_out),
             i0=np.broadcast_to(i0, n_out),
             fidelity="fast",
@@ -197,12 +241,13 @@ def synthesize_run(
     samples_per_bin = pem_oversample * cycles_per_bin
     fs = grid_rate(config, (pem_oversample, samples_per_bin))
     n_raw = n_out * samples_per_bin
-    # The record keeps the function of its bins and the generator after the
-    # ellipticity draw, from which the intensity noise is drawn chunk by chunk
-    # in chunk order; the lock-in computes the samples block by block from it.
+    # The record keeps the function of its bins and, with intensity noise, the
+    # generator after the ellipticity draw, which that noise's stream follows;
+    # the lock-in computes the samples block by block from them.
+    eps_noise = _ellipticity_noise(noise, rng, n_out, config.sample_rate_hz)
     intensity = _RawIntensity(
         _raw_intensity(config, source, noise, eps_noise, samples_per_bin, pem_oversample, fs),
-        n_out, samples_per_bin, noise.detector_white_noise, rng,
+        n_out, samples_per_bin, rng if noise.detector_white_noise > 0.0 else None,
     )
     return TimeSeriesRecord(
         i_omega_pem=intensity,
@@ -233,13 +278,15 @@ def _raw_intensity(
 ):
     """``fill(c0, c1, out)``: the raw intensity of output bins ``c0`` to ``c1``, into ``out``.
 
-    ``out`` receives ``(c1 - c0) * samples_per_bin`` samples before the
-    detector's intensity noise, which the caller applies.  Every sample is
-    computed by the same operations, in the same order, as in one pass over
-    the whole record, so a block is a pure function of its bins: blocks may be
-    filled in any order, on any thread, and the samples do not depend on the
-    block size.  Besides ``out`` the working set is at most three arrays of
-    the block's size.
+    ``out`` receives ``(c1 - c0) * samples_per_bin`` samples.  With the
+    detector's intensity noise, it holds on entry that noise's standard
+    normals ``n``, and each sample is multiplied by ``1 + rin * n``.  Every
+    sample is computed by the same operations, in the same order, as in one
+    pass over the whole record, so a block is a pure function of its bins and
+    their draws: blocks may be filled in any order, on any thread, and the
+    samples do not depend on the block size.  Besides ``out`` the working set
+    is at most three arrays of the block's size, and one more with intensity
+    noise.
     """
     i0 = config.incident_power_w
     psi = source_ellipticity(source, config)
@@ -249,24 +296,32 @@ def _raw_intensity(
         2.0 * math.pi * np.arange(pem_oversample) / pem_oversample
     )
 
+    rin = noise.detector_white_noise
+
     def fill(c0: int, c1: int, out: np.ndarray) -> None:
-        # t lives in out until the terms that need it exist, so a block frees one array:
+        raw = np.empty_like(out) if rin > 0.0 else out
+        # t lives in raw until the terms that need it exist, so a block frees one array:
         # freeing a t array with the signal made glibc return the heap top to the
         # system and fault it back in for every block (serial synthesis took 40% longer).
         # Whole numbers in float64 are exact, so t is the integer grid divided by fs.
         t = np.divide(np.arange(c0 * samples_per_bin, c1 * samples_per_bin, dtype=np.float64),
-                      fs, out=out)
+                      fs, out=raw)
         signal = _sin_2theta(psi, config.magnet_rotation_hz, config.polarizer_angle_rad, t)
         # without tones alpha is +0.0, which changes at most the sign of a zero before the square
         alpha = noise.alpha_of(t) if noise.spurious_tones else None
-        out.reshape(-1, pem_oversample)[...] = carrier
-        out += signal
+        raw.reshape(-1, pem_oversample)[...] = carrier
+        raw += signal
         if alpha is not None:
-            out += alpha
-        per_bin = out.reshape(c1 - c0, samples_per_bin)
+            raw += alpha
+        per_bin = raw.reshape(c1 - c0, samples_per_bin)
         per_bin += eps_noise[c0:c1, None]
-        np.square(out, out=out)
-        out += config.extinction
-        out *= i0
+        np.square(raw, out=raw)
+        raw += config.extinction
+        raw *= i0
+        if rin > 0.0:
+            # the factor times the intensity is the intensity times the factor, bit for bit
+            out *= rin
+            out += 1.0
+            out *= raw
 
     return fill

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from vmbsim import apparatus
 from vmbsim.apparatus import (
     ApparatusConfig,
     FixedDeltanSource,
@@ -23,6 +24,7 @@ from vmbsim.pipeline import (
     BlockSpectra,
     CalibrationPhase,
     analytic_calibration,
+    _block_chunks,
     analyze_record,
     block_fft,
     calibrate,
@@ -40,6 +42,8 @@ from vmbsim.pipeline import (
     with_rayleigh_sigma,
 )
 from vmbsim.synth import synthesize_run
+
+from test_synth import LEAN_FAST_CASES, LEAN_FAST_IDS, is_stored, whole_array_fast
 
 CFG = ApparatusConfig()
 
@@ -375,29 +379,35 @@ ESTIMATE_FIELDS = ("complex_amplitude_2omega", "sigma", "deltan_over_b2", "delta
 HELIUM = GasSource("He", 3e-5)
 
 
+# The cases of the one-pass analysis: (config, source, noise, revolutions, fidelity, kwargs)
+ONE_PASS_CASES = [
+    # 9 blocks: a chunk of 8 and one that folds the last single block in
+    (CFG, HELIUM, NoiseModel(1e-6, rng_seed=4), 9 * 256, "fast", {}),
+    (SMALL_FULL, FixedEllipticitySource(1e-6),
+     NoiseModel(1e-8, 1e-4, ((0.7, 1e-7, 0.1),), rng_seed=16), 96, "full",
+     {"block_size": 1024}),
+    (CFG, NullSource(), NoiseModel(1e-6, 1e-4, ((0.7, 1e-6, 0.3), (5.0, 2e-7, 1.0)), 5),
+     17 * 256, "fast", {}),
+    # 9 blocks and 1408 trailing samples
+    (CFG, HELIUM, NoiseModel(1e-6, rng_seed=10), 9 * 256 + 44, "fast", {}),
+    (CFG, HELIUM, NoiseModel(1e-6, rng_seed=12), 9 * 256, "fast",
+     {"block_size": 512, "noise_halfwidth": 40}),
+    (CFG, HELIUM, NoiseModel(1e-6, rng_seed=13), 3 * 256, "fast",
+     {"block_size": 8192, "noise_halfwidth": 100}),
+    # one chunk of three blocks of more than _BLOCK_SAMPLES samples each
+    (CFG, HELIUM, NoiseModel(1e-6, rng_seed=25), 3 * 2048, "fast", {"block_size": 65536}),
+    (CFG, FixedEllipticitySource(-1e-7), QUIET, 5 * 256, "fast", {}),
+    # a tone half a bin above 2*Omega_Mag
+    (CFG, NullSource(), NoiseModel(1e-9, 0.0, ((6.0 + 0.5 * 96.0 / 8192, 1e-5, 0.2),), 15),
+     3 * 256, "fast", {}),
+]
+ONE_PASS_IDS = ["fast", "full", "tones_and_detector_noise", "trailing_samples", "block_512",
+                "halfwidth_100", "block_65536", "noiseless", "leaky_block_0"]
+
+
 class TestOnePassAnalysis:
-    @pytest.mark.parametrize("config, source, noise, revolutions, fidelity, kwargs", [
-        # 9 blocks: a chunk of 8 and one that folds the last single block in
-        (CFG, HELIUM, NoiseModel(1e-6, rng_seed=4), 9 * 256, "fast", {}),
-        (SMALL_FULL, FixedEllipticitySource(1e-6),
-         NoiseModel(1e-8, 1e-4, ((0.7, 1e-7, 0.1),), rng_seed=16), 96, "full",
-         {"block_size": 1024}),
-        (CFG, NullSource(), NoiseModel(1e-6, 1e-4, ((0.7, 1e-6, 0.3), (5.0, 2e-7, 1.0)), 5),
-         17 * 256, "fast", {}),
-        # 9 blocks and 1408 trailing samples
-        (CFG, HELIUM, NoiseModel(1e-6, rng_seed=10), 9 * 256 + 44, "fast", {}),
-        (CFG, HELIUM, NoiseModel(1e-6, rng_seed=12), 9 * 256, "fast",
-         {"block_size": 512, "noise_halfwidth": 40}),
-        (CFG, HELIUM, NoiseModel(1e-6, rng_seed=13), 3 * 256, "fast",
-         {"block_size": 8192, "noise_halfwidth": 100}),
-        # one chunk of three blocks of more than _BLOCK_SAMPLES samples each
-        (CFG, HELIUM, NoiseModel(1e-6, rng_seed=25), 3 * 2048, "fast", {"block_size": 65536}),
-        (CFG, FixedEllipticitySource(-1e-7), QUIET, 5 * 256, "fast", {}),
-        # a tone half a bin above 2*Omega_Mag
-        (CFG, NullSource(), NoiseModel(1e-9, 0.0, ((6.0 + 0.5 * 96.0 / 8192, 1e-5, 0.2),), 15),
-         3 * 256, "fast", {}),
-    ], ids=["fast", "full", "tones_and_detector_noise", "trailing_samples", "block_512",
-            "halfwidth_100", "block_65536", "noiseless", "leaky_block_0"])
+    @pytest.mark.parametrize("config, source, noise, revolutions, fidelity, kwargs",
+                             ONE_PASS_CASES, ids=ONE_PASS_IDS)
     def test_equals_the_spectra_chain(self, config, source, noise, revolutions, fidelity, kwargs):
         rec = synthesize_run(config, source, noise, revolutions / config.magnet_rotation_hz,
                              fidelity=fidelity)
@@ -437,6 +447,7 @@ class TestOnePassAnalysis:
         analyze_record(synthesize_run(CFG, NullSource(), NoiseModel(1e-6, rng_seed=1), 256.0))
         # the run length of the null campaign: 211 blocks
         rec = synthesize_run(CFG, NullSource(), NoiseModel(3e-7, rng_seed=5), 211 * 256 / 3.0)
+        rec.i_omega_pem  # a held record, as one read from a file: the analysis takes views of it
         tracemalloc.start()  # traces what is allocated from here on, not the held record
         try:
             analyze_record(rec)
@@ -444,6 +455,55 @@ class TestOnePassAnalysis:
         finally:
             tracemalloc.stop()
         assert peak < 0.1 * rec.i_omega_pem.nbytes
+
+
+# The fast cases of the one-pass analysis, and every combination of terms of a fast record
+# at 17 blocks, two chunks of _block_chunks, but the all-zero null_quiet, which no analysis
+# takes: (config, source, noise, revolutions, kwargs)
+LAZY_CASES = [(c, s, n, r, k) for c, s, n, r, f, k in ONE_PASS_CASES if f == "fast"] + [
+    (c, s, n, 17 * 256, {}) for (c, s, n), i in zip(LEAN_FAST_CASES, LEAN_FAST_IDS)
+    if i != "null_quiet"]
+LAZY_IDS = [i for i, (*_, f, _) in zip(ONE_PASS_IDS, ONE_PASS_CASES) if f == "fast"] + [
+    f"17_blocks_{i}" for i in LEAN_FAST_IDS if i != "null_quiet"]
+
+
+class TestLazyFastRecords:
+    """A synthesized fast record keeps its noise stream; the analysis computes its chunks."""
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("config, source, noise, revolutions, kwargs", LAZY_CASES,
+                             ids=LAZY_IDS)
+    def test_equals_a_stored_record(self, monkeypatch, workers, config, source, noise,
+                                    revolutions, kwargs):
+        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
+        helpers = []
+        drawn_ahead = apparatus._drawn_ahead
+        monkeypatch.setattr(apparatus, "_drawn_ahead",
+                            lambda *args: helpers.append(args) or drawn_ahead(*args))
+        duration = revolutions / config.magnet_rotation_hz
+        lazy, stored = (synthesize_run(config, source, noise, duration) for _ in range(2))
+        stored.i_omega_pem
+        assert is_stored(stored) and not is_stored(lazy)
+        helpers.clear()
+        est, lazy_warnings = warning_messages(analyze_record, lazy, **kwargs)
+        again, _ = warning_messages(analyze_record, lazy, **kwargs)
+        # a helper thread draws ahead when there are two chunks, two CPUs and a stream to draw
+        n_blocks = len(lazy) // kwargs.get("block_size", 8192)
+        chunks = len(list(_block_chunks(n_blocks, kwargs.get("block_size", 8192))))
+        draws = vars(lazy)["i_omega_pem"].rng is not None
+        assert len(helpers) == (2 if workers > 1 and chunks > 1 and draws else 0)
+        ref, stored_warnings = warning_messages(analyze_record, stored, **kwargs)
+        whole = estimate_from_spectra(whole_array_spectra(stored, **kwargs), stored)
+        for name in ESTIMATE_FIELDS:
+            assert getattr(est, name) == getattr(ref, name), name
+            assert getattr(est, name) == getattr(whole, name), name
+            assert getattr(again, name) == getattr(est, name), name
+        assert lazy_warnings == stored_warnings
+        assert not is_stored(lazy)
+        # read after the analyses, the channel has the bytes of a whole-record synthesis
+        channel = whole_array_fast(config, source, noise, duration)["i_omega_pem"]
+        assert lazy.i_omega_pem.tobytes() == channel.tobytes()
+        assert is_stored(lazy)
 
 
 class TestCalibrate:

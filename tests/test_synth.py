@@ -5,6 +5,8 @@ import math
 import mmap
 import struct
 import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -352,10 +354,33 @@ class TestFusedLockIn:
             # len allocates no more than the int it returns
             assert len_peak < 100
             assert not is_stored(rec)
-            # the detector noise of at most 5 chunks (4 taken ahead of the 2 workers, and
-            # one drawn as another finishes) and up to 5 block-sized arrays per worker
-            # (~0.55 chunk): measured 5.0 chunks at both lengths
-            assert peak < 7 * chunk_bytes, revolutions
+            # the detector noise of at most 5 blocks (4 taken ahead of the 2 workers, and
+            # one drawn as another finishes) and up to 6 block-sized arrays per worker,
+            # a block being ~0.11 chunk: measured 1.4 chunks at both lengths
+            assert peak < 2 * chunk_bytes, revolutions
+
+    def test_detector_noise_is_drawn_for_the_blocks_in_flight(self, monkeypatch):
+        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: 4)
+        np.random.default_rng()  # numpy imports numpy.random lazily; keep that out of the peaks
+        tone = ((0.7, 1e-6, 0.3),)
+
+        def peak(rin, revolutions):
+            rec = synthesize_run(CFG, FixedEllipticitySource(1e-6), NoiseModel(1e-6, rin, tone, 5),
+                                 revolutions / 3.0, fidelity="full")
+            tracemalloc.start()
+            try:
+                analyze_record(rec, block_size=CFG.samples_per_revolution * revolutions)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1e-4, 16)  # the first pass also pays the thread pool's one-time imports
+        # the lock-in's own working set on four workers (7.7 MB at 64 and 256 revolutions)
+        without = peak(0.0, 64)
+        for revolutions in (64, 256):
+            # the detector noise adds the draws of the blocks in flight, measured 3.3-3.8 MB;
+            # drawing whole chunks added 29-34 MB
+            assert peak(1e-4, revolutions) < 2 * without, revolutions
 
 
 def memory_peaks(monkeypatch, workers):
@@ -386,10 +411,12 @@ def reversed_map_chunks(func, n_bins, samples_per_bin, draw=None):
     """A ``_map_chunks`` that runs the chunks last first, then yields their bins in order.
 
     What ``draw`` returns is drawn for every chunk first, in chunk order, as
-    ``_map_chunks`` draws it in the calling thread before a chunk runs.
+    ``_map_chunks`` draws it in the calling thread before a chunk runs; a
+    chunk that draws is one block, as there.
     """
     step = max(1, _BLOCK_SAMPLES // samples_per_bin)
-    chunks = [(b0, min(b0 + _CHUNK_BINS, n_bins)) for b0 in range(0, n_bins, _CHUNK_BINS)]
+    per_chunk = _CHUNK_BINS if draw is None else min(step, _CHUNK_BINS)
+    chunks = [(b0, min(b0 + per_chunk, n_bins)) for b0 in range(0, n_bins, per_chunk)]
     drawn = [None if draw is None else draw((b1 - b0) * samples_per_bin) for b0, b1 in chunks]
     for (b0, b1), chunk_drawn in reversed(list(zip(chunks, drawn))):
         for c0 in range(b0, b1, step):
@@ -432,6 +459,47 @@ class TestChunkWorkers:
         assert np.array_equal(psi_reversed, psi)
 
 
+class TestDrawnAhead:
+    def test_draws_in_order_at_most_ahead_of_the_held_target(self):
+        targets = [np.empty(3) for _ in range(3)] * 10  # three buffers, reused in turn
+        asked_past, leads = [0], []
+
+        def draw(target):
+            leads.append(len(leads) - asked_past[0])
+            target[:] = len(leads) - 1
+            return target
+
+        for i, target in enumerate(apparatus._drawn_ahead(draw, targets, 2)):
+            assert np.all(target == i)
+            asked_past[0] = i + 1  # counted before the next target is asked for
+        assert len(leads) == 30 and max(leads) <= 2
+
+    def test_a_held_chunk_is_not_drawn_over(self, monkeypatch):
+        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: 2)
+        lazy, stored = (synthesize_run(CFG, NullSource(), NoiseModel(1e-6, rng_seed=3),
+                                       5 * _BLOCK_SAMPLES / 32 / 3.0) for _ in range(2))
+        stops = [_BLOCK_SAMPLES * (i + 1) for i in range(5)]
+        chunks = apparatus._spans(vars(lazy)["i_omega_pem"], stops)
+        for held, view in zip(chunks, apparatus._spans(stored.i_omega_pem, stops)):
+            time.sleep(0.02)  # the helper draws as far ahead as it may
+            assert np.array_equal(held, view)
+
+    def test_a_failed_draw_raises_and_a_closed_pass_stops_its_helper(self):
+        def draw(target):
+            if target[0] == 3:
+                raise ArithmeticError("draw 3")
+            return target
+
+        targets = [np.full(2, float(i)) for i in range(8)]
+        with pytest.raises(ArithmeticError, match="draw 3"):
+            for _ in apparatus._drawn_ahead(draw, targets, 2):
+                pass
+        drawn = apparatus._drawn_ahead(lambda t: t, targets, 2)
+        next(drawn)
+        drawn.close()
+        assert not any(t.name == "vmbsim-draw-ahead" for t in threading.enumerate())
+
+
 def whole_array_fast(config, source, noise, duration_s):
     """Reference fast synthesis: every channel built over the whole record and stored."""
     rng = np.random.default_rng(noise.rng_seed)
@@ -454,19 +522,24 @@ def whole_array_fast(config, source, noise, duration_s):
     return dict(zip(CHANNELS, channels))
 
 
+# (config, source, noise) of fast records, one per combination of terms
+LEAN_FAST_CASES = [
+    (CFG, NullSource(), NoiseModel(1e-6, rng_seed=3)),
+    (CFG, NullSource(), QUIET),
+    (CFG, GasSource("He", 3e-5), NoiseModel(1e-6, rng_seed=4)),
+    # negative, so the signal starts at -0.0
+    (CFG, FixedEllipticitySource(-1e-7), QUIET),
+    (CFG, NullSource(), NoiseModel(1e-6, 0.0, ((0.7, 1e-6, 0.3), (5.0, 2e-7, 1.0)), 5)),
+    (CFG, GasSource("He", 3e-5), NoiseModel(1e-6, 1e-4, rng_seed=7)),
+    (CFG, FixedEllipticitySource(1e-7), NoiseModel(0.0, 1e-4, rng_seed=8)),
+    (CFG, GasSource("He", 3e-5), NoiseModel(1e-6, 1e-4, ((0.7, 1e-6, 0.3),), 9)),
+]
+LEAN_FAST_IDS = ["null_noise", "null_quiet", "gas", "fixed_ellipticity", "spurious_tones",
+                 "detector_noise", "detector_noise_only", "every_term"]
+
+
 class TestLeanFastSynthesis:
-    @pytest.mark.parametrize("config, source, noise", [
-        (CFG, NullSource(), NoiseModel(1e-6, rng_seed=3)),
-        (CFG, NullSource(), QUIET),
-        (CFG, GasSource("He", 3e-5), NoiseModel(1e-6, rng_seed=4)),
-        # negative, so the signal starts at -0.0
-        (CFG, FixedEllipticitySource(-1e-7), QUIET),
-        (CFG, NullSource(), NoiseModel(1e-6, 0.0, ((0.7, 1e-6, 0.3), (5.0, 2e-7, 1.0)), 5)),
-        (CFG, GasSource("He", 3e-5), NoiseModel(1e-6, 1e-4, rng_seed=7)),
-        (CFG, FixedEllipticitySource(1e-7), NoiseModel(0.0, 1e-4, rng_seed=8)),
-        (CFG, GasSource("He", 3e-5), NoiseModel(1e-6, 1e-4, ((0.7, 1e-6, 0.3),), 9)),
-    ], ids=["null_noise", "null_quiet", "gas", "fixed_ellipticity", "spurious_tones",
-            "detector_noise", "detector_noise_only", "every_term"])
+    @pytest.mark.parametrize("config, source, noise", LEAN_FAST_CASES, ids=LEAN_FAST_IDS)
     def test_bit_identical_to_whole_array(self, config, source, noise):
         rec = synthesize_run(config, source, noise, 32 / 3.0)
         ref = whole_array_fast(config, source, noise, 32 / 3.0)
@@ -496,10 +569,40 @@ class TestLeanFastSynthesis:
         try:
             # the run length of the null campaign: 211 blocks
             rec = synthesize_run(CFG, source, noise, 211 * 256 / 3.0)
+            assert not is_stored(rec)
+            channel = rec.i_omega_pem  # the first read builds the channel
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.2 * rec.i_omega_pem.nbytes
+        assert peak < 1.2 * channel.nbytes
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_analysis_memory_does_not_depend_on_the_length(self, monkeypatch, workers):
+        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
+        # a first analysis pays numpy's lazy imports and the FFT's one-time set-up
+        analyze_record(synthesize_run(CFG, NullSource(), NoiseModel(1e-6, rng_seed=1), 256.0))
+        # the draws of three chunks, the chunk divided, its spectra and their
+        # amplitudes: measured 3.0 (1 worker) and 5.1 (2 workers) chunks at both lengths
+        bound = 7 * _BLOCK_SAMPLES * 8
+        assert bound < 0.5 * 211 * 8192 * 8
+        for n_blocks in (211, 844):
+            tracemalloc.start()
+            try:
+                rec = synthesize_run(CFG, NullSource(), NoiseModel(3e-7, rng_seed=5),
+                                     n_blocks * 256 / 3.0)
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                n = len(rec)
+                len_peak = tracemalloc.get_traced_memory()[1] - held
+                analyze_record(rec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert n == n_blocks * 8192
+            # len allocates no more than the int it returns
+            assert len_peak < 100
+            assert not is_stored(rec)
+            assert peak < bound, n_blocks
 
     def test_records_store_only_the_varying_channel(self, tmp_path):
         fast = synthesize_run(CFG, NullSource(), NoiseModel(1e-6, rng_seed=1), 8 / 3.0)
@@ -666,6 +769,7 @@ class TestRecordFormatter:
 
     def test_writer_memory_is_bounded(self, tmp_path, monkeypatch):
         rec = synthesize_run(CFG, NullSource(), NoiseModel(1e-7, rng_seed=2), 8192 / 3.0)
+        rec.i_omega_pem  # a held record: the peak is the writer's working set above it
         assert len(rec) >= 16 * apparatus._WRITE_ROWS
         block_bytes = apparatus._WRITE_ROWS * len(RECORD_COLUMNS) * 8
         for workers in (1, 2):

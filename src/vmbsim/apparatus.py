@@ -19,7 +19,7 @@ import threading
 import warnings
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
-from itertools import count, islice
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -335,10 +335,10 @@ class _RawIntensity:
     computes the samples of bins ``c0`` to ``c1`` in place in ``out``.  When
     ``rng`` is not None the samples are also a function of its standard
     normal stream, one draw per sample in sample order: ``out`` then holds
-    the draws of those samples on entry.  Every pass over the channel draws
-    from a copy of ``rng``, so it computes the same samples, bit for bit, and
-    a block is a pure function of its bins and their draws: blocks may be
-    filled in any order, on any thread.
+    the draws of those samples on entry.  Every pass over the channel
+    (:func:`_walk`) draws from a copy of ``rng``, so it computes the same
+    samples, bit for bit, and a block is a pure function of its bins and
+    their draws: blocks may be filled in any order, on any thread.
     """
 
     def __init__(self, fill, n_bins: int, samples_per_bin: int, rng: np.random.Generator | None):
@@ -357,87 +357,17 @@ class _RawIntensity:
         rng = copy.deepcopy(self.rng)
         return lambda out: rng.standard_normal(out=out)
 
-    def chunks(self, stops, out: np.ndarray | None = None):
-        """Yield the samples of the bins from 0 to each of ``stops`` in turn, in order.
-
-        The samples of bins ``c0`` to ``c1`` are computed into
-        ``out[c0 * samples_per_bin:c1 * samples_per_bin]`` when ``out`` is
-        given, and otherwise into a chunk-sized buffer that the caller may use
-        until it asks for the next chunk.  ``fill`` runs in the
-        calling thread.  With more than one chunk and more than one CPU, a
-        helper thread draws the stream of the next chunks meanwhile
-        (:func:`_drawn_ahead`); otherwise each chunk's share is drawn just
-        before it is filled.
-        """
-        spb = self.samples_per_bin
-        bounds = list(zip([0, *stops[:-1]], stops))
-        draw = self._draw()
-        threaded = draw is not None and len(bounds) > 1 and _chunk_workers() > 1
-        ahead = _DRAWN_AHEAD if threaded else 0
-        if out is None:
-            ring = [np.empty(max(c1 - c0 for c0, c1 in bounds) * spb) for _ in range(ahead + 1)]
-            targets = [ring[i % len(ring)][:(c1 - c0) * spb] for i, (c0, c1) in enumerate(bounds)]
-        else:
-            targets = [out[c0 * spb:c1 * spb] for c0, c1 in bounds]
-        if ahead:
-            targets = _drawn_ahead(draw, targets, ahead)
-        elif draw is not None:
-            targets = map(draw, targets)
-        for samples, (c0, c1) in zip(targets, bounds):
-            self.fill(c0, c1, samples)
-            yield samples
-
-    def map_rows(self, func):
-        """Run ``func(c0, c1, rows)`` over the blocks of :func:`_map_chunks`; yield each chunk's bins.
-
-        ``rows`` is the ``(c1 - c0, samples_per_bin)`` block of samples,
-        computed on a worker thread into the array its draws were drawn into,
-        or, without a stream, into a buffer of the worker thread that its next
-        block overwrites.  The draws are taken a block at a time as
-        :func:`_map_chunks` takes the block, so this holds the draws of the
-        blocks in flight besides the buffers.
-        """
-        spb = self.samples_per_bin
-        buffers = threading.local()
-        draw = self._draw()
-
-        def block(c0: int, c1: int, drawn: np.ndarray | None) -> None:
-            raw = drawn
-            if raw is None:
-                n = (c1 - c0) * spb
-                raw = getattr(buffers, "raw", None)
-                if raw is None or len(raw) < n:
-                    raw = buffers.raw = np.empty(n)
-                raw = raw[:n]
-            self.fill(c0, c1, raw)
-            func(c0, c1, raw.reshape(c1 - c0, spb))
-
-        return _map_chunks(block, self.n_bins, spb,
-                           None if draw is None else lambda n: draw(np.empty(n)))
-
-    def array(self) -> np.ndarray:
-        """The channel as one array, computed in place in it, a block at a time.
-
-        A fast channel's blocks hold ``_BLOCK_SAMPLES`` samples, a full one's
-        are those of :func:`_map_chunks`, which hold at most ``_CHUNK_BINS``
-        bins.  The working set besides the array is one block's.
-        """
-        out = np.empty(len(self))
-        step = max(1, _BLOCK_SAMPLES // self.samples_per_bin)
-        if self.samples_per_bin > 1:
-            step = min(step, _CHUNK_BINS)
-        for _ in self.chunks([*range(step, self.n_bins, step), self.n_bins], out):
-            pass
-        return out
-
 
 class _Materialised:
     """``TimeSeriesRecord.i_omega_pem``: the stored array, built at the first read if needed.
 
     A record stores an array, or, if synthesized, a :class:`_RawIntensity`,
     which the first read turns into the array it computes and stores in its
-    place.  Reading it on the class raises ``AttributeError``, so the field
-    has no default.
+    place: a :func:`_walk` draws the stream into the new array and fills it
+    in place, a full channel on the workers and a fast one in the calling
+    thread (its few operations per sample ran no faster on workers, whose
+    temporaries add a block each).  Reading it on the class raises
+    ``AttributeError``, so the field has no default.
     """
 
     def __set_name__(self, owner, name):
@@ -448,7 +378,13 @@ class _Materialised:
             raise AttributeError(self.name)
         channel = vars(record)[self.name]
         if isinstance(channel, _RawIntensity):
-            channel = vars(record)[self.name] = channel.array()
+            array = np.empty(len(channel))
+            spb = channel.samples_per_bin
+            for _ in _walk(channel, _blocks(len(array), spb, _BLOCK_SAMPLES),
+                           lambda start, stop, samples: None,
+                           _CHUNK_BINS * spb if spb > 1 else None, out=array):
+                pass
+            channel = vars(record)[self.name] = array
         return channel
 
     def __set__(self, record, channel):
@@ -560,21 +496,22 @@ class TimeSeriesRecord:
         return items
 
 
-# Output bins per chunk of full-fidelity synthesis and lock-in, the unit of work
-# of one worker thread: 64 bins are ~0.53 M raw samples at the default PEM grid.
+# Most output bins per block of a full-fidelity channel (see :func:`_blocks`), and per
+# task of its lock-in and build on a worker thread: 64 bins are ~0.53 M raw samples
+# at the default PEM grid.
 _CHUNK_BINS = 64
 # Most worker threads of :func:`_map_ordered`; each running item holds its own working set.
 _MAX_CHUNK_WORKERS = 8
 # Items per worker thread that :func:`_map_ordered` takes ahead of the result it yields.
 _AHEAD_PER_WORKER = 2
-# Chunks whose draws :func:`_drawn_ahead` takes ahead of the chunk its caller holds.
+# Blocks whose draws :func:`_drawn_ahead` takes ahead of the block its caller holds.
 _DRAWN_AHEAD = 2
-# Raw samples per block, the unit in which a chunk is computed (in whole bins).
-# A worker's temporaries are a few block-sized arrays of ~0.5 MB, which stay in
-# its core's cache and leave little behind in its thread's malloc arena: with
-# chunk-sized ones (4 MB), two workers raised the peak RSS of a 64-revolution
-# run by ~25 MB, and one-bin blocks (8336 samples) lose more to per-call
-# overhead than they save.
+# Samples per block of the analysis, the lock-in and a channel's build (in whole bins),
+# the unit of work of one thread.  A worker's temporaries are a few block-sized arrays of
+# ~0.5 MB, which stay in its core's cache and leave little behind in its thread's
+# malloc arena: with 4 MB ones, two workers raised the peak RSS of a 64-revolution
+# run by ~25 MB, and one-bin blocks (8336 samples) lose more to per-call overhead
+# than they save.
 _BLOCK_SAMPLES = 1 << 16
 
 
@@ -618,57 +555,110 @@ def _map_ordered(func, items):
                 future.cancel()
 
 
-def _map_chunks(func, n_bins: int, samples_per_bin: int, draw=None):
-    """Run ``func(c0, c1, drawn)`` over ``n_bins`` output bins; yield each chunk's ``(b0, b1)`` in order.
+def _blocks(n: int, samples_per_bin: int, size: int):
+    """``(start, stop)`` of consecutive blocks of ``n`` samples, whole bins of about ``size`` samples.
 
-    The bins are cut into chunks of ``_CHUNK_BINS``, and each chunk into
-    blocks of whole bins ``c0`` to ``c1`` of about ``_BLOCK_SAMPLES`` raw
-    samples (``samples_per_bin`` each); ``func`` computes one block.  The
-    chunks run through :func:`_map_ordered`, so a chunk's bins are yielded
-    once it is done and the caller can finish the chunks in order while later
-    ones are still running.  ``func`` must not depend on the order in which
-    blocks run.  ``draw(n)``, if given, is called in the calling thread for
-    each chunk, in chunk order, with the chunk's number of raw samples, and
-    ``drawn`` is the block's slice of what it returned; else ``drawn`` is None.
-    A chunk that draws is one block, so what is drawn ahead is the draws of
-    the blocks in flight, not of whole chunks.
+    A block holds at least one bin, and at most ``_CHUNK_BINS`` bins of a
+    full-fidelity channel (more than one sample per bin).
     """
-    step = max(1, _BLOCK_SAMPLES // samples_per_bin)
-    per_chunk = _CHUNK_BINS if draw is None else min(step, _CHUNK_BINS)
-
-    def chunks():
-        for b0 in range(0, n_bins, per_chunk):
-            b1 = min(b0 + per_chunk, n_bins)
-            yield b0, b1, None if draw is None else draw((b1 - b0) * samples_per_bin)
-
-    def chunk(item) -> tuple[int, int]:
-        b0, b1, drawn = item
-        for c0 in range(b0, b1, step):
-            c1 = min(c0 + step, b1)
-            func(c0, c1, None if drawn is None
-                 else drawn[(c0 - b0) * samples_per_bin:(c1 - b0) * samples_per_bin])
-        return b0, b1
-
-    return _map_ordered(chunk, chunks())
+    bins = max(1, size // samples_per_bin)
+    if samples_per_bin > 1:
+        bins = min(bins, _CHUNK_BINS)
+    step = bins * samples_per_bin
+    return ((start, min(start + step, n)) for start in range(0, n, step))
 
 
-def _map_raw_rows(func, record: TimeSeriesRecord, samples_per_bin: int):
-    """Run ``func(c0, c1, rows)`` over the raw channel of a full-fidelity record; yield chunks' bins.
+def _walk(channel, bounds, func, task_samples: int | None, out: np.ndarray | None = None):
+    """Yield ``func(start, stop, samples)`` for each ``(start, stop)`` of ``bounds``, in order.
 
-    ``rows`` is the ``(c1 - c0, samples_per_bin)`` block of the raw samples
-    of output bins ``c0`` to ``c1``, in the blocks and chunks of
-    :func:`_map_chunks`: a view of a stored channel, or, for a channel kept
-    as a ``_RawIntensity``, the block computed on the worker thread
-    (:meth:`_RawIntensity.map_rows`), so that no raw array exists.
+    The one pass over a record's varying channel (:func:`_varying_channel`),
+    taking ``bounds`` lazily.  ``samples`` are a view of a stored channel, or
+    the samples that a :class:`_RawIntensity` (whose blocks must be whole
+    bins) fills on the thread that then runs ``func``: into
+    ``out[start:stop]`` if given, else into a buffer that a later block
+    reuses, so ``func`` may use them only until it returns (in the calling
+    thread, until the caller asks for the next result).
+
+    With ``task_samples`` None the blocks run in the calling thread; else on
+    the :func:`_map_ordered` workers, in tasks of consecutive blocks of at
+    most ``task_samples`` samples, and ``func`` must not depend on their
+    order.  The stream is drawn in stream order: for blocks in the calling
+    thread by a helper thread (:func:`_drawn_ahead`) when there are several
+    blocks and CPUs, else by the calling thread as it takes each block (it
+    only waits on the workers; a helper beside them left ~5 MB more resident
+    in malloc arenas after a 6 h write).  Unless it goes into ``out``, it is
+    drawn into a ring, made in the calling thread for the same reason, of
+    the blocks in flight and drawn ahead, and a task is one block.  Without
+    a stream a block is filled in its thread's buffer, which stays in cache.
     """
-    channel = _varying_channel(record)
-    if isinstance(channel, _RawIntensity):
-        if channel.samples_per_bin != samples_per_bin:
-            raise ValueError(f"samples_per_output_bin = {samples_per_bin} is not the "
-                             f"{channel.samples_per_bin} the record was synthesized with")
-        return channel.map_rows(func)
-    rows = channel.reshape(-1, samples_per_bin)
-    return _map_chunks(lambda c0, c1, _: func(c0, c1, rows[c0:c1]), len(rows), samples_per_bin)
+    ring_drawn = False
+    if not isinstance(channel, _RawIntensity):
+        items = ((channel[start:stop], start, stop) for start, stop in bounds)
+    else:
+        spb = channel.samples_per_bin
+        draw = channel._draw()
+        bounds = iter(bounds)
+        first = list(islice(bounds, 2))
+        threaded = (draw is not None and task_samples is None and len(first) > 1
+                    and _chunk_workers() > 1)
+        ahead = _DRAWN_AHEAD if threaded else 0
+        ring_drawn = draw is not None and out is None
+        slots = (1 if task_samples is None else _AHEAD_PER_WORKER * _chunk_workers()) + ahead
+        size = max((stop - start for start, stop in first), default=0)
+        ring = {k: np.empty(size) for k in range(slots)} if ring_drawn else {}
+        local = threading.local()
+
+        def targets():
+            for i, (start, stop) in enumerate(chain(first, bounds)):
+                if start % spb or stop % spb:
+                    raise ValueError(f"blocks of a channel synthesized with {spb} samples "
+                                     "per bin must hold whole bins")
+                samples = None  # filled in a buffer of the thread that runs the block
+                if out is not None:
+                    samples = out[start:stop]
+                elif draw is not None:
+                    samples = _buffer(ring, i % slots, stop - start)
+                if draw is not None and not threaded:
+                    draw(samples)
+                yield samples, start, stop
+
+        items = targets()
+        if threaded:
+            items = _drawn_ahead(lambda item: draw(item[0]), items, ahead)
+
+    def block(item):
+        samples, start, stop = item
+        if isinstance(channel, _RawIntensity):
+            if samples is None:
+                samples = _buffer(vars(local), None, stop - start)
+            channel.fill(start // spb, stop // spb, samples)
+        return func(start, stop, samples)
+
+    if task_samples is None:
+        return map(block, items)
+    if ring_drawn:
+        return _map_ordered(block, items)
+    tasks = _map_ordered(lambda task: [block(item) for item in task], _tasks(items, task_samples))
+    return chain.from_iterable(tasks)
+
+
+def _tasks(items, size: int):
+    """Runs of consecutive blocks ``(samples, start, stop)`` of at most ``size`` samples, at least one."""
+    task = []
+    for item in items:
+        if task and item[2] - task[0][1] > size:
+            yield task
+            task = []
+        task.append(item)
+    if task:
+        yield task
+
+
+def _buffer(buffers: dict, key, n: int) -> np.ndarray:
+    """The first ``n`` items of ``buffers[key]``, a float64 array made larger first if it is short."""
+    if len(buffers.get(key, ())) < n:
+        buffers[key] = np.empty(n)
+    return buffers[key][:n]
 
 
 def _varying_channel(record: TimeSeriesRecord):
@@ -676,31 +666,20 @@ def _varying_channel(record: TimeSeriesRecord):
     return vars(record)["i_omega_pem"]
 
 
-def _spans(channel, stops):
-    """Yield the samples of a fast record's channel from 0 to each of ``stops`` in turn.
-
-    Views of a stored array, or, for a ``_RawIntensity`` (one sample per
-    bin), the samples it computes (:meth:`_RawIntensity.chunks`), which the
-    caller may use until it asks for the next span.
-    """
-    if isinstance(channel, _RawIntensity):
-        return channel.chunks(stops)
-    return (channel[start:stop] for start, stop in zip([0, *stops[:-1]], stops))
-
-
-def _drawn_ahead(draw, targets: list, ahead: int):
+def _drawn_ahead(draw, targets, ahead: int):
     """Yield each of ``targets`` in order, once ``draw(target)`` has filled it on a helper thread.
 
-    One helper thread draws the targets in order, at most ``ahead`` beyond
-    the one the caller holds; the caller holds a target until it asks for the
-    next.  So the caller's work on one target overlaps the draws of the next,
-    and ``targets`` may reuse ``ahead + 1`` buffers in turn.  A draw that
-    raises raises in the caller.
+    One helper thread takes the targets and draws them in order, at most
+    ``ahead`` beyond the one the caller holds; the caller holds a target until
+    it asks for the next.  So the caller's work on one target overlaps the
+    draws of the next, and ``targets`` may reuse ``ahead + 1`` buffers in
+    turn.  A draw that raises, or ``targets`` raising, raises in the caller.
     """
     drawn = deque()
     ready = threading.Semaphore(0)
     free = threading.Semaphore(ahead + 1)
     stop = threading.Event()
+    end = object()
 
     def helper() -> None:
         try:
@@ -711,17 +690,20 @@ def _drawn_ahead(draw, targets: list, ahead: int):
                 draw(target)
                 drawn.append(target)
                 ready.release()
+            drawn.append(end)
         except BaseException as exc:  # raised in the caller
             drawn.append(exc)
-            ready.release()
+        ready.release()
 
     # a daemon, so that a pass its caller abandons without closing cannot hold up the exit
     thread = threading.Thread(target=helper, name="vmbsim-draw-ahead", daemon=True)
     thread.start()
     try:
-        for _ in targets:
+        while True:
             ready.acquire()
             target = drawn.popleft()
+            if target is end:
+                return
             if isinstance(target, BaseException):
                 raise target
             yield target
@@ -848,26 +830,27 @@ def _format_rows(columns) -> bytes:
 def write_record(record: TimeSeriesRecord, path) -> None:
     """Serialize to the columnar text format (header block, then fixed columns).
 
-    Blocks of rows are formatted by :func:`_map_ordered` on worker threads
-    and written in order, so the bytes do not depend on the number of threads.
+    The rows are a :func:`_walk` over ``I_OmegaPEM`` in blocks of whole bins of
+    about ``_WRITE_ROWS`` rows, formatted on worker threads and written in
+    order, so the bytes do not depend on the number of threads, and a
+    synthesized record is written without building its array.
     """
     header = "".join(
         f"# {key} = {format_number(value) if isinstance(value, float) else str(value)}\n"
         for key, value in record.header_items()
     )
     header += "# columns = " + ", ".join(RECORD_COLUMNS) + "\n"
-    n = len(record)
-    omega = record.i_omega_pem  # built here once, if the record keeps a function of its bins
+    samples_per_bin = record.lockin_layout()[1] if record.fidelity == "full" else 1
 
-    def block(start: int) -> bytes:
-        stop = min(start + _WRITE_ROWS, n)
+    def block(start: int, stop: int, omega: np.ndarray) -> bytes:
         t, phase = record.derived_columns(start, stop)
-        return _format_rows((t, omega[start:stop], record.i_2omega_pem[start:stop],
+        return _format_rows((t, omega, record.i_2omega_pem[start:stop],
                              record.i0[start:stop], phase))
 
+    bounds = _blocks(len(record), samples_per_bin, _WRITE_ROWS)
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        for text in _map_ordered(block, range(0, n, _WRITE_ROWS)):
+        for text in _walk(_varying_channel(record), bounds, block, _WRITE_ROWS):
             fh.write(text)
 
 

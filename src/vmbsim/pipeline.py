@@ -9,12 +9,12 @@ the signal bin is summarized by the Rayleigh-amplitude relation
 magnet rotation frequency are combined by an inverse-variance vector average.
 The same vector average combines runs.
 
-Memory: :func:`analyze_record` walks the record once, in chunks of whole
-blocks of about ``apparatus._BLOCK_SAMPLES`` samples (8 blocks at the
-defaults).  Each chunk is divided by the lock-in normalization, Fourier
-transformed, normalized and reduced to its blocks' 2*Omega_Mag amplitudes and
-floored Rayleigh sigmas while it is in cache; it never holds the ellipticity
-series or the spectra.  A stored record (read from a file, or built) is
+Memory: :func:`analyze_record` walks the record once (``apparatus._walk``),
+in chunks of whole blocks of about ``apparatus._BLOCK_SAMPLES`` samples (8
+blocks at the defaults).  Each chunk is divided by the lock-in
+normalization, Fourier transformed, normalized and reduced to its blocks'
+2*Omega_Mag amplitudes and floored Rayleigh sigmas while it is in cache; it
+never holds the ellipticity series or the spectra.  A stored record (read from a file, or built) is
 walked in views of it, so the analysis holds the record plus one chunk's
 working set.  A synthesized fast record keeps no array: its chunks are
 computed in turn in the calling thread while a helper thread draws the noise
@@ -43,9 +43,10 @@ from .apparatus import (
     GasSource,
     TimeSeriesRecord,
     _BLOCK_SAMPLES,
-    _map_raw_rows,
-    _spans,
+    _CHUNK_BINS,
+    _blocks,
     _varying_channel,
+    _walk,
     parse_source,
 )
 
@@ -176,9 +177,9 @@ def _lock_in(record: TimeSeriesRecord):
 def _digital_lock_in(record: TimeSeriesRecord) -> tuple[np.ndarray, float]:
     """``(I_OmegaPEM, I_2OmegaPEM(DC))`` of a full-fidelity record on the output grid.
 
-    Each block of bins is reduced as it comes: a view of a stored raw channel,
-    or, for a synthesized record that keeps the function of its bins, the
-    block just computed into its worker's buffer.  No raw array is built.
+    Each block of bins is reduced on a worker thread (``apparatus._walk``):
+    a view of a stored raw channel, or the block a synthesized record's kept
+    function just computed.  No raw array is built.
     """
     oversample, samples_per_bin = record.lockin_layout()
     n = len(record)
@@ -191,12 +192,14 @@ def _digital_lock_in(record: TimeSeriesRecord) -> tuple[np.ndarray, float]:
     ix1 = np.empty(n // samples_per_bin)
     ix2 = np.empty(n // samples_per_bin)
 
-    # rows: the raw detector channel of bins c0 to c1, one row per output bin
-    def lock_in(c0: int, c1: int, rows: np.ndarray) -> None:
+    def lock_in(start: int, stop: int, samples: np.ndarray) -> None:
+        c0, c1 = start // samples_per_bin, stop // samples_per_bin
+        rows = samples.reshape(c1 - c0, samples_per_bin)  # one row per output bin
         ix1[c0:c1] = 2.0 * np.mean(rows * ref1, axis=1)
         ix2[c0:c1] = 2.0 * np.mean(rows * ref2, axis=1)
 
-    for _ in _map_raw_rows(lock_in, record, samples_per_bin):
+    for _ in _walk(_varying_channel(record), _blocks(n, samples_per_bin, _BLOCK_SAMPLES),
+                   lock_in, _CHUNK_BINS * samples_per_bin):
         pass
     return ix1, float(np.mean(ix2))
 
@@ -279,17 +282,19 @@ def _block_spectra(
     The one pass over a record's blocks that every analysis runs, a chunk of
     :func:`_block_chunks` at a time, so a chunk's series and spectra stay in
     cache.  ``series`` is an array, whose chunks are views, or a synthesized
-    fast channel, whose chunks are computed in turn while a helper thread
-    draws the noise of the next ones (``apparatus._spans``).  ``root_norm``
-    None leaves the series undivided.  ``bins`` is ``out[r0:r1]`` when
-    ``out`` is given, and otherwise one chunk-sized buffer that the next chunk
-    overwrites.  Each value takes the same operations as in one pass over the
-    whole record.
+    fast channel, whose chunks are computed in turn in the calling thread
+    while a helper thread draws the noise of the next ones (one
+    ``apparatus._walk``).  ``root_norm`` None leaves the series undivided.
+    ``bins`` is ``out[r0:r1]`` when ``out`` is given, and otherwise one
+    chunk-sized buffer that the next chunk overwrites.  Each value takes the
+    same operations as in one pass over the whole record.
     """
     chunks = list(_block_chunks(n_blocks, block_size))
     if out is None:
         scratch = np.empty((max(r1 - r0 for r0, r1 in chunks), block_size // 2 + 1), dtype=complex)
-    for samples, (r0, r1) in zip(_spans(series, [r1 * block_size for _, r1 in chunks]), chunks):
+
+    def spectra(start: int, stop: int, samples: np.ndarray):
+        r0, r1 = start // block_size, stop // block_size
         bins = scratch[:r1 - r0] if out is None else out[r0:r1]
         rows = samples.reshape(r1 - r0, block_size)
         np.fft.rfft(rows if root_norm is None else rows / root_norm, axis=1, out=bins)
@@ -297,7 +302,10 @@ def _block_spectra(
         bins *= 2.0 / block_size
         bins[:, 0] *= 0.5
         bins[:, -1] *= 0.5
-        yield r0, r1, bins
+        return r0, r1, bins
+
+    bounds = [(r0 * block_size, r1 * block_size) for r0, r1 in chunks]
+    return _walk(series, bounds, spectra, None)
 
 
 def _warn_on_leakage(block_bins: np.ndarray, k: int) -> None:
@@ -535,8 +543,12 @@ def averaged_spectrum(spectra: BlockSpectra) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _positive_sigmas(sigmas: np.ndarray | None) -> np.ndarray:
-    if sigmas is None or np.any(~np.isfinite(sigmas)) or np.any(sigmas <= 0):
-        raise ValueError("all blocks need a positive rayleigh_sigma (run with_rayleigh_sigma)")
+    if sigmas is None:
+        raise ValueError("the blocks have no rayleigh_sigma (run with_rayleigh_sigma)")
+    bad = np.count_nonzero(~((sigmas > 0) & np.isfinite(sigmas)))
+    if bad:
+        raise ValueError(f"{bad} of {len(sigmas)} blocks have a rayleigh_sigma that is not "
+                         "positive and finite; a block whose samples are all zero has sigma 0")
     return sigmas
 
 

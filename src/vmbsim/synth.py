@@ -12,24 +12,21 @@ Two fidelity levels:
   function of its samples and the generator state it draws from: the
   ellipticity noise's stream, or, with detector noise, the detector noise's,
   which follows the whole ellipticity draw, so that the ellipticity noise is
-  then drawn at synthesis and kept.  The analysis computes the channel a
-  chunk of blocks at a time in the calling thread while a helper thread
-  draws the stream of the next chunks (``apparatus._RawIntensity.chunks``),
-  so its memory is a few chunks, independent of the run length.  Reading
-  ``i_omega_pem`` builds the array in place in the buffer the stream is
-  drawn into, a block of samples at a time.
+  then drawn at synthesis and kept.
 * ``full`` emits the raw analyser intensity (the exact squared-modulus form,
   extinction and PEM carrier included) at many samples per PEM cycle, so the
   digital lock-in in the analysis chain can be validated end to end.  A block
   of a few output bins is a pure function of its bins and of the detector
   intensity noise's draws, which follow the ellipticity draw in the stream.
   So the record keeps that function and the generator state, not a raw
-  array: the lock-in computes each block and reduces it on a worker thread,
-  chunks of bins on up to one worker thread per available CPU
-  (``apparatus._map_chunks``), the draws taken a block at a time in stream
-  order, and its memory is a block working set per worker, independent of
-  the record length.  Reading ``i_omega_pem`` builds the raw array in place,
-  a block at a time.
+  array.
+
+Every pass over a kept channel is one walk over its blocks
+(``apparatus._walk``), which draws the stream in order and fills each block
+on the thread that uses it: the fast analysis in the calling thread, with a
+helper drawing ahead; the full lock-in, the record writer and the array
+build (the first read of ``i_omega_pem``) on up to one worker per CPU.  So
+they hold a few blocks per thread, whatever the run length.
 
 Either way every sample takes the same operations as in one pass over
 whole-record arrays, every pass draws from a copy of the generator state,
@@ -285,7 +282,7 @@ def _raw_intensity(
     pass over the whole record, so a block is a pure function of its bins and
     their draws: blocks may be filled in any order, on any thread, and the
     samples do not depend on the block size.  Besides ``out`` the working set
-    is at most three arrays of the block's size, and one more with intensity
+    is at most two arrays of the block's size, and one more with intensity
     noise.
     """
     i0 = config.incident_power_w
@@ -306,9 +303,10 @@ def _raw_intensity(
         # Whole numbers in float64 are exact, so t is the integer grid divided by fs.
         t = np.divide(np.arange(c0 * samples_per_bin, c1 * samples_per_bin, dtype=np.float64),
                       fs, out=raw)
-        signal = _sin_2theta(psi, config.magnet_rotation_hz, config.polarizer_angle_rad, t)
+        # alpha first: its scratch array is freed before the signal is made
         # without tones alpha is +0.0, which changes at most the sign of a zero before the square
         alpha = noise.alpha_of(t) if noise.spurious_tones else None
+        signal = _sin_2theta(psi, config.magnet_rotation_hz, config.polarizer_angle_rad, t)
         raw.reshape(-1, pem_oversample)[...] = carrier
         raw += signal
         if alpha is not None:

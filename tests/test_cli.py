@@ -231,6 +231,15 @@ class TestAnalyze:
         assert run("analyze", sim / "run-seed0.csv", "--blocks", "1024", "--noise-halfwidth",
                    "60", "--out-dir", tmp_path / "a") == 0
 
+    def test_record_without_noise_or_signal_is_data_error(self, tmp_path, capsys):
+        # the null source without noise: every sample, and so every block's sigma, is zero
+        assert run("simulate", "--revolutions", "512", "--out-dir", tmp_path / "sim") == 0
+        capsys.readouterr()
+        assert run("analyze", tmp_path / "sim" / "run-seed0.csv", "--out-dir", tmp_path / "a") == 2
+        err = capsys.readouterr().err
+        assert "2 of 2 blocks have a rayleigh_sigma that is not positive and finite" in err
+        assert "with_rayleigh_sigma" not in err
+
     def test_header_without_rows_is_data_error(self, he_record, tmp_path, capsys):
         lines = he_record.read_text().splitlines(keepends=True)
         empty = tmp_path / "empty.csv"

@@ -443,6 +443,15 @@ class TestOnePassAnalysis:
         for name in ESTIMATE_FIELDS:
             assert getattr(est, name) == getattr(ref, name), name
 
+    def test_missing_and_zero_sigmas_are_told_apart(self):
+        zero = synthesize_run(CFG, NullSource(), QUIET, 2 * 256 / 3.0)
+        spectra = block_fft(demodulate(zero), CFG)
+        with pytest.raises(ValueError, match=r"no rayleigh_sigma \(run with_rayleigh_sigma\)"):
+            estimate_from_spectra(spectra, zero)
+        with pytest.raises(ValueError, match="2 of 2 blocks have a rayleigh_sigma that is not "
+                                             "positive and finite"):
+            estimate_from_spectra(with_rayleigh_sigma(spectra), zero)
+
     def test_memory_is_one_chunk_above_the_record(self):
         analyze_record(synthesize_run(CFG, NullSource(), NoiseModel(1e-6, rng_seed=1), 256.0))
         # the run length of the null campaign: 211 blocks

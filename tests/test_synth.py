@@ -3,12 +3,14 @@
 import io
 import math
 import mmap
+import os
 import struct
 import sys
 import threading
 import time
 import tracemalloc
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -307,7 +309,7 @@ class TestFusedLockIn:
         monkeypatch.setattr(apparatus, "_chunk_workers", lambda: 4 if chunk_map == "four_workers"
                             else 1)
         if chunk_map == "reversed_chunks":
-            monkeypatch.setattr(apparatus, "_map_chunks", reversed_map_chunks)
+            monkeypatch.setattr(apparatus, "_map_ordered", reversed_map_ordered)
 
         def run():
             return synthesize_run(config, source, noise, revolutions / 3.0, fidelity="full",
@@ -407,56 +409,62 @@ def memory_peaks(monkeypatch, workers):
     return rec, synth_peak, demod_peak
 
 
-def reversed_map_chunks(func, n_bins, samples_per_bin, draw=None):
-    """A ``_map_chunks`` that runs the chunks last first, then yields their bins in order.
+map_ordered = apparatus._map_ordered
 
-    What ``draw`` returns is drawn for every chunk first, in chunk order, as
-    ``_map_chunks`` draws it in the calling thread before a chunk runs; a
-    chunk that draws is one block, as there.
+
+def reversed_map_ordered(func, items):
+    """A ``_map_ordered`` that runs the items it may hold in flight last first.
+
+    It takes the items in windows of ``_AHEAD_PER_WORKER`` per worker, the
+    most ``_map_ordered`` holds in flight, runs each window's items in
+    reverse order and yields their results in order.
     """
-    step = max(1, _BLOCK_SAMPLES // samples_per_bin)
-    per_chunk = _CHUNK_BINS if draw is None else min(step, _CHUNK_BINS)
-    chunks = [(b0, min(b0 + per_chunk, n_bins)) for b0 in range(0, n_bins, per_chunk)]
-    drawn = [None if draw is None else draw((b1 - b0) * samples_per_bin) for b0, b1 in chunks]
-    for (b0, b1), chunk_drawn in reversed(list(zip(chunks, drawn))):
-        for c0 in range(b0, b1, step):
-            c1 = min(c0 + step, b1)
-            func(c0, c1, None if chunk_drawn is None
-                 else chunk_drawn[(c0 - b0) * samples_per_bin:(c1 - b0) * samples_per_bin])
-    return iter(chunks)
+    items = iter(items)
+    window = apparatus._AHEAD_PER_WORKER * apparatus._chunk_workers()
+    while taken := list(islice(items, window)):
+        yield from reversed([func(item) for item in reversed(taken)])
 
 
 class TestChunkWorkers:
-    # 24 revolutions are 768 output bins, 12 chunks
-    def full_run(self):
+    # 24 revolutions are 768 output bins, 12 blocks of _CHUNK_BINS = 64 bins
+    def full_run(self, path):
         rec = synthesize_run(SMALL_FULL, FixedEllipticitySource(1e-6), RIN_AND_TONE,
                              24 / 3.0, fidelity="full", pem_oversample=8)
         assert len(rec) >= 8 * _CHUNK_BINS * rec.metadata["samples_per_output_bin"]
-        psi = demodulate(rec)  # the lock-in computes the blocks, then the array is built
-        return rec.i_omega_pem, psi
+        write_record(rec, path)  # the writer computes the blocks as it formats them
+        psi = demodulate(rec)  # so does the lock-in, then the array is built
+        assert not is_stored(rec)
+        return path.read_bytes(), rec.i_omega_pem, psi
 
-    def test_samples_do_not_depend_on_the_worker_count(self, monkeypatch):
+    def test_samples_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
         ref, samples_per_bin = whole_array_full(SMALL_FULL, FixedEllipticitySource(1e-6),
                                                 RIN_AND_TONE, 24 / 3.0, 8)
         psi = whole_array_demodulate(ref["i_omega_pem"], ref["i0"], 8, samples_per_bin)
+        written = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, to shake out shared writes
         try:
             for workers in (1, 2, 3):
                 monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
-                raw, psi_workers = self.full_run()
+                text, raw, psi_workers = self.full_run(tmp_path / f"w{workers}.csv")
+                written.append(text)
                 assert np.array_equal(raw, ref["i_omega_pem"]), workers
                 assert np.array_equal(psi_workers, psi), workers
         finally:
             sys.setswitchinterval(interval)
+        assert written[1] == written[0] and written[2] == written[0]
 
-    def test_detector_noise_is_drawn_in_chunk_order(self, monkeypatch):
-        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: 1)
-        raw, psi = self.full_run()
-        monkeypatch.setattr(apparatus, "_map_chunks", reversed_map_chunks)
-        raw_reversed, psi_reversed = self.full_run()
-        assert np.array_equal(raw_reversed, raw)
-        assert np.array_equal(psi_reversed, psi)
+    def test_detector_noise_is_drawn_in_chunk_order(self, tmp_path, monkeypatch):
+        # reversed in windows of the blocks in flight: two for one worker, eight for four
+        for workers in (1, 4):
+            monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
+            monkeypatch.setattr(apparatus, "_map_ordered", map_ordered)
+            text, raw, psi = self.full_run(tmp_path / "in_order.csv")
+            monkeypatch.setattr(apparatus, "_map_ordered", reversed_map_ordered)
+            text_reversed, raw_reversed, psi_reversed = self.full_run(tmp_path / "reversed.csv")
+            assert text_reversed == text, workers
+            assert np.array_equal(raw_reversed, raw), workers
+            assert np.array_equal(psi_reversed, psi), workers
 
 
 class TestDrawnAhead:
@@ -474,15 +482,35 @@ class TestDrawnAhead:
             asked_past[0] = i + 1  # counted before the next target is asked for
         assert len(leads) == 30 and max(leads) <= 2
 
-    def test_a_held_chunk_is_not_drawn_over(self, monkeypatch):
-        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: 2)
+    @staticmethod
+    def lazy_and_stored(monkeypatch, workers):
+        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
         lazy, stored = (synthesize_run(CFG, NullSource(), NoiseModel(1e-6, rng_seed=3),
                                        5 * _BLOCK_SAMPLES / 32 / 3.0) for _ in range(2))
-        stops = [_BLOCK_SAMPLES * (i + 1) for i in range(5)]
-        chunks = apparatus._spans(vars(lazy)["i_omega_pem"], stops)
-        for held, view in zip(chunks, apparatus._spans(stored.i_omega_pem, stops)):
+        return vars(lazy)["i_omega_pem"], stored.i_omega_pem
+
+    def test_a_held_chunk_is_not_drawn_over(self, monkeypatch):
+        channel, stored = self.lazy_and_stored(monkeypatch, 2)
+        bounds = list(apparatus._blocks(len(stored), 1, _BLOCK_SAMPLES))
+        assert len(bounds) == 5
+        walk = apparatus._walk(channel, bounds, lambda start, stop, samples: (start, samples),
+                               None)
+        for start, held in walk:
             time.sleep(0.02)  # the helper draws as far ahead as it may
-            assert np.array_equal(held, view)
+            assert np.array_equal(held, stored[start:start + len(held)])
+
+    def test_a_block_in_flight_is_not_drawn_over(self, monkeypatch):
+        channel, stored = self.lazy_and_stored(monkeypatch, 2)
+        # 40 blocks: many more than the 4 in flight on 2 workers
+        bounds = list(apparatus._blocks(len(stored), 1, _BLOCK_SAMPLES // 8))
+        assert len(bounds) == 40
+
+        def held(start: int, stop: int, samples: np.ndarray) -> bool:
+            filled = samples.copy()
+            time.sleep(0.005)  # the helper draws as far ahead as it may meanwhile
+            return np.array_equal(samples, filled) and np.array_equal(filled, stored[start:stop])
+
+        assert all(apparatus._walk(channel, bounds, held, _BLOCK_SAMPLES))
 
     def test_a_failed_draw_raises_and_a_closed_pass_stops_its_helper(self):
         def draw(target):
@@ -782,6 +810,38 @@ class TestRecordFormatter:
                 tracemalloc.stop()
             # ~10.4 blocks of float64 rows per worker, independent of the record length
             assert peak < 14 * workers * block_bytes, workers
+
+    @pytest.mark.parametrize("rin", [0.0, 1e-4], ids=["quiet_detector", "detector_noise"])
+    def test_a_kept_record_is_written_without_its_array(self, tmp_path, monkeypatch, rin):
+        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: 1)
+        # small blocks, so that a short record's array is many times the writer's working set
+        monkeypatch.setattr(apparatus, "_WRITE_ROWS", 1024)
+        np.random.default_rng()  # numpy imports numpy.random lazily; keep that out of the peak
+        noise = NoiseModel(1e-6, rin, ((0.7, 1e-6, 0.3),), rng_seed=5)
+        bound = 14 * apparatus._WRITE_ROWS * len(RECORD_COLUMNS) * 8
+        for revolutions in (30, 120):
+            rec = synthesize_run(SMALL_FULL, FixedEllipticitySource(1e-6), noise,
+                                 revolutions / 3.0, fidelity="full")
+            if revolutions == 30:
+                assert bound < 0.5 * 8 * len(rec)
+            tracemalloc.start()
+            try:
+                write_record(rec, os.devnull)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # ~10.4 blocks of float64 rows, as for a stored record, at both lengths
+            assert peak < bound, revolutions
+            assert not is_stored(rec)
+        stored = synthesize_run(SMALL_FULL, FixedEllipticitySource(1e-6), noise, 30 / 3.0,
+                                fidelity="full")
+        stored.i_omega_pem
+        kept = synthesize_run(SMALL_FULL, FixedEllipticitySource(1e-6), noise, 30 / 3.0,
+                              fidelity="full")
+        write_record(kept, tmp_path / "kept.csv")
+        write_record(stored, tmp_path / "stored.csv")
+        assert not is_stored(kept) and is_stored(stored)
+        assert (tmp_path / "kept.csv").read_bytes() == (tmp_path / "stored.csv").read_bytes()
 
 
 def _block(text: bytes) -> np.ndarray:

@@ -42,16 +42,13 @@ from .pipeline import (
     DEFAULT_NOISE_HALFWIDTH,
     BlockSpectra,
     CalibrationPhase,
+    _analyze,
     analytic_calibration,
     analyze_record,
     averaged_spectrum,
-    block_fft,
     calibrate,
     combine_runs,
-    demodulate,
-    estimate_from_spectra,
     project_physical,
-    with_rayleigh_sigma,
 )
 from .synth import DEFAULT_PEM_OVERSAMPLE, synthesize_run
 
@@ -276,13 +273,11 @@ def _cmd_analyze(args) -> int:
     estimates = []
     for path, record in zip(args.records, records):
         try:
-            spectra = with_rayleigh_sigma(
-                block_fft(demodulate(record), record.config, block_size=args.block_size),
-                args.noise_halfwidth,
-            )
-            estimates.append(estimate_from_spectra(spectra, record))
+            estimate, spectra = _analyze(record, args.block_size, args.noise_halfwidth,
+                                         keep_spectra=True)
         except ValueError as exc:
             raise DataError(f"analysis of {path} failed: {exc}") from exc
+        estimates.append(estimate)
         _write_spectrum(args.out_dir / f"{path.stem}.spectrum.csv", spectra, mhash)
 
     dn_mean, dn_sigma, hours = combine_runs(estimates)

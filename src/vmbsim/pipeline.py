@@ -9,19 +9,18 @@ the signal bin is summarized by the Rayleigh-amplitude relation
 magnet rotation frequency are combined by an inverse-variance vector average.
 The same vector average combines runs.
 
-Memory: :func:`analyze_record` walks the record once (``apparatus._walk``),
-in chunks of whole blocks of about ``apparatus._BLOCK_SAMPLES`` samples (8
-blocks at the defaults).  Each chunk is divided by the lock-in
-normalization, Fourier transformed, normalized and reduced to its blocks'
-2*Omega_Mag amplitudes and floored Rayleigh sigmas while it is in cache; it
-never holds the ellipticity series or the spectra.  A stored record (read from a file, or built) is
-walked in views of it, so the analysis holds the record plus one chunk's
-working set.  A synthesized fast record keeps no array: its chunks are
-computed in turn in the calling thread while a helper thread draws the noise
-of the next ones, at most two chunks ahead, so synthesis and analysis hold a
-few chunks, whatever the run length.  :func:`block_fft` and
-:func:`with_rayleigh_sigma`, which keep the spectra, run the same chunk pass,
-so every block is computed by the same operations either way.
+Memory: :func:`analyze_record`, ``vmbsim analyze`` and ``calibrate`` run one
+pass (``_analyze``) over the record, in chunks of whole blocks of about
+``apparatus._BLOCK_SAMPLES`` samples.  Each chunk is divided by the lock-in
+normalization, Fourier transformed and reduced to its blocks' 2*Omega_Mag
+amplitudes, floored Rayleigh sigmas and leakage tests (every block is tested,
+a record warns once) while it is in cache.  No analysis holds the ellipticity
+series; ``vmbsim analyze`` keeps the spectra for the averaged spectrum it
+writes.  A stored record is walked in views of it; a synthesized fast record
+keeps no array, and its chunks are computed in turn while a helper thread
+draws the noise of the next ones.  :func:`block_fft` and
+:func:`with_rayleigh_sigma`, which the one pass equals bit for bit, run the
+same chunk pass.
 
 FFT normalization: one-sided amplitude spectrum; a real tone of ellipticity
 amplitude A centered on a bin reports |c| = A.  A tone A*sin(w t + phi0)
@@ -208,30 +207,20 @@ def _digital_lock_in(record: TimeSeriesRecord) -> tuple[np.ndarray, float]:
 # Block FFTs and noise statistics
 # ---------------------------------------------------------------------------
 
-def block_fft(
-    psi: np.ndarray,
-    config: ApparatusConfig,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> BlockSpectra:
+def block_fft(psi: np.ndarray, config: ApparatusConfig,
+              block_size: int = DEFAULT_BLOCK_SIZE) -> BlockSpectra:
     """Rectangular-window amplitude FFTs of consecutive blocks.
 
     Blocks must hold an integer number of revolutions so the 2*Omega_Mag tone
     is bin-centered; a prominent off-bin tone (energy in the neighbours of the
-    peak) in the first block triggers a leakage warning. Trailing samples that
+    peak) in any block triggers one leakage warning. Trailing samples that
     do not fill a block are dropped with a warning that counts them.
     """
     n_blocks, revs_per_block = _whole_blocks(len(psi), config, block_size)
     bins = np.empty((n_blocks, block_size // 2 + 1), dtype=complex)
-    for _ in _block_spectra(psi, None, block_size, n_blocks, out=bins):
+    for _ in _block_spectra(psi, 1.0, block_size, n_blocks, 2 * revs_per_block, out=bins):
         pass
-    spectra = BlockSpectra(
-        bins=bins,
-        bin_of_2omega=2 * revs_per_block,
-        revs_per_block=revs_per_block,
-        sample_rate_hz=config.sample_rate_hz,
-    )
-    _warn_on_leakage(bins[0], spectra.bin_of_2omega)
-    return spectra
+    return BlockSpectra(bins, 2 * revs_per_block, revs_per_block, config.sample_rate_hz)
 
 
 def _whole_blocks(n_samples: int, config: ApparatusConfig, block_size: int) -> tuple[int, int]:
@@ -270,58 +259,74 @@ def _block_chunks(n_blocks: int, block_size: int):
         r0 = r1
 
 
-def _block_spectra(
-    series,
-    root_norm: float | None,
-    block_size: int,
-    n_blocks: int,
-    out: np.ndarray | None = None,
-):
-    """Yield ``(r0, r1, bins)``: the spectra of blocks ``r0`` to ``r1`` of ``series / root_norm``.
+def _block_spectra(series, root_norm: float, block_size: int, n_blocks: int, k: int,
+                   out: np.ndarray | None = None):
+    """Yield ``(r0, r1, bins, abs(bins))`` for blocks ``r0:r1`` of ``series / root_norm``.
 
     The one pass over a record's blocks that every analysis runs, a chunk of
     :func:`_block_chunks` at a time, so a chunk's series and spectra stay in
     cache.  ``series`` is an array, whose chunks are views, or a synthesized
     fast channel, whose chunks are computed in turn in the calling thread
     while a helper thread draws the noise of the next ones (one
-    ``apparatus._walk``).  ``root_norm`` None leaves the series undivided.
-    ``bins`` is ``out[r0:r1]`` when ``out`` is given, and otherwise one
-    chunk-sized buffer that the next chunk overwrites.  Each value takes the
-    same operations as in one pass over the whole record.
+    ``apparatus._walk``).  ``bins`` is ``out[r0:r1]`` when ``out`` is given,
+    and otherwise one chunk-sized buffer that the next chunk overwrites.
+    Each value takes the same operations as in one pass over the whole
+    record.  One warning at the end names the blocks whose tone is off the
+    center of bin ``k``.
     """
     chunks = list(_block_chunks(n_blocks, block_size))
     if out is None:
         scratch = np.empty((max(r1 - r0 for r0, r1 in chunks), block_size // 2 + 1), dtype=complex)
+    leaks = np.empty(n_blocks, dtype=bool)
 
     def spectra(start: int, stop: int, samples: np.ndarray):
         r0, r1 = start // block_size, stop // block_size
         bins = scratch[:r1 - r0] if out is None else out[r0:r1]
         rows = samples.reshape(r1 - r0, block_size)
-        np.fft.rfft(rows if root_norm is None else rows / root_norm, axis=1, out=bins)
+        np.fft.rfft(rows / root_norm, axis=1, out=bins)
         # one-sided amplitude normalization: interior bins 2/N, DC and Nyquist 1/N
         bins *= 2.0 / block_size
         bins[:, 0] *= 0.5
         bins[:, -1] *= 0.5
-        return r0, r1, bins
+        amps = np.abs(bins)
+        leaks[r0:r1] = _off_bin(amps, k)
+        return r0, r1, bins, amps
 
     bounds = [(r0 * block_size, r1 * block_size) for r0, r1 in chunks]
-    return _walk(series, bounds, spectra, None)
+    yield from _walk(series, bounds, spectra, None)
+    leaky = np.flatnonzero(leaks)
+    if len(leaky):
+        warnings.warn(f"significant spectral energy next to the 2*Omega_Mag bin in {len(leaky)} "
+                      f"of {n_blocks} blocks (first: block {leaky[0]}, counting from 0); the "
+                      "tone appears off bin center (asynchronous sampling or frequency drift)",
+                      stacklevel=3)
 
 
-def _warn_on_leakage(block_bins: np.ndarray, k: int) -> None:
-    bins = np.abs(block_bins)
-    peak_region = bins[max(k - 2, 1): k + 3]
-    peak = peak_region.max()
-    if peak <= 0:
-        return
-    noise_floor = float(np.median(bins[1:]))
-    neighbours = max(bins[k - 1], bins[k + 1])
-    if peak > 10.0 * max(noise_floor, 1e-300) and neighbours > 0.3 * bins[k]:
-        warnings.warn(
-            "significant spectral energy next to the 2*Omega_Mag bin; the tone "
-            "appears off bin center (asynchronous sampling or frequency drift)",
-            stacklevel=3,
-        )
+def _off_bin(amps: np.ndarray, k: int) -> np.ndarray:
+    """Which rows of ``amps`` (block amplitude spectra) show a tone off bin ``k``'s center.
+
+    That is, the peak of bins ``k-2..k+2`` stands over 10 times above the median of the bins
+    past DC, and a neighbour of ``k`` holds over 0.3 of bin ``k``.  A row with more than half
+    of those bins at or above a tenth of its peak has a median at least that: only the rows
+    that this count cannot settle take a median.
+    """
+    peak = amps[:, max(k - 2, 1): k + 3].max(axis=1)
+    leaks = (peak > 0) & (np.maximum(amps[:, k - 1], amps[:, k + 1]) > 0.3 * amps[:, k])
+    tenth = np.nextafter(peak / 10.0, np.inf)  # rounded up, so that 10 * tenth >= peak
+    above = np.sum(amps[:, 1:] >= tenth[:, None], axis=1, dtype=np.int32)
+    settled = (above > (amps.shape[1] - 1) // 2) & (10.0 * np.maximum(tenth, 1e-300) >= peak)
+    leaks &= ~settled
+    rows = np.flatnonzero(leaks)
+    if len(rows):
+        leaks[rows] = peak[rows] > 10.0 * np.maximum(_median(amps[rows, 1:]), 1e-300)
+    return leaks
+
+
+def _median(rows: np.ndarray) -> np.ndarray:
+    """``np.median(rows, axis=1)``, bit for bit, without its import of ``numpy.ma``."""
+    h = rows.shape[1] // 2
+    middle = np.partition(rows, (h - 1, h), axis=1)
+    return middle[:, h] if rows.shape[1] % 2 else (middle[:, h - 1] + middle[:, h]) / 2.0
 
 
 def parseval_residual(spectra: BlockSpectra, psi: np.ndarray) -> np.ndarray:
@@ -388,13 +393,12 @@ def with_rayleigh_sigma(
     idx = _enough_noise_bins(noise_bin_indices(spectra, exclusion_halfwidth))
     sigmas = np.empty(len(spectra))
     for r0, r1 in _block_chunks(len(spectra), spectra.block_size):
-        sigmas[r0:r1] = _floored_sigma(spectra.bins[r0:r1], idx)
+        sigmas[r0:r1] = _floored_sigma(np.abs(spectra.bins[r0:r1]), idx)
     return replace(spectra, rayleigh_sigma=sigmas)
 
 
-def _floored_sigma(bins: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Rayleigh sigma of each row of ``bins`` over the noise bins ``idx``, with its floor."""
-    amps = np.abs(bins)
+def _floored_sigma(amps: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rayleigh sigma of each row of ``amps`` over the noise bins ``idx``, with its floor."""
     return np.maximum(_rayleigh(amps[:, idx]), np.finfo(float).eps * amps.max(axis=1))
 
 
@@ -450,11 +454,8 @@ def ellipticity_from_deltan(deltan_u, config: ApparatusConfig):
 # Run-level analysis
 # ---------------------------------------------------------------------------
 
-def analyze_record(
-    record: TimeSeriesRecord,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    noise_halfwidth: int = DEFAULT_NOISE_HALFWIDTH,
-) -> RunEstimate:
+def analyze_record(record: TimeSeriesRecord, block_size: int = DEFAULT_BLOCK_SIZE,
+                   noise_halfwidth: int = DEFAULT_NOISE_HALFWIDTH) -> RunEstimate:
     """Demodulate and block-average one run.
 
     Equal, value for value, to ``estimate_from_spectra(with_rayleigh_sigma(
@@ -462,21 +463,30 @@ def analyze_record(
     chunks of blocks that keeps only each block's 2*Omega_Mag amplitude and
     sigma.
     """
+    return _analyze(record, block_size, noise_halfwidth)[0]
+
+
+def _analyze(record: TimeSeriesRecord, block_size: int, noise_halfwidth: int,
+             keep_spectra: bool = False) -> tuple[RunEstimate, BlockSpectra | None]:
+    """The one pass of every analysis: the run estimate, and with ``keep_spectra`` the spectra.
+
+    The spectra carry their sigmas and are ``with_rayleigh_sigma(block_fft(demodulate(
+    record), ...))`` bit for bit; without them, no record-sized array is built.
+    """
     # full-fidelity records land on the same synchronous output grid after demodulation
     series, root_norm = _lock_in(record)
     n_blocks, revs_per_block = _whole_blocks(len(series), record.config, block_size)
     k = 2 * revs_per_block
-    idx = _enough_noise_bins(
-        _noise_bins(k, block_size // 2 + 1, revs_per_block, noise_halfwidth)
-    )
+    idx = _enough_noise_bins(_noise_bins(k, block_size // 2 + 1, revs_per_block, noise_halfwidth))
+    bins = np.empty((n_blocks, block_size // 2 + 1), dtype=complex) if keep_spectra else None
     amplitudes = np.empty(n_blocks, dtype=complex)
     sigmas = np.empty(n_blocks)
-    for r0, r1, bins in _block_spectra(series, root_norm, block_size, n_blocks):
-        if r0 == 0:
-            _warn_on_leakage(bins[0], k)
-        amplitudes[r0:r1] = bins[:, k]
-        sigmas[r0:r1] = _floored_sigma(bins, idx)
-    return _run_estimate(amplitudes, sigmas, block_size, record.config.sample_rate_hz, record)
+    for r0, r1, chunk, amps in _block_spectra(series, root_norm, block_size, n_blocks, k, bins):
+        amplitudes[r0:r1] = chunk[:, k]
+        sigmas[r0:r1] = _floored_sigma(amps, idx)
+    rate = record.config.sample_rate_hz
+    spectra = None if bins is None else BlockSpectra(bins, k, revs_per_block, rate, sigmas)
+    return _run_estimate(amplitudes, sigmas, block_size, rate, record), spectra
 
 
 def estimate_from_spectra(spectra: BlockSpectra, record: TimeSeriesRecord) -> RunEstimate:
@@ -486,19 +496,12 @@ def estimate_from_spectra(spectra: BlockSpectra, record: TimeSeriesRecord) -> Ru
     and set the duration by their sample rate; ``record`` supplies the config
     and the metadata.  No calibration is applied.
     """
-    return _run_estimate(
-        spectra.amplitude_2omega, spectra.rayleigh_sigma, spectra.block_size,
-        spectra.sample_rate_hz, record,
-    )
+    return _run_estimate(spectra.amplitude_2omega, spectra.rayleigh_sigma, spectra.block_size,
+                         spectra.sample_rate_hz, record)
 
 
-def _run_estimate(
-    amplitudes: np.ndarray,
-    sigmas: np.ndarray | None,
-    block_size: int,
-    sample_rate_hz: float,
-    record: TimeSeriesRecord,
-) -> RunEstimate:
+def _run_estimate(amplitudes: np.ndarray, sigmas: np.ndarray | None, block_size: int,
+                  sample_rate_hz: float, record: TimeSeriesRecord) -> RunEstimate:
     """The run estimate of per-block 2*Omega_Mag amplitudes and sigmas."""
     config = record.config
     amp, sigma = weighted_average(zip(amplitudes.tolist(), _positive_sigmas(sigmas).tolist()))

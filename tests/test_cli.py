@@ -262,6 +262,96 @@ class TestAnalyze:
         assert run("analyze", he_record, "--out-dir", tmp_path / "a") == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("fidelity", ["fast", "full"])
+    def test_one_analysis_path(self, tmp_path, monkeypatch, fidelity):
+        import vmbsim.cli
+        import vmbsim.pipeline as pipeline
+
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("pem_frequency = 960 Hz\n")
+        sim = tmp_path / "sim"
+        assert run("simulate", "--config", cfg, "--source", "gas:He:32ubar", "--revolutions",
+                   "4096" if fidelity == "fast" else "64", "--fidelity", fidelity,
+                   "--noise-asd", "3e-7", "--detector-noise", "1e-4", "--out-dir", sim) == 0
+        analyze = ["analyze", sim / "run-seed0.csv"]
+        if fidelity == "full":
+            analyze += ["--blocks", "1024", "--noise-halfwidth", "60"]
+
+        def staged(record, block_size, noise_halfwidth, keep_spectra):
+            spectra = pipeline.with_rayleigh_sigma(
+                pipeline.block_fft(pipeline.demodulate(record), record.config, block_size),
+                noise_halfwidth,
+            )
+            return pipeline.estimate_from_spectra(spectra, record), spectra
+
+        with monkeypatch.context() as patch:
+            patch.setattr(vmbsim.cli, "_analyze", staged)
+            assert run(*analyze, "--out-dir", tmp_path / "staged") == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("vmbsim analyze ran the staged chain")
+
+        for name in ("demodulate", "block_fft", "with_rayleigh_sigma", "estimate_from_spectra"):
+            monkeypatch.setattr(pipeline, name, refuse)
+        assert run(*analyze, "--out-dir", tmp_path / "one") == 0
+        for name in ("estimate.txt", "runs.csv", "run-seed0.spectrum.csv"):
+            assert (tmp_path / "one" / name).read_bytes() == (
+                tmp_path / "staged" / name).read_bytes(), name
+
+    def test_memory_is_the_record_and_its_spectra(self, tmp_path, monkeypatch):
+        import tracemalloc
+
+        import vmbsim.cli
+
+        # 16384 revolutions: a demodulated series (4.2 MB) stands well above the fixed
+        # working sets of the chunk pass and of the spectrum writer, ~1 MB together
+        assert run("simulate", "--source", "gas:He:32ubar", "--revolutions", "16384",
+                   "--noise-asd", "3e-7", "--out-dir", tmp_path / "sim") == 0
+        path = tmp_path / "sim" / "run-seed0.csv"
+        assert run("analyze", path, "--out-dir", tmp_path / "warm") == 0
+        held = []
+        read_record = vmbsim.cli.read_record
+
+        def read_then_reset_peak(path):
+            held.append(read_record(path))
+            tracemalloc.reset_peak()  # from here on: the record and what the analysis adds
+            return held[-1]
+
+        monkeypatch.setattr(vmbsim.cli, "read_record", read_then_reset_peak)
+        tracemalloc.start()
+        try:
+            assert run("analyze", path, "--out-dir", tmp_path / "a") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        samples = held[0].i_omega_pem.nbytes  # I0 and I_2OmegaPEM are constant views
+        spectra = len(held[0]) // 8192 * (8192 // 2 + 1) * 16
+        assert peak <= samples + spectra + 2_000_000
+
+    def test_analyze_does_not_import_numpy_ma(self, he_record, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import vmbsim
+
+        src = str(Path(vmbsim.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # np.median imports numpy.ma on its first call, 12-21 ms of a short process
+        script = ("import runpy, sys\n"
+                  "try:\n"
+                  "    runpy.run_module('vmbsim', run_name='__main__')\n"
+                  "except SystemExit as exc:\n"
+                  "    assert exc.code == 0, exc.code\n"
+                  "print('numpy.ma' in sys.modules)\n")
+        done = subprocess.run(
+            [sys.executable, "-c", script, "analyze", str(he_record), "--out-dir",
+             str(tmp_path / "a")], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "False"
+        assert (tmp_path / "a" / "estimate.txt").exists()
+
     def test_calibration_file_sets_the_axis(self, he_record, tmp_path):
         from vmbsim.apparatus import format_number, read_record
         from vmbsim.configio import parse_key_values

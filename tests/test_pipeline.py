@@ -25,6 +25,8 @@ from vmbsim.pipeline import (
     CalibrationPhase,
     analytic_calibration,
     _block_chunks,
+    _median,
+    _off_bin,
     analyze_record,
     block_fft,
     calibrate,
@@ -464,6 +466,84 @@ class TestOnePassAnalysis:
         finally:
             tracemalloc.stop()
         assert peak < 0.1 * rec.i_omega_pem.nbytes
+
+
+HALF_BIN_TONE_HZ = 6.0 + 0.5 * 96.0 / 8192  # half a bin above 2*Omega_Mag at 8192-sample blocks
+
+
+def off_bin_reference(amps, k):
+    """The leakage test of each row, with ``np.median`` of every row."""
+    peak = amps[:, max(k - 2, 1): k + 3].max(axis=1)
+    median = np.median(amps[:, 1:], axis=1)
+    return ((peak > 0) & (peak > 10.0 * np.maximum(median, 1e-300))
+            & (np.maximum(amps[:, k - 1], amps[:, k + 1]) > 0.3 * amps[:, k]))
+
+
+class TestLeakage:
+    """One leakage warning per record, from a test of every block."""
+
+    # 17 blocks are two chunks of _block_chunks, and block 13 is in the second
+    @pytest.mark.parametrize("n_blocks, leaky_block", [(8, 5), (17, 13)])
+    def test_an_off_bin_tone_in_a_later_block_warns(self, n_blocks, leaky_block):
+        rec = synthesize_run(CFG, NullSource(), NoiseModel(1e-9, rng_seed=3), n_blocks * 256 / 3.0)
+        # psi = I_OmegaPEM / sqrt(8 I0 I_2OmegaPEM(DC)): a tone in one block only
+        root_norm = math.sqrt(8.0 * float(np.mean(rec.i0)) * float(np.mean(rec.i_2omega_pem)))
+        tone = root_norm * 1e-5 * np.sin(2 * math.pi * HALF_BIN_TONE_HZ * np.arange(8192) / 96.0)
+        channel = rec.i_omega_pem.copy()
+        channel[leaky_block * 8192: (leaky_block + 1) * 8192] += tone
+        leaky = replace(rec, i_omega_pem=channel)
+        _, one_pass = warning_messages(analyze_record, leaky)
+        _, chain = warning_messages(lambda r: block_fft(demodulate(r), CFG), leaky)
+        assert len(one_pass) == 1 and one_pass == chain
+        assert "off bin center" in one_pass[0]
+        assert f"in 1 of {n_blocks} blocks (first: block {leaky_block}," in one_pass[0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("config, source, noise_asd, revolutions, fidelity, kwargs", [
+        (CFG, GasSource("He", convert_pressure(32.0, "ubar", "atm")), 3e-7, 16 * 256, "fast",
+         {}),
+        (CFG, FixedEllipticitySource(1e-6), 1e-9, 16 * 256, "fast", {}),
+        (CFG, NullSource(), 1e-6, 16 * 256, "fast", {}),
+        (SMALL_FULL, FixedEllipticitySource(1e-6), 1e-8, 96, "full", {"block_size": 1024}),
+        (SMALL_FULL, NullSource(), 1e-8, 96, "full", {"block_size": 1024}),
+    ], ids=["fast_helium", "fast_on_bin", "fast_noise_only", "full_on_bin", "full_noise_only"])
+    def test_on_bin_and_noise_only_records_do_not_warn(self, seed, config, source, noise_asd,
+                                                       revolutions, fidelity, kwargs):
+        rec = synthesize_run(config, source, NoiseModel(noise_asd, rng_seed=seed),
+                             revolutions / config.magnet_rotation_hz, fidelity=fidelity)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            analyze_record(rec, **kwargs)
+
+    def test_the_count_settles_only_what_the_median_would(self):
+        rng = np.random.default_rng(8)
+        k = 512
+        amps = np.abs(rng.standard_normal((400, 4097)) + 1j * rng.standard_normal((400, 4097)))
+        # on-bin and half-bin tones from the noise floor up, then rows at the test's edges
+        amps[:200, k] += np.geomspace(0.1, 1e3, 200)
+        amps[200:300, k - 1: k + 1] += np.geomspace(0.1, 1e3, 100)[:, None]
+        flat = np.ones((7, 4097))
+        flat[2, 2049:] = 0.5                                  # median between 0.5 and 1
+        flat[3, 2050:] = 0.5                                  # half the bins and one at 1: median 1
+        flat[4, 2049:] = 0.999                                # median just below a tenth of the peak
+        flat[5] = 0.0                                         # no peak at all
+        flat[6, 1:] = 0.0
+        flat[6, 2049:4094] = 1.5                              # half the bins over a tenth of the
+        flat[[0, 1, 2, 3, 4, 6], k - 1: k + 2] = 10.0         # peak, the other half 0: median 0.75
+        flat[1, k] = np.nextafter(10.0, np.inf)               # just above 10 times the median
+        rows = np.vstack([amps, flat])
+        expected = off_bin_reference(rows, k)
+        assert np.array_equal(_off_bin(rows, k), expected)
+        assert 0 < np.count_nonzero(expected) < len(rows)
+        assert list(expected[-7:]) == [False, True, True, False, True, False, True]
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 8, 4096, 4097])
+def test_median_is_numpys_bit_for_bit(length):
+    rng = np.random.default_rng(length)
+    rows = rng.rayleigh(size=(20, length))
+    rows[10:] = np.round(rows[10:], 1)  # ties
+    assert _median(rows).tobytes() == np.median(rows, axis=1).tobytes()
 
 
 # The fast cases of the one-pass analysis, and every combination of terms of a fast record

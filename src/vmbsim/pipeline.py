@@ -306,19 +306,22 @@ def _off_bin(amps: np.ndarray, k: int) -> np.ndarray:
     """Which rows of ``amps`` (block amplitude spectra) show a tone off bin ``k``'s center.
 
     That is, the peak of bins ``k-2..k+2`` stands over 10 times above the median of the bins
-    past DC, and a neighbour of ``k`` holds over 0.3 of bin ``k``.  A row with more than half
-    of those bins at or above a tenth of its peak has a median at least that: only the rows
-    that this count cannot settle take a median.
+    past DC, and a neighbour of ``k`` holds over 0.3 of bin ``k`` and over 4.5 times that
+    median (5.3 sigma of Rayleigh noise, so that noise beside a strong on-bin tone does not
+    pass).  A row with more than half of those bins at or above a tenth of its peak has a
+    median at least that: only the rows that this count cannot settle take a median.
     """
     peak = amps[:, max(k - 2, 1): k + 3].max(axis=1)
-    leaks = (peak > 0) & (np.maximum(amps[:, k - 1], amps[:, k + 1]) > 0.3 * amps[:, k])
+    neighbour = np.maximum(amps[:, k - 1], amps[:, k + 1])
+    leaks = (peak > 0) & (neighbour > 0.3 * amps[:, k])
     tenth = np.nextafter(peak / 10.0, np.inf)  # rounded up, so that 10 * tenth >= peak
     above = np.sum(amps[:, 1:] >= tenth[:, None], axis=1, dtype=np.int32)
     settled = (above > (amps.shape[1] - 1) // 2) & (10.0 * np.maximum(tenth, 1e-300) >= peak)
     leaks &= ~settled
     rows = np.flatnonzero(leaks)
     if len(rows):
-        leaks[rows] = peak[rows] > 10.0 * np.maximum(_median(amps[rows, 1:]), 1e-300)
+        median = np.maximum(_median(amps[rows, 1:]), 1e-300)
+        leaks[rows] = (peak[rows] > 10.0 * median) & (neighbour[rows] > 4.5 * median)
     return leaks
 
 

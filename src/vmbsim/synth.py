@@ -34,7 +34,9 @@ and the samples do not depend on the number of CPUs.
 
 The magnets rotate together, so both levels carry one signal,
 psi(t) = psi sin(2 (2 pi f_Mag t + theta0)), whose 2*Omega_Mag line is the
-bin the analysis reads.
+bin the analysis reads.  The fast level evaluates it at each output sample;
+the full level copies carrier plus signal from a table of one signal period,
+half a revolution, whose phase is reduced exactly from the sample index.
 
 Lock-in gain convention: demodulated channels carry the full ("peak")
 harmonic amplitude, I_X = 2 <I(t) cos(w t)>.  With a sinusoidal PEM drive
@@ -116,9 +118,9 @@ def _sin_2theta(amp: float, f: float, theta0: float, t: np.ndarray) -> np.ndarra
     return out
 
 
-def _output_grid(config: ApparatusConfig, start: int, stop: int) -> np.ndarray:
-    """Times of the output samples ``start`` to ``stop``."""
-    return np.arange(start, stop) / config.sample_rate_hz
+def _signal_period(psi: float, theta0: float, revolution: int) -> np.ndarray:
+    """psi sin(2 (2 pi n / revolution + theta0)) over one signal period, n < revolution / 2."""
+    return _sin_2theta(psi, 1.0 / revolution, theta0, np.arange(revolution // 2))
 
 
 def _signal_and_alpha(config: ApparatusConfig, psi: float, noise: NoiseModel, s0: int, s1: int):
@@ -127,7 +129,7 @@ def _signal_and_alpha(config: ApparatusConfig, psi: float, noise: NoiseModel, s0
     An absent term is a scalar 0.0, which adds as the zero array it replaces
     (the sum turns a -0.0 into +0.0 either way).
     """
-    t = _output_grid(config, s0, s1) if psi or noise.spurious_tones else None
+    t = np.arange(s0, s1) / config.sample_rate_hz if psi or noise.spurious_tones else None
     signal = (
         _sin_2theta(psi, config.magnet_rotation_hz, config.polarizer_angle_rad, t) if psi else 0.0
     )
@@ -277,41 +279,43 @@ def _raw_intensity(
 
     ``out`` receives ``(c1 - c0) * samples_per_bin`` samples.  With the
     detector's intensity noise, it holds on entry that noise's standard
-    normals ``n``, and each sample is multiplied by ``1 + rin * n``.  Every
-    sample is computed by the same operations, in the same order, as in one
-    pass over the whole record, so a block is a pure function of its bins and
-    their draws: blocks may be filled in any order, on any thread, and the
-    samples do not depend on the block size.  Besides ``out`` the working set
-    is at most two arrays of the block's size, and one more with intensity
-    noise.
+    normals ``n``, and each sample is multiplied by ``1 + rin * n``.
+    Carrier plus signal repeat every half revolution, ``samples_per_revolution
+    / 2`` bins: a block copies their rows from one read-only table of that
+    period (1.07 MB at the defaults), its phase reduced exactly from the
+    integer sample index (:func:`_signal_period`), and adds the other terms.
+    Every sample takes the same operations wherever its block starts, so
+    blocks may be filled in any order, on any thread.  Besides ``out`` and
+    the table a block holds one array of its size with intensity noise, and
+    two more with spurious tones.
     """
     i0 = config.incident_power_w
-    psi = source_ellipticity(source, config)
+    rows = config.samples_per_revolution // 2
+    table = _signal_period(source_ellipticity(source, config), config.polarizer_angle_rad,
+                           2 * rows * samples_per_bin)
     # PEM carrier phase is exactly (i mod oversample)/oversample cycles -- no drift.
-    # A block starts on a bin, and so on a whole carrier cycle.
-    carrier = config.pem_depth * np.cos(
+    table.reshape(-1, pem_oversample)[...] += config.pem_depth * np.cos(
         2.0 * math.pi * np.arange(pem_oversample) / pem_oversample
     )
+    table = table.reshape(rows, samples_per_bin)
+    table.flags.writeable = False
 
     rin = noise.detector_white_noise
 
     def fill(c0: int, c1: int, out: np.ndarray) -> None:
         raw = np.empty_like(out) if rin > 0.0 else out
-        # t lives in raw until the terms that need it exist, so a block frees one array:
-        # freeing a t array with the signal made glibc return the heap top to the
-        # system and fault it back in for every block (serial synthesis took 40% longer).
-        # Whole numbers in float64 are exact, so t is the integer grid divided by fs.
-        t = np.divide(np.arange(c0 * samples_per_bin, c1 * samples_per_bin, dtype=np.float64),
-                      fs, out=raw)
-        # alpha first: its scratch array is freed before the signal is made
-        # without tones alpha is +0.0, which changes at most the sign of a zero before the square
-        alpha = noise.alpha_of(t) if noise.spurious_tones else None
-        signal = _sin_2theta(psi, config.magnet_rotation_hz, config.polarizer_angle_rad, t)
-        raw.reshape(-1, pem_oversample)[...] = carrier
-        raw += signal
+        per_bin = raw.reshape(c1 - c0, samples_per_bin)
+        alpha = None
+        if noise.spurious_tones:
+            # t lives in raw until alpha exists; whole numbers in float64 are exact, so t
+            # is the integer grid divided by fs
+            t = np.divide(np.arange(c0 * samples_per_bin, c1 * samples_per_bin, dtype=np.float64),
+                          fs, out=raw)
+            alpha = noise.alpha_of(t)
+        # mode="wrap" copies into out directly; "raise" would buffer the whole block
+        np.take(table, np.arange(c0, c1), axis=0, out=per_bin, mode="wrap")
         if alpha is not None:
             raw += alpha
-        per_bin = raw.reshape(c1 - c0, samples_per_bin)
         per_bin += eps_noise[c0:c1, None]
         np.square(raw, out=raw)
         raw += config.extinction

@@ -34,6 +34,7 @@ from vmbsim.apparatus import (
     _decode_rows,
     _format_rows,
     format_number,
+    grid_rate,
     parse_source,
     read_record,
     truncated,
@@ -42,6 +43,8 @@ from vmbsim.apparatus import (
 from vmbsim.pipeline import analyze_record, demodulate
 from vmbsim.synth import (
     _check_duration,
+    _signal_period,
+    _sin_2theta,
     cavity_ellipticity,
     single_pass_ellipticity,
     source_ellipticity,
@@ -212,8 +215,12 @@ def whole_array_full(config, source, noise, duration_s, pem_oversample):
     carrier = config.pem_depth * np.cos(
         2.0 * math.pi * (np.arange(n_raw) % pem_oversample) / pem_oversample
     )
+    # the phase reduced exactly: raw sample n of a revolution of R takes n mod R/2, its
+    # sample in the signal period
+    revolution = config.samples_per_revolution * samples_per_bin
     signal = source_ellipticity(source, config) * np.sin(
-        2.0 * (2.0 * math.pi * config.magnet_rotation_hz * t_raw + config.polarizer_angle_rad)
+        2.0 * (np.arange(n_raw) % (revolution // 2) * (2.0 * math.pi * (1.0 / revolution))
+               + config.polarizer_angle_rad)
     )
     total = carrier + signal + noise.alpha_of(t_raw) + np.repeat(eps_noise, samples_per_bin)
     intensity = config.incident_power_w * (config.extinction + total**2)
@@ -277,6 +284,55 @@ class TestChunkedFullSynthesis:
         assert synth_peak < rec.i_omega_pem.nbytes + 16 * chunk_bytes
         # each worker's lock-in holds what the serial lock-in holds
         assert demod_peak < 4 * 0.1 * rec.i_omega_pem.nbytes
+
+
+class TestSignalTable:
+    """Carrier plus signal of a full record come from one signal period, its phase reduced exactly."""
+
+    def test_sin_sees_one_signal_period_whatever_the_length(self, monkeypatch):
+        sin = np.sin
+        counts = []
+
+        def counting_sin(x, *args, **kwargs):
+            counts[-1] += np.size(x)
+            return sin(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sin", counting_sin)
+        # blocks of 5 revolutions, the fewest with 50 noise bins
+        for revolutions in (5, 20):
+            counts.append(0)
+            rec = synthesize_run(SMALL_FULL, FixedEllipticitySource(1e-6), RIN_AND_TONE,
+                                 revolutions / 3.0, fidelity="full")
+            analyze_record(rec, block_size=5 * SMALL_FULL.samples_per_revolution)
+        period = SMALL_FULL.samples_per_revolution // 2 * rec.metadata["samples_per_output_bin"]
+        assert 0 < counts[0] == counts[1] <= period
+
+    def test_bins_half_a_revolution_apart_are_bit_identical_without_noise(self):
+        rec = synthesize_run(CFG, FixedEllipticitySource(1e-6), QUIET, 2 / 3.0, fidelity="full")
+        raw = rec.i_omega_pem.reshape(-1, rec.metadata["samples_per_output_bin"])
+        half = CFG.samples_per_revolution // 2
+        assert raw[half:].tobytes() == raw[:-half].tobytes()
+        assert not np.array_equal(raw[0], raw[1])
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
+    @pytest.mark.parametrize("config", [CFG, replace(SMALL_FULL, polarizer_angle_rad=1.2)],
+                             ids=["default", "small_tilted"])
+    def test_signal_is_within_4_ulp_over_64_revolutions(self, config):
+        rec = synthesize_run(config, NullSource(), QUIET, 1 / config.magnet_rotation_hz,
+                             fidelity="full")
+        revolution = config.samples_per_revolution * rec.metadata["samples_per_output_bin"]
+        n = np.linspace(0, 64 * revolution - 1, 4097).astype(np.int64)
+        psi, theta0 = 1e-6, config.polarizer_angle_rad
+        pi = np.longdouble("3.14159265358979323846264338327950288")
+        ref = psi * np.sin(2 * (2 * pi * n.astype(np.longdouble) / revolution
+                                + np.longdouble(theta0)))
+        # 4 ulp of 2 pi in phase
+        bound = 4 * psi * np.spacing(2 * math.pi)
+        table = _signal_period(psi, theta0, revolution)
+        assert np.max(np.abs(table[n % (revolution // 2)] - ref)) <= bound
+        # the phase of the time grid is not, by revolution 64
+        t = n / grid_rate(config, rec.lockin_layout())
+        assert np.max(np.abs(_sin_2theta(psi, config.magnet_rotation_hz, theta0, t) - ref)) > bound
 
 
 # The cases of TestChunkedFullSynthesis, each at a length the analysis can take (a

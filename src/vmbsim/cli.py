@@ -40,7 +40,6 @@ from .limits import (
 from .pipeline import (
     DEFAULT_BLOCK_SIZE,
     DEFAULT_NOISE_HALFWIDTH,
-    BlockSpectra,
     CalibrationPhase,
     _analyze,
     analytic_calibration,
@@ -198,43 +197,43 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _load_records(args) -> list[TimeSeriesRecord]:
+def _record_paths(args) -> list[Path]:
     if not args.records:
         raise UsageError("at least one record file is required")
-    records = []
-    for path in args.records:
-        if not path.exists():
-            raise DataError(f"record file {path} does not exist")
-        try:
-            records.append(read_record(path))
-        except (ValueError, KeyError) as exc:
-            raise DataError(f"cannot read record {path}: {exc}") from exc
-    return records
+    return args.records
 
 
-def _check_config_consistency(records, args, config, override: bool = True) -> None:
-    """Refuse records of several configurations, or of another one than ``--config``.
+def _read_checked(path: Path, args, config: ApparatusConfig, first: ApparatusConfig | None,
+                  override: bool = True) -> TimeSeriesRecord:
+    """Read a record, refusing another configuration than the ``first`` record's or ``--config``.
 
     With ``override`` the command has ``--allow-mismatch``, which skips the
-    check and which the errors name.
+    check and which the errors name.  Commands read their records one at a
+    time through this function, so that a record is released before the next
+    one is read.
     """
+    if not path.exists():
+        raise DataError(f"record file {path} does not exist")
+    try:
+        record = read_record(path)
+    except (ValueError, KeyError) as exc:
+        raise DataError(f"cannot read record {path}: {exc}") from exc
     if override and args.allow_mismatch:
-        return
-    hashes = {r.config.content_hash() for r in records}
-    if len(hashes) > 1:
+        return record
+    got = record.config.content_hash()
+    if first is not None and got != first.content_hash():
         raise DataError(
-            f"records carry {len(hashes)} different configurations"
+            f"record {path} config hash {got} differs from the first record's "
+            f"{first.content_hash()}"
             + ("; pass --allow-mismatch to analyze them together" if override else "")
         )
-    if args.config is not None:
-        expected = config.content_hash()
-        for r, path in zip(records, args.records):
-            if r.config.content_hash() != expected:
-                raise DataError(
-                    f"record {path} config hash {r.config.content_hash()} does not match "
-                    f"--config hash {expected}"
-                    + ("; pass --allow-mismatch to override" if override else "")
-                )
+    if args.config is not None and got != config.content_hash():
+        raise DataError(
+            f"record {path} config hash {got} does not match --config hash "
+            f"{config.content_hash()}"
+            + ("; pass --allow-mismatch to override" if override else "")
+        )
+    return record
 
 
 def _load_calibration(path: Path) -> CalibrationPhase:
@@ -255,33 +254,34 @@ def _load_calibration(path: Path) -> CalibrationPhase:
 
 def _cmd_analyze(args) -> int:
     config = _load_config_arg(args)
-    records = _load_records(args)
-    _check_config_consistency(records, args, config)
+    paths = _record_paths(args)
+    # one record at a time: each is read, checked and analysed, and only its estimate and
+    # averaged spectrum are kept; every output is written after the last one
+    estimates, spectra = [], []
+    for path in paths:
+        estimate, spectrum = _analyze_file(path, args, config,
+                                           estimates[0].config if estimates else None)
+        estimates.append(estimate)
+        spectra.append(spectrum)
     calibration = _load_calibration(args.calibration) if args.calibration else None
+
+    first = estimates[0]
     manifest = RunManifest(
         command="analyze",
-        config=records[0].config,
-        source_spec=records[0].source_description,
-        seed=records[0].seed,
+        config=first.config,
+        source_spec=first.metadata["source"],
+        seed=first.metadata["seed"],
         block_size=args.block_size,
         noise_halfwidth=args.noise_halfwidth,
-        extra=tuple(("input", str(p.name)) for p in args.records),
+        extra=tuple(("input", str(p.name)) for p in paths),
     )
     mhash = manifest.hash()
     args.out_dir.mkdir(parents=True, exist_ok=True)
-
-    estimates = []
-    for path, record in zip(args.records, records):
-        try:
-            estimate, spectra = _analyze(record, args.block_size, args.noise_halfwidth,
-                                         keep_spectra=True)
-        except ValueError as exc:
-            raise DataError(f"analysis of {path} failed: {exc}") from exc
-        estimates.append(estimate)
-        _write_spectrum(args.out_dir / f"{path.stem}.spectrum.csv", spectra, mhash)
+    for path, spectrum in zip(paths, spectra):
+        _write_spectrum(args.out_dir / f"{path.stem}.spectrum.csv", spectrum, mhash)
 
     dn_mean, dn_sigma, hours = combine_runs(estimates)
-    cal = calibration or analytic_calibration(records[0].config)
+    cal = calibration or analytic_calibration(first.config)
     phys, nonphys = project_physical(dn_mean, cal)
 
     runs_path = args.out_dir / "runs.csv"
@@ -291,7 +291,7 @@ def _cmd_analyze(args) -> int:
             "# columns = run_id, hours, deltan_over_B2_phys, deltan_over_B2_nonphys, "
             "sigma, finesse, field_integral\n"
         )
-        for path, est in zip(args.records, estimates):
+        for path, est in zip(paths, estimates):
             # each run on its own analytic axis unless a calibration file sets one
             run_phys, run_nonphys = project_physical(
                 est.deltan_over_b2, calibration or analytic_calibration(est.config)
@@ -312,9 +312,9 @@ def _cmd_analyze(args) -> int:
         ("deltanu_nonphysical", nonphys),
         ("deltanu_sigma", dn_sigma),
         ("calibration_phase_rad", cal.phase_rad),
-        ("config_hash", records[0].config.content_hash()),
+        ("config_hash", first.config.content_hash()),
     ]
-    items.extend(sorted(records[0].config.to_key_values().items()))
+    items.extend(sorted(first.config.to_key_values().items()))
     _write_kv(args.out_dir / "estimate.txt", items, mhash)
     print(
         f"deltanu_physical = {format_number(phys)} +/- {format_number(dn_sigma)} T^-2 "
@@ -323,8 +323,19 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _write_spectrum(out: Path, spectra: BlockSpectra, mhash: str) -> None:
-    freqs, avg = averaged_spectrum(spectra)
+def _analyze_file(path: Path, args, config: ApparatusConfig, first: ApparatusConfig | None):
+    """``(estimate, (frequencies, averaged spectrum))`` of one record file; the record is not kept."""
+    record = _read_checked(path, args, config, first)
+    try:
+        estimate, spectra = _analyze(record, args.block_size, args.noise_halfwidth,
+                                     keep_spectra=True)
+        return estimate, averaged_spectrum(spectra)
+    except ValueError as exc:
+        raise DataError(f"analysis of {path} failed: {exc}") from exc
+
+
+def _write_spectrum(out: Path, spectrum: tuple[np.ndarray, np.ndarray], mhash: str) -> None:
+    freqs, avg = spectrum
     # adding 0.0 turns -0.0 into +0.0, as format_number does, and keeps every other value
     columns = (freqs + 0.0, np.abs(avg) + 0.0, np.angle(avg) + 0.0)
     with open(out, "wb") as fh:
@@ -335,25 +346,26 @@ def _write_spectrum(out: Path, spectra: BlockSpectra, mhash: str) -> None:
 
 def _cmd_calibrate(args) -> int:
     config = _load_config_arg(args)
-    records = _load_records(args)
-    # a scan fitted across configurations is refused; calibrate has no --allow-mismatch
-    _check_config_consistency(records, args, config, override=False)
-    manifest = RunManifest(
-        command="calibrate",
-        config=records[0].config,
-        source_spec=f"gas:{args.gas}",
-        block_size=args.block_size,
-        noise_halfwidth=args.noise_halfwidth,
-        extra=tuple(("input", str(p.name)) for p in args.records),
-    )
+    paths = _record_paths(args)
+    estimates = []
     try:
-        estimates = [
-            analyze_record(r, block_size=args.block_size, noise_halfwidth=args.noise_halfwidth)
-            for r in records
-        ]
+        for path in paths:
+            # a scan fitted across configurations is refused; calibrate has no --allow-mismatch
+            first = estimates[0].config if estimates else None
+            estimates.append(analyze_record(
+                _read_checked(path, args, config, first, override=False),
+                block_size=args.block_size, noise_halfwidth=args.noise_halfwidth))
         cal = calibrate(estimates, args.gas)
     except (ValueError, KeyError) as exc:
         raise DataError(str(exc)) from exc
+    manifest = RunManifest(
+        command="calibrate",
+        config=estimates[0].config,
+        source_spec=f"gas:{args.gas}",
+        block_size=args.block_size,
+        noise_halfwidth=args.noise_halfwidth,
+        extra=tuple(("input", str(p.name)) for p in paths),
+    )
     args.out_dir.mkdir(parents=True, exist_ok=True)
     items = [
         ("tool_version", __version__),

@@ -281,9 +281,10 @@ def _raw_intensity(
     detector's intensity noise, it holds on entry that noise's standard
     normals ``n``, and each sample is multiplied by ``1 + rin * n``.
     Carrier plus signal repeat every half revolution, ``samples_per_revolution
-    / 2`` bins: a block copies their rows from one read-only table of that
+    / 2`` bins: a block reads their rows from one read-only table of that
     period (1.07 MB at the defaults), its phase reduced exactly from the
-    integer sample index (:func:`_signal_period`), and adds the other terms.
+    integer sample index (:func:`_signal_period`), in the add of the first
+    other term (the tones, else the ellipticity noise), and adds the rest.
     Every sample takes the same operations wherever its block starts, so
     blocks may be filled in any order, on any thread.  Besides ``out`` and
     the table a block holds one array of its size with intensity noise, and
@@ -311,12 +312,18 @@ def _raw_intensity(
             # is the integer grid divided by fs
             t = np.divide(np.arange(c0 * samples_per_bin, c1 * samples_per_bin, dtype=np.float64),
                           fs, out=raw)
-            alpha = noise.alpha_of(t)
-        # mode="wrap" copies into out directly; "raise" would buffer the whole block
-        np.take(table, np.arange(c0, c1), axis=0, out=per_bin, mode="wrap")
+            alpha = noise.alpha_of(t).reshape(per_bin.shape)
+        # the table's rows are read where the first term is added to them, one call per
+        # run of bins whose rows are consecutive in the table
+        c = c0
+        while c < c1:
+            r, i = c % rows, c - c0
+            m = min(rows - r, c1 - c)
+            term = eps_noise[c:c + m, None] if alpha is None else alpha[i:i + m]
+            np.add(table[r:r + m], term, out=per_bin[i:i + m])
+            c += m
         if alpha is not None:
-            raw += alpha
-        per_bin += eps_noise[c0:c1, None]
+            per_bin += eps_noise[c0:c1, None]
         np.square(raw, out=raw)
         raw += config.extinction
         raw *= i0

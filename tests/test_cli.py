@@ -328,6 +328,34 @@ class TestAnalyze:
         spectra = len(held[0]) // 8192 * (8192 // 2 + 1) * 16
         assert peak <= samples + spectra + 2_000_000
 
+    def test_memory_does_not_grow_with_the_number_of_records(self, tmp_path):
+        import shutil
+        import tracemalloc
+
+        # the 16384 revolutions of the test above: record and spectra 8.4 MB each
+        assert run("simulate", "--source", "gas:He:32ubar", "--revolutions", "16384",
+                   "--noise-asd", "3e-7", "--out-dir", tmp_path / "sim") == 0
+        paths = [tmp_path / "sim" / "run-seed0.csv"]
+        for name in ("second", "third"):
+            paths.append(shutil.copy(paths[0], tmp_path / "sim" / f"{name}.csv"))
+        assert run("analyze", paths[0], "--out-dir", tmp_path / "warm") == 0
+
+        def peak(records, out):
+            tracemalloc.start()
+            try:
+                assert run("analyze", *records, "--out-dir", out) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, three = peak(paths[:1], tmp_path / "one"), peak(paths, tmp_path / "three")
+        # each record is analysed and released before the next is read
+        assert three <= 1.3 * one, (one, three)
+        # the spectrum of the first record, under the manifest hash of its command
+        spectra = [(tmp_path / out / "run-seed0.spectrum.csv").read_bytes().split(b"\n", 1)
+                   for out in ("one", "three")]
+        assert spectra[0][1] == spectra[1][1] and spectra[0][0] != spectra[1][0]
+
     def test_analyze_does_not_import_numpy_ma(self, he_record, tmp_path):
         import os
         import subprocess

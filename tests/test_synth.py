@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from vmbsim import apparatus, cli
+from vmbsim import apparatus, cli, pipeline
 from vmbsim.apparatus import (
     RECORD_COLUMNS,
     _BLOCK_SAMPLES,
@@ -235,13 +235,12 @@ def whole_array_full(config, source, noise, duration_s, pem_oversample):
 
 
 def whole_array_demodulate(intensity, i0, pem_oversample, samples_per_bin):
-    """Reference lock-in: references and products over the whole raw record."""
-    phase_idx = np.arange(len(intensity)) % pem_oversample
-    ref1 = np.cos(2.0 * math.pi * phase_idx / pem_oversample)
-    ref2 = np.cos(4.0 * math.pi * phase_idx / pem_oversample)
-    shape = (len(intensity) // samples_per_bin, samples_per_bin)
-    ix1 = 2.0 * np.mean((intensity * ref1).reshape(shape), axis=1)
-    ix2 = 2.0 * np.mean((intensity * ref2).reshape(shape), axis=1)
+    """Reference lock-in: the per-bin kernel in one call over the whole raw record."""
+    phase_idx = np.arange(samples_per_bin) % pem_oversample
+    refs = np.stack([np.cos(2.0 * math.pi * phase_idx / pem_oversample),
+                     np.cos(4.0 * math.pi * phase_idx / pem_oversample)])
+    rows = intensity.reshape(len(intensity) // samples_per_bin, samples_per_bin)
+    ix1, ix2 = 2.0 * (np.einsum("ij,kj->ki", rows, refs) / samples_per_bin)
     return ix1 / math.sqrt(8.0 * float(np.mean(i0)) * float(np.mean(ix2)))
 
 
@@ -439,6 +438,68 @@ class TestFusedLockIn:
             # the detector noise adds the draws of the blocks in flight, measured 3.3-3.8 MB;
             # drawing whole chunks added 29-34 MB
             assert peak(1e-4, revolutions) < 2 * without, revolutions
+
+
+def lock_in_record(oversample):
+    """Three revolutions of the default config with a tone, ellipticity and detector noise."""
+    return synthesize_run(CFG, FixedEllipticitySource(1e-6), RIN_AND_TONE, 3 / 3.0,
+                          fidelity="full", pem_oversample=oversample)
+
+
+def mean_lock_in(rows, oversample):
+    """The lock-in kernel before einsum: ``2 np.mean(rows * ref)`` per reference."""
+    phase_idx = np.arange(rows.shape[1]) % oversample
+    return np.stack([2.0 * np.mean(rows * np.cos(k * math.pi * phase_idx / oversample), axis=1)
+                     for k in (2.0, 4.0)])
+
+
+class TestLockInKernel:
+    """Each output bin is reduced by one multiply-accumulate pass over its raw samples."""
+
+    # at 32 raw samples per PEM cycle a bin holds 16 672
+    @pytest.mark.parametrize("oversample", [8, 16, 32])
+    def test_bins_do_not_depend_on_the_block_partition(self, monkeypatch, oversample):
+        blocks = pipeline._blocks
+        sizes = []
+
+        def recorded_blocks(n, samples_per_bin, size):
+            bounds = list(blocks(n, samples_per_bin, size))
+            sizes.append({(stop - start) // samples_per_bin for start, stop in bounds[:-1]})
+            return bounds
+
+        monkeypatch.setattr(pipeline, "_blocks", recorded_blocks)
+        spb = None
+        results = []
+        for bins in (None, 1, _CHUNK_BINS):  # None: the default block
+            if bins is not None:
+                for module in (apparatus, pipeline):
+                    monkeypatch.setattr(module, "_BLOCK_SAMPLES", bins * spb)
+            rec = lock_in_record(oversample)
+            spb = rec.metadata["samples_per_output_bin"]
+            fused = demodulate(rec)
+            rec.i_omega_pem  # stored: demodulated from views of the array
+            assert is_stored(rec)
+            results += [fused, demodulate(rec)]
+        assert sizes[0] == sizes[1] == {_BLOCK_SAMPLES // spb}
+        assert sizes[2] == sizes[3] == {1}
+        assert sizes[4] == sizes[5] == {_CHUNK_BINS}
+        assert 1 < _BLOCK_SAMPLES // spb < _CHUNK_BINS
+        for psi in results[1:]:
+            assert psi.tobytes() == results[0].tobytes()
+
+    @pytest.mark.parametrize("oversample", [8, 16, 32])
+    def test_bins_are_within_1e_13_of_the_terms_of_an_exact_sum(self, oversample):
+        rec = lock_in_record(oversample)
+        lock = pipeline._digital_lock_in(rec)
+        rows = rec.i_omega_pem.reshape(lock.shape[1], -1)
+        spb = rows.shape[1]
+        phase_idx = np.arange(spb) % oversample
+        for k, (einsum_row, mean_row) in enumerate(zip(lock, mean_lock_in(rows, oversample))):
+            terms = rows * np.cos(2.0 * (k + 1) * math.pi * phase_idx / oversample)
+            exact = np.array([2.0 * math.fsum(row) / spb for row in terms])
+            bound = 1e-13 * 2.0 * np.sum(np.abs(terms), axis=1) / spb
+            assert np.all(np.abs(einsum_row - exact) <= bound), k
+            assert np.all(np.abs(mean_row - exact) <= bound), k
 
 
 def memory_peaks(monkeypatch, workers):

@@ -10,6 +10,7 @@ timestamp, so identical manifests produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -18,7 +19,6 @@ import numpy as np
 from . import __version__
 from .apparatus import (
     ApparatusConfig,
-    TimeSeriesRecord,
     _format_rows,
     format_number,
     parse_source,
@@ -43,8 +43,6 @@ from .pipeline import (
     CalibrationPhase,
     _analyze,
     analytic_calibration,
-    analyze_record,
-    averaged_spectrum,
     calibrate,
     combine_runs,
     project_physical,
@@ -203,14 +201,15 @@ def _record_paths(args) -> list[Path]:
     return args.records
 
 
-def _read_checked(path: Path, args, config: ApparatusConfig, first: ApparatusConfig | None,
-                  override: bool = True) -> TimeSeriesRecord:
-    """Read a record, refusing another configuration than the ``first`` record's or ``--config``.
+def _analyze_file(path: Path, args, config: ApparatusConfig, first: ApparatusConfig | None,
+                  override: bool = True):
+    """``(estimate, (frequencies, averaged spectrum))`` of one record file; the record is not kept.
 
-    With ``override`` the command has ``--allow-mismatch``, which skips the
-    check and which the errors name.  Commands read their records one at a
-    time through this function, so that a record is released before the next
-    one is read.
+    A record of another configuration than the ``first`` record's or
+    ``--config`` is refused.  With ``override`` the command has
+    ``--allow-mismatch``, which skips the check and which the errors name.
+    Commands read and analyse their records one at a time through this
+    function, so that a record is released before the next one is read.
     """
     if not path.exists():
         raise DataError(f"record file {path} does not exist")
@@ -218,43 +217,47 @@ def _read_checked(path: Path, args, config: ApparatusConfig, first: ApparatusCon
         record = read_record(path)
     except (ValueError, KeyError) as exc:
         raise DataError(f"cannot read record {path}: {exc}") from exc
-    if override and args.allow_mismatch:
-        return record
+    checked = not (override and args.allow_mismatch)
     got = record.config.content_hash()
-    if first is not None and got != first.content_hash():
+    if checked and first is not None and got != first.content_hash():
         raise DataError(
             f"record {path} config hash {got} differs from the first record's "
             f"{first.content_hash()}"
             + ("; pass --allow-mismatch to analyze them together" if override else "")
         )
-    if args.config is not None and got != config.content_hash():
+    if checked and args.config is not None and got != config.content_hash():
         raise DataError(
             f"record {path} config hash {got} does not match --config hash "
             f"{config.content_hash()}"
             + ("; pass --allow-mismatch to override" if override else "")
         )
-    return record
+    try:
+        return _analyze(record, args.block_size, args.noise_halfwidth)
+    except ValueError as exc:
+        raise DataError(f"analysis of {path} failed: {exc}") from exc
 
 
 def _load_calibration(path: Path) -> CalibrationPhase:
-    with open(path) as fh:
-        kv = parse_key_values(fh.read())
     try:
-        return CalibrationPhase(
-            phase_rad=float(kv["phase_rad"]),
-            source_gas=kv.get("gas", ""),
-            fit_slope=float(kv.get("slope_t2_per_atm", "nan")),
-            fit_slope_sigma=float(kv.get("slope_sigma", "nan")),
-            fit_intercept=float(kv.get("intercept", "nan")),
-            fit_intercept_sigma=float(kv.get("intercept_sigma", "nan")),
-        )
+        text = path.read_text()
+    except OSError as exc:
+        raise DataError(f"cannot read calibration file {path}: {exc}") from exc
+    kv = parse_key_values(text)
+    try:
+        phase_rad = float(kv["phase_rad"])
     except KeyError as exc:
         raise DataError(f"calibration file {path} lacks key {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"calibration file {path} has an unusable phase_rad: {exc}") from exc
+    if not math.isfinite(phase_rad):
+        raise DataError(f"calibration file {path} has a non-finite phase_rad = {kv['phase_rad']}")
+    return CalibrationPhase(phase_rad=phase_rad, source_gas=kv.get("gas", ""))
 
 
 def _cmd_analyze(args) -> int:
     config = _load_config_arg(args)
     paths = _record_paths(args)
+    calibration = _load_calibration(args.calibration) if args.calibration else None
     # one record at a time: each is read, checked and analysed, and only its estimate and
     # averaged spectrum are kept; every output is written after the last one
     estimates, spectra = [], []
@@ -263,7 +266,6 @@ def _cmd_analyze(args) -> int:
                                            estimates[0].config if estimates else None)
         estimates.append(estimate)
         spectra.append(spectrum)
-    calibration = _load_calibration(args.calibration) if args.calibration else None
 
     first = estimates[0]
     manifest = RunManifest(
@@ -323,17 +325,6 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _analyze_file(path: Path, args, config: ApparatusConfig, first: ApparatusConfig | None):
-    """``(estimate, (frequencies, averaged spectrum))`` of one record file; the record is not kept."""
-    record = _read_checked(path, args, config, first)
-    try:
-        estimate, spectra = _analyze(record, args.block_size, args.noise_halfwidth,
-                                     keep_spectra=True)
-        return estimate, averaged_spectrum(spectra)
-    except ValueError as exc:
-        raise DataError(f"analysis of {path} failed: {exc}") from exc
-
-
 def _write_spectrum(out: Path, spectrum: tuple[np.ndarray, np.ndarray], mhash: str) -> None:
     freqs, avg = spectrum
     # adding 0.0 turns -0.0 into +0.0, as format_number does, and keeps every other value
@@ -348,13 +339,11 @@ def _cmd_calibrate(args) -> int:
     config = _load_config_arg(args)
     paths = _record_paths(args)
     estimates = []
+    for path in paths:
+        # a scan fitted across configurations is refused; calibrate has no --allow-mismatch
+        first = estimates[0].config if estimates else None
+        estimates.append(_analyze_file(path, args, config, first, override=False)[0])
     try:
-        for path in paths:
-            # a scan fitted across configurations is refused; calibrate has no --allow-mismatch
-            first = estimates[0].config if estimates else None
-            estimates.append(analyze_record(
-                _read_checked(path, args, config, first, override=False),
-                block_size=args.block_size, noise_halfwidth=args.noise_halfwidth))
         cal = calibrate(estimates, args.gas)
     except (ValueError, KeyError) as exc:
         raise DataError(str(exc)) from exc

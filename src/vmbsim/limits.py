@@ -43,6 +43,8 @@ class BirefringenceLimit:
     sigma: float
 
     def __post_init__(self):
+        if not math.isfinite(self.central):
+            raise ValueError(f"central must be finite, got {self.central}")
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 

@@ -14,13 +14,13 @@ pass (``_analyze``) over the record, in chunks of whole blocks of about
 ``apparatus._BLOCK_SAMPLES`` samples.  Each chunk is divided by the lock-in
 normalization, Fourier transformed and reduced to its blocks' 2*Omega_Mag
 amplitudes, floored Rayleigh sigmas and leakage tests (every block is tested,
-a record warns once) while it is in cache.  No analysis holds the ellipticity
-series; ``vmbsim analyze`` keeps the spectra for the averaged spectrum it
-writes.  A stored record is walked in views of it; a synthesized fast record
-keeps no array, and its chunks are computed in turn while a helper thread
-draws the noise of the next ones.  :func:`block_fft` and
-:func:`with_rayleigh_sigma`, which the one pass equals bit for bit, run the
-same chunk pass.
+a record warns once) while it is in cache, and its spectra are added to the
+inverse-variance averaged spectrum that ``vmbsim analyze`` writes.  No
+analysis holds the ellipticity series or the block spectra.  A stored record
+is walked in views of it; a synthesized fast record keeps no array, and its
+chunks are computed in turn while a helper thread draws the noise of the next
+ones.  :func:`block_fft` and :func:`with_rayleigh_sigma`, which the one pass
+equals bit for bit, run the same chunk pass.
 
 FFT normalization: one-sided amplitude spectrum; a real tone of ellipticity
 amplitude A centered on a bin reports |c| = A.  A tone A*sin(w t + phi0)
@@ -228,8 +228,8 @@ def block_fft(psi: np.ndarray, config: ApparatusConfig,
     """
     n_blocks, revs_per_block = _whole_blocks(len(psi), config, block_size)
     bins = np.empty((n_blocks, block_size // 2 + 1), dtype=complex)
-    for _ in _block_spectra(psi, 1.0, block_size, n_blocks, 2 * revs_per_block, out=bins):
-        pass
+    for r0, r1, chunk, _ in _block_spectra(psi, 1.0, block_size, n_blocks, 2 * revs_per_block):
+        bins[r0:r1] = chunk
     return BlockSpectra(bins, 2 * revs_per_block, revs_per_block, config.sample_rate_hz)
 
 
@@ -269,8 +269,7 @@ def _block_chunks(n_blocks: int, block_size: int):
         r0 = r1
 
 
-def _block_spectra(series, root_norm: float, block_size: int, n_blocks: int, k: int,
-                   out: np.ndarray | None = None):
+def _block_spectra(series, root_norm: float, block_size: int, n_blocks: int, k: int):
     """Yield ``(r0, r1, bins, abs(bins))`` for blocks ``r0:r1`` of ``series / root_norm``.
 
     The one pass over a record's blocks that every analysis runs, a chunk of
@@ -278,20 +277,18 @@ def _block_spectra(series, root_norm: float, block_size: int, n_blocks: int, k: 
     cache.  ``series`` is an array, whose chunks are views, or a synthesized
     fast channel, whose chunks are computed in turn in the calling thread
     while a helper thread draws the noise of the next ones (one
-    ``apparatus._walk``).  ``bins`` is ``out[r0:r1]`` when ``out`` is given,
-    and otherwise one chunk-sized buffer that the next chunk overwrites.
+    ``apparatus._walk``).  ``bins`` is a buffer that the next chunk overwrites.
     Each value takes the same operations as in one pass over the whole
     record.  One warning at the end names the blocks whose tone is off the
     center of bin ``k``.
     """
     chunks = list(_block_chunks(n_blocks, block_size))
-    if out is None:
-        scratch = np.empty((max(r1 - r0 for r0, r1 in chunks), block_size // 2 + 1), dtype=complex)
+    scratch = np.empty((max(r1 - r0 for r0, r1 in chunks), block_size // 2 + 1), dtype=complex)
     leaks = np.empty(n_blocks, dtype=bool)
 
     def spectra(start: int, stop: int, samples: np.ndarray):
         r0, r1 = start // block_size, stop // block_size
-        bins = scratch[:r1 - r0] if out is None else out[r0:r1]
+        bins = scratch[:r1 - r0]
         rows = samples.reshape(r1 - r0, block_size)
         np.fft.rfft(rows / root_norm, axis=1, out=bins)
         # one-sided amplitude normalization: interior bins 2/N, DC and Nyquist 1/N
@@ -474,32 +471,34 @@ def analyze_record(record: TimeSeriesRecord, block_size: int = DEFAULT_BLOCK_SIZ
     Equal, value for value, to ``estimate_from_spectra(with_rayleigh_sigma(
     block_fft(demodulate(record), ...)), record)``, but in one pass over
     chunks of blocks that keeps only each block's 2*Omega_Mag amplitude and
-    sigma.
+    sigma, and one averaged spectrum.
     """
     return _analyze(record, block_size, noise_halfwidth)[0]
 
 
-def _analyze(record: TimeSeriesRecord, block_size: int, noise_halfwidth: int,
-             keep_spectra: bool = False) -> tuple[RunEstimate, BlockSpectra | None]:
-    """The one pass of every analysis: the run estimate, and with ``keep_spectra`` the spectra.
+def _analyze(record: TimeSeriesRecord, block_size: int, noise_halfwidth: int
+             ) -> tuple[RunEstimate, tuple[np.ndarray, np.ndarray]]:
+    """The one pass of every analysis: ``(run estimate, (frequencies_hz, averaged spectrum))``.
 
-    The spectra carry their sigmas and are ``with_rayleigh_sigma(block_fft(demodulate(
-    record), ...))`` bit for bit; without them, no record-sized array is built.
+    The spectrum is ``averaged_spectrum(with_rayleigh_sigma(block_fft(demodulate(record),
+    ...)))`` bit for bit, but no record-sized array is built.
     """
     # full-fidelity records land on the same synchronous output grid after demodulation
     series, root_norm = _lock_in(record)
     n_blocks, revs_per_block = _whole_blocks(len(series), record.config, block_size)
     k = 2 * revs_per_block
     idx = _enough_noise_bins(_noise_bins(k, block_size // 2 + 1, revs_per_block, noise_halfwidth))
-    bins = np.empty((n_blocks, block_size // 2 + 1), dtype=complex) if keep_spectra else None
     amplitudes = np.empty(n_blocks, dtype=complex)
     sigmas = np.empty(n_blocks)
-    for r0, r1, chunk, amps in _block_spectra(series, root_norm, block_size, n_blocks, k, bins):
+    total = np.zeros(block_size // 2 + 1, dtype=complex)
+    for r0, r1, chunk, amps in _block_spectra(series, root_norm, block_size, n_blocks, k):
         amplitudes[r0:r1] = chunk[:, k]
         sigmas[r0:r1] = _floored_sigma(amps, idx)
+        del amps  # not held while the next chunk is computed
+        _add_weighted(total, chunk, sigmas[r0:r1])
     rate = record.config.sample_rate_hz
-    spectra = None if bins is None else BlockSpectra(bins, k, revs_per_block, rate, sigmas)
-    return _run_estimate(amplitudes, sigmas, block_size, rate, record), spectra
+    estimate = _run_estimate(amplitudes, sigmas, block_size, rate, record)  # checks the sigmas
+    return estimate, (np.arange(len(total)) * rate / block_size, total / (1.0 / sigmas**2).sum())
 
 
 def estimate_from_spectra(spectra: BlockSpectra, record: TimeSeriesRecord) -> RunEstimate:
@@ -554,8 +553,20 @@ def combine_runs(estimates: list[RunEstimate]) -> tuple[complex, float, float]:
 
 def averaged_spectrum(spectra: BlockSpectra) -> tuple[np.ndarray, np.ndarray]:
     """Inverse-variance averaged complex spectrum over blocks: (freq_hz, complex amps)."""
-    w = 1.0 / _positive_sigmas(spectra.rayleigh_sigma) ** 2
-    return spectra.frequencies_hz, np.tensordot(w, spectra.bins, axes=1) / w.sum()
+    sigmas = _positive_sigmas(spectra.rayleigh_sigma)
+    total = np.zeros(spectra.bins.shape[1], dtype=complex)
+    _add_weighted(total, spectra.bins, sigmas)
+    return spectra.frequencies_hz, total / (1.0 / sigmas**2).sum()
+
+
+def _add_weighted(total: np.ndarray, bins: np.ndarray, sigmas: np.ndarray) -> None:
+    """Add the rows of ``bins``, each weighted by 1/sigma**2, to ``total`` in block order.
+
+    The sum's bits then do not depend on the CPU count, as a BLAS reduction's do.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero sigma is refused at the end
+        for row, weight in zip(bins, 1.0 / sigmas**2):
+            total += weight * row
 
 
 def _positive_sigmas(sigmas: np.ndarray | None) -> np.ndarray:

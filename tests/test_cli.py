@@ -277,12 +277,13 @@ class TestAnalyze:
         if fidelity == "full":
             analyze += ["--blocks", "1024", "--noise-halfwidth", "60"]
 
-        def staged(record, block_size, noise_halfwidth, keep_spectra):
+        def staged(record, block_size, noise_halfwidth):
             spectra = pipeline.with_rayleigh_sigma(
                 pipeline.block_fft(pipeline.demodulate(record), record.config, block_size),
                 noise_halfwidth,
             )
-            return pipeline.estimate_from_spectra(spectra, record), spectra
+            return (pipeline.estimate_from_spectra(spectra, record),
+                    pipeline.averaged_spectrum(spectra))
 
         with monkeypatch.context() as patch:
             patch.setattr(vmbsim.cli, "_analyze", staged)
@@ -291,48 +292,55 @@ class TestAnalyze:
         def refuse(*args, **kwargs):
             raise AssertionError("vmbsim analyze ran the staged chain")
 
-        for name in ("demodulate", "block_fft", "with_rayleigh_sigma", "estimate_from_spectra"):
+        for name in ("demodulate", "block_fft", "with_rayleigh_sigma", "estimate_from_spectra",
+                     "averaged_spectrum"):
             monkeypatch.setattr(pipeline, name, refuse)
         assert run(*analyze, "--out-dir", tmp_path / "one") == 0
         for name in ("estimate.txt", "runs.csv", "run-seed0.spectrum.csv"):
             assert (tmp_path / "one" / name).read_bytes() == (
                 tmp_path / "staged" / name).read_bytes(), name
 
-    def test_memory_is_the_record_and_its_spectra(self, tmp_path, monkeypatch):
+    def test_memory_is_the_record_and_one_spectrum(self, tmp_path, monkeypatch):
         import tracemalloc
 
         import vmbsim.cli
 
-        # 16384 revolutions: a demodulated series (4.2 MB) stands well above the fixed
-        # working sets of the chunk pass and of the spectrum writer, ~1 MB together
-        assert run("simulate", "--source", "gas:He:32ubar", "--revolutions", "16384",
-                   "--noise-asd", "3e-7", "--out-dir", tmp_path / "sim") == 0
-        path = tmp_path / "sim" / "run-seed0.csv"
-        assert run("analyze", path, "--out-dir", tmp_path / "warm") == 0
-        held = []
+        held, at_read = [], []
         read_record = vmbsim.cli.read_record
 
         def read_then_reset_peak(path):
             held.append(read_record(path))
             tracemalloc.reset_peak()  # from here on: the record and what the analysis adds
+            at_read.append(tracemalloc.get_traced_memory()[0])
             return held[-1]
 
         monkeypatch.setattr(vmbsim.cli, "read_record", read_then_reset_peak)
-        tracemalloc.start()
-        try:
-            assert run("analyze", path, "--out-dir", tmp_path / "a") == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        samples = held[0].i_omega_pem.nbytes  # I0 and I_2OmegaPEM are constant views
-        spectra = len(held[0]) // 8192 * (8192 // 2 + 1) * 16
-        assert peak <= samples + spectra + 2_000_000
+        added = []
+        # 2048 and 16384 revolutions: demodulated series of 0.5 and 4.2 MB, against the fixed
+        # working sets of the chunk pass and of the spectrum writer, ~1 MB together
+        for revolutions in (2048, 16384):
+            sim = tmp_path / f"sim{revolutions}"
+            assert run("simulate", "--source", "gas:He:32ubar", "--revolutions", revolutions,
+                       "--noise-asd", "3e-7", "--out-dir", sim) == 0
+            path = sim / "run-seed0.csv"
+            assert run("analyze", path, "--out-dir", tmp_path / "warm") == 0
+            tracemalloc.start()
+            try:
+                assert run("analyze", path, "--out-dir", tmp_path / f"a{revolutions}") == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            samples = held[-1].i_omega_pem.nbytes  # I0 and I_2OmegaPEM are constant views
+            assert peak <= samples + 2_000_000
+            added.append(peak - at_read[-1])
+        # what the analysis adds to the record does not grow with its length
+        assert max(added) <= 1.3 * min(added), added
 
     def test_memory_does_not_grow_with_the_number_of_records(self, tmp_path):
         import shutil
         import tracemalloc
 
-        # the 16384 revolutions of the test above: record and spectra 8.4 MB each
+        # the longer record of the test above: 4.2 MB of samples
         assert run("simulate", "--source", "gas:He:32ubar", "--revolutions", "16384",
                    "--noise-asd", "3e-7", "--out-dir", tmp_path / "sim") == 0
         paths = [tmp_path / "sim" / "run-seed0.csv"]
@@ -379,6 +387,22 @@ class TestAnalyze:
              str(tmp_path / "a")], env=env, capture_output=True, text=True, check=True)
         assert done.stdout.splitlines()[-1] == "False"
         assert (tmp_path / "a" / "estimate.txt").exists()
+
+    @pytest.mark.parametrize("text, reason", [
+        (None, "cannot read calibration file"),
+        ("phase_rad = abc\n", "unusable phase_rad"),
+        ("phase_rad = nan\n", "non-finite phase_rad = nan"),
+    ], ids=["missing_file", "non_numeric_phase", "nan_phase"])
+    def test_unusable_calibration_file_is_data_error(self, he_record, tmp_path, capsys, text,
+                                                     reason):
+        cal = tmp_path / "calibration.txt"
+        if text is not None:
+            cal.write_text("gas = He\n" + text)
+        out = tmp_path / "a"
+        assert run("analyze", he_record, "--calibration", cal, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert reason in err and "Traceback" not in err
+        assert not any("nan" in written.read_text() for written in out.glob("*"))
 
     def test_calibration_file_sets_the_axis(self, he_record, tmp_path):
         from vmbsim.apparatus import format_number, read_record
@@ -562,6 +586,17 @@ class TestLimitsCommand:
         )
         assert run("limits", "alp", "--estimate", corrupt, "--out-dir", tmp_path / "c") == 2
         assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what", ["xsec", "report", "alp", "mcp"])
+    def test_non_finite_central_is_data_error(self, estimate, tmp_path, capsys, what):
+        nan = tmp_path / "nan.txt"
+        nan.write_text(estimate.read_text().replace("deltanu_physical = 4e-23",
+                                                    "deltanu_physical = nan"))
+        out = tmp_path / "l"
+        assert run("limits", what, "--estimate", nan, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert "central must be finite, got nan" in err and "Traceback" not in err
+        assert not any(out.glob("*"))
 
     def test_missing_estimate(self, tmp_path):
         assert run("limits", "xsec", "--estimate", tmp_path / "none.txt",

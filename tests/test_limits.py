@@ -69,6 +69,11 @@ class TestConfidenceBound:
         with pytest.raises(ValueError):
             BirefringenceLimit(0.0, 0.0)
 
+    @pytest.mark.parametrize("central", [math.nan, math.inf, -math.inf])
+    def test_non_finite_central(self, central):
+        with pytest.raises(ValueError, match="central must be finite"):
+            BirefringenceLimit(central, 1.0)
+
 
 class TestAlpExclusion:
     def test_round_trip_to_1e9(self):

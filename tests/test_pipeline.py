@@ -21,13 +21,17 @@ from vmbsim.apparatus import (
 )
 from vmbsim.constants import convert_pressure
 from vmbsim.pipeline import (
+    DEFAULT_BLOCK_SIZE,
+    DEFAULT_NOISE_HALFWIDTH,
     BlockSpectra,
     CalibrationPhase,
     analytic_calibration,
+    _analyze,
     _block_chunks,
     _median,
     _off_bin,
     analyze_record,
+    averaged_spectrum,
     block_fft,
     calibrate,
     combine_runs,
@@ -368,6 +372,11 @@ def whole_array_spectra(rec, block_size=8192, noise_halfwidth=64):
     return replace(spectra, rayleigh_sigma=sigmas)
 
 
+def one_pass(rec, block_size=DEFAULT_BLOCK_SIZE, noise_halfwidth=DEFAULT_NOISE_HALFWIDTH):
+    """``(estimate, (frequencies, averaged spectrum))`` of the one pass over ``rec``."""
+    return _analyze(rec, block_size, noise_halfwidth)
+
+
 def warning_messages(func, *args, **kwargs):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -413,7 +422,7 @@ class TestOnePassAnalysis:
     def test_equals_the_spectra_chain(self, config, source, noise, revolutions, fidelity, kwargs):
         rec = synthesize_run(config, source, noise, revolutions / config.magnet_rotation_hz,
                              fidelity=fidelity)
-        est, one_pass_warnings = warning_messages(analyze_record, rec, **kwargs)
+        (est, (freqs, avg)), one_pass_warnings = warning_messages(one_pass, rec, **kwargs)
         spectra, chain_warnings = warning_messages(spectra_chain, rec, **kwargs)
         whole = whole_array_spectra(rec, **kwargs)
         assert np.array_equal(spectra.bins, whole.bins)
@@ -423,6 +432,48 @@ class TestOnePassAnalysis:
             assert getattr(est, name) == getattr(ref, name), name
             assert getattr(chain, name) == getattr(ref, name), name
         assert one_pass_warnings == chain_warnings
+        # the averaged spectrum, bit for bit, and near an average taken another way
+        ref_freqs, ref_avg = averaged_spectrum(spectra)
+        assert np.array_equal(freqs, ref_freqs) and np.array_equal(freqs, spectra.frequencies_hz)
+        assert np.array_equal(avg.view(np.uint64), ref_avg.view(np.uint64))
+        weights = 1.0 / whole.rayleigh_sigma**2
+        other = np.sum(weights[:, None] * whole.bins, axis=0) / np.sum(weights)
+        scale = np.sum(weights[:, None] * np.abs(whole.bins), axis=0) / np.sum(weights)
+        assert np.all(np.abs(avg - other) <= 1e-14 * scale)
+
+    # 211 blocks of 4097 bins (the null campaign's run), and 64 blocks of 129 bins: a BLAS
+    # reduction of either (np.tensordot) rounds otherwise on one thread than on two
+    @pytest.mark.parametrize("config, revolutions, fidelity, analysis", [
+        ("ApparatusConfig()", 211 * 256, "fast", "8192, 64"),
+        ("ApparatusConfig(pem_frequency_hz=960.0)", 512, "full", "256, 60"),
+    ], ids=["fast", "full"])
+    def test_spectrum_does_not_depend_on_the_blas_thread_count(self, config, revolutions,
+                                                               fidelity, analysis):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import vmbsim
+
+        src = str(Path(vmbsim.__file__).parents[1])
+        script = (
+            "import hashlib, numpy as np\n"
+            "from vmbsim.apparatus import ApparatusConfig, NoiseModel, NullSource\n"
+            "from vmbsim.pipeline import _analyze\n"
+            "from vmbsim.synth import synthesize_run\n"
+            f"rec = synthesize_run({config}, NullSource(), NoiseModel(3e-7, 1e-4, rng_seed=5),\n"
+            f"                     {revolutions} / 3.0, fidelity={fidelity!r})\n"
+            f"_, (_, avg) = _analyze(rec, {analysis})\n"
+            "print(hashlib.sha256(avg.view(np.uint64).tobytes()).hexdigest())\n")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, check=True)
+            digests.append(done.stdout.split()[-1])
+        assert digests[0] == digests[1]
 
     def test_warnings_of_the_one_pass(self):
         tail = synthesize_run(CFG, HELIUM, NoiseModel(1e-6, rng_seed=10), (9 * 256 + 44) / 3.0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -237,12 +238,18 @@ def _analyze_file(path: Path, args, config: ApparatusConfig, first: ApparatusCon
         raise DataError(f"analysis of {path} failed: {exc}") from exc
 
 
-def _load_calibration(path: Path) -> CalibrationPhase:
+def _read_key_values(path: Path, what: str) -> dict[str, str]:
+    """The ``key = value`` pairs of a data file; an unreadable or malformed file is a data error."""
     try:
-        text = path.read_text()
+        return parse_key_values(path.read_text())
     except OSError as exc:
-        raise DataError(f"cannot read calibration file {path}: {exc}") from exc
-    kv = parse_key_values(text)
+        raise DataError(f"cannot read {what} file {path}: {exc}") from exc
+    except (ConfigError, UnicodeDecodeError) as exc:
+        raise DataError(f"{what} file {path} is malformed: {exc}") from exc
+
+
+def _load_calibration(path: Path) -> CalibrationPhase:
+    kv = _read_key_values(path, "calibration")
     try:
         phase_rad = float(kv["phase_rad"])
     except KeyError as exc:
@@ -378,10 +385,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _load_estimate(path: Path) -> tuple[BirefringenceLimit, ApparatusConfig]:
-    if not path.exists():
-        raise DataError(f"estimate file {path} does not exist")
-    with open(path) as fh:
-        kv = parse_key_values(fh.read())
+    kv = _read_key_values(path, "estimate")
     try:
         limit = BirefringenceLimit(float(kv["deltanu_physical"]), float(kv["deltanu_sigma"]))
     except (KeyError, ValueError) as exc:
@@ -488,20 +492,23 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except BrokenPipeError:
-        return EXIT_OK
+    with warnings.catch_warnings():
+        # one line per warning, as errors are printed
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = parser.parse_args(argv)
+            return _COMMANDS[args.command](args)
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except DataError as exc:
+            print(f"data error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except BrokenPipeError:
+            return EXIT_OK
 
 
 if __name__ == "__main__":

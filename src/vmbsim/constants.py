@@ -84,11 +84,6 @@ class NaturalUnitConverter:
             raise ValueError(f"length must be finite, got {l_m}")
         return l_m * self.meter_to_inverse_ev
 
-    def length_to_si(self, l_inv_ev: float) -> float:
-        if not math.isfinite(l_inv_ev):
-            raise ValueError(f"length must be finite, got {l_inv_ev}")
-        return l_inv_ev / self.meter_to_inverse_ev
-
     @property
     def tesla_to_ev2_exact(self) -> float:
         """sqrt(hbar^3 c^3/(e^4 mu0)) = 195.35 eV^2/T, derived from the constants."""

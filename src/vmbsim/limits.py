@@ -324,7 +324,7 @@ def cross_section_limit(
 
     Default rule is "one-sigma" (bound = sigma), which reproduces the
     convention behind the published number; the rule used is part of the
-    returned metadata.
+    returned metadata, and ``cl`` only where the rule uses it.
     """
     dn_bound = confidence_bound(limit, cl, rule)
     energy_ev = CONSTANTS.photon_energy_ev(wavelength_m)
@@ -332,7 +332,7 @@ def cross_section_limit(
         "sigma_gamma_gamma_m2": photon_photon_cross_section(dn_bound, energy_ev),
         "deltanu_bound_t2": dn_bound,
         "rule": rule,
-        "cl": cl if rule != "one-sigma" else float("nan"),
+        **({} if rule == "one-sigma" else {"cl": cl}),
         "wavelength_m": wavelength_m,
         "photon_energy_ev": energy_ev,
     }

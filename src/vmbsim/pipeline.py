@@ -10,17 +10,19 @@ magnet rotation frequency are combined by an inverse-variance vector average.
 The same vector average combines runs.
 
 Memory: :func:`analyze_record`, ``vmbsim analyze`` and ``calibrate`` run one
-pass (``_analyze``) over the record, in chunks of whole blocks of about
-``apparatus._BLOCK_SAMPLES`` samples.  Each chunk is divided by the lock-in
-normalization, Fourier transformed and reduced to its blocks' 2*Omega_Mag
-amplitudes, floored Rayleigh sigmas and leakage tests (every block is tested,
-a record warns once) while it is in cache, and its spectra are added to the
-inverse-variance averaged spectrum that ``vmbsim analyze`` writes.  No
-analysis holds the ellipticity series or the block spectra.  A stored record
-is walked in views of it; a synthesized fast record keeps no array, and its
-chunks are computed in turn while a helper thread draws the noise of the next
-ones.  :func:`block_fft` and :func:`with_rayleigh_sigma`, which the one pass
-equals bit for bit, run the same chunk pass.
+pass (``_analyze``) over the record, in the chunks of ``apparatus._blocks``:
+whole blocks, about ``apparatus._BLOCK_SAMPLES`` samples each.  Each chunk is
+divided by the lock-in normalization, Fourier transformed and reduced to its
+blocks' 2*Omega_Mag amplitudes, floored Rayleigh sigmas and leakage tests
+(every block is tested, a record warns once) while it is in cache, and its
+spectra are added to the inverse-variance averaged spectrum that ``vmbsim
+analyze`` writes.  No analysis holds the ellipticity series or the block
+spectra.  A stored record is walked in views of it; a synthesized fast record
+keeps no array, and its chunks are computed in turn while a helper thread
+draws the noise of the next ones.  :func:`block_fft` runs the same chunk pass
+and :func:`with_rayleigh_sigma` takes all its blocks at once; the one pass
+equals them bit for bit, as every order-sensitive sum runs in an order fixed
+by the block alone, whatever the chunks or the CPU count.
 
 FFT normalization: one-sided amplitude spectrum; a real tone of ellipticity
 amplitude A centered on a bin reports |c| = A.  A tone A*sin(w t + phi0)
@@ -252,28 +254,11 @@ def _whole_blocks(n_samples: int, config: ApparatusConfig, block_size: int) -> t
     return n_blocks, block_size // spr
 
 
-def _block_chunks(n_blocks: int, block_size: int):
-    """``(r0, r1)`` of consecutive chunks of whole blocks of about ``_BLOCK_SAMPLES`` samples.
-
-    A chunk holds at least two blocks unless the record has only one: numpy
-    sums the noise bins gathered from several rows in index order, but those
-    of a single row pairwise, so a one-block chunk of a longer record would
-    round its Rayleigh mean otherwise than one pass over all the blocks does.
-    """
-    step = max(2, _BLOCK_SAMPLES // block_size)
-    r0 = 0
-    while r0 < n_blocks:
-        # a last single block joins the chunk before it
-        r1 = n_blocks if n_blocks - r0 <= step + 1 else r0 + step
-        yield r0, r1
-        r0 = r1
-
-
 def _block_spectra(series, root_norm: float, block_size: int, n_blocks: int, k: int):
     """Yield ``(r0, r1, bins, abs(bins))`` for blocks ``r0:r1`` of ``series / root_norm``.
 
     The one pass over a record's blocks that every analysis runs, a chunk of
-    :func:`_block_chunks` at a time, so a chunk's series and spectra stay in
+    ``apparatus._blocks`` at a time, so a chunk's series and spectra stay in
     cache.  ``series`` is an array, whose chunks are views, or a synthesized
     fast channel, whose chunks are computed in turn in the calling thread
     while a helper thread draws the noise of the next ones (one
@@ -282,8 +267,9 @@ def _block_spectra(series, root_norm: float, block_size: int, n_blocks: int, k: 
     record.  One warning at the end names the blocks whose tone is off the
     center of bin ``k``.
     """
-    chunks = list(_block_chunks(n_blocks, block_size))
-    scratch = np.empty((max(r1 - r0 for r0, r1 in chunks), block_size // 2 + 1), dtype=complex)
+    bounds = list(_blocks(n_blocks * block_size, block_size, _BLOCK_SAMPLES))
+    # no chunk is longer than the first
+    scratch = np.empty((bounds[0][1] // block_size, block_size // 2 + 1), dtype=complex)
     leaks = np.empty(n_blocks, dtype=bool)
 
     def spectra(start: int, stop: int, samples: np.ndarray):
@@ -299,7 +285,6 @@ def _block_spectra(series, root_norm: float, block_size: int, n_blocks: int, k: 
         leaks[r0:r1] = _off_bin(amps, k)
         return r0, r1, bins, amps
 
-    bounds = [(r0 * block_size, r1 * block_size) for r0, r1 in chunks]
     yield from _walk(series, bounds, spectra, None)
     leaky = np.flatnonzero(leaks)
     if len(leaky):
@@ -387,7 +372,10 @@ def rayleigh_sigma(
 
 
 def _rayleigh(noise_amplitudes: np.ndarray) -> np.ndarray:
-    return np.mean(noise_amplitudes, axis=1) / RAYLEIGH_MEAN_FACTOR
+    # an accumulate sums each row in order however many rows share the array; np.mean sums
+    # the rows of a gather in order, but a single row pairwise
+    total = np.cumsum(noise_amplitudes, axis=1)[:, -1]
+    return total / noise_amplitudes.shape[1] / RAYLEIGH_MEAN_FACTOR
 
 
 def with_rayleigh_sigma(
@@ -401,10 +389,7 @@ def with_rayleigh_sigma(
     "numerical precision" uncertainty instead of an infinite weight.
     """
     idx = _enough_noise_bins(noise_bin_indices(spectra, exclusion_halfwidth))
-    sigmas = np.empty(len(spectra))
-    for r0, r1 in _block_chunks(len(spectra), spectra.block_size):
-        sigmas[r0:r1] = _floored_sigma(np.abs(spectra.bins[r0:r1]), idx)
-    return replace(spectra, rayleigh_sigma=sigmas)
+    return replace(spectra, rayleigh_sigma=_floored_sigma(np.abs(spectra.bins), idx))
 
 
 def _floored_sigma(amps: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -562,11 +547,15 @@ def averaged_spectrum(spectra: BlockSpectra) -> tuple[np.ndarray, np.ndarray]:
 def _add_weighted(total: np.ndarray, bins: np.ndarray, sigmas: np.ndarray) -> None:
     """Add the rows of ``bins``, each weighted by 1/sigma**2, to ``total`` in block order.
 
-    The sum's bits then do not depend on the CPU count, as a BLAS reduction's do.
+    numpy reduces the outer axis of a C-ordered array a row at a time (it sums pairwise
+    only along the contiguous axis), so the bits depend neither on the chunks nor, as a
+    BLAS reduction's do, on the CPU count.  ``np.cumsum`` gives them 3-4 times slower.
     """
+    terms = np.empty((len(bins) + 1, len(total)), dtype=complex)
+    terms[0] = total
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero sigma is refused at the end
-        for row, weight in zip(bins, 1.0 / sigmas**2):
-            total += weight * row
+        np.multiply((1.0 / sigmas**2)[:, None], bins, out=terms[1:])
+        np.add.reduce(terms, axis=0, out=total)
 
 
 def _positive_sigmas(sigmas: np.ndarray | None) -> np.ndarray:

@@ -229,6 +229,7 @@ class TestCrossSectionLimit:
         assert result["sigma_gamma_gamma_m2"] == pytest.approx(4.6e-66, rel=0.05)
         assert result["deltanu_bound_t2"] == 2e-22
         assert result["rule"] == "one-sigma"
+        assert "cl" not in result  # the rule ignores it, so no value (not a nan) is written
 
     def test_qed_prediction_value(self):
         from vmbsim.models import photon_photon_cross_section, qed_unitary_birefringence
@@ -239,6 +240,7 @@ class TestCrossSectionLimit:
     def test_gaussian_rule_alternative(self):
         result = cross_section_limit(HEADLINE_LIMIT, rule="gaussian-one-sided", cl=0.95)
         assert result["deltanu_bound_t2"] == pytest.approx(3.6897072539e-22, rel=1e-9)
+        assert result["cl"] == 0.95
 
 
 class TestComparisonReport:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vmbsim import apparatus
+from vmbsim import apparatus, pipeline
 from vmbsim.apparatus import (
     ApparatusConfig,
     FixedDeltanSource,
@@ -27,7 +27,7 @@ from vmbsim.pipeline import (
     CalibrationPhase,
     analytic_calibration,
     _analyze,
-    _block_chunks,
+    _lock_in,
     _median,
     _off_bin,
     analyze_record,
@@ -184,6 +184,21 @@ class TestRayleighSigma:
         rng = np.random.default_rng(7)
         draws = np.hypot(rng.standard_normal(4000), rng.standard_normal(4000))
         assert np.mean(draws) / math.sqrt(math.pi / 2.0) == pytest.approx(1.0, abs=0.05)
+
+    def test_mean_is_a_sum_in_bin_order_for_any_number_of_blocks(self):
+        rng = np.random.default_rng(3)
+        bins = rng.standard_normal((5, 4097)) + 1j * rng.standard_normal((5, 4097))
+        spectra = BlockSpectra(bins, 512, 256, 96.0)
+        idx = noise_bin_indices(spectra, 64)
+        expected = []
+        for row in np.abs(bins[:, idx]):  # the reference: one bin at a time, in bin order
+            total = 0.0
+            for amplitude in row:
+                total += amplitude
+            expected.append(total / len(idx) / math.sqrt(math.pi / 2.0))
+        assert rayleigh_sigma(spectra).tobytes() == np.array(expected).tobytes()
+        for r, sigma in enumerate(expected):
+            assert rayleigh_sigma(BlockSpectra(bins[r:r + 1], 512, 256, 96.0))[0] == sigma
 
     def test_signal_and_harmonics_excluded(self):
         spectra = BlockSpectra(np.zeros((1, 4097), dtype=complex), 512, 256, 96.0)
@@ -392,7 +407,7 @@ HELIUM = GasSource("He", 3e-5)
 
 # The cases of the one-pass analysis: (config, source, noise, revolutions, fidelity, kwargs)
 ONE_PASS_CASES = [
-    # 9 blocks: a chunk of 8 and one that folds the last single block in
+    # 9 blocks: a chunk of 8 and a last chunk of one block
     (CFG, HELIUM, NoiseModel(1e-6, rng_seed=4), 9 * 256, "fast", {}),
     (SMALL_FULL, FixedEllipticitySource(1e-6),
      NoiseModel(1e-8, 1e-4, ((0.7, 1e-7, 0.1),), rng_seed=16), 96, "full",
@@ -405,7 +420,7 @@ ONE_PASS_CASES = [
      {"block_size": 512, "noise_halfwidth": 40}),
     (CFG, HELIUM, NoiseModel(1e-6, rng_seed=13), 3 * 256, "fast",
      {"block_size": 8192, "noise_halfwidth": 100}),
-    # one chunk of three blocks of more than _BLOCK_SAMPLES samples each
+    # three chunks of one block of _BLOCK_SAMPLES samples each
     (CFG, HELIUM, NoiseModel(1e-6, rng_seed=25), 3 * 2048, "fast", {"block_size": 65536}),
     (CFG, FixedEllipticitySource(-1e-7), QUIET, 5 * 256, "fast", {}),
     # a tone half a bin above 2*Omega_Mag
@@ -437,6 +452,10 @@ class TestOnePassAnalysis:
         assert np.array_equal(freqs, ref_freqs) and np.array_equal(freqs, spectra.frequencies_hz)
         assert np.array_equal(avg.view(np.uint64), ref_avg.view(np.uint64))
         weights = 1.0 / whole.rayleigh_sigma**2
+        total = np.zeros(whole.bins.shape[1], dtype=complex)
+        for row, weight in zip(whole.bins, weights):  # the sum in block order, a row at a time
+            total += weight * row
+        assert np.array_equal(avg.view(np.uint64), (total / weights.sum()).view(np.uint64))
         other = np.sum(weights[:, None] * whole.bins, axis=0) / np.sum(weights)
         scale = np.sum(weights[:, None] * np.abs(whole.bins), axis=0) / np.sum(weights)
         assert np.all(np.abs(avg - other) <= 1e-14 * scale)
@@ -519,6 +538,48 @@ class TestOnePassAnalysis:
         assert peak < 0.1 * rec.i_omega_pem.nbytes
 
 
+def bits(*values):
+    """The float64 bits of ``values`` (numbers or arrays, real or complex), as one byte string."""
+    return b"".join(np.asarray(v, dtype=complex).ravel().view(np.uint64).tobytes() for v in values)
+
+
+class TestBlockStatisticsArePerBlock:
+    """A block's sigma, 2*Omega_Mag amplitude and weighted spectrum depend on its bins alone."""
+
+    def test_last_block_alone_among_others_and_in_any_chunks(self, monkeypatch):
+        tone = NoiseModel(1e-6, 0.0, ((0.7, 1e-6, 0.3),), rng_seed=4)
+        rec = synthesize_run(CFG, HELIUM, tone, 9 * 256 / 3.0)
+        # DC channels whose means are exact at any length, so both records normalize by 1
+        n = len(rec)
+        rec = replace(rec, i0=np.ones(n), i_2omega_pem=np.full(n, 0.125))
+        alone = replace(rec, i_omega_pem=rec.i_omega_pem[-8192:], i0=rec.i0[-8192:],
+                        i_2omega_pem=rec.i_2omega_pem[-8192:])
+        assert _lock_in(alone)[1] == _lock_in(rec)[1] == 1.0
+        # the last block of the 9, as the spectra chain gives it, and that block analysed alone
+        spectra = spectra_chain(rec)
+        last = replace(spectra, bins=spectra.bins[8:], rayleigh_sigma=spectra.rayleigh_sigma[8:])
+        own = spectra_chain(alone)
+        assert bits(own.bins, own.rayleigh_sigma) == bits(last.bins, last.rayleigh_sigma)
+        est, (_, avg) = one_pass(alone)
+        ref = estimate_from_spectra(last, alone)
+        for name in ESTIMATE_FIELDS:
+            assert getattr(est, name) == getattr(ref, name), name
+        assert bits(est.complex_amplitude_2omega, est.sigma, avg) == bits(
+            ref.complex_amplitude_2omega, ref.sigma, averaged_spectrum(last)[1])
+        # the record cut into chunks of 1, 8 and all 9 blocks
+        runs = []
+        for samples in (8192, 65536, 1 << 20):
+            for module in (apparatus, pipeline):
+                monkeypatch.setattr(module, "_BLOCK_SAMPLES", samples)
+            est, (_, avg) = one_pass(rec)
+            chain = spectra_chain(rec)
+            runs.append(bits(est.complex_amplitude_2omega, est.sigma, avg, chain.rayleigh_sigma,
+                             chain.amplitude_2omega))
+            assert bits(chain.rayleigh_sigma[8], chain.amplitude_2omega[8]) == bits(
+                own.rayleigh_sigma[0], own.amplitude_2omega[0])
+        assert runs[0] == runs[1] == runs[2]
+
+
 HALF_BIN_TONE_HZ = 6.0 + 0.5 * 96.0 / 8192  # half a bin above 2*Omega_Mag at 8192-sample blocks
 
 
@@ -534,7 +595,7 @@ def off_bin_reference(amps, k):
 class TestLeakage:
     """One leakage warning per record, from a test of every block."""
 
-    # 17 blocks are two chunks of _block_chunks, and block 13 is in the second
+    # 17 blocks are chunks of 8, 8 and 1 blocks, and block 13 is in the second
     @pytest.mark.parametrize("n_blocks, leaky_block", [(8, 5), (17, 13)])
     def test_an_off_bin_tone_in_a_later_block_warns(self, n_blocks, leaky_block):
         rec = synthesize_run(CFG, NullSource(), NoiseModel(1e-9, rng_seed=3), n_blocks * 256 / 3.0)
@@ -610,7 +671,7 @@ def test_median_is_numpys_bit_for_bit(length):
 
 
 # The fast cases of the one-pass analysis, and every combination of terms of a fast record
-# at 17 blocks, two chunks of _block_chunks, but the all-zero null_quiet, which no analysis
+# at 17 blocks, three chunks, but the all-zero null_quiet, which no analysis
 # takes: (config, source, noise, revolutions, kwargs)
 LAZY_CASES = [(c, s, n, r, k) for c, s, n, r, f, k in ONE_PASS_CASES if f == "fast"] + [
     (c, s, n, 17 * 256, {}) for (c, s, n), i in zip(LEAN_FAST_CASES, LEAN_FAST_IDS)
@@ -640,8 +701,10 @@ class TestLazyFastRecords:
         est, lazy_warnings = warning_messages(analyze_record, lazy, **kwargs)
         again, _ = warning_messages(analyze_record, lazy, **kwargs)
         # a helper thread draws ahead when there are two chunks, two CPUs and a stream to draw
-        n_blocks = len(lazy) // kwargs.get("block_size", 8192)
-        chunks = len(list(_block_chunks(n_blocks, kwargs.get("block_size", 8192))))
+        block_size = kwargs.get("block_size", 8192)
+        n_blocks = len(lazy) // block_size
+        chunks = len(list(apparatus._blocks(n_blocks * block_size, block_size,
+                                            apparatus._BLOCK_SAMPLES)))
         draws = vars(lazy)["i_omega_pem"].rng is not None
         assert len(helpers) == (2 if workers > 1 and chunks > 1 and draws else 0)
         ref, stored_warnings = warning_messages(analyze_record, stored, **kwargs)

@@ -504,8 +504,6 @@ _CHUNK_BINS = 64
 _MAX_CHUNK_WORKERS = 8
 # Items per worker thread that :func:`_map_ordered` takes ahead of the result it yields.
 _AHEAD_PER_WORKER = 2
-# Blocks whose draws :func:`_drawn_ahead` takes ahead of the block its caller holds.
-_DRAWN_AHEAD = 2
 # Samples per block of the analysis, the lock-in and a channel's build (in whole bins),
 # the unit of work of one thread.  A worker's temporaries are a few block-sized arrays of
 # ~0.5 MB, which stay in its core's cache and leave little behind in its thread's
@@ -524,15 +522,22 @@ def _chunk_workers() -> int:
     return min(cpus, _MAX_CHUNK_WORKERS)
 
 
-def _map_ordered(func, items):
+def _in_flight(threads: int | None = None) -> int:
+    """Items :func:`_map_ordered` takes ahead on ``threads`` (default :func:`_chunk_workers`)."""
+    return _AHEAD_PER_WORKER * (threads or _chunk_workers())
+
+
+def _map_ordered(func, items, threads: int | None = None):
     """Yield ``func(item)`` for each of ``items`` in order, computed on worker threads.
 
-    The items run on up to :func:`_chunk_workers` threads, which overlap
-    because numpy releases the interpreter lock inside its array loops.  At
-    most ``_AHEAD_PER_WORKER`` items per thread are taken from ``items`` ahead
-    of the result being yielded, so a lazy ``items`` is read only that far
-    ahead, in the calling thread, and the results waiting for the caller stay
-    bounded.  ``func`` must not depend on the order in which items run.
+    The items run on ``threads`` threads, by default :func:`_chunk_workers`,
+    which overlap because numpy releases the interpreter lock inside its
+    array loops; on one CPU they run in the calling thread.  At most
+    :func:`_in_flight` items are taken from ``items`` ahead of the result
+    being yielded, so a lazy ``items`` is read only that far ahead, in the
+    calling thread, and the results waiting for the caller stay bounded.
+    ``func`` must not depend on the order in which items run, unless there is
+    one thread: it runs them in order, which the draws of :func:`_walk` rely on.
     """
     workers = _chunk_workers()
     if workers <= 1:
@@ -542,9 +547,9 @@ def _map_ordered(func, items):
     from concurrent.futures import ThreadPoolExecutor
 
     items = iter(items)
-    with ThreadPoolExecutor(workers) as pool:
-        pending = deque(pool.submit(func, item)
-                        for item in islice(items, _AHEAD_PER_WORKER * workers))
+    threads = threads or workers
+    with ThreadPoolExecutor(threads) as pool:
+        pending = deque(pool.submit(func, item) for item in islice(items, _in_flight(threads)))
         try:
             while pending:
                 result = pending.popleft().result()
@@ -583,13 +588,14 @@ def _walk(channel, bounds, func, task_samples: int | None, out: np.ndarray | Non
     the :func:`_map_ordered` workers, in tasks of consecutive blocks of at
     most ``task_samples`` samples, and ``func`` must not depend on their
     order.  The stream is drawn in stream order: for blocks in the calling
-    thread by a helper thread (:func:`_drawn_ahead`) when there are several
-    blocks and CPUs, else by the calling thread as it takes each block (it
-    only waits on the workers; a helper beside them left ~5 MB more resident
-    in malloc arenas after a 6 h write).  Unless it goes into ``out``, it is
-    drawn into a ring, made in the calling thread for the same reason, of
-    the blocks in flight and drawn ahead, and a task is one block.  Without
-    a stream a block is filled in its thread's buffer, which stays in cache.
+    thread by a one-thread :func:`_map_ordered`, whose one thread runs the
+    draws in order, when there are several blocks and CPUs, else by the
+    calling thread as it takes each block (it only waits on the workers; a
+    drawing thread beside them left ~5 MB more resident in malloc arenas
+    after a 6 h write).  Unless it goes into ``out``, it is drawn into a
+    ring, made in the calling thread for the same reason, of the blocks in
+    flight and drawn ahead, and a task is one block.  Without a stream a
+    block is filled in its thread's buffer, which stays in cache.
     """
     ring_drawn = False
     if not isinstance(channel, _RawIntensity):
@@ -601,9 +607,8 @@ def _walk(channel, bounds, func, task_samples: int | None, out: np.ndarray | Non
         first = list(islice(bounds, 2))
         threaded = (draw is not None and task_samples is None and len(first) > 1
                     and _chunk_workers() > 1)
-        ahead = _DRAWN_AHEAD if threaded else 0
         ring_drawn = draw is not None and out is None
-        slots = (1 if task_samples is None else _AHEAD_PER_WORKER * _chunk_workers()) + ahead
+        slots = (1 if task_samples is None else _in_flight()) + (_in_flight(1) if threaded else 0)
         size = max((stop - start for start, stop in first), default=0)
         ring = {k: np.empty(size) for k in range(slots)} if ring_drawn else {}
         local = threading.local()
@@ -622,9 +627,11 @@ def _walk(channel, bounds, func, task_samples: int | None, out: np.ndarray | Non
                     draw(samples)
                 yield samples, start, stop
 
-        items = targets()
-        if threaded:
-            items = _drawn_ahead(lambda item: draw(item[0]), items, ahead)
+        def drawn(item):
+            draw(item[0])
+            return item
+
+        items = _map_ordered(drawn, targets(), threads=1) if threaded else targets()
 
     def block(item):
         samples, start, stop = item
@@ -664,54 +671,6 @@ def _buffer(buffers: dict, key, n: int) -> np.ndarray:
 def _varying_channel(record: TimeSeriesRecord):
     """``i_omega_pem`` as the record keeps it: an array, or a ``_RawIntensity`` left unbuilt."""
     return vars(record)["i_omega_pem"]
-
-
-def _drawn_ahead(draw, targets, ahead: int):
-    """Yield each of ``targets`` in order, once ``draw(target)`` has filled it on a helper thread.
-
-    One helper thread takes the targets and draws them in order, at most
-    ``ahead`` beyond the one the caller holds; the caller holds a target until
-    it asks for the next.  So the caller's work on one target overlaps the
-    draws of the next, and ``targets`` may reuse ``ahead + 1`` buffers in
-    turn.  A draw that raises, or ``targets`` raising, raises in the caller.
-    """
-    drawn = deque()
-    ready = threading.Semaphore(0)
-    free = threading.Semaphore(ahead + 1)
-    stop = threading.Event()
-    end = object()
-
-    def helper() -> None:
-        try:
-            for target in targets:
-                free.acquire()
-                if stop.is_set():
-                    return
-                draw(target)
-                drawn.append(target)
-                ready.release()
-            drawn.append(end)
-        except BaseException as exc:  # raised in the caller
-            drawn.append(exc)
-        ready.release()
-
-    # a daemon, so that a pass its caller abandons without closing cannot hold up the exit
-    thread = threading.Thread(target=helper, name="vmbsim-draw-ahead", daemon=True)
-    thread.start()
-    try:
-        while True:
-            ready.acquire()
-            target = drawn.popleft()
-            if target is end:
-                return
-            if isinstance(target, BaseException):
-                raise target
-            yield target
-            free.release()
-    finally:
-        stop.set()
-        free.release()
-        thread.join()
 
 
 # Rows formatted per block, the writer's unit of work on one worker thread (~0.65 MB
@@ -954,8 +913,8 @@ def _text_blocks(fh):
     """The rest of binary ``fh`` in blocks of whole lines, each between ``_PAD`` newline bytes.
 
     Blocks are read into a fixed ring of anonymous memory maps, one per block
-    that :func:`_map_ordered` can hold at once: the ``_AHEAD_PER_WORKER``
-    blocks per worker it reads ahead, the block its caller holds and the one
+    that :func:`_map_ordered` can hold at once: the :func:`_in_flight`
+    blocks it reads ahead, the block its caller holds and the one
     being read.  So a block is overwritten only once nothing reads it, and
     each map's pages are faulted in once, not once per block.  Maps, not heap
     blocks: heap blocks made and freed one after another in the calling
@@ -966,7 +925,7 @@ def _text_blocks(fh):
     """
     pad = b"\n" * _PAD
     rest = b""
-    ring = [b""] * (_AHEAD_PER_WORKER * _chunk_workers() + 2)
+    ring = [b""] * (_in_flight() + 2)
     for i in count():
         start = _PAD + len(rest)
         size = start + _READ_BYTES + _PAD
@@ -1156,8 +1115,9 @@ def read_record(path) -> TimeSeriesRecord:
     ``n_samples``, ``config_hash``, ``sample_rate_hz``, the grid.
     """
     header: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -1165,7 +1125,11 @@ def read_record(path) -> TimeSeriesRecord:
                 break
             key, eq, value = line[1:].partition("=")
             if eq:
-                header[key.strip()] = value.strip()
+                key = key.strip()
+                if key in header:
+                    raise ValueError(f"record file {path} line {lineno}: header key {key!r} "
+                                     f"repeats line {lines[key]}")
+                header[key], lines[key] = value.strip(), lineno
         else:
             raise ValueError(f"record file {path} contains no samples")
     try:
@@ -1232,8 +1196,8 @@ def _header_record(header: dict[str, str], path) -> TimeSeriesRecord:
         i0=none,
         fidelity=header["fidelity"],
         config=config,
-        source_description=header.get("source", "unknown"),
-        seed=int(header.get("seed", 0)),
+        source_description=header["source"],
+        seed=int(header["seed"]),
         metadata=metadata,
     )
     rate = record.sample_rate_hz

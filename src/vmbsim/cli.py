@@ -394,7 +394,9 @@ def _load_estimate(path: Path) -> tuple[BirefringenceLimit, ApparatusConfig]:
         config = ApparatusConfig.from_key_values(kv)
     except ValueError as exc:
         raise DataError(f"estimate file {path} has an unusable config: {exc}") from exc
-    if "config_hash" in kv and kv["config_hash"] != config.content_hash():
+    if "config_hash" not in kv:
+        raise DataError(f"estimate file {path} lacks key 'config_hash'")
+    if kv["config_hash"] != config.content_hash():
         raise DataError(
             f"estimate file {path} has config_hash = {kv['config_hash']}, but its "
             f"config.* values hash to {config.content_hash()}"

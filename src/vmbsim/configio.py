@@ -50,8 +50,9 @@ class ConfigError(ValueError):
 
 
 def parse_key_values(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; '#' starts a comment."""
+    """Parse ``key = value`` lines; '#' starts a comment.  A key may appear once."""
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -59,7 +60,10 @@ def parse_key_values(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {lines[key]}")
+        out[key], lines[key] = value.strip(), lineno
     return out
 
 
@@ -86,12 +90,12 @@ def parse_config(text: str) -> ApparatusConfig:
     for key, raw in kv.items():
         if key not in _KEY_TO_FIELD:
             raise ConfigError(f"unknown config field {key!r}; known: {sorted(_KEY_TO_FIELD)}")
+        name = _KEY_TO_FIELD[key]
         try:
             value = _parse_quantity(key, raw)
-        except ValueError as exc:
+            kwargs[name] = int(value) if name == "samples_per_revolution" else value
+        except (ValueError, OverflowError) as exc:  # int() of nan or inf
             raise ConfigError(f"field {key!r}: {exc}") from exc
-        name = _KEY_TO_FIELD[key]
-        kwargs[name] = int(value) if name == "samples_per_revolution" else value
     try:
         return ApparatusConfig(**kwargs)
     except ValueError as exc:

@@ -18,7 +18,7 @@ blocks' 2*Omega_Mag amplitudes, floored Rayleigh sigmas and leakage tests
 spectra are added to the inverse-variance averaged spectrum that ``vmbsim
 analyze`` writes.  No analysis holds the ellipticity series or the block
 spectra.  A stored record is walked in views of it; a synthesized fast record
-keeps no array, and its chunks are computed in turn while a helper thread
+keeps no array, and its chunks are computed in turn while one worker thread
 draws the noise of the next ones.  :func:`block_fft` runs the same chunk pass
 and :func:`with_rayleigh_sigma` takes all its blocks at once; the one pass
 equals them bit for bit, as every order-sensitive sum runs in an order fixed
@@ -261,7 +261,7 @@ def _block_spectra(series, root_norm: float, block_size: int, n_blocks: int, k: 
     ``apparatus._blocks`` at a time, so a chunk's series and spectra stay in
     cache.  ``series`` is an array, whose chunks are views, or a synthesized
     fast channel, whose chunks are computed in turn in the calling thread
-    while a helper thread draws the noise of the next ones (one
+    while one worker thread draws the noise of the next ones (one
     ``apparatus._walk``).  ``bins`` is a buffer that the next chunk overwrites.
     Each value takes the same operations as in one pass over the whole
     record.  One warning at the end names the blocks whose tone is off the

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vmbsim.cli import main
-from vmbsim.configio import RunManifest, config_text, load_config, parse_config
+from vmbsim.configio import ConfigError, RunManifest, config_text, load_config, parse_config
 from vmbsim.apparatus import ApparatusConfig, format_number
 
 
@@ -203,6 +203,28 @@ class TestAnalyze:
                                 f"{line}\n# config.second_magnet_rotation_hz = 2.4")
         assert run("analyze", bad, "--out-dir", tmp_path / "k") == 2
         assert "config.second_magnet_rotation_hz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, first", [
+        ("# config.finesse = 6.70000000e+05", "# config.finesse = 5.0e5"),
+        ("# seed = 7", "# seed = 99"),
+    ], ids=["config_finesse", "seed"])
+    def test_repeated_header_key_is_data_error(self, he_record, tmp_path, capsys, line, first):
+        bad = self._edit_header(he_record, tmp_path, line, f"{first}\n{line}")
+        assert run("analyze", bad, "--out-dir", tmp_path / "r") == 2
+        key = line[2:].partition(" = ")[0]
+        lineno = bad.read_text().splitlines().index(line) + 1
+        assert f"line {lineno}: header key {key!r} repeats line {lineno - 1}" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["# seed = 7", "# source = gas:He:3.158154453491241e-05atm"],
+                             ids=["seed", "source"])
+    def test_header_without_seed_or_source_is_data_error(self, he_record, tmp_path, capsys,
+                                                         line):
+        # the line loses its '=', so the header lacks the key
+        bad = self._edit_header(he_record, tmp_path, line, line.replace(" = ", " ", 1))
+        assert run("analyze", bad, "--out-dir", tmp_path / "s") == 2
+        err = capsys.readouterr().err
+        assert repr(line[2:].partition(" = ")[0]) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("record, row, col, shift, name", [
         ("he_record", 41, 0, 1.0 / 96.0, "time"),
@@ -399,7 +421,9 @@ class TestAnalyze:
         ("phase_rad = abc\n", "unusable phase_rad"),
         ("phase_rad = nan\n", "non-finite phase_rad = nan"),
         ("phase_rad 1.0\n", "is malformed: line 2: expected 'key = value'"),
-    ], ids=["missing_file", "non_numeric_phase", "nan_phase", "line_without_equals"])
+        ("phase_rad = 1.0\nphase_rad = 2.0\n", "line 3: key 'phase_rad' repeats line 2"),
+    ], ids=["missing_file", "non_numeric_phase", "nan_phase", "line_without_equals",
+            "repeated_phase"])
     def test_unusable_calibration_file_is_data_error(self, he_record, tmp_path, capsys, text,
                                                      reason):
         cal = tmp_path / "calibration.txt"
@@ -562,7 +586,8 @@ class TestLimitsCommand:
     def estimate(self, tmp_path):
         path = tmp_path / "estimate.txt"
         cfg = ApparatusConfig()
-        lines = ["deltanu_physical = 4e-23", "deltanu_sigma = 2e-22"]
+        lines = ["deltanu_physical = 4e-23", "deltanu_sigma = 2e-22",
+                 f"config_hash = {cfg.content_hash()}"]
         lines += [f"{k} = {v}" for k, v in cfg.to_key_values().items()]
         path.write_text("\n".join(lines) + "\n")
         return path
@@ -623,6 +648,17 @@ class TestLimitsCommand:
         err = capsys.readouterr().err
         assert "is malformed: line" in err and "expected 'key = value'" in err
         assert "Traceback" not in err
+
+    def test_estimate_without_config_hash_is_data_error(self, analyzed_estimate, tmp_path,
+                                                         capsys):
+        # cut after deltanu_sigma: the default config would stand in for the run's
+        lines = analyzed_estimate.read_text().splitlines(keepends=True)
+        cut = tmp_path / "cut.txt"
+        cut.write_text("".join(lines[:7]))
+        assert "deltanu_sigma" in cut.read_text() and "config" not in cut.read_text()
+        assert run("limits", "xsec", "--estimate", cut, "--out-dir", tmp_path / "lc") == 2
+        assert "lacks key 'config_hash'" in capsys.readouterr().err
+        assert not (tmp_path / "lc").exists() or not any((tmp_path / "lc").iterdir())
 
     def test_missing_estimate(self, tmp_path):
         assert run("limits", "xsec", "--estimate", tmp_path / "none.txt",
@@ -737,7 +773,66 @@ class TestDataFilesFailLoudly:
             else:
                 argv = ("limits", what, "--estimate", path, "--points-per-decade", "4")
             code, err = run_captured(*argv, "--out-dir", out)
-            assert code in (0, 2), err
+            assert code in ((2,) if kind == "duplicate" else (0, 2)), err
+            assert "Traceback" not in err
+            assert not undocumented_nans(out)
+
+
+def mutated_record(text: str, kind: str, at: int, other: int) -> bytes | None:
+    """Record ``text`` with one mutation of ``kind``, as :func:`mutated` makes them.
+
+    ``text``, ``nan`` and ``inf`` replace a data cell; ``unknown_key`` and
+    ``duplicate`` add a ``# key = value`` line to the header.
+    """
+    if kind in ("missing", "empty", "cut"):
+        return mutated(text, kind, at, other)
+    lines = text.splitlines()
+    n = sum(line.startswith("#") for line in lines)  # the header lines lead
+    if kind == "unknown_key":
+        lines.insert(1 + at % n, "# config.no_such_field = 1.0")
+    elif kind == "duplicate":
+        header = mutated("\n".join(line[2:] for line in lines[:n]), kind, at, other)
+        lines[:n] = ["# " + line for line in header.decode().splitlines()]
+    else:
+        i = n + at % (len(lines) - n)
+        cells = lines[i].split(", ")
+        cells[other % len(cells)] = "abc" if kind == "text" else kind
+        lines[i] = ", ".join(cells)
+    return ("\n".join(lines) + "\n").encode()
+
+
+ANALYZE_MUTATIONS = ("missing", "empty", "cut", "text", "nan", "inf", "unknown_key", "duplicate")
+# the exit codes the README gives each mutation of an analyze input: a record is data (2);
+# --config is a usage or config error (1) but for a config that mismatches the record's (2)
+ANALYZE_EXITS = {
+    "record": {"cut": (0, 2)},
+    "config": {"missing": (1,), "empty": (0,), "cut": (0, 1, 2)},
+}
+
+
+class TestAnalyzeInputsFailLoudly:
+    """A mutated record or --config file of analyze exits as the README documents, with no
+    traceback and no nan in any output."""
+
+    @pytest.mark.parametrize("target", ["record", "config"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(ANALYZE_MUTATIONS), at=st.integers(0, 1 << 24),
+           other=st.integers(0, 1 << 16))
+    @example(kind="duplicate", at=5, other=0)
+    def test_mutated_file(self, data_files, target, kind, at, other):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / f"{target}.txt", Path(tmp) / "out"
+            if target == "record":
+                content = mutated_record(data_files["record"].read_text(), kind, at, other)
+                argv = ("analyze", path)
+            else:
+                content = mutated(config_text(ApparatusConfig()), kind, at, other)
+                argv = ("analyze", data_files["record"], "--config", path)
+            if content is not None:
+                path.write_bytes(content)
+            code, err = run_captured(*argv, "--out-dir", out)
+            default = (2,) if target == "record" else (1,)
+            assert code in ANALYZE_EXITS[target].get(kind, default), (code, err)
             assert "Traceback" not in err
             assert not undocumented_nans(out)
 
@@ -830,6 +925,14 @@ class TestConfigFile:
     def test_comments_ignored(self):
         cfg = parse_config("# a comment\nfinesse = 500000  # inline\n")
         assert cfg.finesse == 500000.0
+
+    def test_repeated_key(self, he_record, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="line 3: key 'finesse' repeats line 1"):
+            parse_config("finesse = 500000\n# a comment\nfinesse = 670000\n")
+        cfg = tmp_path / "repeated.cfg"
+        cfg.write_text("finesse = 670000\nfinesse = 500000\n")
+        assert run("analyze", he_record, "--config", cfg, "--out-dir", tmp_path / "a") == 1
+        assert "repeats line 1" in capsys.readouterr().err
 
 
 class TestManifest:

@@ -689,24 +689,29 @@ class TestLazyFastRecords:
     def test_equals_a_stored_record(self, monkeypatch, workers, config, source, noise,
                                     revolutions, kwargs):
         monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
-        helpers = []
-        drawn_ahead = apparatus._drawn_ahead
-        monkeypatch.setattr(apparatus, "_drawn_ahead",
-                            lambda *args: helpers.append(args) or drawn_ahead(*args))
+        draw_maps = []
+        map_ordered = apparatus._map_ordered
+
+        def counted(func, items, threads=None):
+            if threads == 1:
+                draw_maps.append(func)
+            return map_ordered(func, items, threads)
+
+        monkeypatch.setattr(apparatus, "_map_ordered", counted)
         duration = revolutions / config.magnet_rotation_hz
         lazy, stored = (synthesize_run(config, source, noise, duration) for _ in range(2))
         stored.i_omega_pem
         assert is_stored(stored) and not is_stored(lazy)
-        helpers.clear()
+        draw_maps.clear()
         est, lazy_warnings = warning_messages(analyze_record, lazy, **kwargs)
         again, _ = warning_messages(analyze_record, lazy, **kwargs)
-        # a helper thread draws ahead when there are two chunks, two CPUs and a stream to draw
+        # a one-thread map draws ahead when there are two chunks, two CPUs and a stream to draw
         block_size = kwargs.get("block_size", 8192)
         n_blocks = len(lazy) // block_size
         chunks = len(list(apparatus._blocks(n_blocks * block_size, block_size,
                                             apparatus._BLOCK_SAMPLES)))
         draws = vars(lazy)["i_omega_pem"].rng is not None
-        assert len(helpers) == (2 if workers > 1 and chunks > 1 and draws else 0)
+        assert len(draw_maps) == (2 if workers > 1 and chunks > 1 and draws else 0)
         ref, stored_warnings = warning_messages(analyze_record, stored, **kwargs)
         whole = estimate_from_spectra(whole_array_spectra(stored, **kwargs), stored)
         for name in ESTIMATE_FIELDS:

@@ -532,12 +532,12 @@ map_ordered = apparatus._map_ordered
 def reversed_map_ordered(func, items):
     """A ``_map_ordered`` that runs the items it may hold in flight last first.
 
-    It takes the items in windows of ``_AHEAD_PER_WORKER`` per worker, the
-    most ``_map_ordered`` holds in flight, runs each window's items in
-    reverse order and yields their results in order.
+    It takes the items in windows of ``_in_flight()``, the most
+    ``_map_ordered`` holds in flight, runs each window's items in reverse
+    order and yields their results in order.
     """
     items = iter(items)
-    window = apparatus._AHEAD_PER_WORKER * apparatus._chunk_workers()
+    window = apparatus._in_flight()
     while taken := list(islice(items, window)):
         yield from reversed([func(item) for item in reversed(taken)])
 
@@ -585,7 +585,10 @@ class TestChunkWorkers:
 
 
 class TestDrawnAhead:
-    def test_draws_in_order_at_most_ahead_of_the_held_target(self):
+    """The draws of a pass in the calling thread run on a one-thread ``_map_ordered``."""
+
+    def test_draws_in_order_at_most_ahead_of_the_held_target(self, monkeypatch):
+        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: 2)
         targets = [np.empty(3) for _ in range(3)] * 10  # three buffers, reused in turn
         asked_past, leads = [0], []
 
@@ -594,7 +597,7 @@ class TestDrawnAhead:
             target[:] = len(leads) - 1
             return target
 
-        for i, target in enumerate(apparatus._drawn_ahead(draw, targets, 2)):
+        for i, target in enumerate(apparatus._map_ordered(draw, targets, threads=1)):
             assert np.all(target == i)
             asked_past[0] = i + 1  # counted before the next target is asked for
         assert len(leads) == 30 and max(leads) <= 2
@@ -613,7 +616,7 @@ class TestDrawnAhead:
         walk = apparatus._walk(channel, bounds, lambda start, stop, samples: (start, samples),
                                None)
         for start, held in walk:
-            time.sleep(0.02)  # the helper draws as far ahead as it may
+            time.sleep(0.02)  # the drawing thread draws as far ahead as it may
             assert np.array_equal(held, stored[start:start + len(held)])
 
     def test_a_block_in_flight_is_not_drawn_over(self, monkeypatch):
@@ -624,25 +627,30 @@ class TestDrawnAhead:
 
         def held(start: int, stop: int, samples: np.ndarray) -> bool:
             filled = samples.copy()
-            time.sleep(0.005)  # the helper draws as far ahead as it may meanwhile
+            time.sleep(0.005)  # the drawing thread draws as far ahead as it may meanwhile
             return np.array_equal(samples, filled) and np.array_equal(filled, stored[start:stop])
 
         assert all(apparatus._walk(channel, bounds, held, _BLOCK_SAMPLES))
 
-    def test_a_failed_draw_raises_and_a_closed_pass_stops_its_helper(self):
+    def test_a_failed_draw_raises_and_a_closed_pass_stops_its_helper(self, monkeypatch):
+        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: 2)
+
         def draw(target):
             if target[0] == 3:
                 raise ArithmeticError("draw 3")
             return target
 
         targets = [np.full(2, float(i)) for i in range(8)]
+        before = set(threading.enumerate())
         with pytest.raises(ArithmeticError, match="draw 3"):
-            for _ in apparatus._drawn_ahead(draw, targets, 2):
+            for _ in apparatus._map_ordered(draw, targets, threads=1):
                 pass
-        drawn = apparatus._drawn_ahead(lambda t: t, targets, 2)
+        assert set(threading.enumerate()) <= before
+        drawn = apparatus._map_ordered(lambda t: t, targets, threads=1)
         next(drawn)
+        assert not set(threading.enumerate()) <= before  # the pass runs on its own thread
         drawn.close()
-        assert not any(t.name == "vmbsim-draw-ahead" for t in threading.enumerate())
+        assert set(threading.enumerate()) <= before
 
 
 def whole_array_fast(config, source, noise, duration_s):

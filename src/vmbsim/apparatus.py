@@ -46,46 +46,74 @@ def format_number(x: float) -> str:
     return _FMT % x
 
 
+def format_value(value) -> str:
+    """The value of a ``key = value`` line: a float by :func:`format_number`, else by ``str``."""
+    return format_number(value) if isinstance(value, float) else str(value)
+
+
+# The range of a config field: what a value must be, and its test.
+_POSITIVE = ("a positive finite number", lambda v: math.isfinite(v) and v > 0)
+_NON_NEGATIVE = ("a finite number >= 0", lambda v: math.isfinite(v) and v >= 0)
+_FINITE = ("a finite number", math.isfinite)
+_POWER_OF_TWO = ("an integer power of two >= 4", lambda v: v >= 4 and v & (v - 1) == 0)
+
+
+def _param(default, key: str, rule=_POSITIVE, **units: float):
+    """A config field of the type of ``default``, with its config-file key, range and units.
+
+    ``units`` are the factors into the field's unit of those a config file may
+    give; the first, of factor 1, is the one written. A field without units
+    takes a bare number.
+    """
+    return field(default=default, metadata={"key": key, "rule": rule, "units": units})
+
+
 @dataclass(frozen=True)
 class ApparatusConfig:
-    """Static instrument parameters. Defaults follow the published run configuration."""
+    """Static instrument parameters. Defaults follow the published run configuration.
 
-    wavelength_m: float = 1064e-9
-    finesse: float = 670000.0
-    field_integral_t2m: float = 10.25       # integral of B^2 dl over both magnets
-    peak_field_t: float = 2.5
-    field_length_m: float = 1.92            # sum of the two magnet bores
-    magnet_rotation_hz: float = 3.0
-    pem_frequency_hz: float = 50047.0
-    pem_depth: float = 1e-3                 # eta0, carrier ellipticity amplitude
-    extinction: float = 1e-7                # sigma^2 of the crossed polarizers
-    incident_power_w: float = 1e-3          # I0 reaching the analyser
-    samples_per_revolution: int = 32
-    polarizer_angle_rad: float = 0.0        # initial field-to-polarization angle theta0
+    Each field is declared once, with :func:`_param`; its checks, its config-file
+    line (:mod:`vmbsim.configio`) and its ``config.*`` header key follow from that.
+    """
+
+    wavelength_m: float = _param(1064e-9, "wavelength", m=1.0, um=1e-6, nm=1e-9)
+    finesse: float = _param(670000.0, "finesse")
+    field_integral_t2m: float = _param(10.25, "field_integral", T2m=1.0)  # B^2 dl, both magnets
+    peak_field_t: float = _param(2.5, "peak_field", T=1.0)
+    field_length_m: float = _param(1.92, "field_length", m=1.0, cm=1e-2)  # both magnet bores
+    magnet_rotation_hz: float = _param(3.0, "magnet_rotation", Hz=1.0, kHz=1e3)
+    pem_frequency_hz: float = _param(50047.0, "pem_frequency", Hz=1.0, kHz=1e3)
+    pem_depth: float = _param(1e-3, "pem_depth")  # eta0, carrier ellipticity amplitude
+    extinction: float = _param(1e-7, "extinction", _NON_NEGATIVE)  # sigma^2, crossed polarizers
+    # I0 reaching the analyser
+    incident_power_w: float = _param(1e-3, "incident_power", W=1.0, mW=1e-3, uW=1e-6)
+    samples_per_revolution: int = _param(32, "samples_per_revolution", _POWER_OF_TWO)
+    # initial field-to-polarization angle theta0
+    polarizer_angle_rad: float = _param(0.0, "polarizer_angle", _FINITE, rad=1.0, deg=math.pi / 180)
 
     def __post_init__(self):
-        for name in (
-            "wavelength_m", "finesse", "field_integral_t2m", "peak_field_t",
-            "field_length_m", "magnet_rotation_hz", "pem_frequency_hz",
-            "pem_depth", "incident_power_w",
-        ):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"config field {name} must be positive and finite, got {v!r}")
-        if not (math.isfinite(self.extinction) and self.extinction >= 0):
-            raise ValueError(f"extinction must be >= 0, got {self.extinction}")
-        if self.pem_frequency_hz < 100.0 * self.magnet_rotation_hz:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = type(f.default)
+            what, test = f.metadata["rule"]
+            # a float field takes an int too; a bool is neither
+            if isinstance(value, bool) or not isinstance(value, (kind, int)) or not test(value):
+                raise ValueError(f"config field {f.name} must be {what}, got {value!r}")
+            # stored as a float, it hashes as the value read back from its file does
+            object.__setattr__(self, f.name, kind(value))
+        # judged to the 9 digits of the files written of it, so that each file reads back
+        pem, rotation, integral, peak, length = (
+            float(format_number(getattr(self, name))) for name in (
+                "pem_frequency_hz", "magnet_rotation_hz", "field_integral_t2m", "peak_field_t",
+                "field_length_m"))
+        if pem < 100.0 * rotation:
             raise ValueError(
                 "pem_frequency_hz must exceed 100x the magnet rotation for the "
                 "demodulation products to separate"
             )
-        spr = self.samples_per_revolution
-        if spr < 4 or (spr & (spr - 1)) != 0:
-            raise ValueError(f"samples_per_revolution must be a power of two >= 4, got {spr}")
-        if self.field_integral_t2m > self.peak_field_t**2 * self.field_length_m * (1 + 1e-12):
+        if integral > peak * peak * length * (1 + 1e-12):
             raise ValueError(
-                f"field integral {self.field_integral_t2m} T^2m exceeds "
-                f"B_max^2*L = {self.peak_field_t**2 * self.field_length_m} T^2m"
+                f"field integral {integral} T^2m exceeds B_max^2*L = {peak * peak * length} T^2m"
             )
 
     @property
@@ -114,24 +142,28 @@ class ApparatusConfig:
     def from_key_values(cls, kv: dict[str, str]) -> "ApparatusConfig":
         """The config of the ``config.*`` keys of ``kv``; a missing field takes its default.
 
-        A ``config.*`` key that names no field is refused, naming the key.
+        A ``config.*`` key that names no field, or whose value is not a
+        literal of the field's type, is refused, naming the key.
         """
-        names = {f.name for f in fields(cls)}
+        by_key = {f"config.{f.name}": f for f in fields(cls)}
         kwargs = {}
         for key, raw in kv.items():
             if not key.startswith("config."):
                 continue
-            name = key.removeprefix("config.")
-            if name not in names:
+            if key not in by_key:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[name] = int(raw) if name == "samples_per_revolution" else float(raw)
+            f = by_key[key]
+            try:
+                kwargs[f.name] = type(f.default)(raw)
+            except ValueError:
+                raise ValueError(
+                    f"config key {key!r} must be {f.metadata['rule'][0]}, got {raw!r}"
+                ) from None
         return cls(**kwargs)
 
     def content_hash(self) -> str:
-        text = "\n".join(
-            f"{k} = {format_number(v) if isinstance(v, float) else v}"
-            for k, v in sorted(self.to_key_values().items())
-        )
+        items = sorted(self.to_key_values().items())
+        text = "\n".join(f"{k} = {format_value(v)}" for k, v in items)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -795,7 +827,7 @@ def write_record(record: TimeSeriesRecord, path) -> None:
     synthesized record is written without building its array.
     """
     header = "".join(
-        f"# {key} = {format_number(value) if isinstance(value, float) else str(value)}\n"
+        f"# {key} = {format_value(value)}\n"
         for key, value in record.header_items()
     )
     header += "# columns = " + ", ".join(RECORD_COLUMNS) + "\n"
@@ -1043,11 +1075,18 @@ class _RecordRows:
 
 
 def _data_rows(path):
-    """``(data_row, file_line, cells)`` of each row ``np.loadtxt`` reads, both numbered from 1."""
-    with open(path) as fh:
-        row = 0
-        for line_no, line in enumerate(fh, 1):
-            text = line.partition("#")[0].strip()
+    """``(data_row, file_line, cells)`` of each row the reader parses, both numbered from 1.
+
+    Past the lines :func:`_skip_header` skips, a row is a line with any text
+    before its ``#``, whitespace too, as ``np.loadtxt`` reads it.
+    """
+    with open(path, "rb") as fh:
+        _skip_header(fh)
+        skipped = fh.tell()
+        fh.seek(0)
+        row, first = 0, fh.read(skipped).count(b"\n") + 1  # the skipped lines end in "\n"
+        for line_no, line in enumerate(io.TextIOWrapper(fh), first):
+            text = line.rstrip("\n").partition("#")[0]
             if text:
                 row += 1
                 yield row, line_no, text.split(",")
@@ -1063,34 +1102,26 @@ def _sample_error(path, index: int, reason: str) -> ValueError:
     return _row_error(path, index + 1, line, reason)
 
 
-def _malformed_row(path) -> ValueError | None:
-    """The error for the first row of the wrong width or with a cell that is not a number."""
+def _is_number(text: str) -> bool:
+    """Whether ``np.loadtxt`` reads stripped cell ``text``: as ``float`` does, but ASCII, no ``_``."""
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return text.isascii() and "_" not in text
+
+
+def _parse_error(path) -> ValueError:
+    """The error that names the first row ``np.loadtxt`` refuses, without numpy's wording."""
     for row, line, cells in _data_rows(path):
         if len(cells) != len(RECORD_COLUMNS):
             return _row_error(path, row, line,
                               f"{len(cells)} fields, expected {len(RECORD_COLUMNS)}")
         for name, cell in zip(RECORD_COLUMNS, cells):
-            try:
-                float(cell)
-            except ValueError:
+            if not _is_number(cell.strip()):
                 return _row_error(path, row, line,
                                   f"{cell.strip()!r} in column {name} is not a number")
-    return None
-
-
-def _parse_error(path) -> ValueError:
-    """The error for a record file whose rows ``np.loadtxt`` refuses.
-
-    It names the first malformed row, so the message does not depend on
-    numpy's wording; failing that, it is numpy's message for the whole file.
-    """
-    error = _malformed_row(path)
-    if error is None:
-        try:
-            np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-        except ValueError as exc:
-            error = ValueError(f"record file {path}: {exc}")
-    return error
+    return ValueError(f"record file {path} has a row that np.loadtxt refuses")
 
 
 def read_record(path) -> TimeSeriesRecord:

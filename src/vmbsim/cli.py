@@ -22,6 +22,7 @@ from .apparatus import (
     ApparatusConfig,
     _format_rows,
     format_number,
+    format_value,
     parse_source,
     read_record,
     write_record,
@@ -156,8 +157,7 @@ def _write_kv(path: Path, items, manifest_hash: str) -> None:
     with open(path, "w") as fh:
         fh.write(f"# manifest_hash = {manifest_hash}\n")
         for key, value in items:
-            value_s = format_number(value) if isinstance(value, float) else str(value)
-            fh.write(f"{key} = {value_s}\n")
+            fh.write(f"{key} = {format_value(value)}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -10,39 +10,13 @@ stamped into every file the toolchain writes.
 from __future__ import annotations
 
 import hashlib
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import __version__
-from .apparatus import ApparatusConfig, NoiseModel, format_number
+from .apparatus import ApparatusConfig, NoiseModel, format_number, format_value
 
-# per-key unit tables: multiplier into the canonical SI-ish unit of ApparatusConfig
-_UNIT_SCALES = {
-    "wavelength": {"m": 1.0, "um": 1e-6, "nm": 1e-9},
-    "field_integral": {"T2m": 1.0},
-    "peak_field": {"T": 1.0},
-    "field_length": {"m": 1.0, "cm": 1e-2},
-    "magnet_rotation": {"Hz": 1.0, "kHz": 1e3},
-    "pem_frequency": {"Hz": 1.0, "kHz": 1e3},
-    "incident_power": {"W": 1.0, "mW": 1e-3, "uW": 1e-6},
-    "polarizer_angle": {"rad": 1.0, "deg": math.pi / 180.0},
-}
-_BARE_KEYS = ("finesse", "pem_depth", "extinction", "samples_per_revolution")
-
-_KEY_TO_FIELD = {
-    "wavelength": "wavelength_m",
-    "finesse": "finesse",
-    "field_integral": "field_integral_t2m",
-    "peak_field": "peak_field_t",
-    "field_length": "field_length_m",
-    "magnet_rotation": "magnet_rotation_hz",
-    "pem_frequency": "pem_frequency_hz",
-    "pem_depth": "pem_depth",
-    "extinction": "extinction",
-    "incident_power": "incident_power_w",
-    "samples_per_revolution": "samples_per_revolution",
-    "polarizer_angle": "polarizer_angle_rad",
-}
+# each field of ApparatusConfig by its config-file key
+_FIELDS = {f.metadata["key"]: f for f in fields(ApparatusConfig)}
 
 
 class ConfigError(ValueError):
@@ -67,35 +41,31 @@ def parse_key_values(text: str) -> dict[str, str]:
     return out
 
 
-def _parse_quantity(key: str, raw: str) -> float:
+def _parse_value(key: str, raw: str):
+    """The value of config-file line ``key = raw``, in the unit of its field."""
+    f = _FIELDS[key]
+    units = f.metadata["units"]
     parts = raw.split()
-    if key in _BARE_KEYS:
-        if len(parts) != 1:
-            raise ConfigError(f"field {key!r} takes no unit, got {raw!r}")
-        return float(parts[0])
-    scales = _UNIT_SCALES[key]
-    if len(parts) != 2:
+    if len(parts) != 1 + bool(units):
+        need = f"a value and a unit ({'/'.join(units)})" if units else "a value and no unit"
+        raise ConfigError(f"field {key!r} needs {need}, got {raw!r}")
+    if units and parts[1] not in units:
         raise ConfigError(
-            f"field {key!r} needs a value and a unit ({'/'.join(scales)}), got {raw!r}"
-        )
-    value, unit = parts
-    if unit not in scales:
-        raise ConfigError(f"field {key!r}: unknown unit {unit!r}, expected one of {sorted(scales)}")
-    return float(value) * scales[unit]
+            f"field {key!r}: unknown unit {parts[1]!r}, expected one of {sorted(units)}")
+    try:
+        value = type(f.default)(parts[0])
+    except ValueError:
+        raise ConfigError(
+            f"field {key!r} must be {f.metadata['rule'][0]}, got {parts[0]!r}") from None
+    return value * units[parts[1]] if units else value
 
 
 def parse_config(text: str) -> ApparatusConfig:
-    kv = parse_key_values(text)
     kwargs = {}
-    for key, raw in kv.items():
-        if key not in _KEY_TO_FIELD:
-            raise ConfigError(f"unknown config field {key!r}; known: {sorted(_KEY_TO_FIELD)}")
-        name = _KEY_TO_FIELD[key]
-        try:
-            value = _parse_quantity(key, raw)
-            kwargs[name] = int(value) if name == "samples_per_revolution" else value
-        except (ValueError, OverflowError) as exc:  # int() of nan or inf
-            raise ConfigError(f"field {key!r}: {exc}") from exc
+    for key, raw in parse_key_values(text).items():
+        if key not in _FIELDS:
+            raise ConfigError(f"unknown config field {key!r}; known: {sorted(_FIELDS)}")
+        kwargs[_FIELDS[key].name] = _parse_value(key, raw)
     try:
         return ApparatusConfig(**kwargs)
     except ValueError as exc:
@@ -103,26 +73,22 @@ def parse_config(text: str) -> ApparatusConfig:
 
 
 def load_config(path) -> ApparatusConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    """The config of the file at ``path``; a file that cannot be read is a ConfigError too."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config(text)
 
 
 def config_text(config: ApparatusConfig) -> str:
-    """Canonical config-file rendering (SI-ish units, 9 significant digits)."""
-    lines = [
-        f"wavelength = {format_number(config.wavelength_m)} m",
-        f"finesse = {format_number(config.finesse)}",
-        f"field_integral = {format_number(config.field_integral_t2m)} T2m",
-        f"peak_field = {format_number(config.peak_field_t)} T",
-        f"field_length = {format_number(config.field_length_m)} m",
-        f"magnet_rotation = {format_number(config.magnet_rotation_hz)} Hz",
-        f"pem_frequency = {format_number(config.pem_frequency_hz)} Hz",
-        f"pem_depth = {format_number(config.pem_depth)}",
-        f"extinction = {format_number(config.extinction)}",
-        f"incident_power = {format_number(config.incident_power_w)} W",
-        f"samples_per_revolution = {config.samples_per_revolution}",
-        f"polarizer_angle = {format_number(config.polarizer_angle_rad)} rad",
-    ]
+    """Canonical config-file rendering: each field in its first unit, 9 significant digits."""
+    lines = []
+    for f in fields(config):
+        unit = next(iter(f.metadata["units"]), None)
+        value = format_value(getattr(config, f.name))
+        lines.append(f"{f.metadata['key']} = {value}" + (f" {unit}" if unit else ""))
     return "\n".join(lines) + "\n"
 
 

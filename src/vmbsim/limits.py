@@ -13,6 +13,7 @@ exclusion curves conventionally quote a one-sided 95% Gaussian bound.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .apparatus import ApparatusConfig
+from .apparatus import ApparatusConfig, format_number, format_value
 from .constants import CONSTANTS, NATURAL_UNITS
 from .models import (
     MCP_GAP_BAND,
@@ -354,13 +355,10 @@ def comparison_report(
 # ---------------------------------------------------------------------------
 
 def write_curve(curve: ExclusionCurve, path) -> None:
-    from .apparatus import format_number
-
     with open(path, "w") as fh:
         fh.write(f"# particle = {curve.particle_kind}\n")
         for key in sorted(curve.metadata):
-            v = curve.metadata[key]
-            fh.write(f"# {key} = {format_number(v) if isinstance(v, (int, float)) else v}\n")
+            fh.write(f"# {key} = {format_value(curve.metadata[key])}\n")
         for a, b in curve.gap_intervals:
             fh.write(f"# gap_interval = {format_number(a)} .. {format_number(b)}\n")
         fh.write("# columns = mass_ev, bound, regime, branch\n")
@@ -389,11 +387,11 @@ def read_curve(path) -> ExclusionCurve:
                 elif key == "gap_interval":
                     a, b = value.split("..")
                     gaps.append((float(a), float(b)))
-                elif key != "columns":
-                    try:
-                        metadata[key] = float(value)
-                    except ValueError:
-                        metadata[key] = value
+                elif key != "columns":  # the type write_curve wrote, so a rewrite is the same
+                    metadata[key] = value
+                    for kind in (float, int):
+                        with contextlib.suppress(ValueError):
+                            metadata[key] = kind(value)
             else:
                 m, bound, regime, branch = [p.strip() for p in line.split(",")]
                 masses.append(float(m))

@@ -5,16 +5,16 @@ import io
 import math
 import tempfile
 import traceback
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from vmbsim.cli import main
 from vmbsim.configio import ConfigError, RunManifest, config_text, load_config, parse_config
-from vmbsim.apparatus import ApparatusConfig, format_number
+from vmbsim.apparatus import ApparatusConfig, format_number, format_value
 
 
 def run(*argv):
@@ -133,15 +133,26 @@ class TestAnalyze:
         (lambda f: ", ".join(f[:1] + ["abc"] + f[2:]),
          "'abc' in column I_OmegaPEM is not a number"),
         (lambda f: ", ".join(f[:4]), "4 fields, expected 5"),
-    ], ids=["non_numeric_cell", "four_field_row"])
+        # cells float() reads but np.loadtxt refuses
+        (lambda f: ", ".join(f[:1] + ["1_0"] + f[2:]),
+         "'1_0' in column I_OmegaPEM is not a number"),
+        (lambda f: ", ".join(f[:1] + ["\u0661"] + f[2:]),
+         "'\u0661' in column I_OmegaPEM is not a number"),
+        (lambda f: ", ".join(f[:1] + ["\uff11"] + f[2:]),
+         "'\uff11' in column I_OmegaPEM is not a number"),
+        # np.loadtxt skips only empty lines: one of blanks is a row of one field
+        (lambda f: " ", "1 fields, expected 5"),
+    ], ids=["non_numeric_cell", "four_field_row", "underscore_cell", "arabic_indic_digit",
+            "fullwidth_digit", "blank_line"])
     def test_malformed_row_names_data_row_and_file_line(self, he_record, tmp_path, capsys,
                                                         edit, reason):
-        bad = self._corrupt(he_record, tmp_path, 7, edit)
+        bad = self._corrupt(he_record, tmp_path, 100, edit)
         header_lines = sum(line.startswith("#") for line in bad.read_text().splitlines())
         assert run("analyze", bad, "--out-dir", tmp_path / "m") == 2
         err = capsys.readouterr().err
-        assert f"data row 8 (file line {header_lines + 8}): {reason}" in err
-        assert "usecols" not in err
+        assert f"data row 101 (file line {header_lines + 101}): {reason}" in err
+        assert "usecols" not in err and "float64" not in err
+        assert err.count("\n") == 1
 
     @pytest.fixture()
     def small_full_record(self, tmp_path):
@@ -699,11 +710,22 @@ class TestLimitsCommand:
 
 
 MUTATIONS = ("missing", "empty", "cut", "no_equals", "text", "nan", "inf", "unknown_key",
-             "duplicate")
+             "duplicate", "bad_value")
+# values a config field refuses, by its type: a float that is not finite, and for an int a
+# literal that is not an integer
+BAD_VALUES = {float: ("nan", "inf", "-inf"), int: ("32.5", "3.2e1", "32.0", "True")}
+# the type of each config field, by its config-file key and by its header key
+FIELD_TYPES = {key: type(f.default) for f in fields(ApparatusConfig)
+               for key in (f.metadata["key"], f"config.{f.name}")}
 
 
 def mutated(text: str, kind: str, at: int, other: int) -> bytes | None:
-    """``text`` with one mutation of ``kind`` (None: no file); ``at`` and ``other`` pick where."""
+    """``text`` with one mutation of ``kind`` (None: no file); ``at`` and ``other`` pick where.
+
+    ``text``, ``nan``, ``inf`` and ``bad_value`` replace a value but keep its unit;
+    ``bad_value`` puts one of the ``BAD_VALUES`` of its type on a config field's line, or on
+    any line of a file without config fields.
+    """
     if kind == "missing":
         return None
     data = text.encode()
@@ -715,6 +737,8 @@ def mutated(text: str, kind: str, at: int, other: int) -> bytes | None:
         return data + (b"no_such_key = 1.0\n", b"config.no_such_field = 1.0\n")[other % 2]
     lines = text.splitlines()
     entries = [i for i, line in enumerate(lines) if " = " in line and not line.startswith("#")]
+    if kind == "bad_value":
+        entries = [i for i in entries if lines[i].partition(" = ")[0] in FIELD_TYPES] or entries
     i = entries[at % len(entries)]
     key, _, value = lines[i].partition(" = ")
     if kind == "no_equals":
@@ -722,7 +746,9 @@ def mutated(text: str, kind: str, at: int, other: int) -> bytes | None:
     elif kind == "duplicate":  # the key again, with the value of a line picked by other
         lines.append(f"{key} = {lines[entries[other % len(entries)]].partition(' = ')[2]}")
     else:
-        lines[i] = f"{key} = {'abc' if kind == 'text' else kind}"
+        bad = BAD_VALUES[FIELD_TYPES.get(key, float)]
+        new = {"text": "abc", "bad_value": bad[other % len(bad)]}.get(kind, kind)
+        lines[i] = " ".join([f"{key} =", new, *value.split()[1:]])
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -773,7 +799,8 @@ class TestDataFilesFailLoudly:
             else:
                 argv = ("limits", what, "--estimate", path, "--points-per-decade", "4")
             code, err = run_captured(*argv, "--out-dir", out)
-            assert code in ((2,) if kind == "duplicate" else (0, 2)), err
+            always = kind == "duplicate" or (kind, target) == ("bad_value", "estimate")
+            assert code in ((2,) if always else (0, 2)), err
             assert "Traceback" not in err
             assert not undocumented_nans(out)
 
@@ -782,7 +809,7 @@ def mutated_record(text: str, kind: str, at: int, other: int) -> bytes | None:
     """Record ``text`` with one mutation of ``kind``, as :func:`mutated` makes them.
 
     ``text``, ``nan`` and ``inf`` replace a data cell; ``unknown_key`` and
-    ``duplicate`` add a ``# key = value`` line to the header.
+    ``duplicate`` add a ``# key = value`` line to the header, and ``bad_value`` edits one.
     """
     if kind in ("missing", "empty", "cut"):
         return mutated(text, kind, at, other)
@@ -790,7 +817,7 @@ def mutated_record(text: str, kind: str, at: int, other: int) -> bytes | None:
     n = sum(line.startswith("#") for line in lines)  # the header lines lead
     if kind == "unknown_key":
         lines.insert(1 + at % n, "# config.no_such_field = 1.0")
-    elif kind == "duplicate":
+    elif kind in ("duplicate", "bad_value"):
         header = mutated("\n".join(line[2:] for line in lines[:n]), kind, at, other)
         lines[:n] = ["# " + line for line in header.decode().splitlines()]
     else:
@@ -801,7 +828,8 @@ def mutated_record(text: str, kind: str, at: int, other: int) -> bytes | None:
     return ("\n".join(lines) + "\n").encode()
 
 
-ANALYZE_MUTATIONS = ("missing", "empty", "cut", "text", "nan", "inf", "unknown_key", "duplicate")
+ANALYZE_MUTATIONS = ("missing", "empty", "cut", "text", "nan", "inf", "unknown_key", "duplicate",
+                     "bad_value")
 # the exit codes the README gives each mutation of an analyze input: a record is data (2);
 # --config is a usage or config error (1) but for a config that mismatches the record's (2)
 ANALYZE_EXITS = {
@@ -819,6 +847,12 @@ class TestAnalyzeInputsFailLoudly:
     @given(kind=st.sampled_from(ANALYZE_MUTATIONS), at=st.integers(0, 1 << 24),
            other=st.integers(0, 1 << 16))
     @example(kind="duplicate", at=5, other=0)
+    # config: polarizer_angle = nan rad, samples_per_revolution = 32.5 and 32.0;
+    # record: config.polarizer_angle_rad = nan, config.samples_per_revolution = 32.5 and 32.0
+    @example(kind="bad_value", at=11, other=0)
+    @example(kind="bad_value", at=9, other=0)
+    @example(kind="bad_value", at=10, other=0)
+    @example(kind="bad_value", at=10, other=2)
     def test_mutated_file(self, data_files, target, kind, at, other):
         with tempfile.TemporaryDirectory() as tmp:
             path, out = Path(tmp) / f"{target}.txt", Path(tmp) / "out"
@@ -897,7 +931,54 @@ class TestScripts:
         assert (tmp_path / "calibration.txt").exists()
 
 
+def field_values(f):
+    """Values that config field ``f`` takes by itself: finite floats, or powers of two."""
+    test = f.metadata["rule"][1]
+    if isinstance(f.default, int):
+        return st.integers(0, 62).map(lambda k: 1 << k).filter(test)
+    return st.floats(allow_nan=False, allow_infinity=False).filter(test)
+
+
+@st.composite
+def configs(draw):
+    """Valid configs, any float a field takes drawn into each field."""
+    kwargs = {f.name: draw(field_values(f)) for f in fields(ApparatusConfig)}
+    try:
+        return ApparatusConfig(**kwargs)
+    except ValueError:  # the checks that relate two fields
+        assume(False)
+
+
 class TestConfigFile:
+    def test_every_field_is_read_from_its_key_in_each_unit(self):
+        for f in fields(ApparatusConfig):
+            value = 2 * f.default if isinstance(f.default, int) else 0.999 * f.default or 0.5
+            for unit, factor in (f.metadata["units"] or {"": None}).items():
+                number = value / factor if factor else value
+                cfg = parse_config(f"{f.metadata['key']} = {number!r} {unit}\n")
+                assert getattr(cfg, f.name) == pytest.approx(value, rel=1e-12), (f.name, unit)
+                assert replace(cfg, **{f.name: f.default}) == ApparatusConfig()
+
+    @settings(max_examples=300, deadline=None)
+    @given(config=configs())
+    def test_random_configs_round_trip(self, config):
+        back = parse_config(config_text(config))
+        assert back.content_hash() == config.content_hash()
+        assert config_text(back) == config_text(config)
+        kv = {key: format_value(value) for key, value in config.to_key_values().items()}
+        assert ApparatusConfig.from_key_values(kv).content_hash() == config.content_hash()
+
+    @pytest.mark.parametrize("make", [lambda path: path.mkdir(),
+                                      lambda path: path.write_bytes(b"finesse = 5e5 \xff\n")],
+                             ids=["directory", "not_utf8"])
+    def test_unreadable_config_is_config_error(self, tmp_path, make):
+        cfg = tmp_path / "unreadable.cfg"
+        make(cfg)
+        code, err = run_captured("simulate", "--config", cfg, "--out-dir", tmp_path / "o")
+        assert code == 1
+        assert err.startswith(f"config error: cannot read config file {cfg}: ")
+        assert err.count("\n") == 1
+
     def test_parse_with_units(self):
         cfg = parse_config(
             "wavelength = 1064 nm\nfinesse = 670000\nfield_integral = 10.25 T2m\n"

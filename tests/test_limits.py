@@ -283,6 +283,17 @@ class TestCurveSerialization:
         write_curve(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_int_metadata_is_written_and_read_as_an_int(self, tmp_path):
+        curve = alp_exclusion(HEADLINE_LIMIT, CFG, mass_grid_ev=default_mass_grid("ALP", 4))
+        curve.metadata["points_per_decade"] = 4
+        p1, p2 = tmp_path / "c1.csv", tmp_path / "c2.csv"
+        write_curve(curve, p1)
+        assert "# points_per_decade = 4\n" in p1.read_text()
+        back = read_curve(p1)
+        assert back.metadata["points_per_decade"] == 4
+        write_curve(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             ExclusionCurve("ALP", np.array([1.0]), np.array([1.0, 2.0]), ("a",), ("b",), ())

@@ -9,7 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import islice
 
 import numpy as np
@@ -106,6 +106,32 @@ class TestConfigValidation:
     def test_field_integral_bound(self):
         with pytest.raises(ValueError, match="field integral"):
             ApparatusConfig(field_integral_t2m=20.0, peak_field_t=2.5, field_length_m=1.92)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ApparatusConfig)
+                                      if isinstance(f.default, float)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"config field {name} must be .*finite"):
+            ApparatusConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [32.5, 32.0, True, "32"])
+    def test_samples_per_revolution_must_be_an_int(self, value):
+        with pytest.raises(ValueError, match="samples_per_revolution must be an integer"):
+            ApparatusConfig(samples_per_revolution=value)
+
+    def test_int_float_field_hashes_as_its_file_reads_back(self):
+        cfg = ApparatusConfig(finesse=670000, magnet_rotation_hz=3)
+        assert type(cfg.finesse) is float
+        assert cfg.content_hash() == ApparatusConfig().content_hash()
+
+    def test_checks_judge_the_nine_digits_a_file_holds(self):
+        # the field integral is B_max^2*L in memory; written to 9 digits, the integral rounds
+        # up to 12 T^2m and the length down to 1.91999999 m
+        with pytest.raises(ValueError, match="field integral"):
+            ApparatusConfig(field_length_m=1.919999994, field_integral_t2m=6.25 * 1.919999994)
+
+    def test_huge_peak_field_does_not_overflow_the_check(self):
+        assert ApparatusConfig(peak_field_t=1e200, field_integral_t2m=1.0).peak_field_t == 1e200
 
     def test_effective_field(self):
         assert CFG.effective_field_t == pytest.approx(math.sqrt(10.25 / 1.92), rel=1e-12)

@@ -9,7 +9,6 @@ harmonic, then sampled synchronously with the magnet rotation.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import io
 import math
@@ -364,30 +363,18 @@ class _RawIntensity:
     Both fidelities keep one: a full-fidelity record its raw detector
     intensity, ``samples_per_bin`` raw samples per output bin, and a fast
     record its ``I_OmegaPEM``, one sample per bin.  ``fill(c0, c1, out)``
-    computes the samples of bins ``c0`` to ``c1`` in place in ``out``.  When
-    ``rng`` is not None the samples are also a function of its standard
-    normal stream, one draw per sample in sample order: ``out`` then holds
-    the draws of those samples on entry.  Every pass over the channel
-    (:func:`_walk`) draws from a copy of ``rng``, so it computes the same
-    samples, bit for bit, and a block is a pure function of its bins and
-    their draws: blocks may be filled in any order, on any thread.
+    computes the samples of bins ``c0`` to ``c1`` in place in ``out``, noise
+    included: a block is a pure function of its bins, which every pass
+    (:func:`_walk`) computes alike, bit for bit, in any order, on any thread.
     """
 
-    def __init__(self, fill, n_bins: int, samples_per_bin: int, rng: np.random.Generator | None):
+    def __init__(self, fill, n_bins: int, samples_per_bin: int):
         self.fill = fill
         self.n_bins = n_bins
         self.samples_per_bin = samples_per_bin
-        self.rng = rng
 
     def __len__(self) -> int:
         return self.n_bins * self.samples_per_bin
-
-    def _draw(self):
-        """``draw(out)``: fills ``out`` with the next draws of a new pass (None: no stream)."""
-        if self.rng is None:
-            return None
-        rng = copy.deepcopy(self.rng)
-        return lambda out: rng.standard_normal(out=out)
 
 
 class _Materialised:
@@ -395,10 +382,8 @@ class _Materialised:
 
     A record stores an array, or, if synthesized, a :class:`_RawIntensity`,
     which the first read turns into the array it computes and stores in its
-    place: a :func:`_walk` draws the stream into the new array and fills it
-    in place, a full channel on the workers and a fast one in the calling
-    thread (its few operations per sample ran no faster on workers, whose
-    temporaries add a block each).  Reading it on the class raises
+    place, its blocks filled in place in the calling thread (on workers each
+    would hold its own temporaries).  Reading it on the class raises
     ``AttributeError``, so the field has no default.
     """
 
@@ -411,11 +396,8 @@ class _Materialised:
         channel = vars(record)[self.name]
         if isinstance(channel, _RawIntensity):
             array = np.empty(len(channel))
-            spb = channel.samples_per_bin
-            for _ in _walk(channel, _blocks(len(array), spb, _BLOCK_SAMPLES),
-                           lambda start, stop, samples: None,
-                           _CHUNK_BINS * spb if spb > 1 else None, out=array):
-                pass
+            for start, stop in _blocks(len(array), channel.samples_per_bin, _BLOCK_SAMPLES):
+                _samples(channel, start, stop, array[start:stop])
             channel = vars(record)[self.name] = array
         return channel
 
@@ -437,11 +419,11 @@ class TimeSeriesRecord:
     lock-in layout, and ``time`` and ``magnet_phase`` from that rate on demand.
 
     A synthesized record does not store ``i_omega_pem`` either: it keeps the
-    function of its samples that computes it and the state of the generator
-    it draws from (a ``_RawIntensity``).  The analysis reduces that channel
-    chunk by chunk as it is computed, so the array never exists; reading
-    ``i_omega_pem`` builds it, exactly as a whole-record synthesis would, and
-    the record keeps it from then on.  ``len`` does not build it.
+    function of its samples that computes it, noise included (a
+    ``_RawIntensity``).  The analysis reduces that channel chunk by chunk as
+    it is computed, so the array never exists; reading ``i_omega_pem`` builds
+    it, exactly as a whole-record synthesis would, and the record keeps it
+    from then on.  ``len`` does not build it.
     """
 
     i_omega_pem: np.ndarray = _Materialised()   # no default: stored by _Materialised
@@ -528,20 +510,19 @@ class TimeSeriesRecord:
         return items
 
 
-# Most output bins per block of a full-fidelity channel (see :func:`_blocks`), and per
-# task of its lock-in and build on a worker thread: 64 bins are ~0.53 M raw samples
-# at the default PEM grid.
+# Most output bins per block of a full-fidelity channel (see :func:`_blocks`): 64 bins
+# are ~0.53 M raw samples at the default PEM grid.
 _CHUNK_BINS = 64
 # Most worker threads of :func:`_map_ordered`; each running item holds its own working set.
 _MAX_CHUNK_WORKERS = 8
 # Items per worker thread that :func:`_map_ordered` takes ahead of the result it yields.
 _AHEAD_PER_WORKER = 2
-# Samples per block of the analysis, the lock-in and a channel's build (in whole bins),
-# the unit of work of one thread.  A worker's temporaries are a few block-sized arrays of
-# ~0.5 MB, which stay in its core's cache and leave little behind in its thread's
-# malloc arena: with 4 MB ones, two workers raised the peak RSS of a 64-revolution
-# run by ~25 MB, and one-bin blocks (8336 samples) lose more to per-call overhead
-# than they save.
+# Samples per block of the analysis, the lock-in, a channel's build and the pages of a
+# noise stream (in whole bins), the unit of work of one thread.  A worker's temporaries
+# are a few block-sized arrays of ~0.5 MB, which stay in its core's cache and leave
+# little behind in its thread's malloc arena: with 4 MB ones, two workers raised the
+# peak RSS of a 64-revolution run by ~25 MB, and one-bin blocks (8336 samples) lose
+# more to per-call overhead than they save.
 _BLOCK_SAMPLES = 1 << 16
 
 
@@ -554,34 +535,37 @@ def _chunk_workers() -> int:
     return min(cpus, _MAX_CHUNK_WORKERS)
 
 
-def _in_flight(threads: int | None = None) -> int:
-    """Items :func:`_map_ordered` takes ahead on ``threads`` (default :func:`_chunk_workers`)."""
-    return _AHEAD_PER_WORKER * (threads or _chunk_workers())
+def _in_flight() -> int:
+    """Items :func:`_map_ordered` takes ahead of the result it yields."""
+    return _AHEAD_PER_WORKER * _chunk_workers()
 
 
-def _map_ordered(func, items, threads: int | None = None):
+def _map_ordered(func, items):
     """Yield ``func(item)`` for each of ``items`` in order, computed on worker threads.
 
-    The items run on ``threads`` threads, by default :func:`_chunk_workers`,
-    which overlap because numpy releases the interpreter lock inside its
-    array loops; on one CPU they run in the calling thread.  At most
+    The items run on :func:`_chunk_workers` threads, which overlap because
+    numpy releases the interpreter lock inside its array loops; on one CPU,
+    or if there is only one item, they run in the calling thread.  At most
     :func:`_in_flight` items are taken from ``items`` ahead of the result
     being yielded, so a lazy ``items`` is read only that far ahead, in the
     calling thread, and the results waiting for the caller stay bounded.
-    ``func`` must not depend on the order in which items run, unless there is
-    one thread: it runs them in order, which the draws of :func:`_walk` rely on.
+    ``func`` must not depend on the order in which items run.
     """
     workers = _chunk_workers()
     if workers <= 1:
         yield from map(func, items)
         return
+    items = iter(items)
+    first = list(islice(items, _in_flight()))
+    if len(first) <= 1:  # one item runs no faster on a worker
+        yield from map(func, first)
+        return
     # imported here: it costs every process that imports vmbsim ~8 ms otherwise
     from concurrent.futures import ThreadPoolExecutor
 
-    items = iter(items)
-    threads = threads or workers
-    with ThreadPoolExecutor(threads) as pool:
-        pending = deque(pool.submit(func, item) for item in islice(items, _in_flight(threads)))
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque(pool.submit(func, item) for item in first)
+        del first
         try:
             while pending:
                 result = pending.popleft().result()
@@ -592,8 +576,8 @@ def _map_ordered(func, items, threads: int | None = None):
                 future.cancel()
 
 
-def _blocks(n: int, samples_per_bin: int, size: int):
-    """``(start, stop)`` of consecutive blocks of ``n`` samples, whole bins of about ``size`` samples.
+def _step(samples_per_bin: int, size: int) -> int:
+    """Samples per block of :func:`_blocks`: whole bins, about ``size`` samples.
 
     A block holds at least one bin, and at most ``_CHUNK_BINS`` bins of a
     full-fidelity channel (more than one sample per bin).
@@ -601,103 +585,54 @@ def _blocks(n: int, samples_per_bin: int, size: int):
     bins = max(1, size // samples_per_bin)
     if samples_per_bin > 1:
         bins = min(bins, _CHUNK_BINS)
-    step = bins * samples_per_bin
+    return bins * samples_per_bin
+
+
+def _blocks(n: int, samples_per_bin: int, size: int):
+    """``(start, stop)`` of consecutive blocks of ``n`` samples, :func:`_step` samples or fewer."""
+    step = _step(samples_per_bin, size)
     return ((start, min(start + step, n)) for start in range(0, n, step))
 
 
-def _walk(channel, bounds, func, task_samples: int | None, out: np.ndarray | None = None):
+def _samples(channel, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Samples ``start`` to ``stop`` of a varying channel: a view of a stored one, or the
+    samples a :class:`_RawIntensity` fills into ``out`` (a new array if None), in whole bins."""
+    if not isinstance(channel, _RawIntensity):
+        return channel[start:stop]
+    spb = channel.samples_per_bin
+    if start % spb or stop % spb:
+        raise ValueError(f"blocks of a channel synthesized with {spb} samples per bin "
+                         "must hold whole bins")
+    out = np.empty(stop - start) if out is None else out
+    channel.fill(start // spb, stop // spb, out)
+    return out
+
+
+def _walk(channel, bounds, func, per_task: int = 1):
     """Yield ``func(start, stop, samples)`` for each ``(start, stop)`` of ``bounds``, in order.
 
-    The one pass over a record's varying channel (:func:`_varying_channel`),
-    taking ``bounds`` lazily.  ``samples`` are a view of a stored channel, or
-    the samples that a :class:`_RawIntensity` (whose blocks must be whole
-    bins) fills on the thread that then runs ``func``: into
-    ``out[start:stop]`` if given, else into a buffer that a later block
-    reuses, so ``func`` may use them only until it returns (in the calling
-    thread, until the caller asks for the next result).
-
-    With ``task_samples`` None the blocks run in the calling thread; else on
-    the :func:`_map_ordered` workers, in tasks of consecutive blocks of at
-    most ``task_samples`` samples, and ``func`` must not depend on their
-    order.  The stream is drawn in stream order: for blocks in the calling
-    thread by a one-thread :func:`_map_ordered`, whose one thread runs the
-    draws in order, when there are several blocks and CPUs, else by the
-    calling thread as it takes each block (it only waits on the workers; a
-    drawing thread beside them left ~5 MB more resident in malloc arenas
-    after a 6 h write).  Unless it goes into ``out``, it is drawn into a
-    ring, made in the calling thread for the same reason, of the blocks in
-    flight and drawn ahead, and a task is one block.  Without a stream a
-    block is filled in its thread's buffer, which stays in cache.
+    A pass over a record's varying channel, taking ``bounds`` lazily: views of
+    a stored one in the calling thread, which holds one block's working set,
+    or the blocks of a synthesized one, ``per_task`` a task on the
+    :func:`_map_ordered` workers, so ``func`` must not depend on their order.
+    Each is filled into a buffer of its thread, which its next block reuses.
     """
-    ring_drawn = False
     if not isinstance(channel, _RawIntensity):
-        items = ((channel[start:stop], start, stop) for start, stop in bounds)
-    else:
-        spb = channel.samples_per_bin
-        draw = channel._draw()
-        bounds = iter(bounds)
-        first = list(islice(bounds, 2))
-        threaded = (draw is not None and task_samples is None and len(first) > 1
-                    and _chunk_workers() > 1)
-        ring_drawn = draw is not None and out is None
-        slots = (1 if task_samples is None else _in_flight()) + (_in_flight(1) if threaded else 0)
-        size = max((stop - start for start, stop in first), default=0)
-        ring = {k: np.empty(size) for k in range(slots)} if ring_drawn else {}
-        local = threading.local()
+        return (func(start, stop, channel[start:stop]) for start, stop in bounds)
+    local = threading.local()
 
-        def targets():
-            for i, (start, stop) in enumerate(chain(first, bounds)):
-                if start % spb or stop % spb:
-                    raise ValueError(f"blocks of a channel synthesized with {spb} samples "
-                                     "per bin must hold whole bins")
-                samples = None  # filled in a buffer of the thread that runs the block
-                if out is not None:
-                    samples = out[start:stop]
-                elif draw is not None:
-                    samples = _buffer(ring, i % slots, stop - start)
-                if draw is not None and not threaded:
-                    draw(samples)
-                yield samples, start, stop
+    def task(blocks):
+        results = []
+        for start, stop in blocks:
+            if len(getattr(local, "buffer", ())) < stop - start:
+                local.buffer = np.empty(stop - start)
+            samples = _samples(channel, start, stop, local.buffer[:stop - start])
+            results.append(func(start, stop, samples))
+        return results
 
-        def drawn(item):
-            draw(item[0])
-            return item
-
-        items = _map_ordered(drawn, targets(), threads=1) if threaded else targets()
-
-    def block(item):
-        samples, start, stop = item
-        if isinstance(channel, _RawIntensity):
-            if samples is None:
-                samples = _buffer(vars(local), None, stop - start)
-            channel.fill(start // spb, stop // spb, samples)
-        return func(start, stop, samples)
-
-    if task_samples is None:
-        return map(block, items)
-    if ring_drawn:
-        return _map_ordered(block, items)
-    tasks = _map_ordered(lambda task: [block(item) for item in task], _tasks(items, task_samples))
-    return chain.from_iterable(tasks)
-
-
-def _tasks(items, size: int):
-    """Runs of consecutive blocks ``(samples, start, stop)`` of at most ``size`` samples, at least one."""
-    task = []
-    for item in items:
-        if task and item[2] - task[0][1] > size:
-            yield task
-            task = []
-        task.append(item)
-    if task:
-        yield task
-
-
-def _buffer(buffers: dict, key, n: int) -> np.ndarray:
-    """The first ``n`` items of ``buffers[key]``, a float64 array made larger first if it is short."""
-    if len(buffers.get(key, ())) < n:
-        buffers[key] = np.empty(n)
-    return buffers[key][:n]
+    bounds = iter(bounds)
+    tasks = iter(lambda: list(islice(bounds, per_task)), [])
+    return chain.from_iterable(_map_ordered(task, tasks))
 
 
 def _varying_channel(record: TimeSeriesRecord):
@@ -705,7 +640,7 @@ def _varying_channel(record: TimeSeriesRecord):
     return vars(record)["i_omega_pem"]
 
 
-# Rows formatted per block, the writer's unit of work on one worker thread (~0.65 MB
+# Rows formatted per piece, the writer's unit of work on one worker thread (~0.65 MB
 # of text), and bytes read per block, completed to a whole row, the reader's (~6.6 k
 # rows).  Larger blocks ran faster, but each worker thread's malloc arena keeps the
 # block temporaries it held at its peak, which counts in the process's resident memory.
@@ -821,10 +756,10 @@ def _format_rows(columns) -> bytes:
 def write_record(record: TimeSeriesRecord, path) -> None:
     """Serialize to the columnar text format (header block, then fixed columns).
 
-    The rows are a :func:`_walk` over ``I_OmegaPEM`` in blocks of whole bins of
-    about ``_WRITE_ROWS`` rows, formatted on worker threads and written in
-    order, so the bytes do not depend on the number of threads, and a
-    synthesized record is written without building its array.
+    ``I_OmegaPEM`` is taken a noise page at a time (:func:`_samples`), so a
+    synthesized record is written without building its array.  The rows are
+    formatted in pieces of ``_WRITE_ROWS`` on the :func:`_map_ordered` workers
+    and written in order, so the bytes do not depend on the number of threads.
     """
     header = "".join(
         f"# {key} = {format_value(value)}\n"
@@ -832,16 +767,24 @@ def write_record(record: TimeSeriesRecord, path) -> None:
     )
     header += "# columns = " + ", ".join(RECORD_COLUMNS) + "\n"
     samples_per_bin = record.lockin_layout()[1] if record.fidelity == "full" else 1
+    channel = _varying_channel(record)
 
-    def block(start: int, stop: int, omega: np.ndarray) -> bytes:
+    def pieces():
+        for start, stop in _blocks(len(record), samples_per_bin, _BLOCK_SAMPLES):
+            omega = _samples(channel, start, stop)
+            for row in range(start, stop, _WRITE_ROWS):
+                end = min(row + _WRITE_ROWS, stop)
+                yield row, end, omega[row - start:end - start]
+
+    def rows(piece) -> bytes:
+        start, stop, omega = piece
         t, phase = record.derived_columns(start, stop)
-        return _format_rows((t, omega, record.i_2omega_pem[start:stop],
-                             record.i0[start:stop], phase))
+        return _format_rows((t, omega, record.i_2omega_pem[start:stop], record.i0[start:stop],
+                             phase))
 
-    bounds = _blocks(len(record), samples_per_bin, _WRITE_ROWS)
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        for text in _walk(_varying_channel(record), bounds, block, _WRITE_ROWS):
+        for text in _map_ordered(rows, pieces()):
             fh.write(text)
 
 
@@ -998,7 +941,7 @@ def _loadtxt_block(block: np.ndarray) -> np.ndarray | None:
     This reads any block the canonical decoder does not, with the text
     decoding and newline handling of ``np.loadtxt`` on the whole file.
     """
-    text = io.TextIOWrapper(io.BytesIO(block[_PAD:-_PAD].tobytes()))
+    text = io.TextIOWrapper(io.BytesIO(block[_PAD:-_PAD].tobytes()), encoding="utf-8")
     with warnings.catch_warnings():
         # a block of comment lines holds no rows
         warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
@@ -1074,22 +1017,50 @@ class _RecordRows:
         return True
 
 
+def _lines(fh, first: int = 1):
+    """``(file_line, bytes)`` of each line of binary ``fh`` from line ``first``, without its end.
+
+    A line ends at "\\r\\n", "\\r" or "\\n", as in text mode and ``np.loadtxt``.
+    """
+    number = first
+    for line in fh:
+        for text in line.removesuffix(b"\n").removesuffix(b"\r").split(b"\r"):
+            yield number, text
+            number += 1
+
+
+def _not_utf8(text: bytes) -> str | None:
+    """Why a line's bytes are not UTF-8 text, naming the first bad byte; None if they are."""
+    try:
+        text.decode()
+    except UnicodeDecodeError as exc:
+        return f"byte 0x{text[exc.start]:02x} is not UTF-8 text"
+    return None
+
+
 def _data_rows(path):
     """``(data_row, file_line, cells)`` of each row the reader parses, both numbered from 1.
 
     Past the lines :func:`_skip_header` skips, a row is a line with any text
-    before its ``#``, whitespace too, as ``np.loadtxt`` reads it.
+    before its ``#``, whitespace too, as ``np.loadtxt`` reads it.  A line
+    that is not UTF-8 text is refused, named by its data row and file line,
+    or by its file line alone if it holds no row.
     """
     with open(path, "rb") as fh:
         _skip_header(fh)
         skipped = fh.tell()
         fh.seek(0)
         row, first = 0, fh.read(skipped).count(b"\n") + 1  # the skipped lines end in "\n"
-        for line_no, line in enumerate(io.TextIOWrapper(fh), first):
-            text = line.rstrip("\n").partition("#")[0]
+        for line_no, line in _lines(fh, first):
+            text = line.partition(b"#")[0]
+            row += bool(text)
+            reason = _not_utf8(line)
+            if reason is not None:
+                if text:
+                    raise _row_error(path, row, line_no, reason)
+                raise ValueError(f"record file {path}, file line {line_no}: {reason}")
             if text:
-                row += 1
-                yield row, line_no, text.split(",")
+                yield row, line_no, text.decode().split(",")
 
 
 def _row_error(path, row: int, line: int, reason: str) -> ValueError:
@@ -1128,14 +1099,16 @@ def read_record(path) -> TimeSeriesRecord:
     """Read a record written by :func:`write_record`.
 
     The header is the leading block of ``#`` lines; ``#`` lines after the
-    first data row are comments. A malformed or non-finite row is named by
-    its 1-based data row and file line. A ``config_hash`` that the header's
-    config does not hash to, a header ``sample_rate_hz`` more than 1e-8 away
-    from the rate that the config and lock-in layout derive, and a ``time`` or
-    ``magnet_phase`` cell off that grid are refused; the record keeps neither
-    column, and uses only the derived rate, as a synthesized one does. Like a
-    synthesized record, it stores ``I_OmegaPEM`` as its own array, and ``I0``
-    and ``I_2OmegaPEM`` as zero-stride views when they are constant.
+    first data row are comments. A malformed or non-finite row, or one that
+    is not UTF-8 text, is named by its 1-based data row and file line, a
+    header line that is not UTF-8 text by its file line. A ``config_hash``
+    that the header's config does not hash to, a header ``sample_rate_hz``
+    more than 1e-8 away from the rate that the config and lock-in layout
+    derive, and a ``time`` or ``magnet_phase`` cell off that grid are refused;
+    the record keeps neither column, and uses only the derived rate, as a
+    synthesized one does. Like a synthesized record, it stores ``I_OmegaPEM``
+    as its own array, and ``I0`` and ``I_2OmegaPEM`` as zero-stride views
+    when they are constant.
 
     The rows are read in blocks, decoded on worker threads by
     :func:`_map_ordered` and checked in order, so the values and errors do not
@@ -1147,13 +1120,15 @@ def read_record(path) -> TimeSeriesRecord:
     """
     header: dict[str, str] = {}
     lines: dict[str, int] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in _lines(fh):
+            line = raw.decode(errors="replace").strip()
             if not line:
                 continue
             if not line.startswith("#"):
-                break
+                break  # a row that is not UTF-8 text is named by the checks of the rows
+            if _not_utf8(raw):
+                raise ValueError(f"record file {path} line {lineno}: {_not_utf8(raw)}")
             key, eq, value = line[1:].partition("=")
             if eq:
                 key = key.strip()

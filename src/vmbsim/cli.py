@@ -203,8 +203,8 @@ def _record_paths(args) -> list[Path]:
 
 
 def _analyze_file(path: Path, args, config: ApparatusConfig, first: ApparatusConfig | None,
-                  override: bool = True):
-    """``(estimate, (frequencies, averaged spectrum))`` of one record file; the record is not kept.
+                  override: bool = True, spectrum: bool = False):
+    """``(estimate, (frequencies, averaged spectrum) or None)`` of a record file, not kept.
 
     A record of another configuration than the ``first`` record's or
     ``--config`` is refused.  With ``override`` the command has
@@ -233,7 +233,7 @@ def _analyze_file(path: Path, args, config: ApparatusConfig, first: ApparatusCon
             + ("; pass --allow-mismatch to override" if override else "")
         )
     try:
-        return _analyze(record, args.block_size, args.noise_halfwidth)
+        return _analyze(record, args.block_size, args.noise_halfwidth, spectrum=spectrum)
     except ValueError as exc:
         raise DataError(f"analysis of {path} failed: {exc}") from exc
 
@@ -270,7 +270,8 @@ def _cmd_analyze(args) -> int:
     estimates, spectra = [], []
     for path in paths:
         estimate, spectrum = _analyze_file(path, args, config,
-                                           estimates[0].config if estimates else None)
+                                           estimates[0].config if estimates else None,
+                                           spectrum=True)
         estimates.append(estimate)
         spectra.append(spectrum)
 

@@ -10,19 +10,17 @@ magnet rotation frequency are combined by an inverse-variance vector average.
 The same vector average combines runs.
 
 Memory: :func:`analyze_record`, ``vmbsim analyze`` and ``calibrate`` run one
-pass (``_analyze``) over the record, in the chunks of ``apparatus._blocks``:
-whole blocks, about ``apparatus._BLOCK_SAMPLES`` samples each.  Each chunk is
-divided by the lock-in normalization, Fourier transformed and reduced to its
-blocks' 2*Omega_Mag amplitudes, floored Rayleigh sigmas and leakage tests
-(every block is tested, a record warns once) while it is in cache, and its
-spectra are added to the inverse-variance averaged spectrum that ``vmbsim
-analyze`` writes.  No analysis holds the ellipticity series or the block
-spectra.  A stored record is walked in views of it; a synthesized fast record
-keeps no array, and its chunks are computed in turn while one worker thread
-draws the noise of the next ones.  :func:`block_fft` runs the same chunk pass
-and :func:`with_rayleigh_sigma` takes all its blocks at once; the one pass
-equals them bit for bit, as every order-sensitive sum runs in an order fixed
-by the block alone, whatever the chunks or the CPU count.
+pass (``_analyze``) over the record, in chunks of whole blocks of about
+``apparatus._BLOCK_SAMPLES`` samples.  A chunk, a view of a stored record or
+computed on a worker thread, is divided by the lock-in normalization, Fourier
+transformed and reduced to its blocks' 2*Omega_Mag amplitudes, floored
+Rayleigh sigmas and leakage tests (a record warns once) while it is in cache.
+Only the ordered sum of the averaged spectrum, which ``vmbsim analyze`` alone
+asks for, runs in the calling thread, in block order.  No analysis holds the
+ellipticity series or the block spectra.  :func:`block_fft` runs the same
+chunk pass and :func:`with_rayleigh_sigma` takes all its blocks at once; the
+one pass equals them bit for bit, as every order-sensitive sum runs in an
+order fixed by the block alone, whatever the chunks or the CPU count.
 
 FFT normalization: one-sided amplitude spectrum; a real tone of ellipticity
 amplitude A centered on a bin reports |c| = A.  A tone A*sin(w t + phi0)
@@ -34,6 +32,7 @@ phase is 2*theta0 - pi/2 ("analytic convention").
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, replace
 
@@ -46,6 +45,7 @@ from .apparatus import (
     _BLOCK_SAMPLES,
     _CHUNK_BINS,
     _blocks,
+    _step,
     _varying_channel,
     _walk,
     parse_source,
@@ -179,9 +179,9 @@ def _lock_in(record: TimeSeriesRecord):
 def _digital_lock_in(record: TimeSeriesRecord) -> np.ndarray:
     """Rows ``I_OmegaPEM`` and ``I_2OmegaPEM`` of a full-fidelity record on the output grid.
 
-    Each block of bins is reduced on a worker thread (``apparatus._walk``):
-    a view of a stored raw channel, or the block a synthesized record's kept
-    function just computed.  No raw array is built.
+    Each block of bins is reduced as it is taken (``apparatus._walk``): a
+    view of a stored raw channel, or the block that a synthesized record's
+    kept function just computed on a worker thread.  No raw array is built.
 
     A bin is ``2 <I cos(k w t)>`` for k = 1, 2: one multiply-accumulate pass
     of ``np.einsum`` over the block's rows yields both references' sums, with
@@ -209,8 +209,10 @@ def _digital_lock_in(record: TimeSeriesRecord) -> np.ndarray:
         lock[:, c0:c1] = 2.0 * (np.einsum("ij,kj->ki", rows, refs, optimize=False)
                                   / samples_per_bin)
 
+    # tasks of up to _CHUNK_BINS bins, each page a block
+    per_task = _CHUNK_BINS * samples_per_bin // _step(samples_per_bin, _BLOCK_SAMPLES)
     for _ in _walk(_varying_channel(record), _blocks(n, samples_per_bin, _BLOCK_SAMPLES),
-                   lock_in, _CHUNK_BINS * samples_per_bin):
+                   lock_in, per_task):
         pass
     return lock
 
@@ -230,8 +232,9 @@ def block_fft(psi: np.ndarray, config: ApparatusConfig,
     """
     n_blocks, revs_per_block = _whole_blocks(len(psi), config, block_size)
     bins = np.empty((n_blocks, block_size // 2 + 1), dtype=complex)
-    for r0, r1, chunk, _ in _block_spectra(psi, 1.0, block_size, n_blocks, 2 * revs_per_block):
-        bins[r0:r1] = chunk
+    for _ in _block_spectra(psi, 1.0, block_size, n_blocks, 2 * revs_per_block,
+                            lambda r0, r1, chunk, amps: np.copyto(bins[r0:r1], chunk)):
+        pass
     return BlockSpectra(bins, 2 * revs_per_block, revs_per_block, config.sample_rate_hz)
 
 
@@ -254,38 +257,43 @@ def _whole_blocks(n_samples: int, config: ApparatusConfig, block_size: int) -> t
     return n_blocks, block_size // spr
 
 
-def _block_spectra(series, root_norm: float, block_size: int, n_blocks: int, k: int):
-    """Yield ``(r0, r1, bins, abs(bins))`` for blocks ``r0:r1`` of ``series / root_norm``.
+def _block_spectra(series, root_norm: float, block_size: int, n_blocks: int, k: int, reduce):
+    """Yield ``reduce(r0, r1, bins, abs(bins))`` for blocks ``r0:r1`` of ``series / root_norm``.
 
-    The one pass over a record's blocks that every analysis runs, a chunk of
-    ``apparatus._blocks`` at a time, so a chunk's series and spectra stay in
+    The one pass over a record's blocks that every analysis runs, a chunk at a
+    time (one ``apparatus._walk``), so a chunk's series and spectra stay in
     cache.  ``series`` is an array, whose chunks are views, or a synthesized
-    fast channel, whose chunks are computed in turn in the calling thread
-    while one worker thread draws the noise of the next ones (one
-    ``apparatus._walk``).  ``bins`` is a buffer that the next chunk overwrites.
-    Each value takes the same operations as in one pass over the whole
-    record.  One warning at the end names the blocks whose tone is off the
-    center of bin ``k``.
+    fast channel, whose chunk's samples, spectra and ``reduce`` run as one
+    task on a worker thread.  ``bins`` is a buffer of the thread, which its
+    next chunk overwrites.  Each value takes the same operations as in one
+    pass over the whole record.  One warning at the end names the blocks whose
+    tone is off the center of bin ``k``.
     """
-    bounds = list(_blocks(n_blocks * block_size, block_size, _BLOCK_SAMPLES))
-    # no chunk is longer than the first
-    scratch = np.empty((bounds[0][1] // block_size, block_size // 2 + 1), dtype=complex)
     leaks = np.empty(n_blocks, dtype=bool)
+    stored = isinstance(series, np.ndarray)
+    local = threading.local()
 
     def spectra(start: int, stop: int, samples: np.ndarray):
         r0, r1 = start // block_size, stop // block_size
-        bins = scratch[:r1 - r0]
         rows = samples.reshape(r1 - r0, block_size)
-        np.fft.rfft(rows / root_norm, axis=1, out=bins)
+        # a computed chunk is the task's own, and is divided in place
+        scaled = rows / root_norm if stored else np.divide(rows, root_norm, out=rows)
+        if len(getattr(local, "bins", ())) < r1 - r0:
+            local.bins = np.empty((r1 - r0, block_size // 2 + 1), dtype=complex)
+        bins = np.fft.rfft(scaled, axis=1, out=local.bins[:r1 - r0])
+        del scaled
         # one-sided amplitude normalization: interior bins 2/N, DC and Nyquist 1/N
         bins *= 2.0 / block_size
         bins[:, 0] *= 0.5
         bins[:, -1] *= 0.5
         amps = np.abs(bins)
         leaks[r0:r1] = _off_bin(amps, k)
-        return r0, r1, bins, amps
+        return reduce(r0, r1, bins, amps)
 
-    yield from _walk(series, bounds, spectra, None)
+    # whole blocks of about _BLOCK_SAMPLES samples: at a power-of-two block size, each chunk
+    # of a synthesized series is the pages of its noise, or a part of one page
+    chunk = max(1, _BLOCK_SAMPLES // block_size) * block_size
+    yield from _walk(series, _blocks(n_blocks * block_size, 1, chunk), spectra)
     leaky = np.flatnonzero(leaks)
     if len(leaky):
         warnings.warn(f"significant spectral energy next to the 2*Omega_Mag bin in {len(leaky)} "
@@ -456,17 +464,17 @@ def analyze_record(record: TimeSeriesRecord, block_size: int = DEFAULT_BLOCK_SIZ
     Equal, value for value, to ``estimate_from_spectra(with_rayleigh_sigma(
     block_fft(demodulate(record), ...)), record)``, but in one pass over
     chunks of blocks that keeps only each block's 2*Omega_Mag amplitude and
-    sigma, and one averaged spectrum.
+    sigma.
     """
     return _analyze(record, block_size, noise_halfwidth)[0]
 
 
-def _analyze(record: TimeSeriesRecord, block_size: int, noise_halfwidth: int
-             ) -> tuple[RunEstimate, tuple[np.ndarray, np.ndarray]]:
+def _analyze(record: TimeSeriesRecord, block_size: int, noise_halfwidth: int,
+             spectrum: bool = False) -> tuple[RunEstimate, tuple[np.ndarray, np.ndarray] | None]:
     """The one pass of every analysis: ``(run estimate, (frequencies_hz, averaged spectrum))``.
 
-    The spectrum is ``averaged_spectrum(with_rayleigh_sigma(block_fft(demodulate(record),
-    ...)))`` bit for bit, but no record-sized array is built.
+    The spectrum, None unless ``spectrum`` asks for it, is ``averaged_spectrum(
+    with_rayleigh_sigma(block_fft(demodulate(record), ...)))`` bit for bit.
     """
     # full-fidelity records land on the same synchronous output grid after demodulation
     series, root_norm = _lock_in(record)
@@ -475,15 +483,21 @@ def _analyze(record: TimeSeriesRecord, block_size: int, noise_halfwidth: int
     idx = _enough_noise_bins(_noise_bins(k, block_size // 2 + 1, revs_per_block, noise_halfwidth))
     amplitudes = np.empty(n_blocks, dtype=complex)
     sigmas = np.empty(n_blocks)
-    total = np.zeros(block_size // 2 + 1, dtype=complex)
-    for r0, r1, chunk, amps in _block_spectra(series, root_norm, block_size, n_blocks, k):
-        amplitudes[r0:r1] = chunk[:, k]
+
+    def reduce(r0: int, r1: int, bins: np.ndarray, amps: np.ndarray):
+        amplitudes[r0:r1] = bins[:, k]
         sigmas[r0:r1] = _floored_sigma(amps, idx)
-        del amps  # not held while the next chunk is computed
-        _add_weighted(total, chunk, sigmas[r0:r1])
+        return _weighted(bins, sigmas[r0:r1]) if spectrum else None
+
+    total = np.zeros(block_size // 2 + 1, dtype=complex)
+    for terms in _block_spectra(series, root_norm, block_size, n_blocks, k, reduce):
+        if terms is not None:
+            _add_weighted(total, terms)
+        del terms  # not held while the next chunk is computed
     rate = record.config.sample_rate_hz
     estimate = _run_estimate(amplitudes, sigmas, block_size, rate, record)  # checks the sigmas
-    return estimate, (np.arange(len(total)) * rate / block_size, total / (1.0 / sigmas**2).sum())
+    frequencies = np.arange(len(total)) * rate / block_size
+    return estimate, (frequencies, total / (1.0 / sigmas**2).sum()) if spectrum else None
 
 
 def estimate_from_spectra(spectra: BlockSpectra, record: TimeSeriesRecord) -> RunEstimate:
@@ -540,21 +554,27 @@ def averaged_spectrum(spectra: BlockSpectra) -> tuple[np.ndarray, np.ndarray]:
     """Inverse-variance averaged complex spectrum over blocks: (freq_hz, complex amps)."""
     sigmas = _positive_sigmas(spectra.rayleigh_sigma)
     total = np.zeros(spectra.bins.shape[1], dtype=complex)
-    _add_weighted(total, spectra.bins, sigmas)
+    _add_weighted(total, _weighted(spectra.bins, sigmas))
     return spectra.frequencies_hz, total / (1.0 / sigmas**2).sum()
 
 
-def _add_weighted(total: np.ndarray, bins: np.ndarray, sigmas: np.ndarray) -> None:
-    """Add the rows of ``bins``, each weighted by 1/sigma**2, to ``total`` in block order.
+def _weighted(bins: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """The rows of ``bins``, each weighted by 1/sigma**2, after a first row left for the sum."""
+    terms = np.empty((len(bins) + 1, bins.shape[1]), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero sigma is refused at the end
+        np.multiply((1.0 / sigmas**2)[:, None], bins, out=terms[1:])
+    return terms
+
+
+def _add_weighted(total: np.ndarray, terms: np.ndarray) -> None:
+    """Add the weighted rows of ``terms`` (see :func:`_weighted`) to ``total`` in block order.
 
     numpy reduces the outer axis of a C-ordered array a row at a time (it sums pairwise
     only along the contiguous axis), so the bits depend neither on the chunks nor, as a
     BLAS reduction's do, on the CPU count.  ``np.cumsum`` gives them 3-4 times slower.
     """
-    terms = np.empty((len(bins) + 1, len(total)), dtype=complex)
     terms[0] = total
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero sigma is refused at the end
-        np.multiply((1.0 / sigmas**2)[:, None], bins, out=terms[1:])
+    with np.errstate(invalid="ignore"):  # a zero sigma is refused at the end
         np.add.reduce(terms, axis=0, out=total)
 
 

@@ -8,29 +8,21 @@ Two fidelity levels:
   and the ``sin(2 theta)`` signal and the spurious tones are computed only
   when they are nonzero: the constant channels are zero-stride views and
   ``time`` and ``magnet_phase`` are derived by the record on demand.
-  Synthesis does not build ``I_OmegaPEM`` either.  The record keeps the
-  function of its samples and the generator state it draws from: the
-  ellipticity noise's stream, or, with detector noise, the detector noise's,
-  which follows the whole ellipticity draw, so that the ellipticity noise is
-  then drawn at synthesis and kept.
+  Synthesis does not build ``I_OmegaPEM`` either: the record keeps the
+  function of its samples, noise included, and no noise array.
 * ``full`` emits the raw analyser intensity (the exact squared-modulus form,
   extinction and PEM carrier included) at many samples per PEM cycle, so the
-  digital lock-in in the analysis chain can be validated end to end.  A block
-  of a few output bins is a pure function of its bins and of the detector
-  intensity noise's draws, which follow the ellipticity draw in the stream.
-  So the record keeps that function and the generator state, not a raw
-  array.
+  digital lock-in in the analysis chain can be validated end to end.  The
+  record keeps the ellipticity noise of its output bins and the function of
+  its raw samples, detector noise included, not a raw array.
 
-Every pass over a kept channel is one walk over its blocks
-(``apparatus._walk``), which draws the stream in order and fills each block
-on the thread that uses it: the fast analysis in the calling thread, with a
-helper drawing ahead; the full lock-in, the record writer and the array
-build (the first read of ``i_omega_pem``) on up to one worker per CPU.  So
-they hold a few blocks per thread, whatever the run length.
-
-Either way every sample takes the same operations as in one pass over
-whole-record arrays, every pass draws from a copy of the generator state,
-and the samples do not depend on the number of CPUs.
+Each noise stream (the ellipticity noise on the output grid, the detector
+noise on the channel's own grid) is cut into pages, the blocks of
+``apparatus._blocks`` at ``apparatus._BLOCK_SAMPLES`` on its grid, and page p
+draws from its own generator (:func:`_page`).  So samples are a pure function
+of their indices, whatever the run length, and a pass over a kept channel
+(``apparatus._walk``) computes its blocks on worker threads, in any order,
+each with the same operations as one pass over whole-record arrays.
 
 The magnets rotate together, so both levels carry one signal,
 psi(t) = psi sin(2 (2 pi f_Mag t + theta0)), whose 2*Omega_Mag line is the
@@ -63,7 +55,9 @@ from .apparatus import (
     NoiseModel,
     QUIET,
     TimeSeriesRecord,
+    _BLOCK_SAMPLES,
     _RawIntensity,
+    _step,
     grid_rate,
 )
 
@@ -142,45 +136,57 @@ def _noise_sigma(noise: NoiseModel, sample_rate: float) -> float:
     return noise.ellipticity_noise_density * math.sqrt(sample_rate / 2.0)
 
 
-def _ellipticity_noise(noise: NoiseModel, rng: np.random.Generator, n: int, sample_rate: float):
-    """Per-output-sample white ellipticity noise: a new array, or a zero-stride zero without it."""
-    if noise.ellipticity_noise_density == 0.0:
-        return np.broadcast_to(0.0, n)
-    draw = rng.standard_normal(n)
-    draw *= _noise_sigma(noise, sample_rate)
-    return draw
+# noise streams: the ellipticity noise (output grid), the detector noise (channel's grid)
+_ELLIPTICITY, _DETECTOR = 0, 1
 
 
-def _fast_channel(config: ApparatusConfig, psi: float, noise: NoiseModel, eps_noise):
+def _page(seed: int, stream: int, page: int) -> np.random.Generator:
+    """The generator of page ``page`` of noise stream ``stream`` of a run of seed ``seed``."""
+    seeds = np.random.SeedSequence(seed, spawn_key=(stream, page))
+    return np.random.Generator(np.random.PCG64(seeds))
+
+
+def _normals(seed: int, stream: int, samples_per_bin: int, s0: int, s1: int, out: np.ndarray):
+    """Fill ``out`` with the standard normals of samples ``s0`` to ``s1`` of a noise stream.
+
+    A page is drawn from its start as far as they need: a generator's first
+    normals do not depend on how many it draws, nor a sample on the run length.
+    """
+    size = _step(samples_per_bin, _BLOCK_SAMPLES)
+    for p in range(s0 // size, -(-s1 // size)):
+        start, stop = max(s0, p * size), min(s1, (p + 1) * size)
+        rng = _page(seed, stream, p)
+        if start == p * size:
+            rng.standard_normal(out=out[start - s0:stop - s0])
+        else:
+            out[start - s0:stop - s0] = rng.standard_normal(stop - p * size)[start - p * size:]
+
+
+def _fast_channel(config: ApparatusConfig, psi: float, noise: NoiseModel):
     """``fill(s0, s1, out)``: a fast record's I_OmegaPEM of samples ``s0`` to ``s1``, into ``out``.
 
     I_OmegaPEM = 2 I0 eta0 (signal + alpha + eps), plus the detector noise.
-
-    ``eps_noise`` None means that ``out`` holds on entry the standard normals
-    of the ellipticity noise, which is scaled in place; otherwise the
-    ellipticity noise is ``eps_noise``, and with detector noise ``out`` holds
-    on entry that noise's standard normals.  Every sample takes the same
-    operations as over whole-record arrays (a + b is b + a bit for bit), so
-    the samples do not depend on the spans they are filled in.
+    Every sample takes the same operations as over whole-record arrays (a + b
+    is b + a bit for bit), so the samples do not depend on the spans they are
+    filled in.
     """
     gain = 2.0 * config.incident_power_w * config.pem_depth
     sigma_t = _noise_sigma(noise, config.sample_rate_hz)
     detector_sigma = config.incident_power_w * noise.detector_white_noise
 
     def fill(s0: int, s1: int, out: np.ndarray) -> None:
-        if eps_noise is None:
+        if sigma_t > 0.0:
+            _normals(noise.rng_seed, _ELLIPTICITY, 1, s0, s1, out)
             out *= sigma_t
-            out += _signal_and_alpha(config, psi, noise, s0, s1)
-            out *= gain
-            return
-        # an absent noise is a zero-stride zero, and the sum turns a -0.0 signal into +0.0
-        psi_t = eps_noise[s0:s1] + _signal_and_alpha(config, psi, noise, s0, s1)
-        if detector_sigma > 0.0:
-            psi_t *= gain
-            out *= detector_sigma
-            out += psi_t
         else:
-            np.multiply(psi_t, gain, out=out)
+            out[...] = 0.0  # the sum turns a -0.0 signal into +0.0, as adding the noise does
+        out += _signal_and_alpha(config, psi, noise, s0, s1)
+        out *= gain
+        if detector_sigma > 0.0:
+            detector = np.empty_like(out)
+            _normals(noise.rng_seed, _DETECTOR, 1, s0, s1, detector)
+            detector *= detector_sigma
+            out += detector
 
     return fill
 
@@ -195,32 +201,22 @@ def synthesize_run(
 ) -> TimeSeriesRecord:
     """Produce a deterministic synthetic run record.
 
-    The ellipticity noise realization depends only on (seed, number of output
-    samples), so a fast and a full synthesis of the same physics share the
-    same noise sequence; in the full path it is held constant across each
-    output bin.
+    The noise realization depends only on (seed, sample index): a longer run
+    of the same seed has the samples of a shorter one first, and a fast and a
+    full synthesis of the same physics share the same ellipticity noise, which
+    the full path holds constant across each output bin.
     """
     if fidelity not in ("fast", "full"):
         raise ValueError(f"fidelity must be 'fast' or 'full', got {fidelity!r}")
     n_revs = _check_duration(config, duration_s)
-    rng = np.random.default_rng(noise.rng_seed)
     n_out = n_revs * config.samples_per_revolution
     i0 = config.incident_power_w
     eta0 = config.pem_depth
 
     if fidelity == "fast":
-        # The record keeps the function of its samples and the stream it draws: the
-        # ellipticity noise, or, with detector noise, that noise, which follows the whole
-        # ellipticity draw in the stream; so the ellipticity noise is then drawn and kept here.
-        if noise.detector_white_noise == 0.0 and noise.ellipticity_noise_density > 0.0:
-            eps_noise, stream = None, rng
-        else:
-            eps_noise = _ellipticity_noise(noise, rng, n_out, config.sample_rate_hz)
-            stream = rng if noise.detector_white_noise > 0.0 else None
         psi = source_ellipticity(source, config)
         return TimeSeriesRecord(
-            i_omega_pem=_RawIntensity(_fast_channel(config, psi, noise, eps_noise), n_out, 1,
-                                      stream),
+            i_omega_pem=_RawIntensity(_fast_channel(config, psi, noise), n_out, 1),
             i_2omega_pem=np.broadcast_to(0.5 * i0 * eta0**2, n_out),
             i0=np.broadcast_to(i0, n_out),
             fidelity="fast",
@@ -240,13 +236,16 @@ def synthesize_run(
     samples_per_bin = pem_oversample * cycles_per_bin
     fs = grid_rate(config, (pem_oversample, samples_per_bin))
     n_raw = n_out * samples_per_bin
-    # The record keeps the function of its bins and, with intensity noise, the
-    # generator after the ellipticity draw, which that noise's stream follows;
-    # the lock-in computes the samples block by block from them.
-    eps_noise = _ellipticity_noise(noise, rng, n_out, config.sample_rate_hz)
+    # The record keeps the ellipticity noise of its output bins and the function of its
+    # raw samples; the lock-in computes the samples block by block from them.
+    eps_noise = np.broadcast_to(0.0, n_out)  # a zero-stride zero without the noise
+    if noise.ellipticity_noise_density > 0.0:
+        eps_noise = np.empty(n_out)
+        _normals(noise.rng_seed, _ELLIPTICITY, 1, 0, n_out, eps_noise)
+        eps_noise *= _noise_sigma(noise, config.sample_rate_hz)
     intensity = _RawIntensity(
         _raw_intensity(config, source, noise, eps_noise, samples_per_bin, pem_oversample, fs),
-        n_out, samples_per_bin, rng if noise.detector_white_noise > 0.0 else None,
+        n_out, samples_per_bin,
     )
     return TimeSeriesRecord(
         i_omega_pem=intensity,
@@ -278,8 +277,8 @@ def _raw_intensity(
     """``fill(c0, c1, out)``: the raw intensity of output bins ``c0`` to ``c1``, into ``out``.
 
     ``out`` receives ``(c1 - c0) * samples_per_bin`` samples.  With the
-    detector's intensity noise, it holds on entry that noise's standard
-    normals ``n``, and each sample is multiplied by ``1 + rin * n``.
+    detector's intensity noise, each sample is multiplied by ``1 + rin * n``,
+    ``n`` its draw of the detector noise, drawn into ``out`` first.
     Carrier plus signal repeat every half revolution, ``samples_per_revolution
     / 2`` bins: a block reads their rows from one read-only table of that
     period (1.07 MB at the defaults), its phase reduced exactly from the
@@ -304,7 +303,11 @@ def _raw_intensity(
     rin = noise.detector_white_noise
 
     def fill(c0: int, c1: int, out: np.ndarray) -> None:
-        raw = np.empty_like(out) if rin > 0.0 else out
+        raw = out
+        if rin > 0.0:
+            raw = np.empty_like(out)
+            _normals(noise.rng_seed, _DETECTOR, samples_per_bin, c0 * samples_per_bin,
+                     c1 * samples_per_bin, out)
         per_bin = raw.reshape(c1 - c0, samples_per_bin)
         alpha = None
         if noise.spurious_tones:

@@ -316,7 +316,8 @@ class TestAnalyze:
         if fidelity == "full":
             analyze += ["--blocks", "1024", "--noise-halfwidth", "60"]
 
-        def staged(record, block_size, noise_halfwidth):
+        def staged(record, block_size, noise_halfwidth, spectrum):
+            assert spectrum  # vmbsim analyze writes the averaged spectrum
             spectra = pipeline.with_rayleigh_sigma(
                 pipeline.block_fft(pipeline.demodulate(record), record.config, block_size),
                 noise_halfwidth,
@@ -724,7 +725,8 @@ def mutated(text: str, kind: str, at: int, other: int) -> bytes | None:
 
     ``text``, ``nan``, ``inf`` and ``bad_value`` replace a value but keep its unit;
     ``bad_value`` puts one of the ``BAD_VALUES`` of its type on a config field's line, or on
-    any line of a file without config fields.
+    any line of a file without config fields.  ``non_utf8`` puts byte 0xff or 0x85, which
+    are not UTF-8 text, into any line.
     """
     if kind == "missing":
         return None
@@ -733,6 +735,12 @@ def mutated(text: str, kind: str, at: int, other: int) -> bytes | None:
         return b""
     if kind == "cut":
         return data[:at % (len(data) + 1)]
+    if kind == "non_utf8":
+        rows = data.split(b"\n")
+        i = at % len(rows)
+        j = (other >> 1) % (len(rows[i]) + 1)
+        rows[i] = rows[i][:j] + (b"\xff", b"\x85")[other & 1] + rows[i][j:]
+        return b"\n".join(rows)
     if kind == "unknown_key":
         return data + (b"no_such_key = 1.0\n", b"config.no_such_field = 1.0\n")[other % 2]
     lines = text.splitlines()
@@ -811,7 +819,7 @@ def mutated_record(text: str, kind: str, at: int, other: int) -> bytes | None:
     ``text``, ``nan`` and ``inf`` replace a data cell; ``unknown_key`` and
     ``duplicate`` add a ``# key = value`` line to the header, and ``bad_value`` edits one.
     """
-    if kind in ("missing", "empty", "cut"):
+    if kind in ("missing", "empty", "cut", "non_utf8"):
         return mutated(text, kind, at, other)
     lines = text.splitlines()
     n = sum(line.startswith("#") for line in lines)  # the header lines lead
@@ -829,7 +837,7 @@ def mutated_record(text: str, kind: str, at: int, other: int) -> bytes | None:
 
 
 ANALYZE_MUTATIONS = ("missing", "empty", "cut", "text", "nan", "inf", "unknown_key", "duplicate",
-                     "bad_value")
+                     "bad_value", "non_utf8")
 # the exit codes the README gives each mutation of an analyze input: a record is data (2);
 # --config is a usage or config error (1) but for a config that mismatches the record's (2)
 ANALYZE_EXITS = {
@@ -869,6 +877,45 @@ class TestAnalyzeInputsFailLoudly:
             assert code in ANALYZE_EXITS[target].get(kind, default), (code, err)
             assert "Traceback" not in err
             assert not undocumented_nans(out)
+
+
+class TestNonUtf8Record:
+    """A byte that is not UTF-8 text is named by the data row and file line, or header line,
+    that holds it."""
+
+    @staticmethod
+    def analyze_with_byte(data_files, tmp_path, byte: bytes, line: int, column: int = 5):
+        """``(exit code, stderr, header lines)`` of analyze on the record with ``byte`` put
+        into 0-based ``line`` (counted from the first data row if negative: -1 is row 1)."""
+        lines = data_files["record"].read_bytes().split(b"\n")
+        header = sum(text.startswith(b"#") for text in lines)
+        i = line if line >= 0 else header - line - 1
+        lines[i] = lines[i][:column] + byte + lines[i][column + 1:]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\n".join(lines))
+        code, err = run_captured("analyze", path, "--out-dir", tmp_path / "out")
+        assert "Traceback" not in err
+        return code, err, header
+
+    @pytest.mark.parametrize("byte", [b"\xff", b"\x85"], ids=["0xff", "0x85"])
+    def test_in_a_data_row(self, data_files, tmp_path, byte):
+        code, err, header = self.analyze_with_byte(data_files, tmp_path, byte, -100)
+        assert code == 2
+        assert (f"data row 100 (file line {header + 100}): byte 0x{byte[0]:02x} is not UTF-8 "
+                "text") in err
+
+    @pytest.mark.parametrize("byte", [b"\xff", b"\x85"], ids=["0xff", "0x85"])
+    def test_in_a_header_line(self, data_files, tmp_path, byte):
+        code, err, _ = self.analyze_with_byte(data_files, tmp_path, byte, 3)
+        assert code == 2
+        assert f"line 4: byte 0x{byte[0]:02x} is not UTF-8 text" in err
+
+    def test_in_a_comment_between_the_rows(self, data_files, tmp_path):
+        code, err, header = self.analyze_with_byte(data_files, tmp_path, b"#\xff", -100,
+                                                   column=0)
+        assert code == 2
+        assert f"file line {header + 100}: byte 0xff is not UTF-8 text" in err
+        assert "data row" not in err
 
 
 def undocumented_nans(out: Path) -> list[str]:

@@ -18,6 +18,8 @@ from vmbsim.apparatus import (
     NoiseModel,
     NullSource,
     QUIET,
+    read_record,
+    write_record,
 )
 from vmbsim.constants import convert_pressure
 from vmbsim.pipeline import (
@@ -389,7 +391,7 @@ def whole_array_spectra(rec, block_size=8192, noise_halfwidth=64):
 
 def one_pass(rec, block_size=DEFAULT_BLOCK_SIZE, noise_halfwidth=DEFAULT_NOISE_HALFWIDTH):
     """``(estimate, (frequencies, averaged spectrum))`` of the one pass over ``rec``."""
-    return _analyze(rec, block_size, noise_halfwidth)
+    return _analyze(rec, block_size, noise_halfwidth, spectrum=True)
 
 
 def warning_messages(func, *args, **kwargs):
@@ -483,7 +485,7 @@ class TestOnePassAnalysis:
             "from vmbsim.synth import synthesize_run\n"
             f"rec = synthesize_run({config}, NullSource(), NoiseModel(3e-7, 1e-4, rng_seed=5),\n"
             f"                     {revolutions} / 3.0, fidelity={fidelity!r})\n"
-            f"_, (_, avg) = _analyze(rec, {analysis})\n"
+            f"_, (_, avg) = _analyze(rec, {analysis}, spectrum=True)\n"
             "print(hashlib.sha256(avg.view(np.uint64).tobytes()).hexdigest())\n")
         digests = []
         for threads in ("1", "2"):
@@ -681,7 +683,7 @@ LAZY_IDS = [i for i, (*_, f, _) in zip(ONE_PASS_IDS, ONE_PASS_CASES) if f == "fa
 
 
 class TestLazyFastRecords:
-    """A synthesized fast record keeps its noise stream; the analysis computes its chunks."""
+    """A synthesized fast record keeps no array; the analysis computes its chunks."""
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("config, source, noise, revolutions, kwargs", LAZY_CASES,
@@ -689,29 +691,12 @@ class TestLazyFastRecords:
     def test_equals_a_stored_record(self, monkeypatch, workers, config, source, noise,
                                     revolutions, kwargs):
         monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
-        draw_maps = []
-        map_ordered = apparatus._map_ordered
-
-        def counted(func, items, threads=None):
-            if threads == 1:
-                draw_maps.append(func)
-            return map_ordered(func, items, threads)
-
-        monkeypatch.setattr(apparatus, "_map_ordered", counted)
         duration = revolutions / config.magnet_rotation_hz
         lazy, stored = (synthesize_run(config, source, noise, duration) for _ in range(2))
         stored.i_omega_pem
         assert is_stored(stored) and not is_stored(lazy)
-        draw_maps.clear()
         est, lazy_warnings = warning_messages(analyze_record, lazy, **kwargs)
         again, _ = warning_messages(analyze_record, lazy, **kwargs)
-        # a one-thread map draws ahead when there are two chunks, two CPUs and a stream to draw
-        block_size = kwargs.get("block_size", 8192)
-        n_blocks = len(lazy) // block_size
-        chunks = len(list(apparatus._blocks(n_blocks * block_size, block_size,
-                                            apparatus._BLOCK_SAMPLES)))
-        draws = vars(lazy)["i_omega_pem"].rng is not None
-        assert len(draw_maps) == (2 if workers > 1 and chunks > 1 and draws else 0)
         ref, stored_warnings = warning_messages(analyze_record, stored, **kwargs)
         whole = estimate_from_spectra(whole_array_spectra(stored, **kwargs), stored)
         for name in ESTIMATE_FIELDS:
@@ -724,6 +709,37 @@ class TestLazyFastRecords:
         channel = whole_array_fast(config, source, noise, duration)["i_omega_pem"]
         assert lazy.i_omega_pem.tobytes() == channel.tobytes()
         assert is_stored(lazy)
+
+
+class TestSpectrumSum:
+    """Only ``vmbsim analyze``, which writes the averaged spectrum, sums it."""
+
+    def test_only_analyze_calls_add_weighted(self, tmp_path, monkeypatch):
+        from vmbsim import cli
+
+        calls = []
+        add_weighted = pipeline._add_weighted
+
+        def counted(total, terms):
+            calls.append(len(terms) - 1)  # the blocks of a chunk
+            return add_weighted(total, terms)
+
+        monkeypatch.setattr(pipeline, "_add_weighted", counted)
+        paths, estimates = [], []
+        # 9 blocks: chunks of 8 blocks and of 1
+        for seed, ubar in ((1, 32.0), (2, 64.0)):
+            rec = synthesize_run(CFG, GasSource("He", convert_pressure(ubar, "ubar", "atm")),
+                                 NoiseModel(1e-7, rng_seed=seed), 9 * 256 / 3.0)
+            paths.append(tmp_path / f"run{seed}.csv")
+            write_record(rec, paths[-1])
+            estimates += [analyze_record(rec), analyze_record(read_record(paths[-1]))]
+        calibrate(estimates, "He")
+        assert calls == []
+        assert cli.main(["calibrate", *map(str, paths), "--gas", "He",
+                         "--out-dir", str(tmp_path / "cal")]) == 0
+        assert calls == []
+        assert cli.main(["analyze", *map(str, paths), "--out-dir", str(tmp_path / "ana")]) == 0
+        assert calls == [8, 1, 8, 1]
 
 
 class TestCalibrate:

@@ -9,14 +9,15 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from vmbsim import apparatus, cli, pipeline
+from vmbsim import apparatus, cli, pipeline, synth
 from vmbsim.apparatus import (
     RECORD_COLUMNS,
     _BLOCK_SAMPLES,
@@ -220,19 +221,31 @@ class TestFullSynthesis:
 CHANNELS = ("time", "i_omega_pem", "i_2omega_pem", "i0", "magnet_phase")
 
 
-def whole_array_noise(config, noise, rng, n_out):
-    """Reference ellipticity noise: the density times one draw of the whole record."""
+def page_normals(seed, stream, samples_per_bin, n):
+    """Reference noise stream: its whole pages, each drawn from its own seed, concatenated.
+
+    A page is 65 536 samples of the output grid, or as many whole bins of a
+    raw grid, at most 64.
+    """
+    bins = max(1, _BLOCK_SAMPLES // samples_per_bin)
+    size = samples_per_bin * (min(bins, _CHUNK_BINS) if samples_per_bin > 1 else bins)
+    pages = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        seed, spawn_key=(stream, p)))).standard_normal(size) for p in range(-(-n // size))]
+    return np.concatenate(pages + [np.empty(0)])[:n]
+
+
+def whole_array_noise(config, noise, n_out):
+    """Reference ellipticity noise: the density times the pages of stream 0 on the output grid."""
     if noise.ellipticity_noise_density == 0.0:
         return np.zeros(n_out)
     sigma_t = noise.ellipticity_noise_density * math.sqrt(config.sample_rate_hz / 2.0)
-    return sigma_t * rng.standard_normal(n_out)
+    return sigma_t * page_normals(noise.rng_seed, 0, 1, n_out)
 
 
 def whole_array_full(config, source, noise, duration_s, pem_oversample):
     """Reference full synthesis: the same formulas, each over whole-record arrays."""
-    rng = np.random.default_rng(noise.rng_seed)
     n_out = _check_duration(config, duration_s) * config.samples_per_revolution
-    eps_noise = whole_array_noise(config, noise, rng, n_out)
+    eps_noise = whole_array_noise(config, noise, n_out)
     cycles_per_bin = max(1, round(config.pem_frequency_hz / config.sample_rate_hz))
     samples_per_bin = pem_oversample * cycles_per_bin
     fs = cycles_per_bin * config.sample_rate_hz * pem_oversample
@@ -251,7 +264,8 @@ def whole_array_full(config, source, noise, duration_s, pem_oversample):
     total = carrier + signal + noise.alpha_of(t_raw) + np.repeat(eps_noise, samples_per_bin)
     intensity = config.incident_power_w * (config.extinction + total**2)
     if noise.detector_white_noise > 0.0:
-        intensity = intensity * (1.0 + noise.detector_white_noise * rng.standard_normal(n_raw))
+        detector = page_normals(noise.rng_seed, 1, samples_per_bin, n_raw)
+        intensity = intensity * (1.0 + noise.detector_white_noise * detector)
     theta_raw = (
         2.0 * math.pi * config.magnet_rotation_hz * t_raw + config.polarizer_angle_rad
     ) % (2.0 * math.pi)
@@ -296,7 +310,7 @@ class TestChunkedFullSynthesis:
         rec, synth_peak, demod_peak = memory_peaks(monkeypatch, workers=1)
         chunk_bytes = _CHUNK_BINS * rec.metadata["samples_per_output_bin"] * 8
         assert len(rec) >= 16 * _CHUNK_BINS * rec.metadata["samples_per_output_bin"]
-        # a serial synthesis holds ~4.3 chunks above the record
+        # a serial synthesis holds ~3.5 chunks above the record
         assert synth_peak < rec.i_omega_pem.nbytes + 8 * chunk_bytes
         assert demod_peak < 0.1 * rec.i_omega_pem.nbytes
 
@@ -437,33 +451,9 @@ class TestFusedLockIn:
             # len allocates no more than the int it returns
             assert len_peak < 100
             assert not is_stored(rec)
-            # the detector noise of at most 5 blocks (4 taken ahead of the 2 workers, and
-            # one drawn as another finishes) and up to 6 block-sized arrays per worker,
-            # a block being ~0.11 chunk: measured 1.4 chunks at both lengths
+            # up to 6 block-sized arrays per worker, the detector noise drawn into one of
+            # them, a block being ~0.11 chunk: measured 0.94-0.96 chunks at both lengths
             assert peak < 2 * chunk_bytes, revolutions
-
-    def test_detector_noise_is_drawn_for_the_blocks_in_flight(self, monkeypatch):
-        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: 4)
-        np.random.default_rng()  # numpy imports numpy.random lazily; keep that out of the peaks
-        tone = ((0.7, 1e-6, 0.3),)
-
-        def peak(rin, revolutions):
-            rec = synthesize_run(CFG, FixedEllipticitySource(1e-6), NoiseModel(1e-6, rin, tone, 5),
-                                 revolutions / 3.0, fidelity="full")
-            tracemalloc.start()
-            try:
-                analyze_record(rec, block_size=CFG.samples_per_revolution * revolutions)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        peak(1e-4, 16)  # the first pass also pays the thread pool's one-time imports
-        # the lock-in's own working set on four workers (7.7 MB at 64 and 256 revolutions)
-        without = peak(0.0, 64)
-        for revolutions in (64, 256):
-            # the detector noise adds the draws of the blocks in flight, measured 3.3-3.8 MB;
-            # drawing whole chunks added 29-34 MB
-            assert peak(1e-4, revolutions) < 2 * without, revolutions
 
 
 def lock_in_record(oversample):
@@ -552,9 +542,6 @@ def memory_peaks(monkeypatch, workers):
     return rec, synth_peak, demod_peak
 
 
-map_ordered = apparatus._map_ordered
-
-
 def reversed_map_ordered(func, items):
     """A ``_map_ordered`` that runs the items it may hold in flight last first.
 
@@ -597,36 +584,9 @@ class TestChunkWorkers:
             sys.setswitchinterval(interval)
         assert written[1] == written[0] and written[2] == written[0]
 
-    def test_detector_noise_is_drawn_in_chunk_order(self, tmp_path, monkeypatch):
-        # reversed in windows of the blocks in flight: two for one worker, eight for four
-        for workers in (1, 4):
-            monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
-            monkeypatch.setattr(apparatus, "_map_ordered", map_ordered)
-            text, raw, psi = self.full_run(tmp_path / "in_order.csv")
-            monkeypatch.setattr(apparatus, "_map_ordered", reversed_map_ordered)
-            text_reversed, raw_reversed, psi_reversed = self.full_run(tmp_path / "reversed.csv")
-            assert text_reversed == text, workers
-            assert np.array_equal(raw_reversed, raw), workers
-            assert np.array_equal(psi_reversed, psi), workers
-
 
 class TestDrawnAhead:
-    """The draws of a pass in the calling thread run on a one-thread ``_map_ordered``."""
-
-    def test_draws_in_order_at_most_ahead_of_the_held_target(self, monkeypatch):
-        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: 2)
-        targets = [np.empty(3) for _ in range(3)] * 10  # three buffers, reused in turn
-        asked_past, leads = [0], []
-
-        def draw(target):
-            leads.append(len(leads) - asked_past[0])
-            target[:] = len(leads) - 1
-            return target
-
-        for i, target in enumerate(apparatus._map_ordered(draw, targets, threads=1)):
-            assert np.all(target == i)
-            asked_past[0] = i + 1  # counted before the next target is asked for
-        assert len(leads) == 30 and max(leads) <= 2
+    """The blocks of a pass are computed ahead of the caller on the ``_map_ordered`` workers."""
 
     @staticmethod
     def lazy_and_stored(monkeypatch, workers):
@@ -634,16 +594,6 @@ class TestDrawnAhead:
         lazy, stored = (synthesize_run(CFG, NullSource(), NoiseModel(1e-6, rng_seed=3),
                                        5 * _BLOCK_SAMPLES / 32 / 3.0) for _ in range(2))
         return vars(lazy)["i_omega_pem"], stored.i_omega_pem
-
-    def test_a_held_chunk_is_not_drawn_over(self, monkeypatch):
-        channel, stored = self.lazy_and_stored(monkeypatch, 2)
-        bounds = list(apparatus._blocks(len(stored), 1, _BLOCK_SAMPLES))
-        assert len(bounds) == 5
-        walk = apparatus._walk(channel, bounds, lambda start, stop, samples: (start, samples),
-                               None)
-        for start, held in walk:
-            time.sleep(0.02)  # the drawing thread draws as far ahead as it may
-            assert np.array_equal(held, stored[start:start + len(held)])
 
     def test_a_block_in_flight_is_not_drawn_over(self, monkeypatch):
         channel, stored = self.lazy_and_stored(monkeypatch, 2)
@@ -653,10 +603,10 @@ class TestDrawnAhead:
 
         def held(start: int, stop: int, samples: np.ndarray) -> bool:
             filled = samples.copy()
-            time.sleep(0.005)  # the drawing thread draws as far ahead as it may meanwhile
+            time.sleep(0.005)  # the other worker computes the blocks ahead meanwhile
             return np.array_equal(samples, filled) and np.array_equal(filled, stored[start:stop])
 
-        assert all(apparatus._walk(channel, bounds, held, _BLOCK_SAMPLES))
+        assert all(apparatus._walk(channel, bounds, held))
 
     def test_a_failed_draw_raises_and_a_closed_pass_stops_its_helper(self, monkeypatch):
         monkeypatch.setattr(apparatus, "_chunk_workers", lambda: 2)
@@ -669,22 +619,21 @@ class TestDrawnAhead:
         targets = [np.full(2, float(i)) for i in range(8)]
         before = set(threading.enumerate())
         with pytest.raises(ArithmeticError, match="draw 3"):
-            for _ in apparatus._map_ordered(draw, targets, threads=1):
+            for _ in apparatus._map_ordered(draw, targets):
                 pass
         assert set(threading.enumerate()) <= before
-        drawn = apparatus._map_ordered(lambda t: t, targets, threads=1)
+        drawn = apparatus._map_ordered(lambda t: t, targets)
         next(drawn)
-        assert not set(threading.enumerate()) <= before  # the pass runs on its own thread
+        assert not set(threading.enumerate()) <= before  # the pass runs on worker threads
         drawn.close()
         assert set(threading.enumerate()) <= before
 
 
 def whole_array_fast(config, source, noise, duration_s):
     """Reference fast synthesis: every channel built over the whole record and stored."""
-    rng = np.random.default_rng(noise.rng_seed)
     n_out = _check_duration(config, duration_s) * config.samples_per_revolution
     t_out = np.arange(n_out) / config.sample_rate_hz
-    eps_noise = whole_array_noise(config, noise, rng, n_out)
+    eps_noise = whole_array_noise(config, noise, n_out)
     i0 = config.incident_power_w
     eta0 = config.pem_depth
     theta = (2.0 * math.pi * config.magnet_rotation_hz * t_out + config.polarizer_angle_rad) % (
@@ -696,7 +645,8 @@ def whole_array_fast(config, source, noise, duration_s):
     psi_t = signal + noise.alpha_of(t_out) + eps_noise
     ch_omega = 2.0 * i0 * eta0 * psi_t
     if noise.detector_white_noise > 0.0:
-        ch_omega = ch_omega + i0 * noise.detector_white_noise * rng.standard_normal(n_out)
+        ch_omega = ch_omega + i0 * noise.detector_white_noise * page_normals(
+            noise.rng_seed, 1, 1, n_out)
     channels = (t_out, ch_omega, np.full(n_out, 0.5 * i0 * eta0**2), np.full(n_out, i0), theta)
     return dict(zip(CHANNELS, channels))
 
@@ -760,8 +710,8 @@ class TestLeanFastSynthesis:
         monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
         # a first analysis pays numpy's lazy imports and the FFT's one-time set-up
         analyze_record(synthesize_run(CFG, NullSource(), NoiseModel(1e-6, rng_seed=1), 256.0))
-        # the draws of three chunks, the chunk divided, its spectra and their
-        # amplitudes: measured 3.0 (1 worker) and 5.1 (2 workers) chunks at both lengths
+        # each worker's chunk, drawn and divided in place, its spectra and their
+        # amplitudes: measured 2.8 (1 worker) and 5.2-6.0 (2 workers) chunks at both lengths
         bound = 7 * _BLOCK_SAMPLES * 8
         assert bound < 0.5 * 211 * 8192 * 8
         for n_blocks in (211, 844):
@@ -805,6 +755,130 @@ class TestLeanFastSynthesis:
         assert back.i0.flags.c_contiguous and back.i_2omega_pem.strides == (0,)
         written = np.array([float(_FMT % v) for v in varying_i0.i0])
         assert np.array_equal(back.i0, written)
+
+
+# a fast record with every term, and a full one with ellipticity and detector noise
+EVERY_TERM = NoiseModel(1e-6, 1e-4, ((0.7, 1e-6, 0.3),), rng_seed=9)
+NOISY_FULL = NoiseModel(1e-6, 1e-4, rng_seed=6)
+
+
+def walked(rec, block_samples):
+    """``(start, stop, copy of the samples)`` of a ``_walk`` in blocks of whole bins."""
+    spb = rec.metadata.get("samples_per_output_bin", 1)
+    bounds = apparatus._blocks(len(rec), spb, block_samples)
+    return list(apparatus._walk(vars(rec)["i_omega_pem"], bounds,
+                                lambda start, stop, samples: (start, stop, samples.copy())))
+
+
+class TestNoisePages:
+    """Each noise stream is a pure function of (seed, stream, page)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(revolutions=st.integers(1, 4200), block=st.one_of(
+        st.integers(1000, 140_000), st.sampled_from([1 << k for k in range(10, 18)])),
+        workers=st.sampled_from([1, 2, 4]))
+    def test_fast_blocks_equal_the_reference(self, revolutions, block, workers):
+        rec = synthesize_run(CFG, GasSource("He", 3e-5), EVERY_TERM, revolutions / 3.0)
+        ref = whole_array_fast(CFG, GasSource("He", 3e-5), EVERY_TERM, revolutions / 3.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(apparatus, "_chunk_workers", lambda: workers)
+            blocks = walked(rec, block)
+        assert blocks[-1][1] == len(rec)
+        for start, stop, samples in blocks:
+            assert samples.tobytes() == ref["i_omega_pem"][start:stop].tobytes(), start
+
+    @settings(max_examples=15, deadline=None)
+    @given(revolutions=st.integers(1, 9), bins=st.integers(1, 200),
+           workers=st.sampled_from([1, 2, 4]))
+    def test_full_blocks_equal_the_reference(self, revolutions, bins, workers):
+        rec = synthesize_run(SMALL_FULL, FixedEllipticitySource(1e-6), NOISY_FULL,
+                             revolutions / 3.0, fidelity="full", pem_oversample=8)
+        ref, spb = whole_array_full(SMALL_FULL, FixedEllipticitySource(1e-6), NOISY_FULL,
+                                    revolutions / 3.0, 8)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(apparatus, "_chunk_workers", lambda: workers)
+            blocks = walked(rec, bins * spb)
+        assert blocks[-1][1] == len(rec)
+        for start, stop, samples in blocks:
+            assert samples.tobytes() == ref["i_omega_pem"][start:stop].tobytes(), start
+
+    @pytest.mark.parametrize("fidelity, short, long", [("fast", 2500, 4096), ("full", 3, 8)])
+    def test_a_shorter_run_is_a_prefix_of_a_longer_one(self, fidelity, short, long):
+        # 2500 revolutions end partway through the second page of 65 536 samples; 3 revolutions
+        # of SMALL_FULL end partway through the second page of 64 bins
+        config, noise = (CFG, EVERY_TERM) if fidelity == "fast" else (SMALL_FULL, NOISY_FULL)
+        a, b = (synthesize_run(config, FixedEllipticitySource(1e-6), noise, revs / 3.0,
+                               fidelity=fidelity) for revs in (short, long))
+        page = apparatus._step(a.metadata.get("samples_per_output_bin", 1), _BLOCK_SAMPLES)
+        assert page < len(a) < 2 * page
+        assert a.i_omega_pem.tobytes() == b.i_omega_pem[:len(a)].tobytes()
+        assert not np.array_equal(b.i_omega_pem[len(a):2 * len(a)], a.i_omega_pem)
+
+    def test_fast_and_full_records_share_the_ellipticity_noise(self):
+        # without extinction, signal or tones, raw sample 0 of each bin is I0 (eta0 + eps)**2
+        config = replace(SMALL_FULL, extinction=0.0)
+        noise = NoiseModel(1e-6, rng_seed=12)
+        # 4200 revolutions are 134 400 output samples: two pages and part of a third
+        fast = synthesize_run(config, NullSource(), noise, 4200 / 3.0)
+        full = synthesize_run(config, NullSource(), noise, 4200 / 3.0, fidelity="full")
+        eps_fast = fast.i_omega_pem / (2.0 * config.incident_power_w * config.pem_depth)
+        first = full.i_omega_pem[::full.metadata["samples_per_output_bin"]]
+        eps_full = np.sqrt(first / config.incident_power_w) - config.pem_depth
+        assert len(eps_full) == len(eps_fast) > 2 * _BLOCK_SAMPLES
+        assert np.allclose(eps_full, eps_fast, rtol=1e-8, atol=0.0)
+
+    @staticmethod
+    def count_pages(monkeypatch) -> list:
+        """The ``(stream, page)`` of each page drawn from here on."""
+        drawn = []
+        page = synth._page
+
+        def counted(seed, stream, p):
+            drawn.append((stream, p))
+            return page(seed, stream, p)
+
+        monkeypatch.setattr(synth, "_page", counted)
+        return drawn
+
+    @staticmethod
+    def pages(rec, stream, n=None) -> list:
+        """Each ``(stream, page)`` of the first ``n`` samples (default: all) of a stream."""
+        bin_samples = rec.metadata.get("samples_per_output_bin", 1)
+        size = apparatus._step(bin_samples if stream else 1, _BLOCK_SAMPLES)
+        n = (len(rec) if stream else len(rec) // bin_samples) if n is None else n
+        return [(stream, p) for p in range(-(-n // size))]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_each_pass_draws_each_page_once(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
+        drawn = self.count_pages(monkeypatch)
+        # 4128 revolutions are 132 096 samples: two pages and part of a third
+        fast = synthesize_run(CFG, GasSource("He", 3e-5), EVERY_TERM, 4128 / 3.0)
+        both = self.pages(fast, 0) + self.pages(fast, 1)
+        assert drawn == [] and len(both) == 6
+        for block_size in (512, 8192, 1 << 16, 1 << 17):
+            drawn.clear()
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", message=".* trailing samples")
+                analyze_record(fast, block_size=block_size)
+            covered = len(fast) // block_size * block_size
+            assert sorted(drawn) == self.pages(fast, 0, covered) + self.pages(fast, 1, covered)
+        for kind in ("fast", "full"):
+            rec = fast if kind == "fast" else synthesize_run(
+                SMALL_FULL, FixedEllipticitySource(1e-6), NOISY_FULL, 9 / 3.0, fidelity="full")
+            detector = self.pages(rec, 1)
+            expected = sorted(both if kind == "fast" else detector)
+            if kind == "full":
+                assert len(detector) > 3
+                drawn.clear()
+                demodulate(rec)
+                assert sorted(drawn) == expected, "lock-in"
+            drawn.clear()
+            write_record(rec, tmp_path / f"{kind}.csv")
+            assert sorted(drawn) == expected, f"{kind} write"
+            drawn.clear()
+            rec.i_omega_pem
+            assert sorted(drawn) == expected, f"{kind} array build"
 
 
 class TestRecordIO:
@@ -981,7 +1055,8 @@ class TestRecordFormatter:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # ~10.4 blocks of float64 rows, as for a stored record, at both lengths
+            # ~12.6 blocks of float64 rows, a noise page (10 blocks) and the rows being
+            # formatted, at both lengths
             assert peak < bound, revolutions
             assert not is_stored(rec)
         stored = synthesize_run(SMALL_FULL, FixedEllipticitySource(1e-6), noise, 30 / 3.0,
@@ -1070,6 +1145,13 @@ class TestStreamingReader:
         cells = lines[self.first + row].rstrip(b"\n").split(b", ")
         cells[col] = cell
         lines[self.first + row] = b", ".join(cells) + b"\n"
+
+    @given(st.lists(st.sampled_from([b"a", b"#", b"\r", b"\n", b"\r\n"]), max_size=30)
+           .map(b"".join))
+    def test_lines_end_where_text_mode_ends_them(self, data):
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
+        assert [(n, line.decode()) for n, line in apparatus._lines(io.BytesIO(data), 5)] == [
+            (5 + i, line.removesuffix("\n")) for i, line in enumerate(text)]
 
     def test_non_canonical_cells_read_as_loadtxt_reads_them(self, tmp_path, lines):
         # a middle block holds a valid cell in another notation and another I0

@@ -1242,13 +1242,3 @@ def _off_grid(record: TimeSeriesRecord, start: int, values: np.ndarray):
     col, derived = (0, t_i[0]) if off_t[i] else (4, phase_i[0])
     return start + i, (f"{RECORD_COLUMNS[col]} = {float(values[i, col])!r}, but the sample "
                        f"grid of its config gives {float(derived)!r}")
-
-
-def truncated(record: TimeSeriesRecord, n: int) -> TimeSeriesRecord:
-    """First n samples of a record (block-aligned truncation helper)."""
-    return replace(
-        record,
-        i_omega_pem=record.i_omega_pem[:n],
-        i_2omega_pem=record.i_2omega_pem[:n],
-        i0=record.i0[:n],
-    )

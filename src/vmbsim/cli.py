@@ -34,6 +34,7 @@ from .limits import (
     ReferenceResults,
     alp_exclusion,
     comparison_report,
+    confidence_bound,
     cross_section_limit,
     default_mass_grid,
     mcp_exclusion,
@@ -405,9 +406,26 @@ def _load_estimate(path: Path) -> tuple[BirefringenceLimit, ApparatusConfig]:
     return limit, config
 
 
-def _cmd_limits(args) -> int:
-    limit, config = _load_estimate(args.estimate)
+def _limits_options(args) -> tuple[str, np.ndarray | None]:
+    """The bound rule and, for a curve, the mass grid of a limits command.
+
+    A ``--cl`` that the rule uses out of its range, or fewer than one mass a
+    decade, is a usage error, found before anything is written.
+    """
     rule = args.rule or ("one-sigma" if args.what == "xsec" else "gaussian-one-sided")
+    try:
+        if args.what != "report":
+            confidence_bound(BirefringenceLimit(0.0, 1.0), args.cl, rule)  # its check of cl
+        if args.what in ("alp", "mcp"):
+            return rule, default_mass_grid(args.what.upper(), args.points_per_decade)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return rule, None
+
+
+def _cmd_limits(args) -> int:
+    rule, mass_grid = _limits_options(args)
+    limit, config = _load_estimate(args.estimate)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         command=f"limits-{args.what}",
@@ -425,18 +443,14 @@ def _cmd_limits(args) -> int:
     mhash = manifest.hash()
 
     if args.what == "alp":
-        curve = alp_exclusion(
-            limit, config, default_mass_grid("ALP", args.points_per_decade),
-            cl=args.cl, rule=rule,
-        )
+        curve = alp_exclusion(limit, config, mass_grid, cl=args.cl, rule=rule)
         curve.metadata["manifest_hash"] = mhash
         out = args.out_dir / "alp_exclusion.csv"
         write_curve(curve, out)
         print(f"wrote {out} ({len(curve.mass_grid_ev)} masses)")
     elif args.what == "mcp":
         curve = mcp_exclusion(
-            limit, config, default_mass_grid("MCP", args.points_per_decade),
-            statistics=args.statistics, cl=args.cl, rule=rule,
+            limit, config, mass_grid, statistics=args.statistics, cl=args.cl, rule=rule
         )
         curve.metadata["manifest_hash"] = mhash
         out = args.out_dir / f"mcp_{args.statistics}_exclusion.csv"
@@ -464,6 +478,16 @@ def _cmd_limits(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     args.allow_mismatch = False
+    limits = []
+    for what in ("xsec", "report", "alp", "mcp"):
+        lim_args = argparse.Namespace(**vars(args))
+        lim_args.what = what
+        lim_args.estimate = args.out_dir / "estimate.txt"
+        lim_args.rule = None
+        lim_args.statistics = "fermion"
+        _limits_options(lim_args)  # before anything is simulated
+        limits.append(lim_args)
+
     sim_args = argparse.Namespace(**vars(args))
     sim_args.name = "record"
     sim_args.pem_oversample = DEFAULT_PEM_OVERSAMPLE
@@ -474,12 +498,7 @@ def _cmd_pipeline(args) -> int:
     ana_args.calibration = None
     _cmd_analyze(ana_args)
 
-    for what in ("xsec", "report", "alp", "mcp"):
-        lim_args = argparse.Namespace(**vars(args))
-        lim_args.what = what
-        lim_args.estimate = args.out_dir / "estimate.txt"
-        lim_args.rule = None
-        lim_args.statistics = "fermion"
+    for lim_args in limits:
         _cmd_limits(lim_args)
     return EXIT_OK
 

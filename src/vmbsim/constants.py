@@ -73,11 +73,6 @@ class NaturalUnitConverter:
             raise ValueError(f"field must be finite, got {b_tesla}")
         return b_tesla * self.tesla_to_ev2
 
-    def field_to_si(self, b_ev2: float) -> float:
-        if not math.isfinite(b_ev2):
-            raise ValueError(f"field must be finite, got {b_ev2}")
-        return b_ev2 / self.tesla_to_ev2
-
     def length_to_natural(self, l_m: float) -> float:
         """Length in m -> eV^-1."""
         if not math.isfinite(l_m):

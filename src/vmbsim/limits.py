@@ -13,7 +13,6 @@ exclusion curves conventionally quote a one-sided 95% Gaussian bound.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -25,6 +24,7 @@ import numpy as np
 from .apparatus import ApparatusConfig, format_number, format_value
 from .constants import CONSTANTS, NATURAL_UNITS
 from .models import (
+    MCP_COEFFICIENTS,
     MCP_GAP_BAND,
     MCP_LARGE_CHI_K,
     alp_oscillation_factor,
@@ -129,9 +129,20 @@ def default_mass_grid(kind: str, points_per_decade: int = 400) -> np.ndarray:
         lo, hi = 1e-4, 1.0
     else:
         raise ValueError(f"unknown particle kind {kind!r}")
+    if points_per_decade < 1:
+        raise ValueError(f"points per decade must be at least 1, got {points_per_decade}")
     decades = math.log10(hi / lo)
     n = int(round(decades * points_per_decade)) + 1
     return np.logspace(math.log10(lo), math.log10(hi), n)
+
+
+def _mass_grid(mass_grid_ev, kind: str) -> np.ndarray:
+    """The given masses as floats, or the default grid; a mass not positive and finite is refused."""
+    masses = default_mass_grid(kind) if mass_grid_ev is None else np.asarray(mass_grid_ev, float)
+    bad = ~(np.isfinite(masses) & (masses > 0))
+    if bad.any():
+        raise ValueError(f"masses must be positive and finite, got {float(masses[bad][0])!r}")
+    return masses
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +159,10 @@ def alp_exclusion(
     """Invert the ALP birefringence for the coupling bound at each mass.
 
     g_bound(m) = sqrt(2 m^2 Dn_bound / (B_nat^2 (1 - sin 2x / 2x))), with the
-    full oscillation factor; small/large-x points are tagged for the asymptotic
-    regimes (x < 0.01 and x > 100).
+    full oscillation factor, on the whole grid at once; small/large-x points are
+    tagged for the asymptotic regimes (x < 0.01 and x > 100).
     """
-    if mass_grid_ev is None:
-        mass_grid_ev = default_mass_grid("ALP")
-    mass_grid_ev = np.asarray(mass_grid_ev, dtype=float)
+    m = _mass_grid(mass_grid_ev, "ALP")
     dn_bound_u = confidence_bound(limit, cl, rule)           # T^-2
     b_eff = config.effective_field_t
     dn_bound = dn_bound_u * b_eff**2                          # dimensionless
@@ -161,19 +170,15 @@ def alp_exclusion(
     l_nat = NATURAL_UNITS.length_to_natural(config.field_length_m)
     omega = config.photon_energy_ev
 
-    bounds = np.empty_like(mass_grid_ev)
-    regimes = []
-    for i, m in enumerate(mass_grid_ev):
-        x = l_nat * m * m / (4.0 * omega)
-        factor = alp_oscillation_factor(x)
-        bounds[i] = math.sqrt(2.0 * m * m * dn_bound / (b_nat**2 * factor))
-        regimes.append("small-x" if x < 0.01 else ("large-x" if x > 100.0 else "intermediate"))
+    x = l_nat * m * m / (4.0 * omega)
+    bounds = np.sqrt(2.0 * m * m * dn_bound / (b_nat**2 * alp_oscillation_factor(x)))
+    regime = (x >= 0.01).astype(int) + (x > 100.0)
     return ExclusionCurve(
         particle_kind="ALP",
-        mass_grid_ev=mass_grid_ev,
+        mass_grid_ev=m,
         bound_values=bounds,
-        regime_tags=tuple(regimes),
-        branch_tags=("full",) * len(mass_grid_ev),
+        regime_tags=tuple(np.array(("small-x", "intermediate", "large-x"))[regime].tolist()),
+        branch_tags=("full",) * len(m),
         gap_intervals=(),
         metadata={
             "deltanu_bound_t2": dn_bound_u,
@@ -192,11 +197,11 @@ def alp_exclusion(
 
 def _mcp_coefficients(statistics: str) -> tuple[float, float]:
     """(|small-chi| coefficient, |large-chi| coefficient) in units of Dn_u^(MCP) B^2."""
-    if statistics == "fermion":
-        return 1.0, (135.0 / 14.0) * MCP_LARGE_CHI_K
-    if statistics == "scalar":
-        return 0.5, (135.0 / 28.0) * MCP_LARGE_CHI_K
-    raise ValueError(f"statistics must be 'fermion' or 'scalar', got {statistics!r}")
+    try:
+        c_small, c_large = MCP_COEFFICIENTS[statistics]
+    except KeyError:
+        raise ValueError(f"statistics must be 'fermion' or 'scalar', got {statistics!r}") from None
+    return abs(c_small), abs(c_large) * MCP_LARGE_CHI_K
 
 
 def mcp_exclusion(
@@ -206,69 +211,45 @@ def mcp_exclusion(
     statistics: str = "fermion",
     cl: float = 0.95,
     rule: str = "gaussian-one-sided",
-    gap_band: tuple[float, float] = MCP_GAP_BAND,
 ) -> ExclusionCurve:
     """Charge-ratio bound per mass, with self-consistent regime selection.
 
     The small-chi branch (|Dn| = c_small * D(m) * eps^4 * B^2) inverts to
     eps = (Dn_u_bound / (c_small D))^(1/4); the large-chi branch
-    (|Dn| = c_large * chi^(-4/3) * D * eps^4 * B^2 with chi linear in eps)
-    reduces analytically to eps^(8/3) = Dn_u_bound * chi_1^(4/3)/(c_large D B^... )
-    -- each branch is emitted only where its own chi(eps_bound) lands outside
-    the crossover band; masses where neither regime holds are flagged as gap.
+    (|Dn| = c_large * chi^(-4/3) * D * eps^4 * B^2 with chi = chi_1 eps) inverts
+    to eps = (Dn_u_bound * chi_1^(4/3) / (c_large D))^(3/8).  Both are computed
+    on the whole grid; a branch is emitted where its own chi(eps_bound) lies
+    below (small-chi) or above (large-chi) the crossover band ``MCP_GAP_BAND``.
+    A mass has its small-chi row, its large-chi row, both in that order, or,
+    where neither branch holds, one gap row with a NaN bound.
     """
     kind = f"MCP-{statistics}"
-    if mass_grid_ev is None:
-        mass_grid_ev = default_mass_grid(kind)
-    mass_grid_ev = np.asarray(mass_grid_ev, dtype=float)
     c_small, c_large = _mcp_coefficients(statistics)
+    m = _mass_grid(mass_grid_ev, kind)
     dn_bound_u = confidence_bound(limit, cl, rule)   # T^-2, bound on |Delta n|/B^2
     b_eff = config.effective_field_t
     omega = config.photon_energy_ev
-    lo, hi = gap_band
+    lo, hi = MCP_GAP_BAND
 
-    masses = []
-    bounds = []
-    regimes = []
-    branches = []
-    gap_masses = []
-    for m in mass_grid_ev:
-        d = mcp_unitary_prefactor(m)                 # T^-2 per eps^4
-        chi1 = mcp_chi_per_epsilon(m, omega, b_eff)  # chi at eps = 1
-        emitted = False
-
-        eps_small = (dn_bound_u / (c_small * d)) ** 0.25
-        if chi1 * eps_small < lo:
-            masses.append(m)
-            bounds.append(eps_small)
-            regimes.append("small-chi")
-            branches.append("small-chi")
-            emitted = True
-
-        # |Dn|/B^2 = c_large * D * chi1^(-4/3) * eps^(8/3)
-        eps_large = (dn_bound_u * chi1 ** (4.0 / 3.0) / (c_large * d)) ** (3.0 / 8.0)
-        if chi1 * eps_large > hi:
-            masses.append(m)
-            bounds.append(eps_large)
-            regimes.append("large-chi")
-            branches.append("large-chi")
-            emitted = True
-
-        if not emitted:
-            masses.append(m)
-            bounds.append(float("nan"))
-            regimes.append("gap")
-            branches.append("gap")
-            gap_masses.append(m)
-
-    gap_intervals = _contiguous_intervals(gap_masses)
+    d = mcp_unitary_prefactor(m)                 # T^-2 per eps^4
+    chi1 = mcp_chi_per_epsilon(m, omega, b_eff)  # chi at eps = 1
+    # one candidate row per branch and mass, then the rows each mass emits, in that order
+    eps = np.stack([
+        (dn_bound_u / (c_small * d)) ** 0.25,
+        (dn_bound_u * chi1 ** (4.0 / 3.0) / (c_large * d)) ** (3.0 / 8.0),
+        np.full(len(m), np.nan),
+    ], axis=1)
+    small, large = chi1 * eps[:, 0] < lo, chi1 * eps[:, 1] > hi
+    emitted = np.stack([small, large, ~(small | large)], axis=1)
+    mass_index, branch = np.nonzero(emitted)
+    tags = tuple(np.array(("small-chi", "large-chi", "gap"))[branch].tolist())
     return ExclusionCurve(
         particle_kind=kind,
-        mass_grid_ev=np.array(masses),
-        bound_values=np.array(bounds),
-        regime_tags=tuple(regimes),
-        branch_tags=tuple(branches),
-        gap_intervals=gap_intervals,
+        mass_grid_ev=m[mass_index],
+        bound_values=eps[emitted],
+        regime_tags=tags,
+        branch_tags=tags,
+        gap_intervals=_contiguous_intervals(m[emitted[:, 2]]),
         metadata={
             "deltanu_bound_t2": dn_bound_u,
             "cl": cl,
@@ -281,18 +262,11 @@ def mcp_exclusion(
     )
 
 
-def _contiguous_intervals(values: list[float]) -> tuple[tuple[float, float], ...]:
-    if not values:
-        return ()
-    values = sorted(values)
-    intervals = [[values[0], values[0]]]
-    for prev, cur in zip(values, values[1:]):
-        # adjacent grid points merge; handles grids down to ~13 points/decade
-        if cur / prev > 1.2:
-            intervals.append([cur, cur])
-        else:
-            intervals[-1][1] = cur
-    return tuple((a, b) for a, b in intervals)
+def _contiguous_intervals(values: np.ndarray) -> tuple[tuple[float, float], ...]:
+    values = np.sort(values)
+    # adjacent grid points merge; handles grids down to ~13 points/decade
+    runs = np.split(values, np.flatnonzero(values[1:] / values[:-1] > 1.2) + 1)
+    return tuple((run[0], run[-1]) for run in runs if len(run))
 
 
 def mcp_deltan_over_b2_at(
@@ -366,44 +340,3 @@ def write_curve(curve: ExclusionCurve, path) -> None:
             curve.mass_grid_ev, curve.bound_values, curve.regime_tags, curve.branch_tags
         ):
             fh.write(f"{format_number(m)}, {format_number(bound)}, {regime}, {branch}\n")
-
-
-def read_curve(path) -> ExclusionCurve:
-    metadata = {}
-    particle = "unknown"
-    gaps = []
-    masses, bounds, regimes, branches = [], [], [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                key, _, value = body.partition("=")
-                key, value = key.strip(), value.strip()
-                if key == "particle":
-                    particle = value
-                elif key == "gap_interval":
-                    a, b = value.split("..")
-                    gaps.append((float(a), float(b)))
-                elif key != "columns":  # the type write_curve wrote, so a rewrite is the same
-                    metadata[key] = value
-                    for kind in (float, int):
-                        with contextlib.suppress(ValueError):
-                            metadata[key] = kind(value)
-            else:
-                m, bound, regime, branch = [p.strip() for p in line.split(",")]
-                masses.append(float(m))
-                bounds.append(float(bound))
-                regimes.append(regime)
-                branches.append(branch)
-    return ExclusionCurve(
-        particle_kind=particle,
-        mass_grid_ev=np.array(masses),
-        bound_values=np.array(bounds),
-        regime_tags=tuple(regimes),
-        branch_tags=tuple(branches),
-        gap_intervals=tuple(gaps),
-        metadata=metadata,
-    )

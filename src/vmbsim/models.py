@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from .constants import CONSTANTS, MBAR_PER_ATM, NATURAL_UNITS, PhysicalConstants
 
 # Large-chi birefringence coefficient sqrt(pi) 2^(1/3) Gamma(2/3)^2 / Gamma(1/6),
@@ -27,9 +29,14 @@ MCP_LARGE_CHI_K = (
     math.sqrt(math.pi) * 2.0 ** (1.0 / 3.0) * math.gamma(2.0 / 3.0) ** 2 / math.gamma(1.0 / 6.0)
 )
 
-# Default crossover band: the regime formulas are asymptotic (chi << 1, chi >> 1)
+# Crossover band: the regime formulas are asymptotic (chi << 1, chi >> 1)
 # and the exclusion branches are disconnected around chi ~ 1.
 MCP_GAP_BAND = (0.1, 10.0)
+
+# Signed (small-chi, large-chi) birefringence coefficients in units of
+# Delta n_u^(MCP) B^2 (Gies, Jaeckel and Ringwald, PRL 97 (2006) 140402); the
+# large-chi one is further multiplied by MCP_LARGE_CHI_K chi^(-4/3).
+MCP_COEFFICIENTS = {"fermion": (1.0, -135.0 / 14.0), "scalar": (-0.5, 135.0 / 28.0)}
 
 
 @dataclass(frozen=True)
@@ -156,14 +163,19 @@ class AlpParams:
         return l_nat * self.mass_ev**2 / (4.0 * self.photon_energy_ev)
 
 
-def alp_oscillation_factor(x: float) -> float:
-    """1 - sin(2x)/(2x), continuous at x=0; >= 0 for all x >= 0."""
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x < 1e-4:
-        # series avoids the 1 - sinc cancellation: (2/3)x^2 - (2/15)x^4 + O(x^6)
-        return x * x * (2.0 / 3.0 - (2.0 / 15.0) * x * x)
-    return 1.0 - math.sin(2.0 * x) / (2.0 * x)
+def alp_oscillation_factor(x):
+    """1 - sin(2x)/(2x), continuous at x=0; >= 0 for all x >= 0.
+
+    Takes a float or an array of them, and returns a float or an array.
+    """
+    x = np.asarray(x, dtype=float)
+    if (x < 0).any():
+        raise ValueError(f"x must be >= 0, got {x.min()}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the series avoids the 1 - sinc cancellation: (2/3)x^2 - (2/15)x^4 + O(x^6)
+        factor = np.where(x < 1e-4, x * x * (2.0 / 3.0 - (2.0 / 15.0) * x * x),
+                          1.0 - np.sin(2.0 * x) / (2.0 * x))
+    return factor if factor.ndim else float(factor)
 
 
 def alp_deltan(params: AlpParams, b_tesla: float) -> float:
@@ -217,7 +229,7 @@ class McpParams:
             raise ValueError(f"mass energy must be positive, got {self.mass_energy_ev}")
         if not (math.isfinite(self.photon_energy_ev) and self.photon_energy_ev > 0):
             raise ValueError(f"photon energy must be positive, got {self.photon_energy_ev}")
-        if self.statistics not in ("fermion", "scalar"):
+        if self.statistics not in MCP_COEFFICIENTS:
             raise ValueError(f"statistics must be 'fermion' or 'scalar', got {self.statistics!r}")
 
 
@@ -277,20 +289,19 @@ def mcp_unitary_birefringence(
 def mcp_deltan(
     params: McpParams,
     b_tesla: float,
-    gap_band: tuple[float, float] = MCP_GAP_BAND,
     allow_gap: bool = False,
     constants: PhysicalConstants = CONSTANTS,
 ) -> tuple[float, str]:
     """Signed MCP birefringence and its regime tag ('small-chi', 'large-chi' or 'gap').
 
-    Inside the crossover band neither asymptotic formula is quoted; a value there
-    is only returned with allow_gap=True, evaluated with the nearer regime's
-    formula (branch split at chi = 1).
+    Inside the crossover band ``MCP_GAP_BAND`` neither asymptotic formula is
+    quoted; a value there is only returned with allow_gap=True, evaluated with
+    the nearer regime's formula (branch split at chi = 1).
     """
     chi = mcp_chi(params, b_tesla, constants)
     dnu = mcp_unitary_birefringence(params, constants)
     b2 = b_tesla**2
-    lo, hi = gap_band
+    lo, hi = MCP_GAP_BAND
     if lo <= chi <= hi and chi != 0.0:
         if not allow_gap:
             raise ValueError(
@@ -303,12 +314,10 @@ def mcp_deltan(
         small = chi < lo
         regime = "small-chi" if small else "large-chi"
 
+    c_small, c_large = MCP_COEFFICIENTS[params.statistics]
     if small or chi == 0.0:
-        value = dnu * b2 if params.statistics == "fermion" else -0.5 * dnu * b2
-    else:
-        scale = MCP_LARGE_CHI_K * chi ** (-4.0 / 3.0) * dnu * b2
-        value = -(135.0 / 14.0) * scale if params.statistics == "fermion" else (135.0 / 28.0) * scale
-    return value, regime
+        return c_small * dnu * b2, regime
+    return c_large * (MCP_LARGE_CHI_K * chi ** (-4.0 / 3.0) * dnu * b2), regime
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from vmbsim.apparatus import (
     NullSource,
     QUIET,
     FixedEllipticitySource,
-    truncated,
 )
 from vmbsim.constants import cavity_amplification, convert_pressure
 from vmbsim.limits import BirefringenceLimit, alp_exclusion, mcp_exclusion
@@ -47,6 +46,8 @@ from vmbsim.pipeline import (
     with_rayleigh_sigma,
 )
 from vmbsim.synth import cavity_ellipticity, single_pass_ellipticity, synthesize_run
+
+from test_synth import truncated
 
 CFG = ApparatusConfig()
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vmbsim.cli import main
 from vmbsim.configio import ConfigError, RunManifest, config_text, load_config, parse_config
@@ -634,6 +634,27 @@ class TestLimitsCommand:
                    "--out-dir", out, "--points-per-decade", "40") == 0
         assert (out / "mcp_scalar_exclusion.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("alp", "--cl", "1.5"),
+        ("mcp", "--cl", "1.5"),
+        ("xsec", "--rule", "gaussian-one-sided", "--cl", "1.5"),
+        ("alp", "--points-per-decade", "-5"),
+        ("alp", "--points-per-decade", "0"),
+        ("mcp", "--points-per-decade", "0"),
+    ], ids=["alp_cl", "mcp_cl", "xsec_gaussian_cl", "alp_negative_grid", "alp_empty_grid",
+            "mcp_empty_grid"])
+    def test_out_of_range_option_is_usage_error(self, estimate, tmp_path, argv):
+        out = tmp_path / "l"
+        code, err = run_captured("limits", *argv, "--estimate", estimate, "--out-dir", out)
+        assert code == 1
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_cl_that_the_rule_ignores_is_not_checked(self, estimate, tmp_path):
+        out = tmp_path / "l"
+        assert run("limits", "xsec", "--cl", "1.5", "--estimate", estimate, "--out-dir", out) == 0
+        assert (out / "xsec_limit.txt").exists()
+
     def test_corrupt_config_is_data_error(self, estimate, tmp_path, capsys):
         corrupt = tmp_path / "corrupt.txt"
         corrupt.write_text(
@@ -938,6 +959,16 @@ class TestPipelineCommand:
                      "alp_exclusion.csv", "mcp_fermion_exclusion.csv"):
             assert (out / name).exists(), name
 
+    @pytest.mark.parametrize("argv", [("--cl", "1.5"), ("--points-per-decade", "-5"),
+                                      ("--points-per-decade", "0")],
+                             ids=["cl", "negative_grid", "empty_grid"])
+    def test_out_of_range_limits_option_is_usage_error_before_simulating(self, tmp_path, argv):
+        out = tmp_path / "pipe"
+        code, err = run_captured("pipeline", "--noise-asd", "1e-7", *argv, "--out-dir", out)
+        assert code == 1
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_full_fidelity_uses_the_default_oversampling(self, tmp_path):
         from vmbsim.synth import DEFAULT_PEM_OVERSAMPLE
 
@@ -986,14 +1017,28 @@ def field_values(f):
     return st.floats(allow_nan=False, allow_infinity=False).filter(test)
 
 
+def nine(value: float) -> float:
+    """The value that a file holds of ``value``: its 9 significant digits."""
+    return float(format_number(value))
+
+
 @st.composite
 def configs(draw):
-    """Valid configs, any float a field takes drawn into each field."""
+    """Valid configs, any float a field takes drawn into each field.
+
+    The two checks that relate fields hold by construction, at the 9 digits that
+    files hold: the PEM frequency is above 100x the magnet rotation, and the
+    field integral below B_max^2 * L.  A 9-digit value is within 5e-9 of the
+    value it stands for, so factors 1e-7 from 1 keep each side of its bound.
+    """
+    related = ("magnet_rotation_hz", "peak_field_t", "field_length_m")
     kwargs = {f.name: draw(field_values(f)) for f in fields(ApparatusConfig)}
-    try:
-        return ApparatusConfig(**kwargs)
-    except ValueError:  # the checks that relate two fields
-        assume(False)
+    kwargs.update(zip(related, (draw(st.floats(1e-300, 1e300)), draw(st.floats(1e-100, 1e100)),
+                                draw(st.floats(1e-100, 1e100)))))
+    rotation, peak, length = (nine(kwargs[name]) for name in related)
+    kwargs["pem_frequency_hz"] = nine(100.0 * rotation * draw(st.floats(1 + 1e-7, 1e6)))
+    kwargs["field_integral_t2m"] = nine(peak * peak * length * draw(st.floats(1e-6, 1 - 1e-7)))
+    return ApparatusConfig(**kwargs)
 
 
 class TestConfigFile:

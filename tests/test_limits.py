@@ -1,5 +1,7 @@
 """Limits engine: confidence bounds, exclusion curves and their round trips."""
 
+import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -21,13 +23,66 @@ from vmbsim.limits import (
     load_context_curves,
     mcp_deltan_over_b2_at,
     mcp_exclusion,
-    read_curve,
     write_curve,
 )
-from vmbsim.models import AlpParams, alp_deltan
+from vmbsim import limits
+from vmbsim.models import (
+    MCP_COEFFICIENTS,
+    MCP_GAP_BAND,
+    MCP_LARGE_CHI_K,
+    AlpParams,
+    McpParams,
+    alp_deltan,
+    mcp_chi_per_epsilon,
+    mcp_deltan,
+    mcp_unitary_prefactor,
+)
 
 CFG = ApparatusConfig()
 HEADLINE_LIMIT = BirefringenceLimit(central=4e-23, sigma=2e-22)
+LIMITS = (HEADLINE_LIMIT, BirefringenceLimit(-3e-21, 1e-22), BirefringenceLimit(1e-18, 1e-20))
+
+
+def read_curve(path) -> ExclusionCurve:
+    """The curve that write_curve wrote to path, each metadata value as the type it reads as."""
+    metadata = {}
+    particle = "unknown"
+    gaps = []
+    masses, bounds, regimes, branches = [], [], [], []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                key, _, value = body.partition("=")
+                key, value = key.strip(), value.strip()
+                if key == "particle":
+                    particle = value
+                elif key == "gap_interval":
+                    a, b = value.split("..")
+                    gaps.append((float(a), float(b)))
+                elif key != "columns":  # the type write_curve wrote, so a rewrite is the same
+                    metadata[key] = value
+                    for kind in (float, int):
+                        with contextlib.suppress(ValueError):
+                            metadata[key] = kind(value)
+            else:
+                m, bound, regime, branch = [p.strip() for p in line.split(",")]
+                masses.append(float(m))
+                bounds.append(float(bound))
+                regimes.append(regime)
+                branches.append(branch)
+    return ExclusionCurve(
+        particle_kind=particle,
+        mass_grid_ev=np.array(masses),
+        bound_values=np.array(bounds),
+        regime_tags=tuple(regimes),
+        branch_tags=tuple(branches),
+        gap_intervals=tuple(gaps),
+        metadata=metadata,
+    )
 
 
 class TestConfidenceBound:
@@ -77,12 +132,39 @@ class TestConfidenceBound:
 
 class TestAlpExclusion:
     def test_round_trip_to_1e9(self):
-        curve = alp_exclusion(HEADLINE_LIMIT, CFG)
-        dn_dimless = curve.metadata["deltanu_bound_t2"] * CFG.effective_field_t**2
-        for m, g in zip(curve.mass_grid_ev[::37], curve.bound_values[::37]):
-            p = AlpParams(g, m, CFG.photon_energy_ev, CFG.field_length_m)
-            dn = alp_deltan(p, CFG.effective_field_t)
-            assert dn == pytest.approx(dn_dimless, rel=1e-9)
+        # every bound, fed back through the source model, gives the Delta n_u bound
+        for limit in LIMITS:
+            curve = alp_exclusion(limit, CFG, mass_grid_ev=np.logspace(-8, 2, 301))
+            b_eff = CFG.effective_field_t
+            assert {"small-x", "intermediate", "large-x"} == set(curve.regime_tags)
+            for m, g in zip(curve.mass_grid_ev, curve.bound_values):
+                p = AlpParams(g, m, CFG.photon_energy_ev, CFG.field_length_m)
+                dn = alp_deltan(p, b_eff)
+                assert dn / b_eff**2 == pytest.approx(
+                    curve.metadata["deltanu_bound_t2"], rel=1e-12)
+
+    def test_equals_the_per_mass_reference(self):
+        # the whole-grid curve does each mass's arithmetic in the same order as this loop
+        grid = np.logspace(-8, 2, 3001)
+        b_nat = NATURAL_UNITS.field_to_natural(CFG.effective_field_t)
+        l_nat = NATURAL_UNITS.length_to_natural(CFG.field_length_m)
+        omega = CFG.photon_energy_ev
+        for limit in LIMITS:
+            curve = alp_exclusion(limit, CFG, mass_grid_ev=grid)
+            dn = confidence_bound(limit) * CFG.effective_field_t**2
+            for m, g, tag in zip(grid.tolist(), curve.bound_values.tolist(), curve.regime_tags):
+                x = l_nat * m * m / (4.0 * omega)
+                if x < 1e-4:
+                    factor = x * x * (2.0 / 3.0 - (2.0 / 15.0) * x * x)
+                else:
+                    factor = 1.0 - math.sin(2.0 * x) / (2.0 * x)
+                assert g == math.sqrt(2.0 * m * m * dn / (b_nat**2 * factor))
+                assert tag == ("small-x" if x < 0.01 else "large-x" if x > 100 else "intermediate")
+
+    @pytest.mark.parametrize("bad", [-1e-3, 0.0, math.nan, math.inf])
+    def test_mass_not_positive_and_finite_refused(self, bad):
+        with pytest.raises(ValueError, match=f"positive and finite, got {bad!r}"):
+            alp_exclusion(HEADLINE_LIMIT, CFG, mass_grid_ev=[1e-3, bad, -2.0])
 
     def test_small_mass_asymptote_matches_limit_inversion(self):
         curve = alp_exclusion(HEADLINE_LIMIT, CFG)
@@ -158,14 +240,68 @@ class TestMcpExclusion:
                 assert tag == "gap" and math.isnan(eps)
 
     def test_round_trip_through_forward_map(self):
+        # the source model that synthesizes mcp: records gives back the Delta n_u bound
+        b_eff = CFG.effective_field_t
+        for limit in LIMITS:
+            for statistics in ("fermion", "scalar"):
+                curve = mcp_exclusion(limit, CFG, statistics=statistics)
+                target = curve.metadata["deltanu_bound_t2"]
+                assert {"small-chi", "large-chi", "gap"} == set(curve.regime_tags)
+                for m, eps, tag in zip(curve.mass_grid_ev, curve.bound_values,
+                                       curve.regime_tags):
+                    if tag == "gap":
+                        continue
+                    params = McpParams(eps, m, CFG.photon_energy_ev, statistics)
+                    value, regime = mcp_deltan(params, b_eff, allow_gap=True)
+                    assert regime == tag
+                    assert abs(value) / b_eff**2 == pytest.approx(target, rel=1e-12)
+                    assert mcp_deltan_over_b2_at(eps, m, statistics, CFG) == pytest.approx(
+                        target, rel=1e-9
+                    )
+
+    def test_a_mass_lists_its_small_chi_row_first(self, monkeypatch):
+        # at the fixed band no mass emits both branches: chi_large exceeds chi_small
+        # only where chi_small > (c_large / c_small)^(3/4) ~ 4.3, so the order shows
+        # only with a band that starts above that
+        monkeypatch.setattr(limits, "MCP_GAP_BAND", (10.0, 10.0))
         curve = mcp_exclusion(HEADLINE_LIMIT, CFG, statistics="fermion")
-        target = curve.metadata["deltanu_bound_t2"]
-        for m, eps, tag in zip(curve.mass_grid_ev, curve.bound_values, curve.regime_tags):
-            if tag == "gap":
-                continue
-            assert mcp_deltan_over_b2_at(eps, m, "fermion", CFG) == pytest.approx(
-                target, rel=1e-9
-            )
+        masses = curve.mass_grid_ev
+        twice = masses[1:] == masses[:-1]
+        assert twice.sum() > 10
+        tags = np.array(curve.regime_tags)
+        assert set(tags[:-1][twice]) == {"small-chi"} and set(tags[1:][twice]) == {"large-chi"}
+        assert np.array_equal(np.unique(masses), default_mass_grid("MCP"))
+        assert curve.gap_intervals == limits._contiguous_intervals(masses[tags == "gap"])
+
+    def test_equals_the_per_mass_reference(self):
+        # the same arithmetic as this loop, but numpy's ** rounds some operands 1 ulp
+        # away from Python's pow, which moves a bound by at most 2 ulp
+        grid = np.logspace(-6, 3, 3001)
+        lo, hi = MCP_GAP_BAND
+        for limit, statistics in itertools.product(LIMITS, ("fermion", "scalar")):
+            curve = mcp_exclusion(limit, CFG, mass_grid_ev=grid, statistics=statistics)
+            c_small, c_large = (abs(c) for c in MCP_COEFFICIENTS[statistics])
+            dn = confidence_bound(limit)
+            rows = []
+            for m in grid.tolist():
+                d = mcp_unitary_prefactor(m)
+                chi1 = mcp_chi_per_epsilon(m, CFG.photon_energy_ev, CFG.effective_field_t)
+                small = (dn / (c_small * d)) ** 0.25
+                large = (dn * chi1 ** (4.0 / 3.0) / (c_large * MCP_LARGE_CHI_K * d)) ** 0.375
+                emitted = [(m, small, "small-chi")] if chi1 * small < lo else []
+                emitted += [(m, large, "large-chi")] if chi1 * large > hi else []
+                rows += emitted or [(m, math.nan, "gap")]
+            masses, bounds, tags = zip(*rows)
+            assert curve.mass_grid_ev.tolist() == list(masses)
+            assert curve.regime_tags == curve.branch_tags == tags
+            ulps = np.abs(curve.bound_values.view(np.int64) - np.array(bounds).view(np.int64))
+            assert ulps[~np.isnan(bounds)].max() <= 2
+            assert np.isnan(curve.bound_values).tolist() == np.isnan(bounds).tolist()
+
+    @pytest.mark.parametrize("bad", [-1e-3, 0.0, math.nan, math.inf])
+    def test_mass_not_positive_and_finite_refused(self, bad):
+        with pytest.raises(ValueError, match=f"positive and finite, got {bad!r}"):
+            mcp_exclusion(HEADLINE_LIMIT, CFG, mass_grid_ev=[1e-3, bad, -2.0])
 
     def test_bisection_fallback_agrees(self):
         curve = mcp_exclusion(HEADLINE_LIMIT, CFG, statistics="scalar")

@@ -216,6 +216,16 @@ class TestAlp:
         assert alp_oscillation_factor(0.0) == 0.0
         assert alp_oscillation_factor(1e-12) == pytest.approx(0.0, abs=1e-20)
 
+    def test_factor_of_an_array_is_each_element_s_factor(self):
+        x = np.concatenate(([0.0, 1e-12, 1e-4], np.logspace(-6, 4, 401)))
+        factors = alp_oscillation_factor(x)
+        assert factors.shape == x.shape
+        assert factors.tolist() == [alp_oscillation_factor(v) for v in x.tolist()]
+        assert type(alp_oscillation_factor(0.5)) is float
+        assert alp_oscillation_factor(0.5) == 1.0 - math.sin(1.0)
+        with pytest.raises(ValueError, match="x must be >= 0, got -2.0"):
+            alp_oscillation_factor(np.array([1.0, -1.0, -2.0]))
+
     @given(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
     def test_even_in_field(self, b):
         p = self._params()

@@ -38,7 +38,6 @@ from vmbsim.apparatus import (
     grid_rate,
     parse_source,
     read_record,
-    truncated,
     write_record,
 )
 from vmbsim.pipeline import analyze_record, demodulate
@@ -53,6 +52,17 @@ from vmbsim.synth import (
 )
 
 CFG = ApparatusConfig()
+
+
+def truncated(record, n):
+    """First n samples of a record."""
+    return replace(
+        record,
+        i_omega_pem=record.i_omega_pem[:n],
+        i_2omega_pem=record.i_2omega_pem[:n],
+        i0=record.i0[:n],
+    )
+
 
 # small full-fidelity test configuration: low PEM frequency keeps raw rates tame
 SMALL_FULL = ApparatusConfig(pem_frequency_hz=960.0, magnet_rotation_hz=3.0)

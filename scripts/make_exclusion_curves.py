@@ -10,7 +10,7 @@ By default uses the headline (4 +/- 20)e-23 T^-2 measurement; pass
 import argparse
 from pathlib import Path
 
-from vmbsim.apparatus import ApparatusConfig, format_number
+from vmbsim.apparatus import ApparatusConfig, write_table
 from vmbsim.limits import (
     BirefringenceLimit,
     ReferenceResults,
@@ -51,10 +51,8 @@ def main() -> None:
 
     rows = comparison_report(limit, ReferenceResults.bundled())
     table = args.out_dir / "comparison.csv"
-    with open(table, "w") as fh:
-        fh.write("# units = 1e-23 T^-2\n# columns = experiment, central_1e-23, sigma_1e-23\n")
-        for name, central, sigma in rows:
-            fh.write(f"{name}, {format_number(central)}, {format_number(sigma)}\n")
+    write_table(table, [("units", "1e-23 T^-2")], ("experiment", "central_1e-23", "sigma_1e-23"),
+                rows)
     print(f"wrote {table}")
 
 

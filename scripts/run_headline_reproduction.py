@@ -13,7 +13,7 @@ import argparse
 import math
 from pathlib import Path
 
-from vmbsim.apparatus import ApparatusConfig, NoiseModel, NullSource, format_number
+from vmbsim.apparatus import ApparatusConfig, NoiseModel, NullSource, format_number, write_table
 from vmbsim.pipeline import (
     analytic_calibration,
     analyze_record,
@@ -59,15 +59,10 @@ def main() -> None:
     cal = analytic_calibration(cfg)
     physical, nonphysical = project_physical(mean, cal)
     runs_path = args.out_dir / "per_run_projections.csv"
-    with open(runs_path, "w") as fh:
-        fh.write("# columns = run_id, hours, deltan_over_B2_phys, deltan_over_B2_nonphys, sigma\n")
-        for i, est in enumerate(estimates):
-            run_phys, run_nonphys = project_physical(est.deltan_over_b2, cal)
-            fh.write(
-                f"{i}, {format_number(est.hours)}, "
-                f"{format_number(run_phys)}, {format_number(run_nonphys)}, "
-                f"{format_number(est.deltan_over_b2_sigma)}\n"
-            )
+    write_table(runs_path, [],
+                ("run_id", "hours", "deltan_over_B2_phys", "deltan_over_B2_nonphys", "sigma"),
+                ((i, est.hours, *project_physical(est.deltan_over_b2, cal),
+                  est.deltan_over_b2_sigma) for i, est in enumerate(estimates)))
     print(f"wrote {runs_path} ({run_id} runs)")
 
     print(f"\ncombined over {hours:.1f} h:")

@@ -10,7 +10,7 @@ calibration file into --out-dir.
 import argparse
 from pathlib import Path
 
-from vmbsim.apparatus import ApparatusConfig, GasSource, NoiseModel, format_number
+from vmbsim.apparatus import ApparatusConfig, GasSource, NoiseModel, format_number, write_table
 from vmbsim.constants import convert_pressure
 from vmbsim.pipeline import analyze_record, calibrate, project_physical
 from vmbsim.synth import synthesize_run
@@ -45,15 +45,10 @@ def main() -> None:
     print(f"per-run phases (drift): {', '.join(f'{p:+.5f}' for p in cal.per_run_phases)}")
 
     scan_path = args.out_dir / "pressure_scan.csv"
-    with open(scan_path, "w") as fh:
-        fh.write("# columns = pressure_atm, deltan_over_B2_phys, sigma\n")
-        for est, ubar in zip(estimates, args.pressures_ubar):
-            p_atm = convert_pressure(ubar, "ubar", "atm")
-            physical, _ = project_physical(est.deltan_over_b2, cal)
-            fh.write(
-                f"{format_number(p_atm)}, {format_number(physical)}, "
-                f"{format_number(est.deltan_over_b2_sigma)}\n"
-            )
+    write_table(scan_path, [], ("pressure_atm", "deltan_over_B2_phys", "sigma"),
+                ((convert_pressure(ubar, "ubar", "atm"),
+                  project_physical(est.deltan_over_b2, cal)[0], est.deltan_over_b2_sigma)
+                 for est, ubar in zip(estimates, args.pressures_ubar)))
     print(f"wrote {scan_path}")
 
     # independent check run at a pressure not in the fit

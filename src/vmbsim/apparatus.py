@@ -753,6 +753,22 @@ def _format_rows(columns) -> bytes:
     return text[text != 0].tobytes()
 
 
+def _table_header(items, columns) -> str:
+    """A ``# key = value`` line per item, each value by :func:`format_value`, then the column names."""
+    lines = [f"# {key} = {format_value(value)}\n" for key, value in items]
+    return "".join(lines) + "# columns = " + ", ".join(columns) + "\n"
+
+
+def write_table(path, items, columns, rows) -> None:
+    """Write ``items`` and ``columns`` as :func:`_table_header` does, then one line per row.
+
+    A row's values are formatted by :func:`format_value` and joined by ", ".
+    """
+    with open(path, "w") as fh:
+        fh.write(_table_header(items, columns))
+        fh.writelines(", ".join(map(format_value, row)) + "\n" for row in rows)
+
+
 def write_record(record: TimeSeriesRecord, path) -> None:
     """Serialize to the columnar text format (header block, then fixed columns).
 
@@ -761,11 +777,7 @@ def write_record(record: TimeSeriesRecord, path) -> None:
     formatted in pieces of ``_WRITE_ROWS`` on the :func:`_map_ordered` workers
     and written in order, so the bytes do not depend on the number of threads.
     """
-    header = "".join(
-        f"# {key} = {format_value(value)}\n"
-        for key, value in record.header_items()
-    )
-    header += "# columns = " + ", ".join(RECORD_COLUMNS) + "\n"
+    header = _table_header(record.header_items(), RECORD_COLUMNS)
     samples_per_bin = record.lockin_layout()[1] if record.fidelity == "full" else 1
     channel = _varying_channel(record)
 
@@ -920,21 +932,6 @@ def _text_blocks(fh):
             return
 
 
-def _skip_header(fh) -> None:
-    """Move binary ``fh`` past its leading ``#`` and blank lines.
-
-    It stops early at a line with a "\\r", which text mode would split:
-    every line skipped is one the text header and ``np.loadtxt`` skip too.
-    """
-    while True:
-        start = fh.tell()
-        line = fh.readline()
-        text = line.strip()
-        if not line or (text and not text.startswith(b"#")) or b"\r" in line:
-            fh.seek(start)
-            return
-
-
 def _loadtxt_block(block: np.ndarray) -> np.ndarray | None:
     """``np.loadtxt`` of the rows of a reader block, as ``(rows, columns)``; None if it refuses them.
 
@@ -1038,19 +1035,47 @@ def _not_utf8(text: bytes) -> str | None:
     return None
 
 
+def _header(fh, path) -> tuple[dict[str, str], int]:
+    """The header of a record file opened in binary, and the file line where its rows begin.
+
+    The header is the leading lines, split as by :func:`_lines`, that are blank
+    or start with ``#`` once ASCII whitespace is stripped.  ``fh`` is left at the
+    start of the physical line of the first row, whose first line is returned.
+    A header line that is not UTF-8 text, a repeated key or no row is refused.
+    """
+    header: dict[str, str] = {}
+    lines: dict[str, int] = {}
+    start, first = 0, 1
+    for physical in fh:
+        for lineno, raw in _lines([physical], first):
+            text = raw.strip()
+            if text and not text.startswith(b"#"):
+                fh.seek(start)
+                return header, first
+            reason = _not_utf8(raw)
+            if reason is not None:
+                raise ValueError(f"record file {path} line {lineno}: {reason}")
+            key, eq, value = text[1:].decode().partition("=")
+            if eq:
+                key = key.strip()
+                if key in header:
+                    raise ValueError(f"record file {path} line {lineno}: header key {key!r} "
+                                     f"repeats line {lines[key]}")
+                header[key], lines[key] = value.strip(), lineno
+        start, first = start + len(physical), lineno + 1
+    raise ValueError(f"record file {path} contains no samples")
+
+
 def _data_rows(path):
     """``(data_row, file_line, cells)`` of each row the reader parses, both numbered from 1.
 
-    Past the lines :func:`_skip_header` skips, a row is a line with any text
-    before its ``#``, whitespace too, as ``np.loadtxt`` reads it.  A line
-    that is not UTF-8 text is refused, named by its data row and file line,
-    or by its file line alone if it holds no row.
+    Past the physical lines :func:`_header` reads, a row is a line with any
+    text before its ``#``, whitespace too, as ``np.loadtxt`` reads it.  A
+    line that is not UTF-8 text is refused, named by its data row and file
+    line, or by its file line alone if it holds no row.
     """
     with open(path, "rb") as fh:
-        _skip_header(fh)
-        skipped = fh.tell()
-        fh.seek(0)
-        row, first = 0, fh.read(skipped).count(b"\n") + 1  # the skipped lines end in "\n"
+        row, first = 0, _header(fh, path)[1]
         for line_no, line in _lines(fh, first):
             text = line.partition(b"#")[0]
             row += bool(text)
@@ -1098,8 +1123,8 @@ def _parse_error(path) -> ValueError:
 def read_record(path) -> TimeSeriesRecord:
     """Read a record written by :func:`write_record`.
 
-    The header is the leading block of ``#`` lines; ``#`` lines after the
-    first data row are comments. A malformed or non-finite row, or one that
+    The header is the leading lines :func:`_header` reads; ``#`` lines after
+    the first data row are comments. A malformed or non-finite row, or one that
     is not UTF-8 text, is named by its 1-based data row and file line, a
     header line that is not UTF-8 text by its file line. A ``config_hash``
     that the header's config does not hash to, a header ``sample_rate_hz``
@@ -1118,36 +1143,16 @@ def read_record(path) -> TimeSeriesRecord:
     whole file reach first: a malformed row, the width, a non-finite cell,
     ``n_samples``, ``config_hash``, ``sample_rate_hz``, the grid.
     """
-    header: dict[str, str] = {}
-    lines: dict[str, int] = {}
     with open(path, "rb") as fh:
-        for lineno, raw in _lines(fh):
-            line = raw.decode(errors="replace").strip()
-            if not line:
-                continue
-            if not line.startswith("#"):
-                break  # a row that is not UTF-8 text is named by the checks of the rows
-            if _not_utf8(raw):
-                raise ValueError(f"record file {path} line {lineno}: {_not_utf8(raw)}")
-            key, eq, value = line[1:].partition("=")
-            if eq:
-                key = key.strip()
-                if key in header:
-                    raise ValueError(f"record file {path} line {lineno}: header key {key!r} "
-                                     f"repeats line {lines[key]}")
-                header[key], lines[key] = value.strip(), lineno
-        else:
-            raise ValueError(f"record file {path} contains no samples")
-    try:
-        record, header_error = _header_record(header, path), None
-    except (KeyError, ValueError) as exc:
-        record, header_error = None, exc  # raised after the checks of the rows, as before
-    try:
-        expected = int(header["n_samples"])
-    except (KeyError, ValueError):
-        expected = 0
-    with open(path, "rb") as fh:
-        _skip_header(fh)
+        header, _ = _header(fh, path)
+        try:
+            record, header_error = _header_record(header, path), None
+        except (KeyError, ValueError) as exc:
+            record, header_error = None, exc  # raised after the checks of the rows, as before
+        try:
+            expected = int(header["n_samples"])
+        except (KeyError, ValueError):
+            expected = 0
         # a data row holds at least 5 one-byte cells, 4 commas and a newline
         capacity = max(0, min(expected, (os.fstat(fh.fileno()).st_size - fh.tell() + 1) // 10))
         rows = _RecordRows(capacity, record)

@@ -21,11 +21,13 @@ from . import __version__
 from .apparatus import (
     ApparatusConfig,
     _format_rows,
+    _table_header,
     format_number,
     format_value,
     parse_source,
     read_record,
     write_record,
+    write_table,
 )
 from .configio import ConfigError, RunManifest, load_config, parse_key_values
 from .limits import (
@@ -295,25 +297,16 @@ def _cmd_analyze(args) -> int:
     cal = calibration or analytic_calibration(first.config)
     phys, nonphys = project_physical(dn_mean, cal)
 
-    runs_path = args.out_dir / "runs.csv"
-    with open(runs_path, "w") as fh:
-        fh.write(f"# manifest_hash = {mhash}\n")
-        fh.write(
-            "# columns = run_id, hours, deltan_over_B2_phys, deltan_over_B2_nonphys, "
-            "sigma, finesse, field_integral\n"
-        )
-        for path, est in zip(paths, estimates):
-            # each run on its own analytic axis unless a calibration file sets one
-            run_phys, run_nonphys = project_physical(
-                est.deltan_over_b2, calibration or analytic_calibration(est.config)
-            )
-            fh.write(
-                f"{path.stem}, {format_number(est.hours)}, "
-                f"{format_number(run_phys)}, {format_number(run_nonphys)}, "
-                f"{format_number(est.deltan_over_b2_sigma)}, "
-                f"{format_number(est.config.finesse)}, "
-                f"{format_number(est.config.field_integral_t2m)}\n"
-            )
+    write_table(
+        args.out_dir / "runs.csv", [("manifest_hash", mhash)],
+        ("run_id", "hours", "deltan_over_B2_phys", "deltan_over_B2_nonphys", "sigma", "finesse",
+         "field_integral"),
+        # each run on its own analytic axis unless a calibration file sets one
+        [(path.stem, est.hours,
+          *project_physical(est.deltan_over_b2, calibration or analytic_calibration(est.config)),
+          est.deltan_over_b2_sigma, est.config.finesse, est.config.field_integral_t2m)
+         for path, est in zip(paths, estimates)],
+    )
 
     items = [
         ("tool_version", __version__),
@@ -339,8 +332,8 @@ def _write_spectrum(out: Path, spectrum: tuple[np.ndarray, np.ndarray], mhash: s
     # adding 0.0 turns -0.0 into +0.0, as format_number does, and keeps every other value
     columns = (freqs + 0.0, np.abs(avg) + 0.0, np.angle(avg) + 0.0)
     with open(out, "wb") as fh:
-        fh.write(f"# manifest_hash = {mhash}\n".encode())
-        fh.write(b"# columns = frequency_hz, amplitude, phase_rad\n")
+        fh.write(_table_header([("manifest_hash", mhash)],
+                               ("frequency_hz", "amplitude", "phase_rad")).encode())
         fh.write(_format_rows(columns))
 
 
@@ -427,18 +420,22 @@ def _cmd_limits(args) -> int:
     rule, mass_grid = _limits_options(args)
     limit, config = _load_estimate(args.estimate)
     args.out_dir.mkdir(parents=True, exist_ok=True)
+    extra = [
+        ("estimate", str(args.estimate.name)),
+        ("central", format_number(limit.central)),
+        ("sigma", format_number(limit.sigma)),
+    ]
+    # only the options this command reads, so that no other option changes its hash
+    if args.what == "mcp":
+        extra.append(("statistics", args.statistics))
+    if mass_grid is not None:
+        extra.append(("points_per_decade", str(args.points_per_decade)))
     manifest = RunManifest(
         command=f"limits-{args.what}",
         config=config,
         cl=args.cl,
         cl_rule=rule,
-        extra=(
-            ("estimate", str(args.estimate.name)),
-            ("central", format_number(limit.central)),
-            ("sigma", format_number(limit.sigma)),
-            ("statistics", args.statistics),
-            ("points_per_decade", str(args.points_per_decade)),
-        ),
+        extra=tuple(extra),
     )
     mhash = manifest.hash()
 
@@ -466,12 +463,8 @@ def _cmd_limits(args) -> int:
     else:  # report
         rows = comparison_report(limit, ReferenceResults.bundled())
         out = args.out_dir / "comparison.csv"
-        with open(out, "w") as fh:
-            fh.write(f"# manifest_hash = {mhash}\n")
-            fh.write("# units = 1e-23 T^-2\n")
-            fh.write("# columns = experiment, central_1e-23, sigma_1e-23\n")
-            for name, central, sigma in rows:
-                fh.write(f"{name}, {format_number(central)}, {format_number(sigma)}\n")
+        write_table(out, [("manifest_hash", mhash), ("units", "1e-23 T^-2")],
+                    ("experiment", "central_1e-23", "sigma_1e-23"), rows)
         print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
 

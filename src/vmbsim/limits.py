@@ -21,7 +21,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .apparatus import ApparatusConfig, format_number, format_value
+from .apparatus import ApparatusConfig, format_number, write_table
 from .constants import CONSTANTS, NATURAL_UNITS
 from .models import (
     MCP_COEFFICIENTS,
@@ -243,13 +243,16 @@ def mcp_exclusion(
     emitted = np.stack([small, large, ~(small | large)], axis=1)
     mass_index, branch = np.nonzero(emitted)
     tags = tuple(np.array(("small-chi", "large-chi", "gap"))[branch].tolist())
+    # the first and last mass of each run of consecutive gap masses on the grid
+    gap = np.concatenate(([False], emitted[:, 2], [False]))
+    runs = np.flatnonzero(gap[1:] != gap[:-1]).reshape(-1, 2)
     return ExclusionCurve(
         particle_kind=kind,
         mass_grid_ev=m[mass_index],
         bound_values=eps[emitted],
         regime_tags=tags,
         branch_tags=tags,
-        gap_intervals=_contiguous_intervals(m[emitted[:, 2]]),
+        gap_intervals=tuple((m[start], m[stop - 1]) for start, stop in runs),
         metadata={
             "deltanu_bound_t2": dn_bound_u,
             "cl": cl,
@@ -260,13 +263,6 @@ def mcp_exclusion(
             "gap_band_hi": hi,
         },
     )
-
-
-def _contiguous_intervals(values: np.ndarray) -> tuple[tuple[float, float], ...]:
-    values = np.sort(values)
-    # adjacent grid points merge; handles grids down to ~13 points/decade
-    runs = np.split(values, np.flatnonzero(values[1:] / values[:-1] > 1.2) + 1)
-    return tuple((run[0], run[-1]) for run in runs if len(run))
 
 
 def mcp_deltan_over_b2_at(
@@ -329,14 +325,8 @@ def comparison_report(
 # ---------------------------------------------------------------------------
 
 def write_curve(curve: ExclusionCurve, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# particle = {curve.particle_kind}\n")
-        for key in sorted(curve.metadata):
-            fh.write(f"# {key} = {format_value(curve.metadata[key])}\n")
-        for a, b in curve.gap_intervals:
-            fh.write(f"# gap_interval = {format_number(a)} .. {format_number(b)}\n")
-        fh.write("# columns = mass_ev, bound, regime, branch\n")
-        for m, bound, regime, branch in zip(
-            curve.mass_grid_ev, curve.bound_values, curve.regime_tags, curve.branch_tags
-        ):
-            fh.write(f"{format_number(m)}, {format_number(bound)}, {regime}, {branch}\n")
+    items = [("particle", curve.particle_kind), *sorted(curve.metadata.items())]
+    items += [("gap_interval", f"{format_number(a)} .. {format_number(b)}")
+              for a, b in curve.gap_intervals]
+    write_table(path, items, ("mass_ev", "bound", "regime", "branch"),
+                zip(curve.mass_grid_ev, curve.bound_values, curve.regime_tags, curve.branch_tags))

@@ -227,6 +227,18 @@ class TestAnalyze:
         assert f"line {lineno}: header key {key!r} repeats line {lineno - 1}" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["# note = x", "# config.finesse = 5.0e5"],
+                             ids=["note", "config_finesse"])
+    def test_hash_line_indented_by_no_break_space_is_a_row(self, he_record, tmp_path, capsys,
+                                                           line):
+        # U+00A0 is not ASCII whitespace, so the line is the first data row, not a header line
+        first = "# config.extinction = 1.00000000e-07"
+        bad = self._edit_header(he_record, tmp_path, first, f"\u00a0{line}\n{first}")
+        assert run("analyze", bad, "--out-dir", tmp_path / "u") == 2
+        lineno = bad.read_text().splitlines().index(f"\u00a0{line}") + 1
+        assert f"data row 1 (file line {lineno}): 1 fields, expected 5" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["# seed = 7", "# source = gas:He:3.158154453491241e-05atm"],
                              ids=["seed", "source"])
     def test_header_without_seed_or_source_is_data_error(self, he_record, tmp_path, capsys,
@@ -627,6 +639,23 @@ class TestLimitsCommand:
                        "--points-per-decade", "40") == 0
             outs.append((out / "alp_exclusion.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("what, option, values", [
+        ("xsec", "--statistics", ("fermion", "scalar")),
+        ("xsec", "--points-per-decade", ("40", "400")),
+        ("report", "--statistics", ("fermion", "scalar")),
+        ("report", "--points-per-decade", ("40", "400")),
+        ("alp", "--statistics", ("fermion", "scalar")),
+    ])
+    def test_option_the_command_does_not_use_leaves_its_bytes(self, estimate, tmp_path, what,
+                                                               option, values):
+        outs = []
+        for value in values:
+            out = tmp_path / value
+            assert run("limits", what, "--estimate", estimate, option, value,
+                       "--out-dir", out) == 0
+            outs.append([(p.name, p.read_bytes()) for p in sorted(out.iterdir())])
+        assert len(outs[0]) == 1 and outs[0] == outs[1]
 
     def test_mcp(self, estimate, tmp_path):
         out = tmp_path / "lm"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
-from vmbsim.apparatus import ApparatusConfig
+from vmbsim.apparatus import ApparatusConfig, write_table
 from vmbsim.constants import NATURAL_UNITS
 from vmbsim.limits import (
     BirefringenceLimit,
@@ -271,7 +271,18 @@ class TestMcpExclusion:
         tags = np.array(curve.regime_tags)
         assert set(tags[:-1][twice]) == {"small-chi"} and set(tags[1:][twice]) == {"large-chi"}
         assert np.array_equal(np.unique(masses), default_mass_grid("MCP"))
-        assert curve.gap_intervals == limits._contiguous_intervals(masses[tags == "gap"])
+        # every mass emits a branch at this band, so none is a gap
+        assert "gap" not in tags and curve.gap_intervals == ()
+
+    @pytest.mark.parametrize("statistics", ["fermion", "scalar"])
+    @pytest.mark.parametrize("points_per_decade", [5, 12])
+    def test_coarse_grid_has_one_gap_interval(self, points_per_decade, statistics):
+        # however far apart neighbouring masses are, consecutive gap masses are one interval
+        curve = mcp_exclusion(HEADLINE_LIMIT, CFG, default_mass_grid("MCP", points_per_decade),
+                              statistics=statistics)
+        gaps = curve.mass_grid_ev[np.array(curve.regime_tags) == "gap"]
+        assert len(gaps) > 1
+        assert curve.gap_intervals == ((gaps[0], gaps[-1]),)
 
     def test_equals_the_per_mass_reference(self):
         # the same arithmetic as this loop, but numpy's ** rounds some operands 1 ulp
@@ -429,6 +440,12 @@ class TestCurveSerialization:
         assert back.metadata["points_per_decade"] == 4
         write_curve(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_write_table_layout(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, [("k", 1.5), ("n", 3), ("s", "x")], ("a", "b", "c"), [(-0.0, 2, "t")])
+        assert path.read_bytes() == (b"# k = 1.50000000e+00\n# n = 3\n# s = x\n"
+                                     b"# columns = a, b, c\n0.00000000e+00, 2, t\n")
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):

@@ -1163,6 +1163,18 @@ class TestStreamingReader:
         assert [(n, line.decode()) for n, line in apparatus._lines(io.BytesIO(data), 5)] == [
             (5 + i, line.removesuffix("\n")) for i, line in enumerate(text)]
 
+    def test_crlf_record_with_an_indented_header_line(self, tmp_path, lines):
+        # the header and the rows begin where one rule puts them, so the indented line is
+        # a header line and not also a row of one field
+        expected = read_record(tmp_path / "rec.csv")
+        lines.insert(3, b"  # note = x\n")
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"".join(line.replace(b"\n", b"\r\n") for line in lines))
+        back = read_record(path)
+        assert back.metadata == {**expected.metadata, "note": "x"}
+        for name in ("i_omega_pem", "i_2omega_pem", "i0"):
+            assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(expected, name)))
+
     def test_non_canonical_cells_read_as_loadtxt_reads_them(self, tmp_path, lines):
         # a middle block holds a valid cell in another notation and another I0
         self.edit(lines, 1000, 1, repr(float(lines[self.first + 1000].split(b", ")[1])).encode())

@@ -176,8 +176,12 @@ class NoiseModel:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.ellipticity_noise_density < 0 or self.detector_white_noise < 0:
-            raise ValueError("noise amplitudes must be >= 0")
+        for density in (self.ellipticity_noise_density, self.detector_white_noise):
+            if not (math.isfinite(density) and density >= 0):
+                raise ValueError(f"noise densities must be finite and >= 0, got {density}")
+        for tone in self.spurious_tones:
+            if not all(math.isfinite(v) for v in tone):
+                raise ValueError(f"spurious tone fields must be finite, got {tone}")
 
     def alpha_of(self, t: np.ndarray) -> np.ndarray:
         """Slowly varying spurious ellipticity alpha(t) as a sum of tones.
@@ -1040,18 +1044,20 @@ def _header(fh, path) -> tuple[dict[str, str], int]:
 
     The header is the leading lines, split as by :func:`_lines`, that are blank
     or start with ``#`` once ASCII whitespace is stripped.  ``fh`` is left at the
-    start of the physical line of the first row, whose first line is returned.
-    A header line that is not UTF-8 text, a repeated key or no row is refused.
+    first row's own line, also within a physical line of several "\\r" lines,
+    and that line is returned.  A header line that is not UTF-8 text, a
+    repeated key or no row is refused.
     """
     header: dict[str, str] = {}
     lines: dict[str, int] = {}
     start, first = 0, 1
     for physical in fh:
+        at = start
         for lineno, raw in _lines([physical], first):
             text = raw.strip()
             if text and not text.startswith(b"#"):
-                fh.seek(start)
-                return header, first
+                fh.seek(at)
+                return header, lineno
             reason = _not_utf8(raw)
             if reason is not None:
                 raise ValueError(f"record file {path} line {lineno}: {reason}")
@@ -1062,6 +1068,7 @@ def _header(fh, path) -> tuple[dict[str, str], int]:
                     raise ValueError(f"record file {path} line {lineno}: header key {key!r} "
                                      f"repeats line {lines[key]}")
                 header[key], lines[key] = value.strip(), lineno
+            at += len(raw) + 1  # a line that another follows in its physical line ends at "\r"
         start, first = start + len(physical), lineno + 1
     raise ValueError(f"record file {path} contains no samples")
 

@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .apparatus import (
     ApparatusConfig,
+    NoiseModel,
     _format_rows,
     _table_header,
     format_number,
@@ -29,7 +30,7 @@ from .apparatus import (
     write_record,
     write_table,
 )
-from .configio import ConfigError, RunManifest, load_config, parse_key_values
+from .configio import ConfigError, load_config, manifest, parse_key_values
 from .limits import (
     BOUND_RULES,
     BirefringenceLimit,
@@ -169,32 +170,34 @@ def _write_kv(path: Path, items, manifest_hash: str) -> None:
 
 def _cmd_simulate(args) -> int:
     config = _load_config_arg(args)
-    manifest = RunManifest(
-        command="simulate",
-        config=config,
-        source_spec=args.source,
-        seed=args.seed,
-        revolutions=args.revolutions,
-        fidelity=args.fidelity,
-        noise_asd=args.noise_asd,
-        detector_noise=args.detector_noise,
-        spurious_tones=_parse_tones(args.tone),
-    )
+    tones = _parse_tones(args.tone)
+    items = [
+        ("source", args.source),
+        ("seed", args.seed),
+        ("revolutions", args.revolutions),
+        ("fidelity", args.fidelity),
+        ("noise_asd", args.noise_asd),
+        ("detector_noise", args.detector_noise),
+        ("spurious_tones", ";".join(":".join(map(format_number, tone)) for tone in tones)),
+    ]
+    if args.fidelity == "full":  # a fast record does not read it
+        items.append(("pem_oversample", args.pem_oversample))
+    text, mhash = manifest("simulate", config, items)
     try:
         source = parse_source(args.source, config)
+        noise = NoiseModel(args.noise_asd, args.detector_noise, tones, rng_seed=args.seed)
+        record = synthesize_run(
+            config, source, noise, args.revolutions / config.magnet_rotation_hz,
+            fidelity=args.fidelity, pem_oversample=args.pem_oversample,
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    duration = args.revolutions / config.magnet_rotation_hz
-    record = synthesize_run(
-        config, source, manifest.noise_model(), duration,
-        fidelity=args.fidelity, pem_oversample=args.pem_oversample,
-    )
-    record.metadata["manifest_hash"] = manifest.hash()
+    record.metadata["manifest_hash"] = mhash
     args.out_dir.mkdir(parents=True, exist_ok=True)
     stem = args.name or f"run-seed{args.seed}"
     record_path = args.out_dir / f"{stem}.csv"
     write_record(record, record_path)
-    manifest.write(args.out_dir / f"{stem}.manifest.txt")
+    (args.out_dir / f"{stem}.manifest.txt").write_text(f"# manifest_hash = {mhash}\n{text}")
     print(f"wrote {record_path} ({len(record)} samples, fidelity={args.fidelity})")
     return EXIT_OK
 
@@ -207,9 +210,11 @@ def _record_paths(args) -> list[Path]:
 
 def _analyze_file(path: Path, args, config: ApparatusConfig, first: ApparatusConfig | None,
                   override: bool = True, spectrum: bool = False):
-    """``(estimate, (frequencies, averaged spectrum) or None)`` of a record file, not kept.
+    """``(estimate, (frequencies, averaged spectrum) or None, items)`` of a record file, not kept.
 
-    A record of another configuration than the ``first`` record's or
+    The manifest ``items`` name the record by its file name, its header's
+    seed and source, and its header's manifest hash when it has one.  A
+    record of another configuration than the ``first`` record's or
     ``--config`` is refused.  With ``override`` the command has
     ``--allow-mismatch``, which skips the check and which the errors name.
     Commands read and analyse their records one at a time through this
@@ -235,8 +240,13 @@ def _analyze_file(path: Path, args, config: ApparatusConfig, first: ApparatusCon
             f"{config.content_hash()}"
             + ("; pass --allow-mismatch to override" if override else "")
         )
+    items = [("input", path.name), ("input_seed", record.seed),
+             ("input_source", record.source_description)]
+    if "manifest_hash" in record.metadata:
+        items.append(("input_manifest_hash", record.metadata["manifest_hash"]))
     try:
-        return _analyze(record, args.block_size, args.noise_halfwidth, spectrum=spectrum)
+        return (*_analyze(record, args.block_size, args.noise_halfwidth, spectrum=spectrum),
+                items)
     except ValueError as exc:
         raise DataError(f"analysis of {path} failed: {exc}") from exc
 
@@ -271,24 +281,19 @@ def _cmd_analyze(args) -> int:
     # one record at a time: each is read, checked and analysed, and only its estimate and
     # averaged spectrum are kept; every output is written after the last one
     estimates, spectra = [], []
+    items = [("block_size", args.block_size), ("noise_halfwidth", args.noise_halfwidth)]
     for path in paths:
-        estimate, spectrum = _analyze_file(path, args, config,
-                                           estimates[0].config if estimates else None,
-                                           spectrum=True)
+        estimate, spectrum, inputs = _analyze_file(path, args, config,
+                                                   estimates[0].config if estimates else None,
+                                                   spectrum=True)
         estimates.append(estimate)
         spectra.append(spectrum)
+        items += inputs
+    if calibration is not None:
+        items.append(("calibration_phase_rad", calibration.phase_rad))
 
     first = estimates[0]
-    manifest = RunManifest(
-        command="analyze",
-        config=first.config,
-        source_spec=first.metadata["source"],
-        seed=first.metadata["seed"],
-        block_size=args.block_size,
-        noise_halfwidth=args.noise_halfwidth,
-        extra=tuple(("input", str(p.name)) for p in paths),
-    )
-    mhash = manifest.hash()
+    mhash = manifest("analyze", first.config, items)[1]
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for path, spectrum in zip(paths, spectra):
         _write_spectrum(args.out_dir / f"{path.stem}.spectrum.csv", spectrum, mhash)
@@ -341,24 +346,20 @@ def _cmd_calibrate(args) -> int:
     config = _load_config_arg(args)
     paths = _record_paths(args)
     estimates = []
+    items = [("gas", args.gas), ("block_size", args.block_size),
+             ("noise_halfwidth", args.noise_halfwidth)]
     for path in paths:
         # a scan fitted across configurations is refused; calibrate has no --allow-mismatch
         first = estimates[0].config if estimates else None
-        estimates.append(_analyze_file(path, args, config, first, override=False)[0])
+        estimate, _, inputs = _analyze_file(path, args, config, first, override=False)
+        estimates.append(estimate)
+        items += inputs
     try:
         cal = calibrate(estimates, args.gas)
     except (ValueError, KeyError) as exc:
         raise DataError(str(exc)) from exc
-    manifest = RunManifest(
-        command="calibrate",
-        config=estimates[0].config,
-        source_spec=f"gas:{args.gas}",
-        block_size=args.block_size,
-        noise_halfwidth=args.noise_halfwidth,
-        extra=tuple(("input", str(p.name)) for p in paths),
-    )
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    items = [
+    results = [
         ("tool_version", __version__),
         ("gas", args.gas),
         ("phase_rad", cal.phase_rad),
@@ -370,7 +371,8 @@ def _cmd_calibrate(args) -> int:
         ("n_points", len(cal.per_run_phases)),
         ("per_run_phases_rad", ";".join(format_number(p) for p in cal.per_run_phases)),
     ]
-    _write_kv(args.out_dir / "calibration.txt", items, manifest.hash())
+    _write_kv(args.out_dir / "calibration.txt", results,
+              manifest("calibrate", estimates[0].config, items)[1])
     print(
         f"calibration: phase = {format_number(cal.phase_rad)} rad, "
         f"slope = {format_number(cal.fit_slope)} +/- {format_number(cal.fit_slope_sigma)} "
@@ -420,24 +422,18 @@ def _cmd_limits(args) -> int:
     rule, mass_grid = _limits_options(args)
     limit, config = _load_estimate(args.estimate)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    extra = [
-        ("estimate", str(args.estimate.name)),
-        ("central", format_number(limit.central)),
-        ("sigma", format_number(limit.sigma)),
-    ]
     # only the options this command reads, so that no other option changes its hash
+    items = [("estimate", args.estimate.name), ("central", limit.central),
+             ("sigma", limit.sigma)]
+    if args.what != "report":
+        items.append(("cl_rule", rule))
+    if args.what in ("alp", "mcp") or args.what == "xsec" and rule != "one-sigma":
+        items.append(("cl", args.cl))
     if args.what == "mcp":
-        extra.append(("statistics", args.statistics))
+        items.append(("statistics", args.statistics))
     if mass_grid is not None:
-        extra.append(("points_per_decade", str(args.points_per_decade)))
-    manifest = RunManifest(
-        command=f"limits-{args.what}",
-        config=config,
-        cl=args.cl,
-        cl_rule=rule,
-        extra=tuple(extra),
-    )
-    mhash = manifest.hash()
+        items.append(("points_per_decade", args.points_per_decade))
+    mhash = manifest(f"limits-{args.what}", config, items)[1]
 
     if args.what == "alp":
         curve = alp_exclusion(limit, config, mass_grid, cl=args.cl, rule=rule)

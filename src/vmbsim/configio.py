@@ -2,18 +2,18 @@
 
 Config files are flat, line-oriented ``key = value`` text with unit-suffixed
 values (``wavelength = 1064 nm``); diff-friendly and self-documenting.  A run
-manifest captures everything that determines an output byte stream -- config,
-source, seed, duration, pipeline options, tool version -- and its hash is
-stamped into every file the toolchain writes.
+manifest lists everything that determines a command's output bytes -- the tool
+version, the command, the values it reads and the config -- and its hash is
+stamped into every file the command writes.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 
 from . import __version__
-from .apparatus import ApparatusConfig, NoiseModel, format_number, format_value
+from .apparatus import ApparatusConfig, format_value
 
 # each field of ApparatusConfig by its config-file key
 _FIELDS = {f.metadata["key"]: f for f in fields(ApparatusConfig)}
@@ -92,63 +92,15 @@ def config_text(config: ApparatusConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything (besides the tool version) that determines the output bytes."""
+def manifest(command: str, config: ApparatusConfig, items) -> tuple[str, str]:
+    """The text of a command's run manifest and its 16-hex-digit hash.
 
-    command: str
-    config: ApparatusConfig
-    source_spec: str = "none"
-    seed: int = 0
-    revolutions: int = 256
-    fidelity: str = "fast"
-    noise_asd: float = 0.0
-    detector_noise: float = 0.0
-    spurious_tones: tuple[tuple[float, float, float], ...] = ()
-    block_size: int = 8192
-    noise_halfwidth: int = 64
-    cl: float = 0.95
-    cl_rule: str = "gaussian-one-sided"
-    extra: tuple[tuple[str, str], ...] = field(default=())
-
-    def noise_model(self) -> NoiseModel:
-        return NoiseModel(
-            ellipticity_noise_density=self.noise_asd,
-            detector_white_noise=self.detector_noise,
-            spurious_tones=self.spurious_tones,
-            rng_seed=self.seed,
-        )
-
-    def text(self) -> str:
-        lines = [
-            f"tool_version = {__version__}",
-            f"command = {self.command}",
-            f"source = {self.source_spec}",
-            f"seed = {self.seed}",
-            f"revolutions = {self.revolutions}",
-            f"fidelity = {self.fidelity}",
-            f"noise_asd = {format_number(self.noise_asd)}",
-            f"detector_noise = {format_number(self.detector_noise)}",
-            "spurious_tones = " + ";".join(
-                f"{format_number(f)}:{format_number(a)}:{format_number(p)}"
-                for f, a, p in self.spurious_tones
-            ),
-            f"block_size = {self.block_size}",
-            f"noise_halfwidth = {self.noise_halfwidth}",
-            f"cl = {format_number(self.cl)}",
-            f"cl_rule = {self.cl_rule}",
-        ]
-        for key, value in self.extra:
-            lines.append(f"{key} = {value}")
-        lines.append("")
-        lines.append("# config")
-        lines.append(config_text(self.config).rstrip())
-        return "\n".join(lines) + "\n"
-
-    def hash(self) -> str:
-        return hashlib.sha256(self.text().encode()).hexdigest()[:16]
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# manifest_hash = {self.hash()}\n")
-            fh.write(self.text())
+    ``items`` are the ``(key, value)`` pairs of every value the command reads
+    besides its config, and of no other: the text is the tool version, the
+    command, a ``key = value`` line per item, a blank line, then ``# config``
+    and :func:`config_text`.
+    """
+    lines = [("tool_version", __version__), ("command", command), *items]
+    text = "".join(f"{key} = {format_value(value)}\n" for key, value in lines)
+    text += "\n# config\n" + config_text(config)
+    return text, hashlib.sha256(text.encode()).hexdigest()[:16]

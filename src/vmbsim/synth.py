@@ -97,7 +97,7 @@ def _check_duration(config: ApparatusConfig, duration_s: float) -> int:
     if n_revs < 1 or abs(revs - n_revs) > 1e-9 * max(1.0, revs):
         raise ValueError(
             f"duration {duration_s} s is {revs:.6f} magnet revolutions; "
-            "an integer number of revolutions is required"
+            "a positive integer number of revolutions is required"
         )
     return n_revs
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import re
 import tempfile
 import traceback
 from dataclasses import fields, replace
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from vmbsim import __version__
 from vmbsim.cli import main
-from vmbsim.configio import ConfigError, RunManifest, config_text, load_config, parse_config
+from vmbsim.configio import ConfigError, config_text, load_config, manifest, parse_config
 from vmbsim.apparatus import ApparatusConfig, format_number, format_value
 
 
@@ -63,6 +65,26 @@ class TestSimulate:
     def test_manifest_hash_embedded(self, he_record):
         header = he_record.read_text().split("\n", 40)
         assert any("manifest_hash" in line for line in header[:40])
+
+    @pytest.mark.parametrize("argv", [
+        ("--noise-asd", "-1"),
+        ("--detector-noise", "-1"),
+        ("--revolutions", "0"),
+        ("--pem-oversample", "4", "--fidelity", "full"),
+        ("--noise-asd", "nan"),
+        ("--detector-noise", "nan"),
+        ("--noise-asd", "inf"),
+        ("--detector-noise", "inf"),
+        ("--tone", "nan:1e-6:0"),
+        ("--tone", "1:1e-6:inf"),
+    ], ids=["negative_asd", "negative_rin", "no_revolutions", "full_oversample_4", "nan_asd",
+            "nan_rin", "inf_asd", "inf_rin", "nan_tone_frequency", "inf_tone_phase"])
+    def test_out_of_range_option_is_usage_error(self, tmp_path, argv):
+        out = tmp_path / "o"
+        code, err = run_captured("simulate", *argv, "--out-dir", out)
+        assert code == 1
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -1139,8 +1161,62 @@ class TestConfigFile:
 
 class TestManifest:
     def test_hash_stability(self):
-        m1 = RunManifest(command="simulate", config=ApparatusConfig(), seed=1)
-        m2 = RunManifest(command="simulate", config=ApparatusConfig(), seed=1)
-        assert m1.hash() == m2.hash()
-        m3 = RunManifest(command="simulate", config=ApparatusConfig(), seed=2)
-        assert m1.hash() != m3.hash()
+        config = ApparatusConfig()
+        text, digest = manifest("simulate", config, [("seed", 1), ("noise_asd", 0.0)])
+        assert manifest("simulate", config, [("seed", 1), ("noise_asd", 0.0)]) == (text, digest)
+        assert manifest("simulate", config, [("seed", 2), ("noise_asd", 0.0)])[1] != digest
+        assert text == (f"tool_version = {__version__}\ncommand = simulate\nseed = 1\n"
+                        f"noise_asd = 0.00000000e+00\n\n# config\n{config_text(config)}")
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """A small full-fidelity config, two helium records both named run.csv (same seed,
+        other noise), two calibration files and an estimate."""
+        root = tmp_path_factory.mktemp("manifest_inputs")
+        (root / "small.cfg").write_text("pem_frequency = 960 Hz\nmagnet_rotation = 3 Hz\n")
+        for name, asd in (("a", "1e-7"), ("b", "2e-7")):
+            assert run("simulate", "--source", "gas:He:32ubar", "--seed", "7", "--revolutions",
+                       "512", "--noise-asd", asd, "--name", "run", "--out-dir", root / name) == 0
+        for phase in ("1.0", "2.0"):
+            (root / f"phase{phase}.txt").write_text(f"phase_rad = {phase}\n")
+        assert run("analyze", root / "a" / "run.csv", "--out-dir", root / "estimate") == 0
+        return root
+
+    SIMULATE = ("simulate", "--revolutions", "2", "--noise-asd", "1e-7", "--name", "run")
+    FULL = ("simulate", "--config", "{d}/small.cfg", "--fidelity", "full", "--revolutions", "1")
+    ANALYZE = ("analyze", "{d}/a/run.csv")
+    REPORT = ("limits", "report", "--estimate", "{d}/estimate/estimate.txt")
+    XSEC = ("limits", "xsec", "--estimate", "{d}/estimate/estimate.txt")
+
+    # each case runs a command with two values of one option or input; ``reads`` says
+    # whether the command reads it, so that an unread one must leave every byte as it is
+    @pytest.mark.parametrize("first, second, reads", [
+        (FULL + ("--pem-oversample", "16"), FULL + ("--pem-oversample", "32"), True),
+        (SIMULATE + ("--pem-oversample", "16"), SIMULATE + ("--pem-oversample", "32"), False),
+        (SIMULATE + ("--seed", "1"), SIMULATE + ("--seed", "2"), True),
+        (ANALYZE + ("--calibration", "{d}/phase1.0.txt"),
+         ANALYZE + ("--calibration", "{d}/phase2.0.txt"), True),
+        (ANALYZE, ("analyze", "{d}/b/run.csv"), True),
+        (ANALYZE + ("--blocks", "4096"), ANALYZE + ("--blocks", "8192"), True),
+        (ANALYZE + ("--noise-halfwidth", "32"), ANALYZE + ("--noise-halfwidth", "64"), True),
+        (REPORT, REPORT + ("--cl", "0.9"), False),
+        (REPORT, REPORT + ("--rule", "one-sigma"), False),
+        (XSEC, XSEC + ("--cl", "0.9"), False),
+    ], ids=["full_pem_oversample", "fast_pem_oversample", "seed", "calibration",
+            "same_named_records", "blocks", "noise_halfwidth", "report_cl", "report_rule",
+            "xsec_one_sigma_cl"])
+    def test_equal_hashes_mean_equal_bytes(self, inputs, tmp_path, first, second, reads):
+        outputs = []
+        for name, argv in (("first", first), ("second", second)):
+            out = tmp_path / name
+            assert run(*(a.format(d=inputs) for a in argv), "--out-dir", out) == 0
+            files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*")}
+            hashes = {h for data in files.values()
+                      for h in re.findall(rb"^# manifest_hash = (\w+)$", data, re.M)}
+            assert len(hashes) == 1
+            outputs.append((hashes, files))
+        (first_hash, first_files), (second_hash, second_files) = outputs
+        if reads:
+            assert first_hash != second_hash or first_files == second_files
+        else:
+            assert first_files == second_files

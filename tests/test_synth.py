@@ -1165,15 +1165,17 @@ class TestStreamingReader:
 
     def test_crlf_record_with_an_indented_header_line(self, tmp_path, lines):
         # the header and the rows begin where one rule puts them, so the indented line is
-        # a header line and not also a row of one field
+        # a header line and not also a row of one field, with "\r\n" line ends and with
+        # "\r" alone, where the whole file is one physical line
         expected = read_record(tmp_path / "rec.csv")
         lines.insert(3, b"  # note = x\n")
-        path = tmp_path / "crlf.csv"
-        path.write_bytes(b"".join(line.replace(b"\n", b"\r\n") for line in lines))
-        back = read_record(path)
-        assert back.metadata == {**expected.metadata, "note": "x"}
-        for name in ("i_omega_pem", "i_2omega_pem", "i0"):
-            assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(expected, name)))
+        for end in (b"\r\n", b"\r"):
+            path = tmp_path / "crlf.csv"
+            path.write_bytes(b"".join(line.replace(b"\n", end) for line in lines))
+            back = read_record(path)
+            assert back.metadata == {**expected.metadata, "note": "x"}
+            for name in ("i_omega_pem", "i_2omega_pem", "i0"):
+                assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(expected, name)))
 
     def test_non_canonical_cells_read_as_loadtxt_reads_them(self, tmp_path, lines):
         # a middle block holds a valid cell in another notation and another I0

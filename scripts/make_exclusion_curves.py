@@ -13,7 +13,6 @@ from pathlib import Path
 from vmbsim.apparatus import ApparatusConfig, write_table
 from vmbsim.limits import (
     BirefringenceLimit,
-    ReferenceResults,
     alp_exclusion,
     comparison_report,
     cross_section_limit,
@@ -49,7 +48,7 @@ def main() -> None:
         gaps = ", ".join(f"[{a:.3g}, {b:.3g}] eV" for a, b in curve.gap_intervals)
         print(f"MCP {stats}: gap interval(s) {gaps}")
 
-    rows = comparison_report(limit, ReferenceResults.bundled())
+    rows = comparison_report(limit)
     table = args.out_dir / "comparison.csv"
     write_table(table, [("units", "1e-23 T^-2")], ("experiment", "central_1e-23", "sigma_1e-23"),
                 rows)

@@ -142,7 +142,8 @@ class ApparatusConfig:
         """The config of the ``config.*`` keys of ``kv``; a missing field takes its default.
 
         A ``config.*`` key that names no field, or whose value is not a
-        literal of the field's type, is refused, naming the key.
+        literal of the field's type, is refused, naming the key; so is a
+        missing ``config_hash``, or one that is not the config's, naming both.
         """
         by_key = {f"config.{f.name}": f for f in fields(cls)}
         kwargs = {}
@@ -158,7 +159,13 @@ class ApparatusConfig:
                 raise ValueError(
                     f"config key {key!r} must be {f.metadata['rule'][0]}, got {raw!r}"
                 ) from None
-        return cls(**kwargs)
+        config = cls(**kwargs)
+        if "config_hash" not in kv:
+            raise ValueError("key 'config_hash' is missing")
+        if kv["config_hash"] != config.content_hash():
+            raise ValueError(f"config_hash = {kv['config_hash']}, but the config.* values hash "
+                             f"to {config.content_hash()}")
+        return config
 
     def content_hash(self) -> str:
         items = sorted(self.to_key_values().items())
@@ -912,7 +919,8 @@ def _text_blocks(fh):
     thread while the record's arrays are allocated fragmented its heap and
     left ~15 MB of freed pages resident after a 6 h record.  A map is one
     page longer than a block, room for the start of a line carried over from
-    the block before; a longer line gets a larger map.
+    the block before; a longer line gets a larger map.  A line ends at "\\r\\n",
+    "\\r" or "\\n", and each becomes "\\n" in its block, as canonical rows end.
     """
     pad = b"\n" * _PAD
     rest = b""
@@ -926,10 +934,16 @@ def _text_blocks(fh):
         block[:start] = pad + rest
         got = fh.readinto(memoryview(block)[start:start + _READ_BYTES])
         end = start + got
-        # the block ends after its last newline, or at the end of the file
-        cut = block.rfind(b"\n", _PAD, end) + 1 if got else end
+        # the block ends after its last line end, or at the end of the file; a "\r" that
+        # ends the bytes read may begin a "\r\n", and goes with the next block
+        cr = block.rfind(b"\r", _PAD, end - 1 if got else end)
+        cut = max(block.rfind(b"\n", _PAD, end), cr) + 1 if got else end
         rest = block[max(cut, _PAD):end]
         if cut > _PAD:
+            if cr >= 0:  # each line end becomes "\n", as canonical rows end
+                lines = block[_PAD:cut].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                cut = _PAD + len(lines)
+                block[_PAD:cut] = lines
             block[cut:cut + _PAD] = pad
             yield np.frombuffer(block, dtype=np.uint8, count=cut + _PAD)
         if not got:
@@ -1019,15 +1033,21 @@ class _RecordRows:
 
 
 def _lines(fh, first: int = 1):
-    """``(file_line, bytes)`` of each line of binary ``fh`` from line ``first``, without its end.
+    """``(file_line from first, byte offset, bytes without the end)`` of each line of ``fh``.
 
     A line ends at "\\r\\n", "\\r" or "\\n", as in text mode and ``np.loadtxt``.
+    ``fh`` is read in pieces at least as long as the line carried over, so
+    memory grows with the longest line, not the file.
     """
-    number = first
-    for line in fh:
-        for text in line.removesuffix(b"\n").removesuffix(b"\r").split(b"\r"):
-            yield number, text
-            number += 1
+    number, offset, rest = first, fh.tell(), b""
+    while piece := fh.read(max(io.DEFAULT_BUFFER_SIZE, len(rest))):
+        lines = (rest + piece).splitlines(keepends=True)
+        rest = lines.pop()  # it may go on in the next piece, if only by the "\n" of a "\r\n"
+        for line in lines:
+            yield number, offset, line.rstrip(b"\r\n")
+            number, offset = number + 1, offset + len(line)
+    if rest:
+        yield number, offset, rest.rstrip(b"\r\n")
 
 
 def _not_utf8(text: bytes) -> str | None:
@@ -1044,32 +1064,26 @@ def _header(fh, path) -> tuple[dict[str, str], int]:
 
     The header is the leading lines, split as by :func:`_lines`, that are blank
     or start with ``#`` once ASCII whitespace is stripped.  ``fh`` is left at the
-    first row's own line, also within a physical line of several "\\r" lines,
-    and that line is returned.  A header line that is not UTF-8 text, a
-    repeated key or no row is refused.
+    start of the first row's line, and that line is returned.  A header line
+    that is not UTF-8 text, a repeated key or no row is refused.
     """
     header: dict[str, str] = {}
     lines: dict[str, int] = {}
-    start, first = 0, 1
-    for physical in fh:
-        at = start
-        for lineno, raw in _lines([physical], first):
-            text = raw.strip()
-            if text and not text.startswith(b"#"):
-                fh.seek(at)
-                return header, lineno
-            reason = _not_utf8(raw)
-            if reason is not None:
-                raise ValueError(f"record file {path} line {lineno}: {reason}")
-            key, eq, value = text[1:].decode().partition("=")
-            if eq:
-                key = key.strip()
-                if key in header:
-                    raise ValueError(f"record file {path} line {lineno}: header key {key!r} "
-                                     f"repeats line {lines[key]}")
-                header[key], lines[key] = value.strip(), lineno
-            at += len(raw) + 1  # a line that another follows in its physical line ends at "\r"
-        start, first = start + len(physical), lineno + 1
+    for lineno, offset, raw in _lines(fh):
+        text = raw.strip()
+        if text and not text.startswith(b"#"):
+            fh.seek(offset)
+            return header, lineno
+        reason = _not_utf8(raw)
+        if reason is not None:
+            raise ValueError(f"record file {path} line {lineno}: {reason}")
+        key, eq, value = text[1:].decode().partition("=")
+        if eq:
+            key = key.strip()
+            if key in header:
+                raise ValueError(f"record file {path} line {lineno}: header key {key!r} "
+                                 f"repeats line {lines[key]}")
+            header[key], lines[key] = value.strip(), lineno
     raise ValueError(f"record file {path} contains no samples")
 
 
@@ -1083,7 +1097,7 @@ def _data_rows(path):
     """
     with open(path, "rb") as fh:
         row, first = 0, _header(fh, path)[1]
-        for line_no, line in _lines(fh, first):
+        for line_no, _, line in _lines(fh, first):
             text = line.partition(b"#")[0]
             row += bool(text)
             reason = _not_utf8(line)
@@ -1190,16 +1204,14 @@ def read_record(path) -> TimeSeriesRecord:
 def _header_record(header: dict[str, str], path) -> TimeSeriesRecord:
     """The record a record file's header describes, without samples, once its checks pass.
 
-    The ``config_hash`` must be the hash of the header's config, and the
-    9-digit ``sample_rate_hz`` within 1e-8 of the rate that the config and
+    The config must pass :meth:`ApparatusConfig.from_key_values`, and the
+    9-digit ``sample_rate_hz`` be within 1e-8 of the rate that the config and
     the lock-in layout derive; past this check only the derived rate is used.
     """
-    config = ApparatusConfig.from_key_values(header)
-    if header["config_hash"] != config.content_hash():
-        raise ValueError(
-            f"record file {path} has config_hash = {header['config_hash']}, but its "
-            f"config.* values hash to {config.content_hash()}"
-        )
+    try:
+        config = ApparatusConfig.from_key_values(header)
+    except ValueError as exc:
+        raise ValueError(f"record file {path}: {exc}") from None
     metadata = {
         k: v
         for k, v in header.items()

@@ -49,9 +49,6 @@ class BirefringenceLimit:
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
-    def bound(self, cl: float = 0.95, rule: str = "gaussian-one-sided") -> float:
-        return confidence_bound(self, cl, rule)
-
 
 def confidence_bound(
     limit: BirefringenceLimit, cl: float = 0.95, rule: str = "gaussian-one-sided"
@@ -309,13 +306,9 @@ def cross_section_limit(
     }
 
 
-def comparison_report(
-    limit: BirefringenceLimit, references: ReferenceResults | None = None
-) -> list[tuple[str, float, float]]:
-    """Published results plus this measurement, in 1e-23 T^-2 (central, sigma)."""
-    if references is None:
-        references = ReferenceResults.bundled()
-    rows = list(references.rows)
+def comparison_report(limit: BirefringenceLimit) -> list[tuple[str, float, float]]:
+    """The bundled published results plus this measurement, in 1e-23 T^-2 (central, sigma)."""
+    rows = list(ReferenceResults.bundled().rows)
     rows.append(("this work", limit.central / 1e-23, limit.sigma / 1e-23))
     return rows
 

@@ -21,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from .constants import CONSTANTS, MBAR_PER_ATM, NATURAL_UNITS, PhysicalConstants
+from .constants import CONSTANTS, MBAR_PER_ATM, NATURAL_UNITS
 
 # Large-chi birefringence coefficient sqrt(pi) 2^(1/3) Gamma(2/3)^2 / Gamma(1/6),
 # evaluated from the gamma function at import rather than hard-coded.
@@ -45,18 +45,17 @@ class NonlinearLagrangianParams:
 
     eta1: float
     eta2: float
-    xi: float = CONSTANTS.xi  # T^-2
 
     @classmethod
-    def qed(cls, constants: PhysicalConstants = CONSTANTS) -> "NonlinearLagrangianParams":
+    def qed(cls) -> "NonlinearLagrangianParams":
         """Euler-Heisenberg values: eta1 = (4/7) eta2 = alpha/(45 pi)."""
-        eta1 = constants.fine_structure_alpha / (45.0 * math.pi)
-        return cls(eta1=eta1, eta2=1.75 * eta1, xi=constants.xi)
+        eta1 = CONSTANTS.fine_structure_alpha / (45.0 * math.pi)
+        return cls(eta1=eta1, eta2=1.75 * eta1)
 
     @property
     def deltan_u(self) -> float:
-        """Unitary vacuum birefringence 2*xi*(eta2 - eta1), in T^-2."""
-        return 2.0 * self.xi * (self.eta2 - self.eta1)
+        """Unitary vacuum birefringence 2*xi*(eta2 - eta1), in T^-2 (xi of ``CONSTANTS``)."""
+        return 2.0 * CONSTANTS.xi * (self.eta2 - self.eta1)
 
 
 def deltan_from_lagrangian(params: NonlinearLagrangianParams, b_tesla: float) -> float:
@@ -69,14 +68,14 @@ def deltan_from_lagrangian(params: NonlinearLagrangianParams, b_tesla: float) ->
     return params.deltan_u * b_tesla**2
 
 
-def qed_unitary_birefringence(constants: PhysicalConstants = CONSTANTS) -> float:
+def qed_unitary_birefringence() -> float:
     """Euler-Heisenberg unitary vacuum birefringence (2/15 mu0) alpha^2 lam_e^3/(m_e c^2), T^-2."""
-    me_c2_joule = constants.electron_mass_energy_ev * constants.elementary_charge
+    me_c2_joule = CONSTANTS.electron_mass_energy_ev * CONSTANTS.elementary_charge
     return (
         2.0
-        / (15.0 * constants.vacuum_permeability)
-        * constants.fine_structure_alpha**2
-        * constants.reduced_compton_wavelength_e**3
+        / (15.0 * CONSTANTS.vacuum_permeability)
+        * CONSTANTS.fine_structure_alpha**2
+        * CONSTANTS.reduced_compton_wavelength_e**3
         / me_c2_joule
     )
 
@@ -125,13 +124,13 @@ def cotton_mouton_deltan(gas: GasSpecies | str, pressure_atm: float, b_tesla: fl
     return gas.deltan_u * pressure_atm * b_tesla**2
 
 
-def equivalent_pressure(gas: GasSpecies | str, constants: PhysicalConstants = CONSTANTS) -> float:
+def equivalent_pressure(gas: GasSpecies | str) -> float:
     """Pressure (mbar) at which the gas mimics the QED vacuum birefringence."""
     if isinstance(gas, str):
         gas = gas_species(gas)
     if gas.deltan_u == 0.0:
         raise ValueError(f"gas {gas.name!r} has zero Cotton-Mouton coefficient")
-    p_atm = abs(qed_unitary_birefringence(constants) / gas.deltan_u)
+    p_atm = abs(qed_unitary_birefringence() / gas.deltan_u)
     return p_atm * MBAR_PER_ATM
 
 
@@ -233,73 +232,59 @@ class McpParams:
             raise ValueError(f"statistics must be 'fermion' or 'scalar', got {self.statistics!r}")
 
 
-def mcp_chi_per_epsilon(
-    mass_energy_ev: float,
-    photon_energy_ev: float,
-    b_tesla: float,
-    constants: PhysicalConstants = CONSTANTS,
-) -> float:
+def mcp_chi_per_epsilon(mass_energy_ev: float, photon_energy_ev: float, b_tesla: float) -> float:
     """chi/eps: the field-strength parameter stripped of its charge-ratio factor."""
     if not math.isfinite(b_tesla):
         raise ValueError(f"field must be finite, got {b_tesla}")
-    mass_joule = mass_energy_ev * constants.elementary_charge
+    mass_joule = mass_energy_ev * CONSTANTS.elementary_charge
     return (
         1.5
         * (photon_energy_ev / mass_energy_ev)
-        * constants.elementary_charge
+        * CONSTANTS.elementary_charge
         * abs(b_tesla)
-        * constants.planck_reduced
-        * constants.light_speed**2
+        * CONSTANTS.planck_reduced
+        * CONSTANTS.light_speed**2
         / mass_joule**2
     )
 
 
-def mcp_chi(params: McpParams, b_tesla: float, constants: PhysicalConstants = CONSTANTS) -> float:
+def mcp_chi(params: McpParams, b_tesla: float) -> float:
     """Field-strength parameter chi = (3/2)(hbar w / m c^2)(eps e B hbar / m^2 c^2).
 
     Linear in eps and B, proportional to m^-3.
     """
     return params.charge_ratio * mcp_chi_per_epsilon(
-        params.mass_energy_ev, params.photon_energy_ev, b_tesla, constants
+        params.mass_energy_ev, params.photon_energy_ev, b_tesla
     )
 
 
-def mcp_unitary_prefactor(
-    mass_energy_ev: float, constants: PhysicalConstants = CONSTANTS
-) -> float:
+def mcp_unitary_prefactor(mass_energy_ev: float) -> float:
     """Charge-independent part of Delta n_u^(MCP): (2/15 mu0) alpha^2 lam_eps^3/(m c^2), T^-2."""
-    mass_joule = mass_energy_ev * constants.elementary_charge
-    lam_eps = constants.planck_reduced * constants.light_speed / mass_joule
+    mass_joule = mass_energy_ev * CONSTANTS.elementary_charge
+    lam_eps = CONSTANTS.planck_reduced * CONSTANTS.light_speed / mass_joule
     return (
         2.0
-        / (15.0 * constants.vacuum_permeability)
-        * constants.fine_structure_alpha**2
+        / (15.0 * CONSTANTS.vacuum_permeability)
+        * CONSTANTS.fine_structure_alpha**2
         * lam_eps**3
         / mass_joule
     )
 
 
-def mcp_unitary_birefringence(
-    params: McpParams, constants: PhysicalConstants = CONSTANTS
-) -> float:
+def mcp_unitary_birefringence(params: McpParams) -> float:
     """Delta n_u^(MCP) = (2/15 mu0) eps^4 alpha^2 lam_eps^3/(m_eps c^2), in T^-2."""
-    return params.charge_ratio**4 * mcp_unitary_prefactor(params.mass_energy_ev, constants)
+    return params.charge_ratio**4 * mcp_unitary_prefactor(params.mass_energy_ev)
 
 
-def mcp_deltan(
-    params: McpParams,
-    b_tesla: float,
-    allow_gap: bool = False,
-    constants: PhysicalConstants = CONSTANTS,
-) -> tuple[float, str]:
+def mcp_deltan(params: McpParams, b_tesla: float, allow_gap: bool = False) -> tuple[float, str]:
     """Signed MCP birefringence and its regime tag ('small-chi', 'large-chi' or 'gap').
 
     Inside the crossover band ``MCP_GAP_BAND`` neither asymptotic formula is
     quoted; a value there is only returned with allow_gap=True, evaluated with
     the nearer regime's formula (branch split at chi = 1).
     """
-    chi = mcp_chi(params, b_tesla, constants)
-    dnu = mcp_unitary_birefringence(params, constants)
+    chi = mcp_chi(params, b_tesla)
+    dnu = mcp_unitary_birefringence(params)
     b2 = b_tesla**2
     lo, hi = MCP_GAP_BAND
     if lo <= chi <= hi and chi != 0.0:
@@ -324,9 +309,7 @@ def mcp_deltan(
 # Photon-photon cross section
 # ---------------------------------------------------------------------------
 
-def photon_photon_cross_section(
-    deltan_u: float, photon_energy_ev: float, constants: PhysicalConstants = CONSTANTS
-) -> float:
+def photon_photon_cross_section(deltan_u: float, photon_energy_ev: float) -> float:
     """Low-energy elastic photon-photon cross section, in m^2.
 
     sigma = (973 mu0^2 / 180 pi) E^6/(hbar^4 c^4) (Delta n_u)^2, valid for photon
@@ -336,7 +319,7 @@ def photon_photon_cross_section(
         raise ValueError(f"deltan_u must be finite, got {deltan_u}")
     if photon_energy_ev <= 0 or not math.isfinite(photon_energy_ev):
         raise ValueError(f"photon energy must be positive, got {photon_energy_ev}")
-    if photon_energy_ev > 0.01 * constants.electron_mass_energy_ev:
+    if photon_energy_ev > 0.01 * CONSTANTS.electron_mass_energy_ev:
         import warnings
 
         warnings.warn(
@@ -344,12 +327,12 @@ def photon_photon_cross_section(
             f"E = {photon_energy_ev:.3g} eV is outside its validity range",
             stacklevel=2,
         )
-    e_joule = photon_energy_ev * constants.elementary_charge
+    e_joule = photon_energy_ev * CONSTANTS.elementary_charge
     return (
         973.0
-        * constants.vacuum_permeability**2
+        * CONSTANTS.vacuum_permeability**2
         / (180.0 * math.pi)
         * e_joule**6
-        / (constants.planck_reduced**4 * constants.light_speed**4)
+        / (CONSTANTS.planck_reduced**4 * CONSTANTS.light_speed**4)
         * deltan_u**2
     )

@@ -165,11 +165,9 @@ def _lock_in(record: TimeSeriesRecord):
     """
     if record.fidelity == "fast":
         series, dc_2omega = _varying_channel(record), float(np.mean(record.i_2omega_pem))
-    elif record.fidelity == "full":
+    else:  # "full"; a record of any other fidelity is refused when it is made
         lock = _digital_lock_in(record)
         series, dc_2omega = lock[0], float(np.mean(lock[1]))
-    else:
-        raise ValueError(f"unknown fidelity {record.fidelity!r}")
     norm = 8.0 * float(np.mean(record.i0)) * dc_2omega
     if norm <= 0.0:
         raise ValueError("vanishing I0 * I_2OmegaPEM(DC) normalization")
@@ -409,25 +407,20 @@ def _floored_sigma(amps: np.ndarray, idx: np.ndarray) -> np.ndarray:
 # Averaging, projection, conversion
 # ---------------------------------------------------------------------------
 
-def weighted_average(values_and_sigmas) -> tuple[complex, float]:
-    """Inverse-variance vector average of complex estimates.
+def weighted_average(values, sigmas) -> tuple[complex, float]:
+    """Inverse-variance vector average of complex estimates ``values`` with sigmas ``sigmas``.
 
     Returns (mean, sigma_combined) with sigma_combined = (sum sigma_i^-2)^(-1/2);
-    both quadratures share each item's weight.
+    both quadratures share each item's weight, and every sum is a ``math.fsum``.
     """
-    items = list(values_and_sigmas)
-    if not items:
-        raise ValueError("cannot average an empty list")
-    weights = []
-    for value, sigma in items:
-        if not (sigma > 0 and math.isfinite(sigma)):
-            raise ValueError(f"all sigmas must be positive and finite, got {sigma}")
-        weights.append(1.0 / sigma**2)
+    weights = 1.0 / _positive_sigmas(sigmas) ** 2
+    values = np.asarray(values, dtype=complex)
+    if values.ndim != 1 or not len(values) or values.shape != weights.shape:
+        raise ValueError("need one or more values and one sigma for each, got shapes "
+                         f"{values.shape} and {weights.shape}")
     total = math.fsum(weights)
-    mean = complex(
-        math.fsum(w * complex(v).real for (v, _), w in zip(items, weights)) / total,
-        math.fsum(w * complex(v).imag for (v, _), w in zip(items, weights)) / total,
-    )
+    mean = complex(math.fsum(weights * values.real) / total,
+                   math.fsum(weights * values.imag) / total)
     return mean, 1.0 / math.sqrt(total)
 
 
@@ -515,7 +508,7 @@ def _run_estimate(amplitudes: np.ndarray, sigmas: np.ndarray | None, block_size:
                   sample_rate_hz: float, record: TimeSeriesRecord) -> RunEstimate:
     """The run estimate of per-block 2*Omega_Mag amplitudes and sigmas."""
     config = record.config
-    amp, sigma = weighted_average(zip(amplitudes.tolist(), _positive_sigmas(sigmas).tolist()))
+    amp, sigma = weighted_average(amplitudes, sigmas)
     n_blocks = len(amplitudes)
     return RunEstimate(
         complex_amplitude_2omega=amp,
@@ -541,11 +534,8 @@ def combine_runs(estimates: list[RunEstimate]) -> tuple[complex, float, float]:
     :func:`project_physical`.  Runs may differ in finesse or field integral;
     the conversion to Delta n/B^2 happened per run.
     """
-    if not estimates:
-        raise ValueError("no run estimates to combine")
-    mean, sigma = weighted_average(
-        (e.deltan_over_b2, e.deltan_over_b2_sigma) for e in estimates
-    )
+    mean, sigma = weighted_average([e.deltan_over_b2 for e in estimates],
+                                   [e.deltan_over_b2_sigma for e in estimates])
     hours = sum(e.hours for e in estimates)
     return mean, sigma, hours
 
@@ -578,12 +568,14 @@ def _add_weighted(total: np.ndarray, terms: np.ndarray) -> None:
         np.add.reduce(terms, axis=0, out=total)
 
 
-def _positive_sigmas(sigmas: np.ndarray | None) -> np.ndarray:
+def _positive_sigmas(sigmas) -> np.ndarray:
+    """``sigmas`` as a float array, once each is known to be positive and finite."""
     if sigmas is None:
         raise ValueError("the blocks have no rayleigh_sigma (run with_rayleigh_sigma)")
+    sigmas = np.asarray(sigmas, dtype=float)
     bad = np.count_nonzero(~((sigmas > 0) & np.isfinite(sigmas)))
     if bad:
-        raise ValueError(f"{bad} of {len(sigmas)} blocks have a rayleigh_sigma that is not "
+        raise ValueError(f"{bad} of {sigmas.size} blocks have a rayleigh_sigma that is not "
                          "positive and finite; a block whose samples are all zero has sigma 0")
     return sigmas
 

@@ -230,6 +230,12 @@ class TestAnalyze:
         assert f"config_hash = {written}" in err
         assert ApparatusConfig(finesse=3e5).content_hash() in err
 
+    def test_record_without_config_hash_is_data_error(self, he_record, tmp_path, capsys):
+        line = f"# config_hash = {ApparatusConfig().content_hash()}"
+        bad = self._edit_header(he_record, tmp_path, line, "#")
+        assert run("analyze", bad, "--out-dir", tmp_path / "h") == 2
+        assert f"record file {bad}: key 'config_hash' is missing" in capsys.readouterr().err
+
     def test_config_key_that_names_no_field_is_data_error(self, he_record, tmp_path, capsys):
         line = "# config.finesse = 6.70000000e+05"
         bad = self._edit_header(he_record, tmp_path, line,
@@ -741,7 +747,8 @@ class TestLimitsCommand:
         cut.write_text("".join(lines[:7]))
         assert "deltanu_sigma" in cut.read_text() and "config" not in cut.read_text()
         assert run("limits", "xsec", "--estimate", cut, "--out-dir", tmp_path / "lc") == 2
-        assert "lacks key 'config_hash'" in capsys.readouterr().err
+        assert f"estimate file {cut} has an unusable config: key 'config_hash' is missing" in \
+            capsys.readouterr().err
         assert not (tmp_path / "lc").exists() or not any((tmp_path / "lc").iterdir())
 
     def test_missing_estimate(self, tmp_path):
@@ -1109,6 +1116,7 @@ class TestConfigFile:
         assert back.content_hash() == config.content_hash()
         assert config_text(back) == config_text(config)
         kv = {key: format_value(value) for key, value in config.to_key_values().items()}
+        kv["config_hash"] = config.content_hash()
         assert ApparatusConfig.from_key_values(kv).content_hash() == config.content_hash()
 
     @pytest.mark.parametrize("make", [lambda path: path.mkdir(),

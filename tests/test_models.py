@@ -30,6 +30,7 @@ from vmbsim.models import (
     mcp_chi,
     mcp_deltan,
     mcp_unitary_birefringence,
+    mcp_unitary_prefactor,
     photon_photon_cross_section,
     qed_unitary_birefringence,
 )
@@ -82,12 +83,13 @@ class TestQedUnitaryBirefringence:
         assert formula(lam) == pytest.approx(qed_unitary_birefringence(), rel=1e-12)
 
     def test_mass_scaling_through_derived_wavelength(self):
-        from dataclasses import replace
         from vmbsim.constants import CONSTANTS
 
-        # halving the mass energy doubles lam_e and scales lam^3/(mc^2) by 16
-        half = replace(CONSTANTS, electron_mass_energy_ev=CONSTANTS.electron_mass_energy_ev / 2)
-        assert qed_unitary_birefringence(half) == pytest.approx(
+        # the MCP prefactor at the electron mass is the QED value; halving the mass doubles
+        # lam and scales lam^3/(mc^2) by 16
+        m_e = CONSTANTS.electron_mass_energy_ev
+        assert mcp_unitary_prefactor(m_e) == pytest.approx(qed_unitary_birefringence(), rel=1e-12)
+        assert mcp_unitary_prefactor(m_e / 2) == pytest.approx(
             16.0 * qed_unitary_birefringence(), rel=1e-12
         )
 

@@ -214,14 +214,33 @@ class TestRayleighSigma:
             rayleigh_sigma(spectra, exclusion_halfwidth=20)
 
 
+def _fsum_reference(values, sigmas):
+    """The inverse-variance vector average of complex values, item by item in Python floats."""
+    weights = [1.0 / sigma**2 for sigma in sigmas]
+    total = math.fsum(weights)
+    mean = complex(math.fsum(w * complex(v).real for v, w in zip(values, weights)) / total,
+                   math.fsum(w * complex(v).imag for v, w in zip(values, weights)) / total)
+    return mean, 1.0 / math.sqrt(total)
+
+
+_AVERAGE_ITEMS = st.lists(
+    st.tuples(
+        st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+        st.floats(min_value=1e-3, max_value=1e3),
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
 class TestWeightedAverage:
     def test_two_equal_values(self):
-        mean, sigma = weighted_average([(1.0 + 2.0j, 0.5), (1.0 + 2.0j, 0.5)])
+        mean, sigma = weighted_average(np.array([1.0 + 2.0j, 1.0 + 2.0j]), np.array([0.5, 0.5]))
         assert mean == pytest.approx(1.0 + 2.0j)
         assert sigma == pytest.approx(0.5 / math.sqrt(2.0))
 
     def test_orthogonal_unit_values(self):
-        mean, sigma = weighted_average([(1.0 + 0.0j, 1.0), (0.0 + 1.0j, 1.0)])
+        mean, sigma = weighted_average([1.0 + 0.0j, 0.0 + 1.0j], [1.0, 1.0])
         assert mean == pytest.approx(0.5 + 0.5j)
         assert sigma == pytest.approx(1.0 / math.sqrt(2.0))
 
@@ -229,32 +248,41 @@ class TestWeightedAverage:
         rng = np.random.default_rng(12)
         n = 400
         draws = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        mean, sigma = weighted_average([(d, 1.0) for d in draws])
+        mean, sigma = weighted_average(draws, np.ones(n))
         assert sigma == pytest.approx(1.0 / math.sqrt(n), rel=1e-12)
         # scatter consistency: |mean|^2/sigma^2 ~ chi2(2), almost surely < 25
         assert abs(mean) ** 2 / sigma**2 < 25.0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_average([])
+        with pytest.raises(ValueError, match="one or more values"):
+            weighted_average(np.empty(0, dtype=complex), np.empty(0))
+
+    def test_one_sigma_per_value(self):
+        with pytest.raises(ValueError, match=r"shapes \(2,\) and \(1,\)"):
+            weighted_average([1.0, 2.0], [1.0])
 
     def test_nonpositive_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_average([(1.0, 0.0)])
+        for sigma in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="1 of 2 blocks have a rayleigh_sigma that is "
+                                                 "not positive and finite"):
+                weighted_average([1.0, 2.0], [1.0, sigma])
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
-                st.floats(min_value=1e-3, max_value=1e3),
-            ),
-            min_size=1,
-            max_size=20,
-        )
-    )
+    @given(_AVERAGE_ITEMS)
+    def test_agrees_with_the_per_item_sums(self, items):
+        values, sigmas = zip(*items)
+        mean, sigma = weighted_average(np.array(values), np.array(sigmas))
+        ref_mean, ref_sigma = _fsum_reference(values, sigmas)
+        # numpy's square and Python's ** may round a weight one unit apart
+        scale = max(abs(v) for v in values)
+        assert abs(mean.real - ref_mean.real) <= 1e-15 * scale
+        assert abs(mean.imag - ref_mean.imag) <= 1e-15 * scale
+        assert sigma == pytest.approx(ref_sigma, rel=1e-15)
+
+    @given(_AVERAGE_ITEMS)
     def test_permutation_invariance(self, items):
-        m1, s1 = weighted_average(items)
-        m2, s2 = weighted_average(list(reversed(items)))
+        values, sigmas = np.array([v for v, _ in items]), np.array([s for _, s in items])
+        m1, s1 = weighted_average(values, sigmas)
+        m2, s2 = weighted_average(values[::-1], sigmas[::-1])
         assert m1 == pytest.approx(m2, rel=1e-12, abs=1e-12)
         assert s1 == pytest.approx(s2, rel=1e-12)
 
@@ -270,8 +298,9 @@ class TestWeightedAverage:
         st.floats(min_value=0.1, max_value=10.0),
     )
     def test_sigma_scaling_leaves_mean(self, items, k):
-        m1, s1 = weighted_average(items)
-        m2, s2 = weighted_average([(v, k * s) for v, s in items])
+        values, sigmas = np.array([v for v, _ in items]), np.array([s for _, s in items])
+        m1, s1 = weighted_average(values, sigmas)
+        m2, s2 = weighted_average(values, k * sigmas)
         assert m2 == pytest.approx(m1, rel=1e-9, abs=1e-12)
         assert s2 == pytest.approx(k * s1, rel=1e-9)
 

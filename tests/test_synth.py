@@ -1030,6 +1030,28 @@ class TestRecordFormatter:
             # the stored column, plus ~6.8 blocks of decoding per worker
             assert peak < back.i_omega_pem.nbytes + 9 * workers * apparatus._READ_BYTES, workers
 
+    def test_a_record_with_cr_line_ends_reads_as_its_newline_copy(self, tmp_path, monkeypatch):
+        rec = synthesize_run(CFG, NullSource(), NoiseModel(1e-7, rng_seed=2), 8192 / 3.0)
+        path = tmp_path / "long.csv"
+        write_record(rec, path)
+        expected = read_record(path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+        assert path.stat().st_size > 16 * apparatus._READ_BYTES
+        np.random.default_rng()  # numpy imports numpy.random lazily; keep that out of the peak
+        for workers in (1, 2):
+            monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
+            tracemalloc.start()
+            try:
+                back = read_record(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the bound of the "\n" read above
+            assert peak < back.i_omega_pem.nbytes + 9 * workers * apparatus._READ_BYTES, workers
+            assert back.metadata == expected.metadata
+            for name in ("i_omega_pem", "i_2omega_pem", "i0"):
+                assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(expected, name)))
+
     def test_writer_memory_is_bounded(self, tmp_path, monkeypatch):
         rec = synthesize_run(CFG, NullSource(), NoiseModel(1e-7, rng_seed=2), 8192 / 3.0)
         rec.i_omega_pem  # a held record: the peak is the writer's working set above it
@@ -1160,8 +1182,30 @@ class TestStreamingReader:
            .map(b"".join))
     def test_lines_end_where_text_mode_ends_them(self, data):
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
-        assert [(n, line.decode()) for n, line in apparatus._lines(io.BytesIO(data), 5)] == [
+        lines = list(apparatus._lines(io.BytesIO(data), 5))
+        assert [(n, line.decode()) for n, _, line in lines] == [
             (5 + i, line.removesuffix("\n")) for i, line in enumerate(text)]
+        for _, offset, line in lines:
+            assert data.startswith(line, offset)
+        assert [offset for _, offset, _ in lines] == sorted({offset for _, offset, _ in lines})
+
+    @pytest.mark.parametrize("at", [io.DEFAULT_BUFFER_SIZE - 1, io.DEFAULT_BUFFER_SIZE,
+                                    3 * io.DEFAULT_BUFFER_SIZE],
+                             ids=["piece", "after", "long_line"])
+    def test_a_crlf_across_two_pieces_is_one_line_end(self, at):
+        # _lines reads pieces of io.DEFAULT_BUFFER_SIZE bytes
+        data = b"a" * at + b"\r\n" + b"b\r"
+        lines = list(apparatus._lines(io.BytesIO(data)))
+        assert lines == [(1, 0, b"a" * at), (2, at + 2, b"b")]
+
+    def test_a_crlf_across_two_blocks_is_one_line_end(self, monkeypatch):
+        monkeypatch.setattr(apparatus, "_READ_BYTES", 64)
+        # the first 64 bytes end in the "\r" of a "\r\n"
+        data = b"w\r" + b"x" * 61 + b"\r\n" + b"y" * 60 + b"\r" + b"z" * 70 + b"\r"
+        blocks = [bytes(b[apparatus._PAD:-apparatus._PAD])
+                  for b in apparatus._text_blocks(io.BytesIO(data))]
+        # that "\r" goes with the next block, and every line end becomes "\n"
+        assert blocks == [b"w\n", b"x" * 61 + b"\n" + b"y" * 60 + b"\n", b"z" * 70 + b"\n"]
 
     def test_crlf_record_with_an_indented_header_line(self, tmp_path, lines):
         # the header and the rows begin where one rule puts them, so the indented line is
@@ -1176,6 +1220,33 @@ class TestStreamingReader:
             assert back.metadata == {**expected.metadata, "note": "x"}
             for name in ("i_omega_pem", "i_2omega_pem", "i0"):
                 assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(expected, name)))
+
+    @pytest.mark.parametrize("fault", ["malformed", "non_finite", "off_grid", "not_utf8",
+                                       "repeated_key", "no_config_hash", "short"])
+    def test_a_record_with_cr_line_ends_fails_as_its_newline_copy(self, tmp_path, lines, fault):
+        row = self.first + 1500
+        if fault == "malformed":
+            self.edit(lines, 1500, 1, b"abc")
+        elif fault == "non_finite":
+            self.edit(lines, 1500, 2, b"inf")
+        elif fault == "off_grid":
+            self.edit(lines, 1500, 4, b"5.00000000e-01")
+        elif fault == "not_utf8":
+            lines[row] = b"\xff" + lines[row]
+        elif fault == "repeated_key":
+            lines.insert(3, lines[2])
+        elif fault == "no_config_hash":
+            lines = [line for line in lines if not line.startswith(b"# config_hash")]
+        else:
+            del lines[row]
+        path = tmp_path / "bad.csv"
+        errors = []
+        for end in (b"\n", b"\r"):
+            path.write_bytes(b"".join(line.replace(b"\n", end) for line in lines))
+            with pytest.raises(ValueError) as err:
+                read_record(path)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
 
     def test_non_canonical_cells_read_as_loadtxt_reads_them(self, tmp_path, lines):
         # a middle block holds a valid cell in another notation and another I0

@@ -3,7 +3,7 @@
 Converts a (central, sigma) unitary-birefringence estimate into confidence
 bounds, a photon-photon cross-section limit, and exclusion curves for
 axion-like and millicharged particles, plus a comparison table against the
-published ellipsometric results.
+published ellipsometric results and the QED prediction.
 
 The confidence-bound construction is deliberately pluggable and stamped into
 every output: the headline cross-section number in the literature follows from
@@ -31,6 +31,7 @@ from .models import (
     mcp_chi_per_epsilon,
     mcp_unitary_prefactor,
     photon_photon_cross_section,
+    qed_unitary_birefringence,
 )
 
 BOUND_RULES = ("gaussian-one-sided", "one-sigma")
@@ -307,9 +308,16 @@ def cross_section_limit(
 
 
 def comparison_report(limit: BirefringenceLimit) -> list[tuple[str, float, float]]:
-    """The bundled published results plus this measurement, in 1e-23 T^-2 (central, sigma)."""
+    """The bundled published results, this measurement and QED, in 1e-23 T^-2 (central, sigma).
+
+    The QED row is the Euler-Heisenberg prediction, with sigma 0.  The last row is the gap
+    still to close: this measurement's sigma over the QED value, a pure number, with sigma 0.
+    """
+    qed = qed_unitary_birefringence()
     rows = list(ReferenceResults.bundled().rows)
     rows.append(("this work", limit.central / 1e-23, limit.sigma / 1e-23))
+    rows.append(("QED", qed / 1e-23, 0.0))
+    rows.append(("this work sigma / QED", limit.sigma / qed, 0.0))
     return rows
 
 

@@ -15,6 +15,10 @@ pass (``_analyze``) over the record, in chunks of whole blocks of about
 computed on a worker thread, is divided by the lock-in normalization, Fourier
 transformed and reduced to its blocks' 2*Omega_Mag amplitudes, floored
 Rayleigh sigmas and leakage tests (a record warns once) while it is in cache.
+The normalization reads a zero-stride DC channel (``I0``, a fast record's
+``I_2OmegaPEM``) as its one value, so it does not depend on the record's
+length: a block analysed alone is divided by the norm it has in a longer
+record.
 Only the ordered sum of the averaged spectrum, which ``vmbsim analyze`` alone
 asks for, runs in the calling thread, in block order.  No analysis holds the
 ellipticity series or the block spectra.  :func:`block_fft` runs the same
@@ -162,16 +166,28 @@ def _lock_in(record: TimeSeriesRecord):
     it chunk by chunk.  A fast record's channel is returned as the record
     keeps it: an array, or, if synthesized, the function of its samples that
     the analysis computes chunk by chunk (see :func:`_block_spectra`).
+
+    ``I0`` and a fast record's ``I_2OmegaPEM`` are each a channel's mean, and
+    a zero-stride channel (the constant that synthesis and ``read_record``
+    keep) is its one value: the norm does not depend on the record's length.
+    A full record's ``I_2OmegaPEM(DC)`` is the mean of its demodulated bins.
     """
     if record.fidelity == "fast":
-        series, dc_2omega = _varying_channel(record), float(np.mean(record.i_2omega_pem))
+        series, dc_2omega = _varying_channel(record), _dc_level(record.i_2omega_pem)
     else:  # "full"; a record of any other fidelity is refused when it is made
         lock = _digital_lock_in(record)
         series, dc_2omega = lock[0], float(np.mean(lock[1]))
-    norm = 8.0 * float(np.mean(record.i0)) * dc_2omega
+    norm = 8.0 * _dc_level(record.i0) * dc_2omega
     if norm <= 0.0:
         raise ValueError("vanishing I0 * I_2OmegaPEM(DC) normalization")
     return series, math.sqrt(norm)
+
+
+def _dc_level(channel: np.ndarray) -> float:
+    """The mean of a DC channel: the value of a zero-stride one, without a pass over its copies."""
+    if channel.strides == (0,) and len(channel):
+        return float(channel[0])
+    return float(np.mean(channel))
 
 
 def _digital_lock_in(record: TimeSeriesRecord) -> np.ndarray:
@@ -413,7 +429,12 @@ def weighted_average(values, sigmas) -> tuple[complex, float]:
     Returns (mean, sigma_combined) with sigma_combined = (sum sigma_i^-2)^(-1/2);
     both quadratures share each item's weight, and every sum is a ``math.fsum``.
     """
-    weights = 1.0 / _positive_sigmas(sigmas) ** 2
+    return _average(values, _positive_sigmas(sigmas))
+
+
+def _average(values, sigmas: np.ndarray) -> tuple[complex, float]:
+    """:func:`weighted_average` of sigmas that :func:`_positive_sigmas` has checked."""
+    weights = 1.0 / sigmas**2
     values = np.asarray(values, dtype=complex)
     if values.ndim != 1 or not len(values) or values.shape != weights.shape:
         raise ValueError("need one or more values and one sigma for each, got shapes "
@@ -534,8 +555,9 @@ def combine_runs(estimates: list[RunEstimate]) -> tuple[complex, float, float]:
     :func:`project_physical`.  Runs may differ in finesse or field integral;
     the conversion to Delta n/B^2 happened per run.
     """
-    mean, sigma = weighted_average([e.deltan_over_b2 for e in estimates],
-                                   [e.deltan_over_b2_sigma for e in estimates])
+    sigmas = _positive_sigmas([e.deltan_over_b2_sigma for e in estimates],
+                              "runs", "deltan_over_b2_sigma")
+    mean, sigma = _average([e.deltan_over_b2 for e in estimates], sigmas)
     hours = sum(e.hours for e in estimates)
     return mean, sigma, hours
 
@@ -568,15 +590,19 @@ def _add_weighted(total: np.ndarray, terms: np.ndarray) -> None:
         np.add.reduce(terms, axis=0, out=total)
 
 
-def _positive_sigmas(sigmas) -> np.ndarray:
-    """``sigmas`` as a float array, once each is known to be positive and finite."""
+def _positive_sigmas(sigmas, items: str = "blocks", name: str = "rayleigh_sigma") -> np.ndarray:
+    """``sigmas`` as a float array, once each is known to be positive and finite.
+
+    A refusal names the ``items`` that carry the sigmas and the ``name`` of their sigma.
+    """
     if sigmas is None:
         raise ValueError("the blocks have no rayleigh_sigma (run with_rayleigh_sigma)")
     sigmas = np.asarray(sigmas, dtype=float)
     bad = np.count_nonzero(~((sigmas > 0) & np.isfinite(sigmas)))
     if bad:
-        raise ValueError(f"{bad} of {sigmas.size} blocks have a rayleigh_sigma that is not "
-                         "positive and finite; a block whose samples are all zero has sigma 0")
+        why = "; a block whose samples are all zero has sigma 0" if items == "blocks" else ""
+        raise ValueError(f"{bad} of {sigmas.size} {items} have a {name} that is not "
+                         f"positive and finite{why}")
     return sigmas
 
 

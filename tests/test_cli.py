@@ -658,6 +658,8 @@ class TestLimitsCommand:
         body = (out / "comparison.csv").read_text()
         assert "BFRT, 2.20000000e+04, 2.40000000e+03" in body
         assert "this work, 4.00000000e+00, 2.00000000e+01" in body
+        assert "\nQED, 3.97400598e-01, 0.00000000e+00\n" in body
+        assert body.endswith("\nthis work sigma / QED, 5.03270505e+01, 0.00000000e+00\n")
 
     def test_alp_deterministic(self, estimate, tmp_path):
         outs = []

@@ -36,6 +36,7 @@ from vmbsim.models import (
     mcp_chi_per_epsilon,
     mcp_deltan,
     mcp_unitary_prefactor,
+    qed_unitary_birefringence,
 )
 
 CFG = ApparatusConfig()
@@ -399,6 +400,17 @@ class TestComparisonReport:
         assert rows["BMV"] == (830.0, 270.0)
         assert rows["this work"][0] == pytest.approx(4.0)
         assert rows["this work"][1] == pytest.approx(20.0)
+
+    def test_qed_row_and_the_gap_to_it(self):
+        rows = comparison_report(HEADLINE_LIMIT)
+        qed = qed_unitary_birefringence()
+        # the published rows, this work, QED and the ratio, in that order
+        assert [name for name, _, _ in rows[-3:]] == ["this work", "QED",
+                                                      "this work sigma / QED"]
+        assert rows[-2][1:] == (qed / 1e-23, 0.0)
+        assert rows[-2][1] == pytest.approx(0.4, rel=0.01)
+        assert rows[-1][1:] == (2e-22 / qed, 0.0)
+        assert rows[-1][1] == pytest.approx(50.0, rel=0.01)  # the abstract's "factor 50"
 
     def test_bundled_reference_table(self):
         refs = ReferenceResults.bundled()

@@ -1,6 +1,7 @@
 """Analysis chain: demodulation, FFT normalization, noise statistics, fits."""
 
 import math
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -18,6 +19,7 @@ from vmbsim.apparatus import (
     NoiseModel,
     NullSource,
     QUIET,
+    TimeSeriesRecord,
     read_record,
     write_record,
 )
@@ -97,6 +99,29 @@ class TestDemodulate:
         )
         with pytest.raises(ValueError, match="normalization"):
             demodulate(broken)
+
+    def test_constant_dc_channels_are_read_as_their_value(self):
+        # 2**40 samples: a pass over the copies would not end within the test's time
+        n, i0, dc = 1 << 40, 1e-3, 0.5e-3 * 1.2**2 / 7.0
+        rec = TimeSeriesRecord(i_omega_pem=np.broadcast_to(1e-9, n),
+                               i_2omega_pem=np.broadcast_to(dc, n), i0=np.broadcast_to(i0, n),
+                               fidelity="fast", config=CFG, source_description="null", seed=0)
+        start = time.perf_counter()
+        series, root_norm = _lock_in(rec)
+        assert time.perf_counter() - start < 1.0
+        assert series is vars(rec)["i_omega_pem"]
+        assert root_norm == math.sqrt(8 * i0 * dc)
+
+    def test_stored_dc_channels_are_averaged(self):
+        rec = synthesize_run(CFG, NullSource(), QUIET, 8 / 3.0)
+        n = len(rec)
+        # a stored channel is averaged, even when each of its values is the same
+        varying = np.linspace(0.5e-3, 1.5e-3, n)
+        constant = np.full(n, rec.i_2omega_pem[0])
+        stored = replace(rec, i0=varying, i_2omega_pem=constant)
+        assert _lock_in(stored)[1] == math.sqrt(
+            8.0 * float(np.mean(varying)) * float(np.mean(constant)))
+        assert _lock_in(rec)[1] == math.sqrt(8.0 * rec.i0[0] * rec.i_2omega_pem[0])
 
     @pytest.mark.parametrize("key, value, match", [
         ("pem_oversample", "16.5", "pem_oversample"),
@@ -395,6 +420,16 @@ class TestAnalyzeRecord:
         expected_sigma = 1.0 / math.sqrt(sum(1.0 / e.deltan_over_b2_sigma**2 for e in ests))
         assert sigma == pytest.approx(expected_sigma, rel=1e-12)
 
+    def test_combine_runs_refuses_a_zero_run_sigma_as_a_run(self):
+        est = analyze_record(synthesize_run(CFG, NullSource(), NoiseModel(1e-6, rng_seed=1),
+                                            256 / 3.0))
+        with pytest.raises(ValueError) as refusal:
+            combine_runs([est, replace(est, deltan_over_b2_sigma=0.0)])
+        message = str(refusal.value)
+        assert message == ("1 of 2 runs have a deltan_over_b2_sigma that is not positive "
+                           "and finite")
+        assert "block" not in message
+
 
 def spectra_chain(rec, block_size=8192, noise_halfwidth=64):
     """The spectra chain, which keeps every block's spectrum."""
@@ -580,12 +615,11 @@ class TestBlockStatisticsArePerBlock:
     def test_last_block_alone_among_others_and_in_any_chunks(self, monkeypatch):
         tone = NoiseModel(1e-6, 0.0, ((0.7, 1e-6, 0.3),), rng_seed=4)
         rec = synthesize_run(CFG, HELIUM, tone, 9 * 256 / 3.0)
-        # DC channels whose means are exact at any length, so both records normalize by 1
-        n = len(rec)
-        rec = replace(rec, i0=np.ones(n), i_2omega_pem=np.full(n, 0.125))
+        # the DC channels stay zero-stride views of one value, so both records share one norm
         alone = replace(rec, i_omega_pem=rec.i_omega_pem[-8192:], i0=rec.i0[-8192:],
                         i_2omega_pem=rec.i_2omega_pem[-8192:])
-        assert _lock_in(alone)[1] == _lock_in(rec)[1] == 1.0
+        assert alone.i0.strides == alone.i_2omega_pem.strides == (0,)
+        assert _lock_in(alone)[1] == _lock_in(rec)[1]
         # the last block of the 9, as the spectra chain gives it, and that block analysed alone
         spectra = spectra_chain(rec)
         last = replace(spectra, bins=spectra.bins[8:], rayleigh_sigma=spectra.rayleigh_sigma[8:])
@@ -630,8 +664,9 @@ class TestLeakage:
     @pytest.mark.parametrize("n_blocks, leaky_block", [(8, 5), (17, 13)])
     def test_an_off_bin_tone_in_a_later_block_warns(self, n_blocks, leaky_block):
         rec = synthesize_run(CFG, NullSource(), NoiseModel(1e-9, rng_seed=3), n_blocks * 256 / 3.0)
-        # psi = I_OmegaPEM / sqrt(8 I0 I_2OmegaPEM(DC)): a tone in one block only
-        root_norm = math.sqrt(8.0 * float(np.mean(rec.i0)) * float(np.mean(rec.i_2omega_pem)))
+        # psi = I_OmegaPEM / sqrt(8 I0 I_2OmegaPEM(DC)), each constant DC channel read as its
+        # one value: a tone in one block only
+        root_norm = math.sqrt(8.0 * float(rec.i0[0]) * float(rec.i_2omega_pem[0]))
         tone = root_norm * 1e-5 * np.sin(2 * math.pi * HALF_BIN_TONE_HZ * np.arange(8192) / 96.0)
         channel = rec.i_omega_pem.copy()
         channel[leaky_block * 8192: (leaky_block + 1) * 8192] += tone

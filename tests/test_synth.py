@@ -285,13 +285,16 @@ def whole_array_full(config, source, noise, duration_s, pem_oversample):
 
 
 def whole_array_demodulate(intensity, i0, pem_oversample, samples_per_bin):
-    """Reference lock-in: the per-bin kernel in one call over the whole raw record."""
+    """Reference lock-in: the per-bin kernel in one call over the whole raw record.
+
+    ``i0`` is the value of the constant I0 channel, which the lock-in reads as that value.
+    """
     phase_idx = np.arange(samples_per_bin) % pem_oversample
     refs = np.stack([np.cos(2.0 * math.pi * phase_idx / pem_oversample),
                      np.cos(4.0 * math.pi * phase_idx / pem_oversample)])
     rows = intensity.reshape(len(intensity) // samples_per_bin, samples_per_bin)
     ix1, ix2 = 2.0 * (np.einsum("ij,kj->ki", rows, refs) / samples_per_bin)
-    return ix1 / math.sqrt(8.0 * float(np.mean(i0)) * float(np.mean(ix2)))
+    return ix1 / math.sqrt(8.0 * i0 * float(np.mean(ix2)))
 
 
 RIN_AND_TONE = NoiseModel(1e-6, 1e-4, ((0.7, 1e-6, 0.3),), rng_seed=5)
@@ -313,7 +316,8 @@ class TestChunkedFullSynthesis:
         assert rec.metadata["samples_per_output_bin"] == samples_per_bin
         for name in CHANNELS:
             assert np.array_equal(getattr(rec, name), ref[name]), name
-        psi = whole_array_demodulate(ref["i_omega_pem"], ref["i0"], oversample, samples_per_bin)
+        psi = whole_array_demodulate(ref["i_omega_pem"], config.incident_power_w, oversample,
+                                     samples_per_bin)
         assert np.array_equal(demodulate(rec), psi)
 
     def test_memory_is_bounded(self, monkeypatch):
@@ -426,7 +430,8 @@ class TestFusedLockIn:
         assert is_stored(stored)
         ref, samples_per_bin = whole_array_full(config, source, noise, revolutions / 3.0,
                                                 oversample)
-        psi = whole_array_demodulate(ref["i_omega_pem"], ref["i0"], oversample, samples_per_bin)
+        psi = whole_array_demodulate(ref["i_omega_pem"], config.incident_power_w, oversample,
+                                     samples_per_bin)
         assert np.array_equal(demodulate(fused), psi)
         assert np.array_equal(demodulate(stored), psi)
         block_size = config.samples_per_revolution * revolutions
@@ -579,7 +584,8 @@ class TestChunkWorkers:
     def test_samples_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
         ref, samples_per_bin = whole_array_full(SMALL_FULL, FixedEllipticitySource(1e-6),
                                                 RIN_AND_TONE, 24 / 3.0, 8)
-        psi = whole_array_demodulate(ref["i_omega_pem"], ref["i0"], 8, samples_per_bin)
+        psi = whole_array_demodulate(ref["i_omega_pem"], SMALL_FULL.incident_power_w, 8,
+                                     samples_per_bin)
         written = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, to shake out shared writes

@@ -15,7 +15,6 @@ import math
 import mmap
 import os
 import threading
-import warnings
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain, count, islice
@@ -205,14 +204,6 @@ class NoiseModel:
             tone *= amp
             out += tone
         return out
-
-    def describe(self) -> str:
-        tones = ";".join(f"{f:g}:{a:g}:{p:g}" for f, a, p in self.spurious_tones)
-        return (
-            f"asd={self.ellipticity_noise_density:g},rin={self.detector_white_noise:g},"
-            f"tones=[{tones}],seed={self.rng_seed}"
-        )
-
 
 QUIET = NoiseModel()
 
@@ -851,8 +842,8 @@ def _decode_rows(block: np.ndarray) -> np.ndarray | None:
     "e", and every byte of the block must fit the layout, else the result is
     None.  A cell is a 9-digit integer M times 10**(e - 8); where |e - 8| <= 22
     that is one correctly rounded operation on exact doubles, the value
-    strtod (and so ``np.loadtxt``) returns, -0.0 included.  Other cells are
-    read by ``float``.
+    ``float`` of the cell returns, -0.0 included.  Other cells are read by
+    ``float``.
     """
     p = np.flatnonzero(block == ord("e"))
     n = len(p)
@@ -950,22 +941,6 @@ def _text_blocks(fh):
             return
 
 
-def _loadtxt_block(block: np.ndarray) -> np.ndarray | None:
-    """``np.loadtxt`` of the rows of a reader block, as ``(rows, columns)``; None if it refuses them.
-
-    This reads any block the canonical decoder does not, with the text
-    decoding and newline handling of ``np.loadtxt`` on the whole file.
-    """
-    text = io.TextIOWrapper(io.BytesIO(block[_PAD:-_PAD].tobytes()), encoding="utf-8")
-    with warnings.catch_warnings():
-        # a block of comment lines holds no rows
-        warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
-        try:
-            return np.loadtxt(text, delimiter=",", comments="#", ndmin=2)
-        except ValueError:
-            return None
-
-
 class _Channel:
     """A channel of a record being read: its first value while it is bitwise constant, then all."""
 
@@ -994,50 +969,51 @@ class _Channel:
 class _RecordRows:
     """What the reader keeps of a record file's rows, taken block by block in order.
 
-    The channels, the row count and width, and the first non-finite cell and
-    the first ``time`` or ``magnet_phase`` cell off the grid of ``grid`` (a
-    record without samples, or None when its header is unusable), each as
-    ``(row, reason)``, so the caller can raise the errors in the order the
-    checks of the whole file raise them.
+    The channels, the row count, the file line where the next block begins,
+    and the first non-finite cell and the first ``time`` or ``magnet_phase``
+    cell off the grid of ``grid`` (a record without samples, or None when its
+    header is unusable), each as ``(data_row, file_line, reason)`` numbered
+    from 1, so the caller can raise the errors in the order the checks of the
+    whole file raise them.
     """
 
-    def __init__(self, capacity: int, grid: TimeSeriesRecord | None):
+    def __init__(self, capacity: int, grid: TimeSeriesRecord | None, line: int):
         self.grid = grid
         self.count = 0
-        self.width = None
+        self.line = line
         self.non_finite = None
         self.off_grid = None
         self.channels = [_Channel(capacity, constant) for constant in (False, True, True)]
 
-    def add(self, values: np.ndarray) -> bool:
-        """Take a block's ``(rows, columns)`` values; False if its rows are of another width."""
-        if not len(values):
-            return True
-        if self.width is None:
-            self.width = values.shape[1]
-        if values.shape[1] != self.width:
-            return False
-        if self.width == len(RECORD_COLUMNS):
+    def add(self, values: np.ndarray, lines) -> None:
+        """Take a block's ``values`` and ``lines``, as :func:`_block_rows` returns them."""
+        if len(values):
             if self.non_finite is None:
                 finite = np.isfinite(values)
                 if not finite.all():
-                    row, col = divmod(int(np.argmin(finite)), self.width)
-                    self.non_finite = (self.count + row,
-                                       f"non-finite value in column {RECORD_COLUMNS[col]}")
+                    row, col = divmod(int(np.argmin(finite)), len(RECORD_COLUMNS))
+                    self.non_finite = self.at(row, lines[row],
+                                              f"non-finite value in column {RECORD_COLUMNS[col]}")
             if self.off_grid is None and self.grid is not None:
-                self.off_grid = _off_grid(self.grid, self.count, values)
+                fault = _off_grid(self.grid, self.count, values)
+                if fault is not None:
+                    self.off_grid = self.at(fault[0], lines[fault[0]], fault[1])
             for channel, col in zip(self.channels, (1, 2, 3)):
                 channel.add(self.count, values[:, col])
         self.count += len(values)
-        return True
+        self.line += lines[-1]
+
+    def at(self, row: int | None, line: int, reason: str) -> tuple[int | None, int, str]:
+        """``(data_row, file_line, reason)`` of 0-based ``row`` and ``line`` of the next block."""
+        return None if row is None else self.count + row + 1, self.line + line, reason
 
 
 def _lines(fh, first: int = 1):
     """``(file_line from first, byte offset, bytes without the end)`` of each line of ``fh``.
 
-    A line ends at "\\r\\n", "\\r" or "\\n", as in text mode and ``np.loadtxt``.
-    ``fh`` is read in pieces at least as long as the line carried over, so
-    memory grows with the longest line, not the file.
+    A line ends at "\\r\\n", "\\r" or "\\n", as in text mode.  ``fh`` is read
+    in pieces at least as long as the line carried over, so memory grows with
+    the longest line, not the file.
     """
     number, offset, rest = first, fh.tell(), b""
     while piece := fh.read(max(io.DEFAULT_BUFFER_SIZE, len(rest))):
@@ -1087,58 +1063,64 @@ def _header(fh, path) -> tuple[dict[str, str], int]:
     raise ValueError(f"record file {path} contains no samples")
 
 
-def _data_rows(path):
-    """``(data_row, file_line, cells)`` of each row the reader parses, both numbered from 1.
-
-    Past the physical lines :func:`_header` reads, a row is a line with any
-    text before its ``#``, whitespace too, as ``np.loadtxt`` reads it.  A
-    line that is not UTF-8 text is refused, named by its data row and file
-    line, or by its file line alone if it holds no row.
-    """
-    with open(path, "rb") as fh:
-        row, first = 0, _header(fh, path)[1]
-        for line_no, _, line in _lines(fh, first):
-            text = line.partition(b"#")[0]
-            row += bool(text)
-            reason = _not_utf8(line)
-            if reason is not None:
-                if text:
-                    raise _row_error(path, row, line_no, reason)
-                raise ValueError(f"record file {path}, file line {line_no}: {reason}")
-            if text:
-                yield row, line_no, text.decode().split(",")
+def _row_error(path, row: int | None, line: int, reason: str) -> ValueError:
+    """The error of a data row and its file line, or of a file line alone if ``row`` is None."""
+    where = f"file line {line}" if row is None else f"data row {row} (file line {line})"
+    return ValueError(f"record file {path}, {where}: {reason}")
 
 
-def _row_error(path, row: int, line: int, reason: str) -> ValueError:
-    return ValueError(f"record file {path}, data row {row} (file line {line}): {reason}")
-
-
-def _sample_error(path, index: int, reason: str) -> ValueError:
-    """:func:`_row_error` for the sample at 0-based ``index`` of the data rows."""
-    line = next(line for row, line, _ in _data_rows(path) if row == index + 1)
-    return _row_error(path, index + 1, line, reason)
-
-
-def _is_number(text: str) -> bool:
-    """Whether ``np.loadtxt`` reads stripped cell ``text``: as ``float`` does, but ASCII, no ``_``."""
+def _number(text: str) -> float | None:
+    """``float`` of a stripped cell, or None if that fails or the cell is not ASCII or has "_"."""
+    if not text.isascii() or "_" in text:
+        return None
     try:
-        float(text)
+        return float(text)
     except ValueError:
-        return False
-    return text.isascii() and "_" not in text
+        return None
 
 
-def _parse_error(path) -> ValueError:
-    """The error that names the first row ``np.loadtxt`` refuses, without numpy's wording."""
-    for row, line, cells in _data_rows(path):
-        if len(cells) != len(RECORD_COLUMNS):
-            return _row_error(path, row, line,
-                              f"{len(cells)} fields, expected {len(RECORD_COLUMNS)}")
-        for name, cell in zip(RECORD_COLUMNS, cells):
-            if not _is_number(cell.strip()):
-                return _row_error(path, row, line,
-                                  f"{cell.strip()!r} in column {name} is not a number")
-    return ValueError(f"record file {path} has a row that np.loadtxt refuses")
+def _row_values(text: str) -> list[float]:
+    """The 5 values of a row's text, or a ValueError that says why it is not a record row."""
+    cells = text.split(",")
+    if len(cells) != len(RECORD_COLUMNS):
+        raise ValueError(f"{len(cells)} fields, expected {len(RECORD_COLUMNS)}")
+    values = [_number(cell.strip()) for cell in cells]
+    for name, cell, value in zip(RECORD_COLUMNS, cells, values):
+        if value is None:
+            raise ValueError(f"{cell.strip()!r} in column {name} is not a number")
+    return values
+
+
+def _block_rows(block: np.ndarray):
+    """``(values, lines, fault)`` of the rows of a reader block, by the rules of any record row.
+
+    The text of a line before its ``#`` is a row, whitespace included, and
+    each line must be UTF-8 text.  A row has 5 cells split on ",", each of
+    which, stripped, is a number by :func:`_number`.  ``values`` are the
+    ``(rows, 5)`` values, and ``lines`` the 0-based line within the block of
+    each row and, last, of the line after the block.
+    At the first line that breaks a rule the result is ``(None, None, (row,
+    line, reason))``, ``row`` counted from 0 in the block, None for a line
+    that holds no row.  A block of canonical rows is read by the exact
+    :func:`_decode_rows`, one row per line.
+    """
+    values = _decode_rows(block)
+    if values is not None:
+        return values, range(len(values) + 1), None
+    values, lines = [], []
+    for line, raw in enumerate(block[_PAD:-_PAD].tobytes().split(b"\n")):
+        text = raw.partition(b"#")[0]
+        reason = _not_utf8(raw)
+        if reason is None and text:
+            try:
+                values += _row_values(text.decode())
+                lines.append(line)
+            except ValueError as exc:
+                reason = str(exc)
+        if reason is not None:
+            return None, None, (len(lines) if text else None, line, reason)
+    lines.append(line)  # the piece after the last "\n", where a next block begins
+    return np.array(values).reshape(-1, len(RECORD_COLUMNS)), lines, None
 
 
 def read_record(path) -> TimeSeriesRecord:
@@ -1156,16 +1138,17 @@ def read_record(path) -> TimeSeriesRecord:
     as its own array, and ``I0`` and ``I_2OmegaPEM`` as zero-stride views
     when they are constant.
 
-    The rows are read in blocks, decoded on worker threads by
-    :func:`_map_ordered` and checked in order, so the values and errors do not
-    depend on the number of threads.  Blocks of canonical rows are decoded
-    exactly by :func:`_decode_rows`, any other block by ``np.loadtxt``; of a
-    file with several faults, the one reported is the one the checks of the
-    whole file reach first: a malformed row, the width, a non-finite cell,
-    ``n_samples``, ``config_hash``, ``sample_rate_hz``, the grid.
+    The file is read once, in blocks that the :func:`_map_ordered` workers
+    decode and that are checked in order, so the values and errors do not
+    depend on the number of threads.  :func:`_block_rows` reads every row by
+    one set of rules, and a block of canonical rows exactly and fast by
+    :func:`_decode_rows`.  Of a file with several faults, the one
+    reported is the one the checks of the whole file reach first: a
+    malformed row, a non-finite cell, ``n_samples``, ``config_hash``,
+    ``sample_rate_hz``, the grid.
     """
     with open(path, "rb") as fh:
-        header, _ = _header(fh, path)
+        header, line = _header(fh, path)
         try:
             record, header_error = _header_record(header, path), None
         except (KeyError, ValueError) as exc:
@@ -1176,18 +1159,13 @@ def read_record(path) -> TimeSeriesRecord:
             expected = 0
         # a data row holds at least 5 one-byte cells, 4 commas and a newline
         capacity = max(0, min(expected, (os.fstat(fh.fileno()).st_size - fh.tell() + 1) // 10))
-        rows = _RecordRows(capacity, record)
-        for block, values in _map_ordered(lambda b: (b, _decode_rows(b)), _text_blocks(fh)):
-            if values is None:
-                values = _loadtxt_block(block)
-            if values is None or not rows.add(values):
-                raise _parse_error(path)
-    if rows.width != len(RECORD_COLUMNS):
-        raise ValueError(
-            f"record file {path} has {rows.width} columns, expected {len(RECORD_COLUMNS)}"
-        )
+        rows = _RecordRows(capacity, record, line)
+        for values, lines, fault in _map_ordered(_block_rows, _text_blocks(fh)):
+            if fault is not None:
+                raise _row_error(path, *rows.at(*fault))
+            rows.add(values, lines)
     if rows.non_finite is not None:
-        raise _sample_error(path, *rows.non_finite)
+        raise _row_error(path, *rows.non_finite)
     if int(header["n_samples"]) != rows.count:
         raise ValueError(
             f"record file {path} has {rows.count} sample rows but its header says "
@@ -1196,7 +1174,7 @@ def read_record(path) -> TimeSeriesRecord:
     if header_error is not None:
         raise header_error
     if rows.off_grid is not None:
-        raise _sample_error(path, *rows.off_grid)
+        raise _row_error(path, *rows.off_grid)
     omega, two_omega, i0 = (channel.array(rows.count) for channel in rows.channels)
     return replace(record, i_omega_pem=omega, i_2omega_pem=two_omega, i0=i0)
 
@@ -1240,15 +1218,16 @@ def _header_record(header: dict[str, str], path) -> TimeSeriesRecord:
 
 
 def _off_grid(record: TimeSeriesRecord, start: int, values: np.ndarray):
-    """``(row, reason)`` of the first ``time`` or ``magnet_phase`` cell off the grid, else None.
+    """``(i, reason)`` of the first ``time`` or ``magnet_phase`` cell off the grid, else None.
 
     ``values`` are the ``(rows, 5)`` cells of the rows from ``start`` of a
-    file of ``record``.  A cell may differ from the derived value by its
-    ``%.8e`` rounding, 5e-9 of the value.  A phase cell is compared with the
-    unwrapped phase 2 pi f t + theta0 modulo whole turns, within 1e-8 of that
-    phase plus one turn: the header config holds 9 digits too, so a rotation
-    rate or polarizer angle with more digits moves the derived phase by up to
-    5e-9 of the unwrapped phase, across the wrap for samples next to 0.
+    file of ``record``, and ``i`` is the row's index in ``values``.  A cell
+    may differ from the derived value by its ``%.8e`` rounding, 5e-9 of the
+    value.  A phase cell is compared with the unwrapped phase 2 pi f t +
+    theta0 modulo whole turns, within 1e-8 of that phase plus one turn: the
+    header config holds 9 digits too, so a rotation rate or polarizer angle
+    with more digits moves the derived phase by up to 5e-9 of the unwrapped
+    phase, across the wrap for samples next to 0.
     """
     rate = record.sample_rate_hz
     f = record.config.magnet_rotation_hz
@@ -1264,5 +1243,5 @@ def _off_grid(record: TimeSeriesRecord, start: int, values: np.ndarray):
     i = int(np.argmax(off))
     t_i, phase_i = record.derived_columns(start + i, start + i + 1)
     col, derived = (0, t_i[0]) if off_t[i] else (4, phase_i[0])
-    return start + i, (f"{RECORD_COLUMNS[col]} = {float(values[i, col])!r}, but the sample "
-                       f"grid of its config gives {float(derived)!r}")
+    return i, (f"{RECORD_COLUMNS[col]} = {float(values[i, col])!r}, but the sample "
+               f"grid of its config gives {float(derived)!r}")

@@ -176,6 +176,18 @@ class TestAnalyze:
         assert "usecols" not in err and "float64" not in err
         assert err.count("\n") == 1
 
+    def test_a_record_of_four_field_rows_names_its_first_row(self, he_record, tmp_path, capsys):
+        # every row one field short: the message names data row 1, as for one short row
+        lines = he_record.read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        bad = tmp_path / "four.csv"
+        bad.write_text("".join(lines[:first] + [line.rpartition(", ")[0] + "\n"
+                                                for line in lines[first:]]))
+        assert run("analyze", bad, "--out-dir", tmp_path / "f") == 2
+        err = capsys.readouterr().err
+        assert f"data row 1 (file line {first + 1}): 4 fields, expected 5" in err
+        assert err.count("\n") == 1
+
     @pytest.fixture()
     def small_full_record(self, tmp_path):
         cfg = tmp_path / "small.cfg"

@@ -23,15 +23,18 @@ from vmbsim.apparatus import (
     _BLOCK_SAMPLES,
     _CHUNK_BINS,
     _FMT,
+    AlpSource,
     ApparatusConfig,
     FixedDeltanSource,
     FixedEllipticitySource,
     GasSource,
+    McpSource,
     NoiseModel,
     NullSource,
     QUIET,
     QedVacuumSource,
     _PAD,
+    _block_rows,
     _decode_rows,
     _format_rows,
     format_number,
@@ -1167,6 +1170,63 @@ class TestRecordDecoder:
         assert _decode_rows(_block(canonical + row + canonical)) is None
 
 
+# cells that np.loadtxt reads, and cells it refuses, in the text of a record row
+READ_CELLS = ["1.5", "-0.0", ".5", "5.", "+1", "1E3", "00012", "1e-400", "4.9e-324", "1e500",
+              "-1e500", "Infinity", "iNf", "-inf", "+nan", "-nan", "NaN",
+              "1.00000000e+00", "-1.23456789e-100", "1.7976931348623157e308"]
+REFUSED_CELLS = ["nan(1)", "1_0", "0x10", "\u0661", "\uff11", "abc", "", "--1", "1e"]
+# padding on either side of a cell: ASCII, C1 and Unicode blanks, none of them a line end
+# in a reader block
+PADDING = ["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2000",
+           "\u2028", "\u3000"]
+
+
+def _padded(cells):
+    return st.builds(lambda a, cell, b: a + cell + b, st.sampled_from(PADDING), cells,
+                     st.sampled_from(PADDING))
+
+
+ROW_LINES = st.builds(lambda cells, comment: ",".join(cells) + comment,
+                      st.lists(_padded(st.sampled_from(READ_CELLS + REFUSED_CELLS)),
+                               min_size=4, max_size=6)
+                      | st.lists(_padded(st.sampled_from(READ_CELLS)), min_size=5, max_size=5),
+                      st.sampled_from(["", "#", " # a, b"]))
+# comment lines, blank lines and lines of blanks, which are rows of one field
+OTHER_LINES = st.sampled_from(["# note = x", "#", "", "  # indented", " ", "\t", "\xa0"])
+
+
+class TestBlockParser:
+    """Rows that are not canonical are read by one set of rules, those of ``np.loadtxt``."""
+
+    @given(st.lists(ROW_LINES | OTHER_LINES, min_size=1, max_size=8))
+    @example(["# a comment", ",".join(READ_CELLS[:5]), "", ",".join(READ_CELLS[5:10]) + "# c",
+              ",".join(READ_CELLS[10:15]), ",".join(READ_CELLS[15:])])
+    @example(["1, 2, 3, 4"] * 3)
+    @example(["1.5,2,3,4,5", "abc,1,2,3,4"])  # a refused cell in the first column
+    @example(["\xa01.5\u3000,\x1c-0.0\x1f,\x85+1, 5. ,\u2000Infinity\u2028"])
+    def test_rows_are_those_loadtxt_reads(self, lines):
+        text = "".join(line + "\n" for line in lines).encode()
+        values, at, fault = _block_rows(_block(text))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a block of comment lines holds no data
+                expected = _loadtxt(text)
+        except ValueError:
+            expected = None
+        if expected is not None and expected.size and expected.shape[1] != 5:
+            expected = None  # a record row has 5 fields
+        assert (fault is None) == (expected is not None), fault
+        if fault is None:
+            assert np.array_equal(_bits(values), _bits(expected.reshape(-1, 5)))
+            # each row's line in the block, then the line that follows the block
+            rows = [i for i, line in enumerate(lines) if line.partition("#")[0]]
+            assert list(at) == rows + [len(lines)]
+        else:
+            row, line, reason = fault
+            assert line < len(lines) and reason
+            assert row == sum(bool(before.partition("#")[0]) for before in lines[:line])
+
+
 class TestStreamingReader:
     """A record read in many small blocks, with faults placed in different blocks."""
 
@@ -1285,6 +1345,31 @@ class TestStreamingReader:
         with pytest.raises(ValueError, match="data row 21 .*: magnet_phase = 0.5"):
             read_record(path)
 
+    @pytest.mark.parametrize("cell, reason", [
+        (b"abc", "'abc' in column I_OmegaPEM is not a number"),
+        (b"inf", "non-finite value in column I_OmegaPEM"),
+    ], ids=["malformed", "non_finite"])
+    def test_a_fault_in_the_last_row_is_named_from_one_reading(self, tmp_path, lines,
+                                                              monkeypatch, cell, reason):
+        n = len(lines) - self.first
+        self.edit(lines, n - 1, 1, cell)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"".join(lines))
+        calls = []
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(apparatus, "_header", counted("_header", apparatus._header))
+        monkeypatch.setattr(apparatus, "open", counted("open", open), raising=False)
+        with pytest.raises(ValueError) as err:
+            read_record(path)
+        assert f"data row {n} (file line {self.first + n}): {reason}" in str(err.value)
+        assert sorted(calls) == ["_header", "open"]
+
     @staticmethod
     def count_maps(monkeypatch) -> list:
         """The anonymous maps made from here on, as they are made."""
@@ -1366,6 +1451,27 @@ class TestSourceParsing:
         ]:
             src = parse_source(spec, CFG)
             assert isinstance(src, cls)
+
+    @pytest.mark.parametrize("config", [CFG, ApparatusConfig(wavelength_m=532e-9,
+                                                             field_length_m=2.4)],
+                             ids=["default", "green"])
+    def test_describe_parses_back_to_the_same_source(self, config):
+        from vmbsim.constants import convert_pressure
+        from vmbsim.models import AlpParams, McpParams
+
+        energy = config.photon_energy_ev
+        sources = [
+            NullSource(),
+            QedVacuumSource(),
+            FixedDeltanSource(4e-23 / 3),
+            FixedEllipticitySource(-1e-7 / 7),
+            GasSource("He", convert_pressure(32.0, "ubar", "atm")),
+            AlpSource(AlpParams(1e-6 / 3, 1e-3 / 7, energy, config.field_length_m)),
+            McpSource(McpParams(1e-7 / 3, 0.5 / 7, energy, "scalar")),
+        ]
+        assert len({type(source) for source in sources}) == 7
+        for source in sources:
+            assert parse_source(source.describe(), config) == source
 
     def test_gas_pressure_units(self):
         src = parse_source("gas:He:32ubar", CFG)

@@ -10,7 +10,6 @@ harmonic, then sampled synchronously with the magnet rotation.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 import mmap
 import os
@@ -971,13 +970,12 @@ class _RecordRows:
 
     The channels, the row count, the file line where the next block begins,
     and the first non-finite cell and the first ``time`` or ``magnet_phase``
-    cell off the grid of ``grid`` (a record without samples, or None when its
-    header is unusable), each as ``(data_row, file_line, reason)`` numbered
-    from 1, so the caller can raise the errors in the order the checks of the
-    whole file raise them.
+    cell off the grid of ``grid`` (a record without samples), each as
+    ``(data_row, file_line, reason)`` numbered from 1, so the caller can raise
+    the errors in the order the checks of the whole file raise them.
     """
 
-    def __init__(self, capacity: int, grid: TimeSeriesRecord | None, line: int):
+    def __init__(self, capacity: int, grid: TimeSeriesRecord, line: int):
         self.grid = grid
         self.count = 0
         self.line = line
@@ -994,7 +992,7 @@ class _RecordRows:
                     row, col = divmod(int(np.argmin(finite)), len(RECORD_COLUMNS))
                     self.non_finite = self.at(row, lines[row],
                                               f"non-finite value in column {RECORD_COLUMNS[col]}")
-            if self.off_grid is None and self.grid is not None:
+            if self.off_grid is None:
                 fault = _off_grid(self.grid, self.count, values)
                 if fault is not None:
                     self.off_grid = self.at(fault[0], lines[fault[0]], fault[1])
@@ -1008,24 +1006,6 @@ class _RecordRows:
         return None if row is None else self.count + row + 1, self.line + line, reason
 
 
-def _lines(fh, first: int = 1):
-    """``(file_line from first, byte offset, bytes without the end)`` of each line of ``fh``.
-
-    A line ends at "\\r\\n", "\\r" or "\\n", as in text mode.  ``fh`` is read
-    in pieces at least as long as the line carried over, so memory grows with
-    the longest line, not the file.
-    """
-    number, offset, rest = first, fh.tell(), b""
-    while piece := fh.read(max(io.DEFAULT_BUFFER_SIZE, len(rest))):
-        lines = (rest + piece).splitlines(keepends=True)
-        rest = lines.pop()  # it may go on in the next piece, if only by the "\n" of a "\r\n"
-        for line in lines:
-            yield number, offset, line.rstrip(b"\r\n")
-            number, offset = number + 1, offset + len(line)
-    if rest:
-        yield number, offset, rest.rstrip(b"\r\n")
-
-
 def _not_utf8(text: bytes) -> str | None:
     """Why a line's bytes are not UTF-8 text, naming the first bad byte; None if they are."""
     try:
@@ -1035,31 +1015,39 @@ def _not_utf8(text: bytes) -> str | None:
     return None
 
 
-def _header(fh, path) -> tuple[dict[str, str], int]:
-    """The header of a record file opened in binary, and the file line where its rows begin.
+def _header(blocks, path) -> tuple[dict[str, str], int, np.ndarray]:
+    """The header of a record file, the file line of its first row, and the rest of that block.
 
-    The header is the leading lines, split as by :func:`_lines`, that are blank
-    or start with ``#`` once ASCII whitespace is stripped.  ``fh`` is left at the
-    start of the first row's line, and that line is returned.  A header line
-    that is not UTF-8 text, a repeated key or no row is refused.
+    ``blocks`` are the file's :func:`_text_blocks` from its first byte.  The
+    header is its leading lines that are blank or start with ``#`` once ASCII
+    whitespace is stripped; the walk stops at the first other line, a row, and
+    the rest of its block from that line is returned behind ``_PAD`` newline
+    bytes, as a block of rows.  A header line that is not UTF-8 text, a
+    repeated key or no row is refused.
     """
     header: dict[str, str] = {}
     lines: dict[str, int] = {}
-    for lineno, offset, raw in _lines(fh):
-        text = raw.strip()
-        if text and not text.startswith(b"#"):
-            fh.seek(offset)
-            return header, lineno
-        reason = _not_utf8(raw)
-        if reason is not None:
-            raise ValueError(f"record file {path} line {lineno}: {reason}")
-        key, eq, value = text[1:].decode().partition("=")
-        if eq:
-            key = key.strip()
-            if key in header:
-                raise ValueError(f"record file {path} line {lineno}: header key {key!r} "
-                                 f"repeats line {lines[key]}")
-            header[key], lines[key] = value.strip(), lineno
+    lineno = 1
+    for block in blocks:
+        text, start = block.tobytes(), _PAD
+        while start < len(text) - _PAD:
+            end = text.index(b"\n", start)
+            raw = text[start:end]
+            stripped = raw.strip()
+            if stripped and not stripped.startswith(b"#"):
+                block[start - _PAD:start] = ord("\n")
+                return header, lineno, block[start - _PAD:]
+            reason = _not_utf8(raw)
+            if reason is not None:
+                raise ValueError(f"record file {path} line {lineno}: {reason}")
+            key, eq, value = stripped[1:].decode().partition("=")
+            if eq:
+                key = key.strip()
+                if key in header:
+                    raise ValueError(f"record file {path} line {lineno}: header key {key!r} "
+                                     f"repeats line {lines[key]}")
+                header[key], lines[key] = value.strip(), lineno
+            start, lineno = end + 1, lineno + 1
     raise ValueError(f"record file {path} contains no samples")
 
 
@@ -1138,54 +1126,65 @@ def read_record(path) -> TimeSeriesRecord:
     as its own array, and ``I0`` and ``I_2OmegaPEM`` as zero-stride views
     when they are constant.
 
-    The file is read once, in blocks that the :func:`_map_ordered` workers
-    decode and that are checked in order, so the values and errors do not
-    depend on the number of threads.  :func:`_block_rows` reads every row by
-    one set of rules, and a block of canonical rows exactly and fast by
-    :func:`_decode_rows`.  Of a file with several faults, the one
-    reported is the one the checks of the whole file reach first: a
-    malformed row, a non-finite cell, ``n_samples``, ``config_hash``,
-    ``sample_rate_hz``, the grid.
+    The file is read once, from its first byte, in the blocks of
+    :func:`_text_blocks`: :func:`_header` takes the header from the first of
+    them, and the whole header is checked before any row is read.  The rows
+    are in blocks that the :func:`_map_ordered` workers decode and that are
+    checked in order, so the values and errors do not depend on the number
+    of threads.  :func:`_block_rows` reads every row by one set of rules, and
+    a block of canonical rows exactly and fast by :func:`_decode_rows`.  Of a
+    file with several faults, the one reported is the one these checks reach
+    first: the header, a malformed row, a non-finite cell, ``n_samples``, the
+    grid.
     """
     with open(path, "rb") as fh:
-        header, line = _header(fh, path)
-        try:
-            record, header_error = _header_record(header, path), None
-        except (KeyError, ValueError) as exc:
-            record, header_error = None, exc  # raised after the checks of the rows, as before
-        try:
-            expected = int(header["n_samples"])
-        except (KeyError, ValueError):
-            expected = 0
+        blocks = _text_blocks(fh)
+        header, line, first = _header(blocks, path)
+        record, n_samples = _header_record(header, path)
         # a data row holds at least 5 one-byte cells, 4 commas and a newline
-        capacity = max(0, min(expected, (os.fstat(fh.fileno()).st_size - fh.tell() + 1) // 10))
+        capacity = min(n_samples, (os.fstat(fh.fileno()).st_size + 1) // 10)
         rows = _RecordRows(capacity, record, line)
-        for values, lines, fault in _map_ordered(_block_rows, _text_blocks(fh)):
+        for values, lines, fault in _map_ordered(_block_rows, chain([first], blocks)):
             if fault is not None:
                 raise _row_error(path, *rows.at(*fault))
             rows.add(values, lines)
     if rows.non_finite is not None:
         raise _row_error(path, *rows.non_finite)
-    if int(header["n_samples"]) != rows.count:
+    if n_samples != rows.count:
         raise ValueError(
             f"record file {path} has {rows.count} sample rows but its header says "
             f"n_samples = {header['n_samples']}"
         )
-    if header_error is not None:
-        raise header_error
     if rows.off_grid is not None:
         raise _row_error(path, *rows.off_grid)
     omega, two_omega, i0 = (channel.array(rows.count) for channel in rows.channels)
     return replace(record, i_omega_pem=omega, i_2omega_pem=two_omega, i0=i0)
 
 
-def _header_record(header: dict[str, str], path) -> TimeSeriesRecord:
-    """The record a record file's header describes, without samples, once its checks pass.
+def _header_record(header: dict[str, str], path) -> tuple[TimeSeriesRecord, int]:
+    """The record a record file's header describes, without samples, and its ``n_samples``.
 
-    The config must pass :meth:`ApparatusConfig.from_key_values`, and the
-    9-digit ``sample_rate_hz`` be within 1e-8 of the rate that the config and
-    the lock-in layout derive; past this check only the derived rate is used.
+    The header must hold ``fidelity``, ``source``, an integer ``seed``, a
+    number ``sample_rate_hz`` and an integer ``n_samples`` >= 0; a refusal
+    names the key.  Then the config must pass
+    :meth:`ApparatusConfig.from_key_values`, and the 9-digit
+    ``sample_rate_hz`` be within 1e-8 of the rate that the config and the
+    lock-in layout derive; past this check only the derived rate is used.
     """
+    def value(key: str, parse=str, rule: str = "", ok=lambda got: True):
+        if key not in header:
+            raise ValueError(f"record file {path}: key {key!r} is missing")
+        try:
+            if ok(got := parse(header[key])):
+                return got
+        except ValueError:
+            pass
+        raise ValueError(f"record file {path}: key {key!r} must be {rule}, got {header[key]!r}")
+
+    fidelity, source = value("fidelity"), value("source")
+    seed = value("seed", int, "an integer")
+    header_rate = value("sample_rate_hz", float, "a number")
+    n_samples = value("n_samples", int, "an integer >= 0", lambda n: n >= 0)
     try:
         config = ApparatusConfig.from_key_values(header)
     except ValueError as exc:
@@ -1198,23 +1197,16 @@ def _header_record(header: dict[str, str], path) -> TimeSeriesRecord:
                       "seed", "config_hash", "columns")
     }
     none = np.empty(0)
-    record = TimeSeriesRecord(
-        i_omega_pem=none,
-        i_2omega_pem=none,
-        i0=none,
-        fidelity=header["fidelity"],
-        config=config,
-        source_description=header["source"],
-        seed=int(header["seed"]),
-        metadata=metadata,
-    )
+    record = TimeSeriesRecord(i_omega_pem=none, i_2omega_pem=none, i0=none, fidelity=fidelity,
+                              config=config, source_description=source, seed=seed,
+                              metadata=metadata)
     rate = record.sample_rate_hz
-    if not abs(float(header["sample_rate_hz"]) - rate) <= 1e-8 * rate:
+    if not abs(header_rate - rate) <= 1e-8 * rate:
         raise ValueError(
             f"record file {path} has sample_rate_hz = {header['sample_rate_hz']}, but "
             f"its config and lock-in layout give {format_number(rate)}"
         )
-    return record
+    return record, n_samples
 
 
 def _off_grid(record: TimeSeriesRecord, start: int, values: np.ndarray):

@@ -223,7 +223,7 @@ def _analyze_file(path: Path, args, config: ApparatusConfig, first: ApparatusCon
         raise DataError(f"record file {path} does not exist")
     try:
         record = read_record(path)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise DataError(f"cannot read record {path}: {exc}") from exc
     checked = not (override and args.allow_mismatch)
     got = record.config.content_hash()

@@ -213,55 +213,41 @@ def synthesize_run(
     i0 = config.incident_power_w
     eta0 = config.pem_depth
 
+    # a fast record holds the lock-in outputs: 1 sample per bin, I_2OmegaPEM at its DC level
+    samples_per_bin, dc, layout = 1, 0.5 * i0 * eta0**2, {}
     if fidelity == "fast":
-        psi = source_ellipticity(source, config)
-        return TimeSeriesRecord(
-            i_omega_pem=_RawIntensity(_fast_channel(config, psi, noise), n_out, 1),
-            i_2omega_pem=np.broadcast_to(0.5 * i0 * eta0**2, n_out),
-            i0=np.broadcast_to(i0, n_out),
-            fidelity="fast",
-            config=config,
-            source_description=source.describe(),
-            seed=noise.rng_seed,
-            metadata={"duration_s": duration_s, "revolutions": n_revs},
-        )
-
-    # ---- full fidelity ----
-    if pem_oversample < MIN_PEM_OVERSAMPLE:
-        raise ValueError(
-            f"pem_oversample must be >= {MIN_PEM_OVERSAMPLE} to resolve the "
-            f"2*Omega_PEM harmonic, got {pem_oversample}"
-        )
-    cycles_per_bin = max(1, round(config.pem_frequency_hz / config.sample_rate_hz))
-    samples_per_bin = pem_oversample * cycles_per_bin
-    fs = grid_rate(config, (pem_oversample, samples_per_bin))
-    n_raw = n_out * samples_per_bin
-    # The record keeps the ellipticity noise of its output bins and the function of its
-    # raw samples; the lock-in computes the samples block by block from them.
-    eps_noise = np.broadcast_to(0.0, n_out)  # a zero-stride zero without the noise
-    if noise.ellipticity_noise_density > 0.0:
-        eps_noise = np.empty(n_out)
-        _normals(noise.rng_seed, _ELLIPTICITY, 1, 0, n_out, eps_noise)
-        eps_noise *= _noise_sigma(noise, config.sample_rate_hz)
-    intensity = _RawIntensity(
-        _raw_intensity(config, source, noise, eps_noise, samples_per_bin, pem_oversample, fs),
-        n_out, samples_per_bin,
-    )
-    return TimeSeriesRecord(
-        i_omega_pem=intensity,
-        i_2omega_pem=np.broadcast_to(0.0, n_raw),
-        i0=np.broadcast_to(i0, n_raw),
-        fidelity="full",
-        config=config,
-        source_description=source.describe(),
-        seed=noise.rng_seed,
-        metadata={
-            "duration_s": duration_s,
-            "revolutions": n_revs,
+        fill = _fast_channel(config, source_ellipticity(source, config), noise)
+    else:
+        if pem_oversample < MIN_PEM_OVERSAMPLE:
+            raise ValueError(
+                f"pem_oversample must be >= {MIN_PEM_OVERSAMPLE} to resolve the "
+                f"2*Omega_PEM harmonic, got {pem_oversample}"
+            )
+        cycles_per_bin = max(1, round(config.pem_frequency_hz / config.sample_rate_hz))
+        samples_per_bin, dc = pem_oversample * cycles_per_bin, 0.0
+        layout = {
             "pem_frequency_effective_hz": cycles_per_bin * config.sample_rate_hz,
             "pem_oversample": pem_oversample,
             "samples_per_output_bin": samples_per_bin,
-        },
+        }
+        # The record keeps the ellipticity noise of its output bins and the function of
+        # its raw samples; the lock-in computes the samples block by block from them.
+        eps_noise = np.broadcast_to(0.0, n_out)  # a zero-stride zero without the noise
+        if noise.ellipticity_noise_density > 0.0:
+            eps_noise = np.empty(n_out)
+            _normals(noise.rng_seed, _ELLIPTICITY, 1, 0, n_out, eps_noise)
+            eps_noise *= _noise_sigma(noise, config.sample_rate_hz)
+        fill = _raw_intensity(config, source, noise, eps_noise, samples_per_bin, pem_oversample)
+    n = n_out * samples_per_bin
+    return TimeSeriesRecord(
+        i_omega_pem=_RawIntensity(fill, n_out, samples_per_bin),
+        i_2omega_pem=np.broadcast_to(dc, n),
+        i0=np.broadcast_to(i0, n),
+        fidelity=fidelity,
+        config=config,
+        source_description=source.describe(),
+        seed=noise.rng_seed,
+        metadata={"duration_s": duration_s, "revolutions": n_revs, **layout},
     )
 
 
@@ -272,7 +258,6 @@ def _raw_intensity(
     eps_noise: np.ndarray,
     samples_per_bin: int,
     pem_oversample: int,
-    fs: float,
 ):
     """``fill(c0, c1, out)``: the raw intensity of output bins ``c0`` to ``c1``, into ``out``.
 
@@ -301,6 +286,7 @@ def _raw_intensity(
     table.flags.writeable = False
 
     rin = noise.detector_white_noise
+    fs = grid_rate(config, (pem_oversample, samples_per_bin))
 
     def fill(c0: int, c1: int, out: np.ndarray) -> None:
         raw = out

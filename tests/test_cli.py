@@ -279,15 +279,24 @@ class TestAnalyze:
         assert f"data row 1 (file line {lineno}): 1 fields, expected 5" in \
             capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["# seed = 7", "# source = gas:He:3.158154453491241e-05atm"],
-                             ids=["seed", "source"])
+    @pytest.mark.parametrize("key, value", [
+        ("seed", None), ("source", None), ("fidelity", None), ("sample_rate_hz", None),
+        ("n_samples", None), ("seed", "0x"), ("n_samples", "12x"), ("n_samples", "-5"),
+        ("sample_rate_hz", "fast"),
+    ], ids=["seed", "source", "fidelity", "sample_rate_hz", "n_samples", "seed_0x",
+            "n_samples_12x", "n_samples_negative", "sample_rate_hz_fast"])
     def test_header_without_seed_or_source_is_data_error(self, he_record, tmp_path, capsys,
-                                                         line):
-        # the line loses its '=', so the header lacks the key
-        bad = self._edit_header(he_record, tmp_path, line, line.replace(" = ", " ", 1))
+                                                         key, value):
+        line = next(line for line in he_record.read_text().splitlines()
+                    if line.startswith(f"# {key} = "))
+        # without a value the line loses its '=', so the header lacks the key
+        replacement = line.replace(" = ", " ", 1) if value is None else f"# {key} = {value}"
+        bad = self._edit_header(he_record, tmp_path, line, replacement)
         assert run("analyze", bad, "--out-dir", tmp_path / "s") == 2
         err = capsys.readouterr().err
-        assert repr(line[2:].partition(" = ")[0]) in err and "Traceback" not in err
+        reason = "is missing" if value is None else "must be "
+        assert f"record file {bad}: key {key!r} {reason}" in err and "Traceback" not in err
+        assert value is None or f"got {value!r}" in err
 
     @pytest.mark.parametrize("record, row, col, shift, name", [
         ("he_record", 41, 0, 1.0 / 96.0, "time"),

@@ -12,6 +12,7 @@ import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1245,24 +1246,14 @@ class TestStreamingReader:
         lines[self.first + row] = b", ".join(cells) + b"\n"
 
     @given(st.lists(st.sampled_from([b"a", b"#", b"\r", b"\n", b"\r\n"]), max_size=30)
-           .map(b"".join))
-    def test_lines_end_where_text_mode_ends_them(self, data):
+           .map(b"".join), st.integers(1, 8))
+    def test_lines_end_where_text_mode_ends_them(self, data, read_bytes):
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
-        lines = list(apparatus._lines(io.BytesIO(data), 5))
-        assert [(n, line.decode()) for n, _, line in lines] == [
-            (5 + i, line.removesuffix("\n")) for i, line in enumerate(text)]
-        for _, offset, line in lines:
-            assert data.startswith(line, offset)
-        assert [offset for _, offset, _ in lines] == sorted({offset for _, offset, _ in lines})
-
-    @pytest.mark.parametrize("at", [io.DEFAULT_BUFFER_SIZE - 1, io.DEFAULT_BUFFER_SIZE,
-                                    3 * io.DEFAULT_BUFFER_SIZE],
-                             ids=["piece", "after", "long_line"])
-    def test_a_crlf_across_two_pieces_is_one_line_end(self, at):
-        # _lines reads pieces of io.DEFAULT_BUFFER_SIZE bytes
-        data = b"a" * at + b"\r\n" + b"b\r"
-        lines = list(apparatus._lines(io.BytesIO(data)))
-        assert lines == [(1, 0, b"a" * at), (2, at + 2, b"b")]
+        with mock.patch.object(apparatus, "_READ_BYTES", read_bytes):
+            blocks = [bytes(b[apparatus._PAD:-apparatus._PAD])
+                      for b in apparatus._text_blocks(io.BytesIO(data))]
+        # every block holds whole lines, each ended by "\n" but the file's last
+        assert [line for b in blocks for line in b.decode().splitlines(keepends=True)] == text
 
     def test_a_crlf_across_two_blocks_is_one_line_end(self, monkeypatch):
         monkeypatch.setattr(apparatus, "_READ_BYTES", 64)
@@ -1286,6 +1277,58 @@ class TestStreamingReader:
             assert back.metadata == {**expected.metadata, "note": "x"}
             for name in ("i_omega_pem", "i_2omega_pem", "i0"):
                 assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(expected, name)))
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r"], ids=["lf", "cr"])
+    def test_a_header_longer_than_a_block(self, tmp_path, lines, end):
+        expected = read_record(tmp_path / "rec.csv")
+        pad = [b"# pad_%d = x\n" % i for i in range(1000)]
+        lines[1:1] = pad
+        self.first += len(pad)
+        assert len(b"".join(lines[:self.first])) > 3 * apparatus._READ_BYTES
+        path = tmp_path / "padded.csv"
+        path.write_bytes(b"".join(line.replace(b"\n", end) for line in lines))
+        back = read_record(path)
+        assert back.metadata == {**expected.metadata, **{f"pad_{i}": "x" for i in range(1000)}}
+        for name in ("i_omega_pem", "i_2omega_pem", "i0"):
+            assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(expected, name)))
+        # the first row begins the rows of the block where the header ends
+        self.edit(lines, 0, 1, b"abc")
+        path.write_bytes(b"".join(line.replace(b"\n", end) for line in lines))
+        with pytest.raises(ValueError) as err:
+            read_record(path)
+        assert (f"data row 1 (file line {self.first + 1}): 'abc' in column I_OmegaPEM is not "
+                "a number") in str(err.value)
+
+    @pytest.mark.parametrize("key, replacement", [
+        (b"config_hash", b"# config_hash = 0123456789abcdef\n"),
+        (b"sample_rate_hz", b"# sample_rate_hz = 1.00000000e+00\n"),
+        (b"seed", b"#\n"),
+    ], ids=["config_hash", "sample_rate_hz", "no_seed"])
+    def test_a_bad_header_costs_only_its_own_blocks(self, tmp_path, lines, monkeypatch, key,
+                                                    replacement):
+        lines[1:1] = [b"# pad_%d = x\n" % i for i in range(1000)]
+        at = next(i for i, line in enumerate(lines) if line.startswith(b"# %s = " % key))
+        lines[at] = replacement
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"".join(lines))
+        read = []
+        text_blocks = apparatus._text_blocks
+
+        def counted(fh):
+            for block in text_blocks(fh):
+                read.append(len(block))
+                yield block
+
+        monkeypatch.setattr(apparatus, "_text_blocks", counted)
+        with pytest.raises(ValueError, match=key.decode()):
+            read_record(path)
+        refused_after = len(read)
+        # the blocks that the header spans, as the header walk alone reads them
+        read.clear()
+        with open(path, "rb") as fh:
+            apparatus._header(counted(fh), path)
+        assert refused_after == len(read) >= 3
+        assert path.stat().st_size > 8 * len(read) * apparatus._READ_BYTES
 
     @pytest.mark.parametrize("fault", ["malformed", "non_finite", "off_grid", "not_utf8",
                                        "repeated_key", "no_config_hash", "short"])

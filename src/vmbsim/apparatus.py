@@ -181,6 +181,8 @@ class NoiseModel:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if self.rng_seed < 0:  # numpy's seed sequences take only integers >= 0
+            raise ValueError(f"the seed must be >= 0, got {self.rng_seed}")
         for density in (self.ellipticity_noise_density, self.detector_white_noise):
             if not (math.isfinite(density) and density >= 0):
                 raise ValueError(f"noise densities must be finite and >= 0, got {density}")
@@ -641,12 +643,20 @@ def _varying_channel(record: TimeSeriesRecord):
     return vars(record)["i_omega_pem"]
 
 
-# Rows formatted per piece, the writer's unit of work on one worker thread (~0.65 MB
-# of text), and bytes read per block, completed to a whole row, the reader's (~6.6 k
-# rows).  Larger blocks ran faster, but each worker thread's malloc arena keeps the
-# block temporaries it held at its peak, which counts in the process's resident memory.
-_WRITE_ROWS = 1 << 13
-_READ_BYTES = 1 << 19
+# Rows formatted per piece, the writer's unit of work on one worker thread (~1.3 MB of
+# text), and bytes read per block, completed to a whole row, the reader's (~13 k rows).
+# Each numpy call of a task may hand the interpreter lock between threads: on 2 CPUs a
+# 6 h record's write and read made 6-9 k and 10-12 k voluntary context switches with
+# half these units, and make ~3 k and ~2.5 k with them.  A worker thread's malloc arena
+# keeps the temporaries it held at its peak, which counts in the process's resident
+# memory, so the units grew only with fewer temporaries per byte: a 1 MiB block peaks
+# at 1.8 MB traced, where a 512 KiB one took 3.3 MB, and a piece keeps its words and
+# text in the writer's ring of maps, leaving ~1 MB of heap temporaries per worker.
+_WRITE_ROWS = 1 << 14
+_READ_BYTES = 1 << 20
+# Bytes of a piece's cell words compacted at a time: the NUL mask and the kept bytes of
+# one part are the only temporaries of the compaction.
+_COMPACT_BYTES = 1 << 18
 _FIELD = 16  # widest _FMT text, "-1.23456789e-100"
 _P0 = 300
 _POW10 = np.array([float(f"1e{k}") for k in range(-_P0, _P0 + 1)])  # correctly rounded
@@ -660,7 +670,8 @@ def _words(texts) -> np.ndarray:
 #   [....., sign, lead, "."] [8 digits] ["e", exponent sign and digits, separator]
 _LEAD = _words(b"\0" * 5 + sign + b"%d." % d for sign in (b"\0", b"-") for d in range(10))
 _EXP = _words(b"e%+03d" % e for e in range(-_P0, _P0 + 1))
-_SEP = _words((b"\0" * 5 + b", ", b"\0" * 5 + b"\n"))
+_SEPARATORS = (b", ", b"\n")
+_SEP = _words(b"\0" * 5 + s for s in _SEPARATORS)
 # b"%04d" % i for i < 10**4, built arithmetically: a 10**4-item join costs ms at import
 _DIGITS4 = sum(
     (np.arange(10_000, dtype="<u8") // 10**j % 10 + ord("0")) << 8 * (3 - j) for j in range(4)
@@ -687,9 +698,10 @@ def _product_error(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     return a_lo * b_lo - err
 
 
-def _cell_words(values: np.ndarray, separator: np.uint64) -> np.ndarray:
-    """The three words of each value's ``_FMT`` text and ``separator``, shape ``values.shape + (3,)``.
+def _cell_words(values: np.ndarray, separator: np.uint64, out: np.ndarray) -> None:
+    """Write the three words of each value's ``_FMT`` text and ``separator`` into ``out``.
 
+    ``out`` has shape ``values.shape + (3,)``, and may be a strided view.
     The float arithmetic settles a value when its mantissa, scaled by
     10**(8 - floor(log10|x|)), lies in [1e8, 1e9).  Where that power of ten
     is an exact double (|x| from 1e-14 to below 1e9), the scaled mantissa is
@@ -701,57 +713,96 @@ def _cell_words(values: np.ndarray, separator: np.uint64) -> np.ndarray:
     value at least 1e-5 away from a rounding tie is settled too.  Every other
     nonzero value (ties there, values next to a power of ten where log10
     misses by one, non-finite, subnormal or huge magnitudes) is formatted by
-    ``_FMT`` itself.
+    ``_FMT`` itself.  The steps work in place where they can: each array of a
+    value's width counts in its worker thread's resident memory.
     """
-    a = np.abs(values)
-    normal = (a >= 1e-290) & (a < 1e290)
-    a = np.where(normal, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    scale = _POW10[_P0 + 8 - e]
-    s = a * scale
+    s = np.abs(values)
+    normal = s >= 1e-290
+    normal &= s < 1e290
+    np.copyto(s, 1.0, where=~normal)
+    e = np.log10(s)
+    np.floor(e, out=e)
+    e = e.astype(np.int64)
+    s *= _POW10.take(_P0 + 8 - e)
     m = np.rint(s)
-    off = np.abs(s - m)
-    exact_scale = (e >= -14) & (e <= 8)
+    exact_scale = e >= -14
+    exact_scale &= e <= 8
+    off = np.subtract(s, m)
+    np.abs(off, out=off)
     tie = exact_scale & (off == 0.5)
     if tie.any():
-        err = _product_error(a[tie], scale[tie], s[tie])
+        err = _product_error(np.abs(values[tie]), _POW10[_P0 + 8 - e[tie]], s[tie])
         m[tie] = np.where(err == 0.0, m[tie], s[tie] + np.copysign(0.5, err))
-    exact = normal & (s >= 1e8) & (m < 1e9) & (exact_scale | (off <= 0.5 - 1e-5))
+    exact = off <= 0.5 - 1e-5
+    del off
+    exact |= exact_scale
+    exact &= normal
+    exact &= s >= 1e8
+    exact &= m < 1e9
+    del s, normal, exact_scale
+    inexact = ~exact
+    del exact
     # exact zeros keep m = 0 and e = 0, "0.00000000e+00" signed by signbit
-    m = np.where(exact, m, 0.0).astype(np.uint64)
+    np.copyto(m, 0.0, where=inexact)
+    m = m.astype(np.int64)
     # m // 10**8 and then // 10**4 as exact multiply-and-shift steps, for m < 10**9
-    lead = (m * np.uint64(720_575_941)) >> 56
-    m -= lead * np.uint64(100_000_000)
-    hi = (m * np.uint64(109_951_163)) >> 40
-    lo = m - hi * np.uint64(10_000)
-    words = np.empty(values.shape + (3,), dtype="<u8")
-    words[..., 0] = _LEAD.take(lead + np.uint64(10) * np.signbit(values))
-    words[..., 1] = _DIGITS4.take(hi) | (_DIGITS4.take(lo) << 32)
-    words[..., 2] = _EXP.take(_P0 + np.where(exact, e, 0)) | separator
-    slow = ~exact & (values != 0.0)
+    lead = m * 720_575_941
+    lead >>= 56
+    m -= lead * 100_000_000
+    hi = m * 109_951_163
+    hi >>= 40
+    m -= hi * 10_000
+    lead += 10 * np.signbit(values)
+    # every index is in range; "clip" writes into ``out`` itself, where "raise" buffers
+    np.take(_LEAD, lead, out=out[..., 0], mode="clip")
+    del lead
+    np.take(_DIGITS4, m, out=out[..., 1], mode="clip")
+    out[..., 1] <<= 32
+    out[..., 1] |= _DIGITS4.take(hi)
+    del hi, m
+    np.copyto(e, 0, where=inexact)
+    e += _P0
+    np.take(_EXP, e, out=out[..., 2], mode="clip")
+    out[..., 2] |= separator
+    slow = inexact
+    slow &= values != 0.0
     if slow.any():
         text = np.array([_FMT % v for v in values[slow].tolist()], dtype=f"S{_FIELD}")
-        words[slow, :2] = text.view("<u8").reshape(-1, 2)
-        words[slow, 2] = separator
-    return words
+        out[slow, :2] = text.view("<u8").reshape(-1, 2)
+        out[slow, 2] = separator
 
 
-def _format_rows(columns) -> bytes:
+def _format_rows(columns, words=None) -> memoryview:
     """``np.savetxt(fh, np.column_stack(columns), fmt=_FMT, delimiter=", ")`` text of float columns.
 
     ``columns`` is a sequence of equal-length 1-D arrays, such as the
     transpose of a ``(rows, columns)`` array.  A zero-stride column, one
-    value repeated, is formatted once.
+    value repeated, is formatted once.  Each cell is laid out in three words
+    in ``words``, a uint8 buffer of at least 24 bytes per cell (a new one if
+    None); the text is those words without their NUL bytes, moved to the
+    front of the buffer ``_COMPACT_BYTES`` at a time, and returned as a
+    memoryview of it.
     """
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
-    words = np.empty((len(columns[0]), len(columns), 3), dtype="<u8")
+    rows, width = len(columns[0]), len(columns)
+    size = rows * width * 3 * 8
+    buffer = np.empty(size, dtype=np.uint8) if words is None else words[:size]
+    cells = buffer.view("<u8").reshape(rows, width, 3)
     for j, column in enumerate(columns):
-        separator = _SEP[0] if j < len(columns) - 1 else _SEP[1]
-        if column.strides == (0,):
-            column = column[:1]
-        words[:, j] = _cell_words(column, separator)
-    text = words.view(np.uint8).reshape(-1)
-    return text[text != 0].tobytes()
+        last = int(j == width - 1)
+        if rows and column.strides == (0,):
+            # the text of the one value and its separator, NUL-padded to three words
+            text = (_FMT % float(column[0])).encode() + _SEPARATORS[last]
+            cells[:, j] = np.frombuffer(text.ljust(24, b"\0"), dtype="<u8")
+        else:
+            _cell_words(column, _SEP[last], cells[:, j])
+    at = 0
+    for start in range(0, size, _COMPACT_BYTES):
+        text = buffer[start:start + _COMPACT_BYTES]
+        text = text[text != 0]  # a copy: what it overwrites has been read
+        buffer[at:at + len(text)] = text
+        at += len(text)
+    return memoryview(buffer)[:at]
 
 
 def _table_header(items, columns) -> str:
@@ -777,23 +828,36 @@ def write_record(record: TimeSeriesRecord, path) -> None:
     synthesized record is written without building its array.  The rows are
     formatted in pieces of ``_WRITE_ROWS`` on the :func:`_map_ordered` workers
     and written in order, so the bytes do not depend on the number of threads.
+    Each piece is formatted in a ring of anonymous memory maps, one per piece
+    that :func:`_map_ordered` can hold at once (as :func:`_text_blocks` reads
+    blocks): the :func:`_in_flight` pieces it takes ahead, the one whose text
+    is being written and the one being taken.  Its text is left in its map,
+    so no piece allocates its words or text from a worker's heap, where the
+    texts waiting to be written, freed in another thread, kept the heap at
+    several pieces.
     """
     header = _table_header(record.header_items(), RECORD_COLUMNS)
     samples_per_bin = record.lockin_layout()[1] if record.fidelity == "full" else 1
     channel = _varying_channel(record)
+    ring = []
 
     def pieces():
+        slots = count()
         for start, stop in _blocks(len(record), samples_per_bin, _BLOCK_SAMPLES):
             omega = _samples(channel, start, stop)
             for row in range(start, stop, _WRITE_ROWS):
+                slot = next(slots) % (_in_flight() + 2)
+                if slot == len(ring):
+                    size = _WRITE_ROWS * len(RECORD_COLUMNS) * 3 * 8
+                    ring.append(np.frombuffer(mmap.mmap(-1, size), dtype=np.uint8))
                 end = min(row + _WRITE_ROWS, stop)
-                yield row, end, omega[row - start:end - start]
+                yield ring[slot], row, end, omega[row - start:end - start]
 
-    def rows(piece) -> bytes:
-        start, stop, omega = piece
+    def rows(piece) -> memoryview:
+        words, start, stop, omega = piece
         t, phase = record.derived_columns(start, stop)
         return _format_rows((t, omega, record.i_2omega_pem[start:stop], record.i0[start:stop],
-                             phase))
+                             phase), words)
 
     with open(path, "wb") as fh:
         fh.write(header.encode())
@@ -801,15 +865,33 @@ def write_record(record: TimeSeriesRecord, path) -> None:
             fh.write(text)
 
 
-# Newline bytes on either side of a reader block, which the decoder's loads of the
-# 24 bytes from 16 before each "e" reach into.
+# Newline bytes on either side of a reader block, which the decoder's loads from 11
+# bytes before each "e" to 7 after it reach into.
 _PAD = 24
-# 10**(e - 8) for a cell of exponent e, |e - 8| <= 22, in one correctly rounded operation
-# (Clinger's fast path): mantissa * _SCALE_MUL[i] / _SCALE_DIV[i] with i = e - 8 + 22,
-# plus 45 for a negative cell, where one of the two factors is 1 and the other exact.
-_TENS = [float(f"1e{k}") for k in range(23)]
-_SCALE_MUL = np.array([1.0] * 22 + _TENS + [-1.0] * 22 + [-t for t in _TENS])
-_SCALE_DIV = np.array(_TENS[:0:-1] + [1.0] * 23)
+# The scale of a canonical cell, by one index j = e + 100 * (exponent sign is "-") +
+# 200 * (value sign is "-") of its two-digit exponent e: 10**(e - 8) or 10**(-e - 8),
+# signed, where that power k has |k| <= 22, is one correctly rounded operation on the
+# mantissa (Clinger's fast path), mantissa * _SCALE_MUL[j] / _SCALE_DIV[j], where one
+# of the two factors is 1 and the other exact.  Other exponents, and j = 400 that
+# stands for every three-digit one, have no scale (NaN): those cells are read by
+# ``float``.
+def _scale_tables() -> tuple[np.ndarray, np.ndarray]:
+    tens = [float(f"1e{k}") for k in range(23)]
+    mul, div = np.full(401, np.nan), np.ones(401)
+    for j in range(400):
+        k = (j % 100) * (-1 if j // 100 % 2 else 1) - 8
+        if abs(k) <= 22:
+            mul[j] = (-1.0 if j >= 200 else 1.0) * tens[max(k, 0)]
+            div[j] = tens[max(-k, 0)]
+    return mul, div
+
+
+_SCALE_MUL, _SCALE_DIV = _scale_tables()
+# e of two exponent digits read as a little-endian pair, and 100 if they are not two
+# digits
+_EXP_DIGITS = np.full(1 << 16, 100, dtype=np.uint16)
+_EXP_DIGITS[(ord("0") + np.arange(100) // 10) | (ord("0") + np.arange(100) % 10) << 8] = (
+    np.arange(100))
 
 
 def _bytes_of(c: bytes) -> np.uint64:
@@ -820,16 +902,29 @@ def _eight_digits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(value, ok)`` of eight ASCII digits in each little-endian word, the first lowest.
 
     ``ok`` is False where a byte is not a digit.  The value is three
-    multiply-and-add steps that join digits into pairs, quads and octets.
+    multiply-and-add steps that join digits into pairs, quads and octets,
+    taken in ``words`` itself, beside one scratch array.
     """
-    high = _bytes_of(b"\xf0")
-    ok = ((words & high) | (((words + _bytes_of(b"\x06")) & high) >> 4)) == _bytes_of(b"\x33")
-    d = words - _bytes_of(b"0")
-    d = d * 10 + (d >> 8)
+    high, zeros = _bytes_of(b"\xf0"), _bytes_of(b"0")
+    # a digit's high half is "0"'s, and stays so when 6 is added
+    scratch = words + _bytes_of(b"\x06")
+    scratch &= high
+    ok = scratch == zeros
+    np.bitwise_and(words, high, out=scratch)
+    ok &= scratch == zeros
+    words -= zeros
+    np.right_shift(words, 8, out=scratch)
+    words *= 10
+    words += scratch
     quads = np.uint64(0x000000FF000000FF)
-    d = ((d & quads) * np.uint64(100 + (1_000_000 << 32))
-         + ((d >> 16) & quads) * np.uint64(1 + (10_000 << 32))) >> 32
-    return d, ok
+    np.right_shift(words, 16, out=scratch)
+    scratch &= quads
+    scratch *= np.uint64(1 + (10_000 << 32))
+    words &= quads
+    words *= np.uint64(100 + (1_000_000 << 32))
+    words += scratch
+    words >>= 32
+    return words, ok
 
 
 def _decode_rows(block: np.ndarray) -> np.ndarray | None:
@@ -842,58 +937,79 @@ def _decode_rows(block: np.ndarray) -> np.ndarray | None:
     None.  A cell is a 9-digit integer M times 10**(e - 8); where |e - 8| <= 22
     that is one correctly rounded operation on exact doubles, the value
     ``float`` of the cell returns, -0.0 included.  Other cells are read by
-    ``float``.
+    ``float``.  The positions of the cells' "e" are stepped in place to each
+    part of a cell, and every other array of one item per cell is taken
+    apart by byte views or in place: each such array counts in its worker
+    thread's resident memory.
     """
     p = np.flatnonzero(block == ord("e"))
     n = len(p)
     if n == 0 or n % len(RECORD_COLUMNS):
         return None
-    # the 24 bytes from 16 before each "e", as three words: the byte before the
-    # cell, the first digit and "." end the first; eight digits; then "e", the
-    # exponent's sign and digits and the separator
-    cells = np.ndarray((len(block) - 23,), dtype="V24", buffer=block, strides=(1,))
-    head, digits, tail = cells[p - 16].view("<u8").reshape(n, 3).T.copy()
-    mantissa, ok = _eight_digits(digits)
-    # temporaries go as soon as they are used: a worker thread's malloc arena
-    # keeps the peak of its block temporaries resident (~6.8 blocks of text)
-    del digits
-    negative = ((head >> 40) & 0xFF) == ord("-")
-    # the first digit and ".": a digit value below 10 only if both bytes are right
-    lead = (head >> 48) - int.from_bytes(b"0.", "little")
-    del head
-    ok &= lead < 10
-    exp_sign = (tail >> 8) & 0xFF
-    ok &= (exp_sign == ord("+")) | (exp_sign == ord("-"))
-    e1 = ((tail >> 16) & 0xFF) - 48
-    e2 = ((tail >> 24) & 0xFF) - 48
-    e3 = ((tail >> 32) & 0xFF) - 48
-    ok &= (e1 < 10) & (e2 < 10)
-    three = e3 < 10
-    separator = ((tail >> (32 + (three.astype(np.uint64) << 3))) & 0xFFFF).reshape(-1, 5)
-    del tail
-    # the cells tile the block: each starts where the one before ends
-    start = p - 10 - negative
-    end = p + 6 + three
-    end[4::5] -= 1
-    if not (ok.all() and (separator[:, :4] == int.from_bytes(b", ", "little")).all()
-            and ((separator[:, 4] & 0xFF) == ord("\n")).all()
-            and start[0] == _PAD and end[-1] == len(block) - _PAD
-            and np.array_equal(start[1:], end[:-1])):
+    # p steps in place from each "e" over its cell: the byte before the first digit,
+    # which is the cell's sign or the byte before the cell; the first digit and ".";
+    # the third digit of a three-digit exponent
+    p -= 11
+    negative = block[p] == ord("-")
+    p += 1
+    lead = block[p] - ord("0")
+    ok = lead < 10
+    p += 1
+    ok &= block[p] == ord(".")
+    p += 13
+    three = block[p] - ord("0") < 10
+    p -= 4
+    # the cells tile the block: each starts where the one before ends, so the next
+    # "e" is 16 bytes on, plus a third exponent digit and a sign, less the space
+    # that a row's last cell ends without
+    gap = np.diff(p)
+    gap -= three[:-1]
+    gap -= negative[1:]
+    gap[len(RECORD_COLUMNS) - 1::len(RECORD_COLUMNS)] += 1
+    if not ((gap == 16).all() and p[0] - 10 - negative[0] == _PAD
+            and p[-1] + 5 + three[-1] == len(block) - _PAD):
         return None
-    del ok, separator, end
-    mantissa += lead * 100_000_000
-    values = mantissa.astype(np.float64)
-    del mantissa, lead
-    e = e1 * 10 + e2
-    e[three] = e[three] * 10 + e3[three]
-    # the scale index e - 8 + 22; below 0 it wraps past the end of the tables
-    i = np.where(exp_sign == ord("-"), 14 - e, e + 14)
-    slow = i > 44
-    i[slow] = 22
-    values *= _SCALE_MUL[i + np.uint64(45) * negative]
-    values /= _SCALE_DIV[i]
-    for j in np.flatnonzero(slow).tolist():
-        values[j] = float(block[start[j]:p[j] + 4 + three[j]].tobytes())
+    del gap
+    # the little-endian word at each "e": "e", the exponent's sign and two or three
+    # digits, then the separator; and the one before it, the eight digits
+    words = np.ndarray((len(block) - 7,), dtype="<u8", buffer=block, strides=(1,))
+    tail = words[p].view(np.uint8).reshape(n, 8)
+    after = np.where(three, tail[:, 5:7].view("<u2")[:, 0], tail[:, 4:6].view("<u2")[:, 0])
+    after = after.reshape(-1, len(RECORD_COLUMNS))
+    exp_minus = tail[:, 1] == ord("-")
+    ok &= exp_minus | (tail[:, 1] == ord("+"))
+    exp_digits = tail[:, 2:4].view("<u2")[:, 0].copy()
+    if not (ok.all() and (after[:, :4] == int.from_bytes(b", ", "little")).all()
+            and ((after[:, 4] & 0xFF) == ord("\n")).all()):
+        return None
+    del tail, after
+    j = _EXP_DIGITS.take(exp_digits)
+    if not (j < 100).all():
+        return None
+    del exp_digits
+    j += exp_minus * np.uint16(100)
+    j += negative * np.uint16(200)
+    np.copyto(j, 400, where=three)
+    # the cells that ``float`` reads, few, by the span of their text
+    slow = np.flatnonzero(np.isnan(_SCALE_MUL).take(j)).tolist()
+    spans = [(k, e - 10 - negative[k], e + 4 + three[k]) for k, e in zip(slow, p[slow].tolist())]
+    p -= 8
+    mantissa = words[p]
+    del p
+    mantissa, ok = _eight_digits(mantissa)
+    if not ok.all():
+        return None
+    values = lead * 1e8
+    values += mantissa
+    del mantissa, lead, ok
+    j = j.astype(np.intp)
+    scale = _SCALE_MUL.take(j)
+    values *= scale
+    np.take(_SCALE_DIV, j, out=scale, mode="clip")
+    values /= scale
+    del scale, j
+    for k, start, end in spans:
+        values[k] = float(block[start:end].tobytes())
     return values.reshape(-1, len(RECORD_COLUMNS))
 
 
@@ -902,9 +1018,12 @@ def _text_blocks(fh):
 
     Blocks are read into a fixed ring of anonymous memory maps, one per block
     that :func:`_map_ordered` can hold at once: the :func:`_in_flight`
-    blocks it reads ahead, the block its caller holds and the one
-    being read.  So a block is overwritten only once nothing reads it, and
-    each map's pages are faulted in once, not once per block.  Maps, not heap
+    blocks it reads ahead and the one being read, which it reads once it
+    has taken the result of the oldest; the rows decoded from a block keep
+    no reference to it.  A block takes the next map only when the one before
+    is yielded, however many reads a line longer than a block takes.  So a
+    block is overwritten only once nothing reads it, and each map's pages
+    are faulted in once, not once per block.  Maps, not heap
     blocks: heap blocks made and freed one after another in the calling
     thread while the record's arrays are allocated fragmented its heap and
     left ~15 MB of freed pages resident after a 6 h record.  A map is one
@@ -914,13 +1033,14 @@ def _text_blocks(fh):
     """
     pad = b"\n" * _PAD
     rest = b""
-    ring = [b""] * (_in_flight() + 2)
-    for i in count():
+    ring = [b""] * (_in_flight() + 1)
+    slot = 0  # the map of the next block
+    while True:
         start = _PAD + len(rest)
         size = start + _READ_BYTES + _PAD
-        block = ring[i % len(ring)]
+        block = ring[slot]
         if len(block) < size:
-            block = ring[i % len(ring)] = mmap.mmap(-1, size + mmap.PAGESIZE)
+            block = ring[slot] = mmap.mmap(-1, size + mmap.PAGESIZE)
         block[:start] = pad + rest
         got = fh.readinto(memoryview(block)[start:start + _READ_BYTES])
         end = start + got
@@ -936,6 +1056,7 @@ def _text_blocks(fh):
                 block[_PAD:cut] = lines
             block[cut:cut + _PAD] = pad
             yield np.frombuffer(block, dtype=np.uint8, count=cut + _PAD)
+            slot = (slot + 1) % len(ring)
         if not got:
             return
 
@@ -1224,12 +1345,25 @@ def _off_grid(record: TimeSeriesRecord, start: int, values: np.ndarray):
     rate = record.sample_rate_hz
     f = record.config.magnet_rotation_hz
     theta0 = record.config.polarizer_angle_rad
-    t = np.arange(start, start + len(values)) / rate
-    off_t = np.abs(values[:, 0] - t) > 1e-8 * t
+    # the expressions of the derived columns and their tolerances, taken in place
+    t = np.arange(start, start + len(values), dtype=np.float64)
+    t /= rate
+    off_t = np.subtract(values[:, 0], t)
+    np.abs(off_t, out=off_t)
+    off_t = off_t > 1e-8 * t
     # on the grid, the cell minus the unwrapped phase is a whole number of turns
-    turns = (values[:, 4] - (2.0 * math.pi * f * t + theta0)) / (2.0 * math.pi)
-    tolerance = 1e-8 * (f * t + 1.0 + abs(theta0) / (2.0 * math.pi))
-    off = off_t | (np.abs(turns - np.rint(turns)) > tolerance)
+    turns = np.multiply(2.0 * math.pi * f, t)
+    turns += theta0
+    np.subtract(values[:, 4], turns, out=turns)
+    turns /= 2.0 * math.pi
+    miss = np.rint(turns)
+    np.subtract(turns, miss, out=miss)
+    np.abs(miss, out=miss)
+    tolerance = np.multiply(f, t, out=turns)
+    tolerance += 1.0
+    tolerance += abs(theta0) / (2.0 * math.pi)
+    tolerance *= 1e-8
+    off = off_t | (miss > tolerance)
     if not off.any():
         return None
     i = int(np.argmax(off))

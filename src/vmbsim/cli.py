@@ -201,6 +201,14 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _analysis_options(args) -> None:
+    """Refuse ``--blocks`` below 1 and ``--noise-halfwidth`` below 0, before any file is touched."""
+    if args.block_size < 1:
+        raise UsageError(f"--blocks must be >= 1, got {args.block_size}")
+    if args.noise_halfwidth < 0:
+        raise UsageError(f"--noise-halfwidth must be >= 0, got {args.noise_halfwidth}")
+
+
 def _record_paths(args) -> list[Path]:
     if not args.records:
         raise UsageError("at least one record file is required")
@@ -275,6 +283,7 @@ def _load_calibration(path: Path) -> CalibrationPhase:
 
 def _cmd_analyze(args) -> int:
     config = _load_config_arg(args)
+    _analysis_options(args)
     paths = _record_paths(args)
     calibration = _load_calibration(args.calibration) if args.calibration else None
     # one record at a time: each is read, checked and analysed, and only its estimate and
@@ -343,6 +352,7 @@ def _write_spectrum(out: Path, spectrum: tuple[np.ndarray, np.ndarray], mhash: s
 
 def _cmd_calibrate(args) -> int:
     config = _load_config_arg(args)
+    _analysis_options(args)
     paths = _record_paths(args)
     estimates = []
     items = [("gas", args.gas), ("block_size", args.block_size),
@@ -456,6 +466,7 @@ def _cmd_limits(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     args.allow_mismatch = False
+    _analysis_options(args)  # before anything is simulated
     limits = []
     for what in ("xsec", "report", "alp", "mcp"):
         lim_args = argparse.Namespace(**vars(args))

@@ -77,8 +77,11 @@ class TestSimulate:
         ("--detector-noise", "inf"),
         ("--tone", "nan:1e-6:0"),
         ("--tone", "1:1e-6:inf"),
+        ("--seed", "-1"),
+        ("--seed", "-1", "--noise-asd", "3e-7", "--revolutions", "1"),
     ], ids=["negative_asd", "negative_rin", "no_revolutions", "full_oversample_4", "nan_asd",
-            "nan_rin", "inf_asd", "inf_rin", "nan_tone_frequency", "inf_tone_phase"])
+            "nan_rin", "inf_asd", "inf_rin", "nan_tone_frequency", "inf_tone_phase",
+            "negative_seed", "negative_seed_with_noise"])
     def test_out_of_range_option_is_usage_error(self, tmp_path, argv):
         out = tmp_path / "o"
         code, err = run_captured("simulate", *argv, "--out-dir", out)
@@ -90,6 +93,21 @@ class TestSimulate:
 class TestAnalyze:
     def test_empty_input_usage_error(self, tmp_path):
         assert run("analyze", "--out-dir", tmp_path) == 1
+
+    @pytest.mark.parametrize("command", [("analyze",), ("calibrate", "--gas", "He")],
+                             ids=["analyze", "calibrate"])
+    @pytest.mark.parametrize("argv", [("--blocks", "0"), ("--blocks", "-5"),
+                                      ("--noise-halfwidth", "-3")],
+                             ids=["no_blocks", "negative_blocks", "negative_halfwidth"])
+    def test_out_of_range_analysis_option_is_usage_error_before_reading(self, he_record,
+                                                                       tmp_path, command, argv):
+        out = tmp_path / "o"
+        # a record that does not exist would be a data error, were it read
+        for records in ((he_record,), (he_record, tmp_path / "nope.csv")):
+            code, err = run_captured(*command, *records, *argv, "--out-dir", out)
+            assert code == 1
+            assert err.startswith("usage error: ") and err.count("\n") == 1
+            assert not out.exists()
 
     def test_missing_file_data_error(self, tmp_path):
         assert run("analyze", tmp_path / "nope.csv", "--out-dir", tmp_path) == 2
@@ -1044,6 +1062,17 @@ class TestPipelineCommand:
                                       ("--points-per-decade", "0")],
                              ids=["cl", "negative_grid", "empty_grid"])
     def test_out_of_range_limits_option_is_usage_error_before_simulating(self, tmp_path, argv):
+        out = tmp_path / "pipe"
+        code, err = run_captured("pipeline", "--noise-asd", "1e-7", *argv, "--out-dir", out)
+        assert code == 1
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [("--blocks", "0"), ("--noise-halfwidth", "-3"),
+                                      ("--seed", "-1")],
+                             ids=["no_blocks", "negative_halfwidth", "negative_seed"])
+    def test_out_of_range_analysis_option_or_seed_is_usage_error_before_simulating(self, tmp_path,
+                                                                                 argv):
         out = tmp_path / "pipe"
         code, err = run_captured("pipeline", "--noise-asd", "1e-7", *argv, "--out-dir", out)
         assert code == 1

@@ -1012,8 +1012,10 @@ class TestRecordFormatter:
         assert _format_rows([values]) == _text(values)
 
     def test_write_record_matches_savetxt(self, tmp_path):
-        # 9216 rows: more than one of the writer's row blocks, the last one partial
-        fast = synthesize_run(CFG, GasSource("He", 3e-5), NoiseModel(1e-6, rng_seed=8), 288 / 3.0)
+        # 9/8 of the writer's row blocks: more than one, the last one partial
+        rows = apparatus._WRITE_ROWS * 9 // 8
+        fast = synthesize_run(CFG, GasSource("He", 3e-5), NoiseModel(1e-6, rng_seed=8),
+                              rows / CFG.sample_rate_hz)
         assert apparatus._WRITE_ROWS < len(fast) < 2 * apparatus._WRITE_ROWS
         full = synthesize_run(SMALL_FULL, FixedEllipticitySource(1e-6), QUIET, 4 / 3.0,
                               fidelity="full", pem_oversample=8)
@@ -1037,8 +1039,9 @@ class TestRecordFormatter:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # the stored column, plus ~6.8 blocks of decoding per worker
-            assert peak < back.i_omega_pem.nbytes + 9 * workers * apparatus._READ_BYTES, workers
+            # the stored column, plus 9 reader blocks of 512 KiB per worker: the bound of
+            # 512 KiB blocks, in bytes, so that larger blocks must keep their temporaries
+            assert peak < back.i_omega_pem.nbytes + 9 * workers * 2**19, workers
 
     def test_a_record_with_cr_line_ends_reads_as_its_newline_copy(self, tmp_path, monkeypatch):
         rec = synthesize_run(CFG, NullSource(), NoiseModel(1e-7, rng_seed=2), 8192 / 3.0)
@@ -1057,7 +1060,7 @@ class TestRecordFormatter:
             finally:
                 tracemalloc.stop()
             # the bound of the "\n" read above
-            assert peak < back.i_omega_pem.nbytes + 9 * workers * apparatus._READ_BYTES, workers
+            assert peak < back.i_omega_pem.nbytes + 9 * workers * 2**19, workers
             assert back.metadata == expected.metadata
             for name in ("i_omega_pem", "i_2omega_pem", "i0"):
                 assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(expected, name)))
@@ -1066,7 +1069,9 @@ class TestRecordFormatter:
         rec = synthesize_run(CFG, NullSource(), NoiseModel(1e-7, rng_seed=2), 8192 / 3.0)
         rec.i_omega_pem  # a held record: the peak is the writer's working set above it
         assert len(rec) >= 16 * apparatus._WRITE_ROWS
-        block_bytes = apparatus._WRITE_ROWS * len(RECORD_COLUMNS) * 8
+        # float64 rows of 8192-row pieces: the bound of those pieces, in bytes, so that
+        # larger pieces must keep their temporaries
+        block_bytes = 8192 * len(RECORD_COLUMNS) * 8
         for workers in (1, 2):
             monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
             tracemalloc.start()
@@ -1075,7 +1080,9 @@ class TestRecordFormatter:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # ~10.4 blocks of float64 rows per worker, independent of the record length
+            # independent of the record length; the pieces' words and text are in the
+            # writer's ring of maps, which tracemalloc does not see (and which
+            # test_pieces_are_formatted_in_a_ring_of_maps counts)
             assert peak < 14 * workers * block_bytes, workers
 
     @pytest.mark.parametrize("rin", [0.0, 1e-4], ids=["quiet_detector", "detector_noise"])
@@ -1434,7 +1441,7 @@ class TestStreamingReader:
         path.write_bytes(b"".join(lines))
         maps = self.count_maps(monkeypatch)
         back = read_record(path)
-        ring = apparatus._AHEAD_PER_WORKER * workers + 2
+        ring = apparatus._AHEAD_PER_WORKER * workers + 1
         assert path.stat().st_size > 3 * ring * apparatus._READ_BYTES
         assert len(maps) == ring
         data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
@@ -1459,6 +1466,21 @@ class TestStreamingReader:
         data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
         assert np.array_equal(_bits(back.i_omega_pem), _bits(data[:, 1]))
 
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("blocks", [4, 5, 9])
+    def test_a_line_of_several_blocks_leaves_the_blocks_in_flight_alone(self, tmp_path, lines,
+                                                                       monkeypatch, blocks,
+                                                                       workers):
+        # the reads that end no line of it yield no block, and take no map of the ring
+        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
+        lines.insert(self.first + 1000, b"# " + b"x" * (blocks * apparatus._READ_BYTES) + b"\n")
+        path = tmp_path / "long_line.csv"
+        path.write_bytes(b"".join(lines))
+        back = read_record(path)
+        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        for name, col in (("i_omega_pem", 1), ("i_2omega_pem", 2), ("i0", 3)):
+            assert np.array_equal(_bits(getattr(back, name)), _bits(data[:, col])), name
+
     def test_bytes_and_values_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
         monkeypatch.setattr(apparatus, "_WRITE_ROWS", 1000)
         monkeypatch.setattr(apparatus, "_READ_BYTES", 16384)
@@ -1481,6 +1503,81 @@ class TestStreamingReader:
         for back in read[1:]:
             for name in ("i_omega_pem", "i_2omega_pem", "i0"):
                 assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(read[0], name)))
+
+
+def odd_cells_record(rows: int):
+    """A fast record whose I_OmegaPEM holds cells that the codec's fast paths leave to ``%``
+    and ``float``: decimal ties, three-digit exponents, -0.0 and exponents past 10**22."""
+    rng = np.random.default_rng(21)
+    base = synthesize_run(CFG, NullSource(), NoiseModel(1e-6, rng_seed=21),
+                          rows / CFG.sample_rate_hz)
+    omega = np.array(base.i_omega_pem)
+    k = np.arange(rows)
+    ties = k % 7 == 1
+    omega[ties] = rng.integers(1, 2**40, ties.sum()) / 2.0 ** rng.integers(0, 40, ties.sum())
+    omega[k % 11 == 2] *= 1e-110
+    omega[k % 13 == 3] = -0.0
+    omega[k % 17 == 4] *= 1e-5
+    return replace(base, i_omega_pem=omega, i_2omega_pem=np.broadcast_to(-0.0, rows))
+
+
+class TestWorkUnits:
+    """The bytes written, the values read and the errors reported do not depend on the
+    writer's piece, the reader's block or the number of workers."""
+
+    ROWS = 40_000  # past two pieces of 16384 rows, and three 1 MiB blocks of text
+
+    @pytest.fixture(scope="class")
+    def expected(self, tmp_path_factory):
+        rec = odd_cells_record(self.ROWS)
+        path = tmp_path_factory.mktemp("units") / "ref.csv"
+        savetxt_record(rec, path)
+        text = path.read_bytes()
+        assert b"e-11" in text and b"-0.00000000e+00" in text  # "e-11x", three digits
+        return rec, text, np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("read_bytes", [4096, 1 << 19, 1 << 20])
+    @pytest.mark.parametrize("write_rows", [1000, 1 << 13, 1 << 14])
+    def test_bytes_values_and_errors(self, tmp_path, monkeypatch, expected, write_rows,
+                                     read_bytes, workers):
+        rec, text, data = expected
+        monkeypatch.setattr(apparatus, "_WRITE_ROWS", write_rows)
+        monkeypatch.setattr(apparatus, "_READ_BYTES", read_bytes)
+        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
+        path = tmp_path / "rec.csv"
+        write_record(rec, path)
+        assert path.read_bytes() == text
+        back = read_record(path)
+        for name, col in (("i_omega_pem", 1), ("i_2omega_pem", 2), ("i0", 3)):
+            assert np.array_equal(_bits(getattr(back, name)), _bits(data[:, col])), name
+        # one malformed row, late in the file
+        lines = text.splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if not line.startswith(b"#"))
+        row = self.ROWS - 123
+        cells = lines[first + row].split(b", ")
+        cells[1] = b"abc"
+        lines[first + row] = b", ".join(cells)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError) as err:
+            read_record(path)
+        assert str(err.value) == (f"record file {path}, data row {row + 1} (file line "
+                                  f"{first + row + 1}): 'abc' in column I_OmegaPEM is not a number")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pieces_are_formatted_in_a_ring_of_maps(self, tmp_path, monkeypatch, expected,
+                                                     workers):
+        rec, text, _ = expected
+        monkeypatch.setattr(apparatus, "_WRITE_ROWS", 1000)  # 40 pieces
+        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
+        maps = TestStreamingReader.count_maps(monkeypatch)
+        write_record(rec, tmp_path / "rec.csv")
+        assert len(maps) == apparatus._AHEAD_PER_WORKER * workers + 2
+        assert (tmp_path / "rec.csv").read_bytes() == text
+
+    def test_a_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            NoiseModel(rng_seed=-1)
 
 
 class TestSourceParsing:

@@ -16,7 +16,7 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain, count, islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -46,6 +46,11 @@ def format_number(x: float) -> str:
 def format_value(value) -> str:
     """The value of a ``key = value`` line: a float by :func:`format_number`, else by ``str``."""
     return format_number(value) if isinstance(value, float) else str(value)
+
+
+def key_value_lines(items, prefix: str = "") -> str:
+    """A ``key = value`` line behind ``prefix`` per item, the value by :func:`format_value`."""
+    return "".join(f"{prefix}{key} = {format_value(value)}\n" for key, value in items)
 
 
 # The range of a config field: what a value must be, and its test.
@@ -166,8 +171,7 @@ class ApparatusConfig:
         return config
 
     def content_hash(self) -> str:
-        items = sorted(self.to_key_values().items())
-        text = "\n".join(f"{k} = {format_value(v)}" for k, v in items)
+        text = key_value_lines(sorted(self.to_key_values().items()))[:-1]
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -646,12 +650,11 @@ def _varying_channel(record: TimeSeriesRecord):
 # Rows formatted per piece, the writer's unit of work on one worker thread (~1.3 MB of
 # text), and bytes read per block, completed to a whole row, the reader's (~13 k rows).
 # Each numpy call of a task may hand the interpreter lock between threads: on 2 CPUs a
-# 6 h record's write and read made 6-9 k and 10-12 k voluntary context switches with
-# half these units, and make ~3 k and ~2.5 k with them.  A worker thread's malloc arena
-# keeps the temporaries it held at its peak, which counts in the process's resident
-# memory, so the units grew only with fewer temporaries per byte: a 1 MiB block peaks
-# at 1.8 MB traced, where a 512 KiB one took 3.3 MB, and a piece keeps its words and
-# text in the writer's ring of maps, leaving ~1 MB of heap temporaries per worker.
+# 6 h record's write and read make ~3 k and ~2.5 k voluntary context switches, and about
+# twice as many with half these units.  A worker thread's malloc arena keeps the
+# temporaries it held at its peak, which counts in the process's resident memory: a
+# 1 MiB block peaks at 1.8 MB traced, and a piece keeps its words and text in one of
+# the writer's maps, leaving ~1 MB of heap temporaries per worker.
 _WRITE_ROWS = 1 << 14
 _READ_BYTES = 1 << 20
 # Bytes of a piece's cell words compacted at a time: the NUL mask and the kept bytes of
@@ -806,9 +809,8 @@ def _format_rows(columns, words=None) -> memoryview:
 
 
 def _table_header(items, columns) -> str:
-    """A ``# key = value`` line per item, each value by :func:`format_value`, then the column names."""
-    lines = [f"# {key} = {format_value(value)}\n" for key, value in items]
-    return "".join(lines) + "# columns = " + ", ".join(columns) + "\n"
+    """A ``# key = value`` line per item, then one of the column names."""
+    return key_value_lines([*items, ("columns", ", ".join(columns))], "# ")
 
 
 def write_table(path, items, columns, rows) -> None:
@@ -828,41 +830,35 @@ def write_record(record: TimeSeriesRecord, path) -> None:
     synthesized record is written without building its array.  The rows are
     formatted in pieces of ``_WRITE_ROWS`` on the :func:`_map_ordered` workers
     and written in order, so the bytes do not depend on the number of threads.
-    Each piece is formatted in a ring of anonymous memory maps, one per piece
-    that :func:`_map_ordered` can hold at once (as :func:`_text_blocks` reads
-    blocks): the :func:`_in_flight` pieces it takes ahead, the one whose text
-    is being written and the one being taken.  Its text is left in its map,
-    so no piece allocates its words or text from a worker's heap, where the
-    texts waiting to be written, freed in another thread, kept the heap at
-    several pieces.
+    A piece's words and text stay in an anonymous memory map, reused once the
+    text is written, not on a worker's heap, where the texts waiting to be
+    written, freed in another thread, kept the heap at several pieces.
     """
     header = _table_header(record.header_items(), RECORD_COLUMNS)
     samples_per_bin = record.lockin_layout()[1] if record.fidelity == "full" else 1
     channel = _varying_channel(record)
-    ring = []
+    free = []  # the maps whose text has been written
 
     def pieces():
-        slots = count()
+        size = _WRITE_ROWS * len(RECORD_COLUMNS) * 3 * 8
         for start, stop in _blocks(len(record), samples_per_bin, _BLOCK_SAMPLES):
             omega = _samples(channel, start, stop)
             for row in range(start, stop, _WRITE_ROWS):
-                slot = next(slots) % (_in_flight() + 2)
-                if slot == len(ring):
-                    size = _WRITE_ROWS * len(RECORD_COLUMNS) * 3 * 8
-                    ring.append(np.frombuffer(mmap.mmap(-1, size), dtype=np.uint8))
+                words = free.pop() if free else np.frombuffer(mmap.mmap(-1, size), np.uint8)
                 end = min(row + _WRITE_ROWS, stop)
-                yield ring[slot], row, end, omega[row - start:end - start]
+                yield words, row, end, omega[row - start:end - start]
 
-    def rows(piece) -> memoryview:
+    def rows(piece) -> tuple[np.ndarray, memoryview]:
         words, start, stop, omega = piece
         t, phase = record.derived_columns(start, stop)
-        return _format_rows((t, omega, record.i_2omega_pem[start:stop], record.i0[start:stop],
-                             phase), words)
+        return words, _format_rows((t, omega, record.i_2omega_pem[start:stop],
+                                    record.i0[start:stop], phase), words)
 
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        for text in _map_ordered(rows, pieces()):
+        for words, text in _map_ordered(rows, pieces()):
             fh.write(text)
+            free.append(words)
 
 
 # Newline bytes on either side of a reader block, which the decoder's loads from 11
@@ -1013,34 +1009,28 @@ def _decode_rows(block: np.ndarray) -> np.ndarray | None:
     return values.reshape(-1, len(RECORD_COLUMNS))
 
 
-def _text_blocks(fh):
+def _text_blocks(fh, free=()):
     """The rest of binary ``fh`` in blocks of whole lines, each between ``_PAD`` newline bytes.
 
-    Blocks are read into a fixed ring of anonymous memory maps, one per block
-    that :func:`_map_ordered` can hold at once: the :func:`_in_flight`
-    blocks it reads ahead and the one being read, which it reads once it
-    has taken the result of the oldest; the rows decoded from a block keep
-    no reference to it.  A block takes the next map only when the one before
-    is yielded, however many reads a line longer than a block takes.  So a
-    block is overwritten only once nothing reads it, and each map's pages
-    are faulted in once, not once per block.  Maps, not heap
-    blocks: heap blocks made and freed one after another in the calling
-    thread while the record's arrays are allocated fragmented its heap and
-    left ~15 MB of freed pages resident after a 6 h record.  A map is one
-    page longer than a block, room for the start of a line carried over from
-    the block before; a longer line gets a larger map.  A line ends at "\\r\\n",
-    "\\r" or "\\n", and each becomes "\\n" in its block, as canonical rows end.
+    A block is read into an anonymous memory map from ``free``, where the
+    caller puts a block's map (its ``base``) back once nothing reads it, so
+    that its pages are faulted in once, not once per block; into a new map
+    if there is none or a line needs a larger one.  Maps, not heap blocks:
+    heap blocks made and freed one after another in the calling thread while
+    the record's arrays are allocated fragmented its heap and left ~15 MB of
+    freed pages resident after a 6 h record.  A map is one page longer than a
+    block, room for the start of a line carried over from the block before.
+    A line ends at "\\r\\n", "\\r" or "\\n", and each becomes "\\n" in its
+    block, as canonical rows end.
     """
     pad = b"\n" * _PAD
     rest = b""
-    ring = [b""] * (_in_flight() + 1)
-    slot = 0  # the map of the next block
+    block = b""  # the map of the next block
     while True:
         start = _PAD + len(rest)
         size = start + _READ_BYTES + _PAD
-        block = ring[slot]
         if len(block) < size:
-            block = ring[slot] = mmap.mmap(-1, size + mmap.PAGESIZE)
+            block = mmap.mmap(-1, size + mmap.PAGESIZE)
         block[:start] = pad + rest
         got = fh.readinto(memoryview(block)[start:start + _READ_BYTES])
         end = start + got
@@ -1055,8 +1045,8 @@ def _text_blocks(fh):
                 cut = _PAD + len(lines)
                 block[_PAD:cut] = lines
             block[cut:cut + _PAD] = pad
-            yield np.frombuffer(block, dtype=np.uint8, count=cut + _PAD)
-            slot = (slot + 1) % len(ring)
+            yield np.ndarray(cut + _PAD, np.uint8, block)
+            block = free.pop() if free else b""
         if not got:
             return
 
@@ -1143,8 +1133,8 @@ def _header(blocks, path) -> tuple[dict[str, str], int, np.ndarray]:
     header is its leading lines that are blank or start with ``#`` once ASCII
     whitespace is stripped; the walk stops at the first other line, a row, and
     the rest of its block from that line is returned behind ``_PAD`` newline
-    bytes, as a block of rows.  A header line that is not UTF-8 text, a
-    repeated key or no row is refused.
+    bytes, as a block of rows over the same map.  A header line that is not
+    UTF-8 text, a repeated key or no row is refused.
     """
     header: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -1157,7 +1147,8 @@ def _header(blocks, path) -> tuple[dict[str, str], int, np.ndarray]:
             stripped = raw.strip()
             if stripped and not stripped.startswith(b"#"):
                 block[start - _PAD:start] = ord("\n")
-                return header, lineno, block[start - _PAD:]
+                rows = np.ndarray(len(block) - start + _PAD, np.uint8, block.base, start - _PAD)
+                return header, lineno, rows
             reason = _not_utf8(raw)
             if reason is not None:
                 raise ValueError(f"record file {path} line {lineno}: {reason}")
@@ -1252,20 +1243,27 @@ def read_record(path) -> TimeSeriesRecord:
     them, and the whole header is checked before any row is read.  The rows
     are in blocks that the :func:`_map_ordered` workers decode and that are
     checked in order, so the values and errors do not depend on the number
-    of threads.  :func:`_block_rows` reads every row by one set of rules, and
-    a block of canonical rows exactly and fast by :func:`_decode_rows`.  Of a
-    file with several faults, the one reported is the one these checks reach
-    first: the header, a malformed row, a non-finite cell, ``n_samples``, the
-    grid.
+    of threads; a worker puts a block's map back once it has decoded it.
+    :func:`_block_rows` reads every row by one set of rules, and a block of
+    canonical rows exactly and fast by :func:`_decode_rows`.  Of a file with
+    several faults, the one reported is the one these checks reach first:
+    the header, a malformed row, a non-finite cell, ``n_samples``, the grid.
     """
+    free = []  # the maps of decoded blocks: workers append, only _text_blocks pops
+
+    def decode(block):
+        decoded = _block_rows(block)
+        free.append(block.base)
+        return decoded
+
     with open(path, "rb") as fh:
-        blocks = _text_blocks(fh)
+        blocks = _text_blocks(fh, free)
         header, line, first = _header(blocks, path)
         record, n_samples = _header_record(header, path)
         # a data row holds at least 5 one-byte cells, 4 commas and a newline
         capacity = min(n_samples, (os.fstat(fh.fileno()).st_size + 1) // 10)
         rows = _RecordRows(capacity, record, line)
-        for values, lines, fault in _map_ordered(_block_rows, chain([first], blocks)):
+        for values, lines, fault in _map_ordered(decode, chain([first], blocks)):
             if fault is not None:
                 raise _row_error(path, *rows.at(*fault))
             rows.add(values, lines)

@@ -24,7 +24,7 @@ from .apparatus import (
     _format_rows,
     _table_header,
     format_number,
-    format_value,
+    key_value_lines,
     parse_source,
     read_record,
     write_record,
@@ -158,9 +158,8 @@ def _parse_tones(specs) -> tuple[tuple[float, float, float], ...]:
 
 def _write_kv(path: Path, items, manifest_hash: str) -> None:
     with open(path, "w") as fh:
-        fh.write(f"# manifest_hash = {manifest_hash}\n")
-        for key, value in items:
-            fh.write(f"{key} = {format_value(value)}\n")
+        fh.write(key_value_lines([("manifest_hash", manifest_hash)], "# "))
+        fh.write(key_value_lines(items))
 
 
 # ---------------------------------------------------------------------------

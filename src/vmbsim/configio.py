@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import fields
 
 from . import __version__
-from .apparatus import ApparatusConfig, format_value
+from .apparatus import ApparatusConfig, format_value, key_value_lines
 
 # each field of ApparatusConfig by its config-file key
 _FIELDS = {f.metadata["key"]: f for f in fields(ApparatusConfig)}
@@ -101,6 +101,6 @@ def manifest(command: str, config: ApparatusConfig, items) -> tuple[str, str]:
     and :func:`config_text`.
     """
     lines = [("tool_version", __version__), ("command", command), *items]
-    text = "".join(f"{key} = {format_value(value)}\n" for key, value in lines)
+    text = key_value_lines(lines)
     text += "\n# config\n" + config_text(config)
     return text, hashlib.sha256(text.encode()).hexdigest()[:16]

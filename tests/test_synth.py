@@ -1081,8 +1081,8 @@ class TestRecordFormatter:
             finally:
                 tracemalloc.stop()
             # independent of the record length; the pieces' words and text are in the
-            # writer's ring of maps, which tracemalloc does not see (and which
-            # test_pieces_are_formatted_in_a_ring_of_maps counts)
+            # writer's maps, which tracemalloc does not see (and which
+            # test_pieces_are_formatted_in_maps_put_back_once_written counts)
             assert peak < 14 * workers * block_bytes, workers
 
     @pytest.mark.parametrize("rin", [0.0, 1e-4], ids=["quiet_detector", "detector_noise"])
@@ -1321,8 +1321,8 @@ class TestStreamingReader:
         read = []
         text_blocks = apparatus._text_blocks
 
-        def counted(fh):
-            for block in text_blocks(fh):
+        def counted(fh, *free):
+            for block in text_blocks(fh, *free):
                 read.append(len(block))
                 yield block
 
@@ -1434,16 +1434,17 @@ class TestStreamingReader:
         return maps
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_blocks_are_read_into_a_ring_of_maps(self, tmp_path, lines, monkeypatch, capsys,
-                                                 workers):
+    def test_blocks_are_read_into_maps_put_back_once_decoded(self, tmp_path, lines, monkeypatch,
+                                                             capsys, workers):
         monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
         path = tmp_path / "rec.csv"
         path.write_bytes(b"".join(lines))
         maps = self.count_maps(monkeypatch)
         back = read_record(path)
-        ring = apparatus._AHEAD_PER_WORKER * workers + 1
-        assert path.stat().st_size > 3 * ring * apparatus._READ_BYTES
-        assert len(maps) == ring
+        # the blocks that _map_ordered holds at once, and one on one worker
+        held = apparatus._AHEAD_PER_WORKER * workers if workers > 1 else 1
+        assert path.stat().st_size > 3 * held * apparatus._READ_BYTES
+        assert len(maps) == held
         data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
         for name, col in (("i_omega_pem", 1), ("i_2omega_pem", 2), ("i0", 3)):
             assert np.array_equal(_bits(getattr(back, name)), _bits(data[:, col])), name
@@ -1466,12 +1467,13 @@ class TestStreamingReader:
         data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
         assert np.array_equal(_bits(back.i_omega_pem), _bits(data[:, 1]))
 
-    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("blocks", [4, 5, 9])
     def test_a_line_of_several_blocks_leaves_the_blocks_in_flight_alone(self, tmp_path, lines,
                                                                        monkeypatch, blocks,
                                                                        workers):
-        # the reads that end no line of it yield no block, and take no map of the ring
+        # the reads that end no line of it yield no block, and take no other map; on one
+        # worker the one map grows for it
         monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
         lines.insert(self.first + 1000, b"# " + b"x" * (blocks * apparatus._READ_BYTES) + b"\n")
         path = tmp_path / "long_line.csv"
@@ -1565,14 +1567,16 @@ class TestWorkUnits:
                                   f"{first + row + 1}): 'abc' in column I_OmegaPEM is not a number")
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_pieces_are_formatted_in_a_ring_of_maps(self, tmp_path, monkeypatch, expected,
-                                                     workers):
+    def test_pieces_are_formatted_in_maps_put_back_once_written(self, tmp_path, monkeypatch,
+                                                                expected, workers):
         rec, text, _ = expected
         monkeypatch.setattr(apparatus, "_WRITE_ROWS", 1000)  # 40 pieces
         monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
         maps = TestStreamingReader.count_maps(monkeypatch)
         write_record(rec, tmp_path / "rec.csv")
-        assert len(maps) == apparatus._AHEAD_PER_WORKER * workers + 2
+        # the pieces that _map_ordered holds at once and the one being written, and one
+        # on one worker
+        assert len(maps) == (apparatus._AHEAD_PER_WORKER * workers + 1 if workers > 1 else 1)
         assert (tmp_path / "rec.csv").read_bytes() == text
 
     def test_a_negative_seed_is_refused(self):

@@ -4,13 +4,13 @@ Cotton-Mouton coefficient from a few low-pressure runs, then check an
 independent helium run against the fit.
 
 Writes the pressure-scan table (the linear-fit figure data) and the
-calibration file into --out-dir.
+calibration file, in the layout of ``vmbsim calibrate``, into --out-dir.
 """
 
 import argparse
 from pathlib import Path
 
-from vmbsim.apparatus import ApparatusConfig, GasSource, NoiseModel, format_number, write_table
+from vmbsim.apparatus import ApparatusConfig, GasSource, NoiseModel, key_value_lines, write_table
 from vmbsim.constants import convert_pressure
 from vmbsim.pipeline import analyze_record, calibrate, project_physical
 from vmbsim.synth import synthesize_run
@@ -31,12 +31,12 @@ def main() -> None:
     duration = args.blocks_per_run * 8192 / cfg.sample_rate_hz
     print(f"synthesizing {len(args.pressures_ubar)} helium runs of {duration/3600:.2f} h each")
 
-    estimates = []
-    for i, ubar in enumerate(args.pressures_ubar):
-        p_atm = convert_pressure(ubar, "ubar", "atm")
-        noise = NoiseModel(ellipticity_noise_density=args.noise_asd, rng_seed=args.seed + i)
-        record = synthesize_run(cfg, GasSource("He", p_atm), noise, duration)
-        estimates.append(analyze_record(record))
+    def helium_run(ubar: float, seed: int):
+        noise = NoiseModel(ellipticity_noise_density=args.noise_asd, rng_seed=seed)
+        source = GasSource("He", convert_pressure(ubar, "ubar", "atm"))
+        return analyze_record(synthesize_run(cfg, source, noise, duration))
+
+    estimates = [helium_run(ubar, args.seed + i) for i, ubar in enumerate(args.pressures_ubar)]
 
     cal = calibrate(estimates, "He")
     print(f"physical phase        : {cal.phase_rad:.6f} rad (axis mod pi: {cal.axis_phase:.6f})")
@@ -52,23 +52,15 @@ def main() -> None:
     print(f"wrote {scan_path}")
 
     # independent check run at a pressure not in the fit
-    p_check = convert_pressure(48.0, "ubar", "atm")
-    noise = NoiseModel(ellipticity_noise_density=args.noise_asd, rng_seed=args.seed + 99)
-    rec = synthesize_run(cfg, GasSource("He", p_check), noise, duration)
-    est = analyze_record(rec)
+    est = helium_run(48.0, args.seed + 99)
     measured, _ = project_physical(est.deltan_over_b2, cal)
-    predicted = cal.fit_intercept + cal.fit_slope * p_check
+    predicted = cal.fit_intercept + cal.fit_slope * convert_pressure(48.0, "ubar", "atm")
     z = (measured - predicted) / est.deltan_over_b2_sigma
     print(f"check run at 48 ubar  : measured {measured:.4e} T^-2, "
           f"fit predicts {predicted:.4e} (z = {z:+.2f})")
 
     cal_path = args.out_dir / "calibration.txt"
-    with open(cal_path, "w") as fh:
-        fh.write(f"gas = He\nphase_rad = {format_number(cal.phase_rad)}\n")
-        fh.write(f"slope_t2_per_atm = {format_number(cal.fit_slope)}\n")
-        fh.write(f"slope_sigma = {format_number(cal.fit_slope_sigma)}\n")
-        fh.write(f"intercept = {format_number(cal.fit_intercept)}\n")
-        fh.write(f"intercept_sigma = {format_number(cal.fit_intercept_sigma)}\n")
+    cal_path.write_text(key_value_lines(cal.to_key_values().items()))
     print(f"wrote {cal_path}")
 
 

@@ -817,10 +817,16 @@ def write_table(path, items, columns, rows) -> None:
     """Write ``items`` and ``columns`` as :func:`_table_header` does, then one line per row.
 
     A row's values are formatted by :func:`format_value` and joined by ", ".
+    A tuple ``rows`` is instead one equal-length float array per column,
+    formatted by :func:`_format_rows` to the same bytes.
     """
-    with open(path, "w") as fh:
-        fh.write(_table_header(items, columns))
-        fh.writelines(", ".join(map(format_value, row)) + "\n" for row in rows)
+    with open(path, "wb") as fh:
+        fh.write(_table_header(items, columns).encode())
+        if isinstance(rows, tuple):
+            # adding 0.0 turns -0.0 into +0.0, as format_number does, and keeps every other value
+            fh.write(_format_rows([column + 0.0 for column in rows]))
+        else:
+            fh.writelines((", ".join(map(format_value, row)) + "\n").encode() for row in rows)
 
 
 def write_record(record: TimeSeriesRecord, path) -> None:

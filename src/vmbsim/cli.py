@@ -10,9 +10,10 @@ timestamp, so identical manifests produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import math
+import cmath
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,6 @@ from . import __version__
 from .apparatus import (
     ApparatusConfig,
     NoiseModel,
-    _format_rows,
-    _table_header,
     format_number,
     key_value_lines,
     parse_source,
@@ -214,47 +213,54 @@ def _record_paths(args) -> list[Path]:
     return args.records
 
 
-def _analyze_file(path: Path, args, config: ApparatusConfig, first: ApparatusConfig | None,
-                  override: bool = True, spectrum: bool = False):
-    """``(estimate, (frequencies, averaged spectrum) or None, items)`` of a record file, not kept.
+def _analyze_records(paths: list[Path], args, config: ApparatusConfig, override: bool = True,
+                     spectrum: bool = False):
+    """``(estimates, spectra, items)`` of the record files at ``paths``, read one at a time.
 
-    The manifest ``items`` name the record by its file name, its header's
+    Each record is read, checked and analysed, and only its estimate and,
+    with ``spectrum``, its ``(frequencies, averaged spectrum)`` (else None)
+    are kept, so that a record is released before the next one is read.
+    The manifest ``items`` name each record by its file name, its header's
     seed and source, and its header's manifest hash when it has one.  A
-    record of another configuration than the ``first`` record's or
-    ``--config`` is refused.  With ``override`` the command has
-    ``--allow-mismatch``, which skips the check and which the errors name.
-    Commands read and analyse their records one at a time through this
-    function, so that a record is released before the next one is read.
+    record of another configuration than the first record's or ``--config``
+    is refused.  With ``override`` the command has ``--allow-mismatch``,
+    which skips the check and which the errors name.
     """
-    if not path.exists():
-        raise DataError(f"record file {path} does not exist")
-    try:
-        record = read_record(path)
-    except ValueError as exc:
-        raise DataError(f"cannot read record {path}: {exc}") from exc
+    estimates, spectra, items = [], [], []
     checked = not (override and args.allow_mismatch)
-    got = record.config.content_hash()
-    if checked and first is not None and got != first.content_hash():
-        raise DataError(
-            f"record {path} config hash {got} differs from the first record's "
-            f"{first.content_hash()}"
-            + ("; pass --allow-mismatch to analyze them together" if override else "")
-        )
-    if checked and args.config is not None and got != config.content_hash():
-        raise DataError(
-            f"record {path} config hash {got} does not match --config hash "
-            f"{config.content_hash()}"
-            + ("; pass --allow-mismatch to override" if override else "")
-        )
-    items = [("input", path.name), ("input_seed", record.seed),
-             ("input_source", record.source_description)]
-    if "manifest_hash" in record.metadata:
-        items.append(("input_manifest_hash", record.metadata["manifest_hash"]))
-    try:
-        return (*_analyze(record, args.block_size, args.noise_halfwidth, spectrum=spectrum),
-                items)
-    except ValueError as exc:
-        raise DataError(f"analysis of {path} failed: {exc}") from exc
+    for path in paths:
+        if not path.exists():
+            raise DataError(f"record file {path} does not exist")
+        try:
+            record = read_record(path)
+        except ValueError as exc:
+            raise DataError(f"cannot read record {path}: {exc}") from exc
+        got = record.config.content_hash()
+        if checked and estimates and got != estimates[0].config.content_hash():
+            raise DataError(
+                f"record {path} config hash {got} differs from the first record's "
+                f"{estimates[0].config.content_hash()}"
+                + ("; pass --allow-mismatch to analyze them together" if override else "")
+            )
+        if checked and args.config is not None and got != config.content_hash():
+            raise DataError(
+                f"record {path} config hash {got} does not match --config hash "
+                f"{config.content_hash()}"
+                + ("; pass --allow-mismatch to override" if override else "")
+            )
+        items += [("input", path.name), ("input_seed", record.seed),
+                  ("input_source", record.source_description)]
+        if "manifest_hash" in record.metadata:
+            items.append(("input_manifest_hash", record.metadata["manifest_hash"]))
+        try:
+            estimate, averaged = _analyze(record, args.block_size, args.noise_halfwidth,
+                                          spectrum=spectrum)
+        except ValueError as exc:
+            raise DataError(f"analysis of {path} failed: {exc}") from exc
+        del record
+        estimates.append(estimate)
+        spectra.append(averaged)
+    return estimates, spectra, items
 
 
 def _read_key_values(path: Path, what: str) -> dict[str, str]:
@@ -268,16 +274,10 @@ def _read_key_values(path: Path, what: str) -> dict[str, str]:
 
 
 def _load_calibration(path: Path) -> CalibrationPhase:
-    kv = _read_key_values(path, "calibration")
     try:
-        phase_rad = float(kv["phase_rad"])
-    except KeyError as exc:
-        raise DataError(f"calibration file {path} lacks key {exc}") from exc
+        return CalibrationPhase.from_key_values(_read_key_values(path, "calibration"))
     except ValueError as exc:
-        raise DataError(f"calibration file {path} has an unusable phase_rad: {exc}") from exc
-    if not math.isfinite(phase_rad):
-        raise DataError(f"calibration file {path} has a non-finite phase_rad = {kv['phase_rad']}")
-    return CalibrationPhase(phase_rad=phase_rad, source_gas=kv.get("gas", ""))
+        raise DataError(f"calibration file {path}: {exc}") from exc
 
 
 def _cmd_analyze(args) -> int:
@@ -285,39 +285,38 @@ def _cmd_analyze(args) -> int:
     _analysis_options(args)
     paths = _record_paths(args)
     calibration = _load_calibration(args.calibration) if args.calibration else None
-    # one record at a time: each is read, checked and analysed, and only its estimate and
-    # averaged spectrum are kept; every output is written after the last one
-    estimates, spectra = [], []
-    items = [("block_size", args.block_size), ("noise_halfwidth", args.noise_halfwidth)]
-    for path in paths:
-        estimate, spectrum, inputs = _analyze_file(path, args, config,
-                                                   estimates[0].config if estimates else None,
-                                                   spectrum=True)
-        estimates.append(estimate)
-        spectra.append(spectrum)
-        items += inputs
+    # every output is written after the last record is analysed
+    estimates, spectra, inputs = _analyze_records(paths, args, config, spectrum=True)
+    items = [("block_size", args.block_size), ("noise_halfwidth", args.noise_halfwidth),
+             *inputs]
     if calibration is not None:
         items.append(("calibration_phase_rad", calibration.phase_rad))
 
     first = estimates[0]
     mhash = manifest("analyze", first.config, items)[1]
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    for path, spectrum in zip(paths, spectra):
-        _write_spectrum(args.out_dir / f"{path.stem}.spectrum.csv", spectrum, mhash)
+    for path, (freqs, avg) in zip(paths, spectra):
+        write_table(args.out_dir / f"{path.stem}.spectrum.csv", [("manifest_hash", mhash)],
+                    ("frequency_hz", "amplitude", "phase_rad"),
+                    (freqs, np.abs(avg), np.angle(avg)))
 
-    dn_mean, dn_sigma, hours = combine_runs(estimates)
-    cal = calibration or analytic_calibration(first.config)
+    # each run on its own analytic axis unless a calibration file sets one, turned onto the
+    # first run's axis to be combined: a factor of exactly 1 where the axes agree
+    axes = [calibration or analytic_calibration(est.config) for est in estimates]
+    cal = axes[0]
+    turned = [replace(est, deltan_over_b2=est.deltan_over_b2
+                      * cmath.exp(1j * (cal.phase_rad - axis.phase_rad)))
+              for est, axis in zip(estimates, axes)]
+    dn_mean, dn_sigma, hours = combine_runs(turned)
     phys, nonphys = project_physical(dn_mean, cal)
 
     write_table(
         args.out_dir / "runs.csv", [("manifest_hash", mhash)],
         ("run_id", "hours", "deltan_over_B2_phys", "deltan_over_B2_nonphys", "sigma", "finesse",
          "field_integral"),
-        # each run on its own analytic axis unless a calibration file sets one
-        [(path.stem, est.hours,
-          *project_physical(est.deltan_over_b2, calibration or analytic_calibration(est.config)),
+        [(path.stem, est.hours, *project_physical(est.deltan_over_b2, axis),
           est.deltan_over_b2_sigma, est.config.finesse, est.config.field_integral_t2m)
-         for path, est in zip(paths, estimates)],
+         for path, est, axis in zip(paths, estimates, axes)],
     )
 
     items = [
@@ -339,47 +338,20 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _write_spectrum(out: Path, spectrum: tuple[np.ndarray, np.ndarray], mhash: str) -> None:
-    freqs, avg = spectrum
-    # adding 0.0 turns -0.0 into +0.0, as format_number does, and keeps every other value
-    columns = (freqs + 0.0, np.abs(avg) + 0.0, np.angle(avg) + 0.0)
-    with open(out, "wb") as fh:
-        fh.write(_table_header([("manifest_hash", mhash)],
-                               ("frequency_hz", "amplitude", "phase_rad")).encode())
-        fh.write(_format_rows(columns))
-
-
 def _cmd_calibrate(args) -> int:
     config = _load_config_arg(args)
     _analysis_options(args)
     paths = _record_paths(args)
-    estimates = []
+    # a scan fitted across configurations is refused; calibrate has no --allow-mismatch
+    estimates, _, inputs = _analyze_records(paths, args, config, override=False)
     items = [("gas", args.gas), ("block_size", args.block_size),
-             ("noise_halfwidth", args.noise_halfwidth)]
-    for path in paths:
-        # a scan fitted across configurations is refused; calibrate has no --allow-mismatch
-        first = estimates[0].config if estimates else None
-        estimate, _, inputs = _analyze_file(path, args, config, first, override=False)
-        estimates.append(estimate)
-        items += inputs
+             ("noise_halfwidth", args.noise_halfwidth), *inputs]
     try:
         cal = calibrate(estimates, args.gas)
     except (ValueError, KeyError) as exc:
         raise DataError(str(exc)) from exc
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    results = [
-        ("tool_version", __version__),
-        ("gas", args.gas),
-        ("phase_rad", cal.phase_rad),
-        ("axis_phase_mod_pi", cal.axis_phase),
-        ("slope_t2_per_atm", cal.fit_slope),
-        ("slope_sigma", cal.fit_slope_sigma),
-        ("intercept", cal.fit_intercept),
-        ("intercept_sigma", cal.fit_intercept_sigma),
-        ("n_points", len(cal.per_run_phases)),
-        ("per_run_phases_rad", ";".join(format_number(p) for p in cal.per_run_phases)),
-    ]
-    _write_kv(args.out_dir / "calibration.txt", results,
+    _write_kv(args.out_dir / "calibration.txt", cal.to_key_values().items(),
               manifest("calibrate", estimates[0].config, items)[1])
     print(
         f"calibration: phase = {format_number(cal.phase_rad)} rad, "

@@ -42,6 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import __version__
 from .apparatus import (
     ApparatusConfig,
     GasSource,
@@ -52,6 +53,7 @@ from .apparatus import (
     _step,
     _varying_channel,
     _walk,
+    format_number,
     parse_source,
 )
 
@@ -105,6 +107,38 @@ class CalibrationPhase:
     @property
     def axis_phase(self) -> float:
         return self.phase_rad % math.pi
+
+    def to_key_values(self) -> dict[str, object]:
+        """The ``key = value`` items of a calibration file, in file order."""
+        return {
+            "tool_version": __version__,
+            "gas": self.source_gas,
+            "phase_rad": self.phase_rad,
+            "axis_phase_mod_pi": self.axis_phase,
+            "slope_t2_per_atm": self.fit_slope,
+            "slope_sigma": self.fit_slope_sigma,
+            "intercept": self.fit_intercept,
+            "intercept_sigma": self.fit_intercept_sigma,
+            "n_points": len(self.per_run_phases),
+            "per_run_phases_rad": ";".join(format_number(p) for p in self.per_run_phases),
+        }
+
+    @classmethod
+    def from_key_values(cls, kv: dict[str, str]) -> "CalibrationPhase":
+        """The axis of a calibration file's ``kv``: its ``phase_rad``, and its ``gas`` if any.
+
+        A missing, non-numeric or non-finite ``phase_rad`` is refused; the
+        fit's keys are not read, so a file of ``phase_rad`` alone sets an axis.
+        """
+        try:
+            phase_rad = float(kv["phase_rad"])
+        except KeyError:
+            raise ValueError("key 'phase_rad' is missing") from None
+        except ValueError as exc:
+            raise ValueError(f"unusable phase_rad: {exc}") from exc
+        if not math.isfinite(phase_rad):
+            raise ValueError(f"non-finite phase_rad = {kv['phase_rad']}")
+        return cls(phase_rad=phase_rad, source_gas=kv.get("gas", ""))
 
 
 def analytic_calibration(config: ApparatusConfig) -> CalibrationPhase:
@@ -665,12 +699,5 @@ def calibrate(estimates: list[RunEstimate], gas_name: str) -> CalibrationPhase:
     dn_phys = [project_physical(est.deltan_over_b2, cal)[0] for est in estimates]
     dn_sigma = [est.deltan_over_b2_sigma for est in estimates]
     a, b, sa, sb = weighted_linear_fit(pressures, np.array(dn_phys), np.array(dn_sigma))
-    return CalibrationPhase(
-        phase_rad=phase,
-        source_gas=gas_name,
-        fit_slope=b,
-        fit_slope_sigma=sb,
-        fit_intercept=a,
-        fit_intercept_sigma=sa,
-        per_run_phases=tuple(est.metadata["phase_rad"] for est in estimates),
-    )
+    return replace(cal, fit_slope=b, fit_slope_sigma=sb, fit_intercept=a, fit_intercept_sigma=sa,
+                   per_run_phases=tuple(est.metadata["phase_rad"] for est in estimates))

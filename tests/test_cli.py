@@ -112,6 +112,29 @@ class TestAnalyze:
     def test_missing_file_data_error(self, tmp_path):
         assert run("analyze", tmp_path / "nope.csv", "--out-dir", tmp_path) == 2
 
+    def test_refusal_order(self, tmp_path):
+        """A usage error comes before an unreadable --calibration file, which comes before a
+        missing record, in analyze and calibrate alike."""
+        missing, no_cal, cal = tmp_path / "nope.csv", tmp_path / "nope.txt", tmp_path / "cal.txt"
+        cal.write_text("phase_rad = 1.0\n")
+        cases = [
+            (("analyze", missing, "--calibration", no_cal, "--blocks", "0"), 1,
+             "usage error: --blocks must be >= 1"),
+            (("analyze", "--calibration", no_cal), 1, "usage error: at least one record file"),
+            (("analyze", missing, "--calibration", no_cal), 2,
+             f"data error: cannot read calibration file {no_cal}"),
+            (("analyze", missing, "--calibration", cal), 2,
+             f"data error: record file {missing} does not exist"),
+            (("calibrate", missing, "--gas", "He", "--blocks", "0"), 1,
+             "usage error: --blocks must be >= 1"),
+            (("calibrate", "--gas", "He"), 1, "usage error: at least one record file"),
+            (("calibrate", missing, "--gas", "He"), 2,
+             f"data error: record file {missing} does not exist"),
+        ]
+        for argv, code, reason in cases:
+            got, err = run_captured(*argv, "--out-dir", tmp_path / "o")
+            assert (got, err.startswith(reason)) == (code, True), (argv, err)
+
     def test_outputs(self, he_record, tmp_path):
         out = tmp_path / "ana"
         assert run("analyze", he_record, "--out-dir", out) == 0
@@ -573,6 +596,29 @@ class TestAnalyze:
         mean, _, _ = combine_runs(estimates)
         assert kv["deltanu_physical"] == format_number(project_physical(mean, cal)[0])
         assert kv["calibration_phase_rad"] == format_number(cal.phase_rad)
+
+    def test_runs_of_different_polarizer_angles_combine_on_their_own_axes(self, tmp_path):
+        from vmbsim.configio import parse_key_values
+
+        cfg = tmp_path / "theta.cfg"
+        cfg.write_text("polarizer_angle = 0.785398163 rad\n")
+        records = []
+        for seed, config in ((1, ()), (2, ("--config", cfg))):
+            assert run("simulate", *config, "--source", "gas:He:32ubar", "--seed", seed,
+                       "--revolutions", "2048", "--noise-asd", "3e-7",
+                       "--out-dir", tmp_path) == 0
+            records.append(tmp_path / f"run-seed{seed}.csv")
+        out = tmp_path / "a"
+        assert run("analyze", *records, "--allow-mismatch", "--out-dir", out) == 0
+        rows = [[float(x) for x in line.split(", ")[1:5]]
+                for line in (out / "runs.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        weights = [1.0 / row[3] ** 2 for row in rows]
+        kv = parse_key_values((out / "estimate.txt").read_text())
+        for column, key in ((1, "deltanu_physical"), (2, "deltanu_nonphysical")):
+            mean = sum(w * row[column] for w, row in zip(weights, rows)) / sum(weights)
+            # both files round each value to 9 significant digits, by up to 5e-9
+            assert float(kv[key]) == pytest.approx(mean, rel=1e-8, abs=0.0), key
 
     def test_mixed_configs_refused(self, he_record, tmp_path):
         other_sim = tmp_path / "other"
@@ -1117,6 +1163,27 @@ class TestScripts:
         assert len(calls) == 4
         assert (tmp_path / "pressure_scan.csv").exists()
         assert (tmp_path / "calibration.txt").exists()
+
+    def test_helium_calibration_file_is_the_calibrate_layout(self, data_files, tmp_path,
+                                                             monkeypatch):
+        import runpy
+        import sys
+        from pathlib import Path
+
+        from vmbsim.configio import parse_key_values
+
+        script = Path(__file__).parents[1] / "scripts" / "run_helium_calibration.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--blocks-per-run", "4",
+                                          "--out-dir", str(tmp_path / "he")])
+        runpy.run_path(str(script), run_name="__main__")
+        cal_file = tmp_path / "he" / "calibration.txt"
+        kv = parse_key_values(cal_file.read_text())
+        assert list(kv) == list(parse_key_values(data_files["calibration"].read_text()))
+        out = tmp_path / "a"
+        assert run("analyze", data_files["record"], "--calibration", cal_file,
+                   "--out-dir", out) == 0
+        estimate = parse_key_values((out / "estimate.txt").read_text())
+        assert estimate["calibration_phase_rad"] == kv["phase_rad"]
 
 
 def field_values(f):

@@ -43,6 +43,7 @@ from vmbsim.apparatus import (
     parse_source,
     read_record,
     write_record,
+    write_table,
 )
 from vmbsim.pipeline import analyze_record, demodulate
 from vmbsim.synth import (
@@ -999,6 +1000,22 @@ class TestRecordFormatter:
     @given(st.lists(FORMAT_VALUES, min_size=5, max_size=40).map(lambda v: v[: len(v) // 5 * 5]))
     def test_rows_match_savetxt_layout(self, values):
         assert _format_rows(np.array(values).reshape(-1, 5).T) == _text(values, columns=5)
+
+    def test_write_table_columns_match_rows(self, tmp_path):
+        special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+                   1e-310, -4.9e-320]
+        times = np.concatenate([
+            np.arange(960_000, 970_000) / 96.0,     # time cells past 10 000 s
+            np.arange(320_001, 330_001, 2) / 32.0,  # their 9-digit rounding ties
+        ])
+        columns = (times, np.resize(special, len(times)), -times)
+        names = ("time", "special", "negative")
+        paths = tmp_path / "columns.csv", tmp_path / "rows.csv"
+        write_table(paths[0], [("k", 1.5)], names, columns)
+        write_table(paths[1], [("k", 1.5)], names, list(zip(*(c.tolist() for c in columns))))
+        text = paths[0].read_bytes()
+        assert text == paths[1].read_bytes()
+        assert b"\n1.00000312e+04, " in text and b", -0.0" not in text
 
     def test_bulk_against_percent_format(self):
         rng = np.random.default_rng(11)

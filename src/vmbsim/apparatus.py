@@ -521,6 +521,9 @@ class TimeSeriesRecord:
 # are ~0.53 M raw samples at the default PEM grid.
 _CHUNK_BINS = 64
 # Most worker threads of :func:`_map_ordered`; each running item holds its own working set.
+# The threads are one pool per process, made at the first pass that needs workers and
+# kept idle between passes; a different CPU count replaces it, and a forked child, which
+# has none of its threads, makes its own (:func:`_worker_pool`).
 _MAX_CHUNK_WORKERS = 8
 # Items per worker thread that :func:`_map_ordered` takes ahead of the result it yields.
 _AHEAD_PER_WORKER = 2
@@ -547,6 +550,33 @@ def _in_flight() -> int:
     return _AHEAD_PER_WORKER * _chunk_workers()
 
 
+# ``(workers, ThreadPoolExecutor)`` of :func:`_worker_pool`, or None before the first
+# pass that needs workers and in a forked child.
+_pool = None
+
+
+def _drop_pool() -> None:
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _worker_pool(workers: int):
+    """The process's pool of ``workers`` threads: the kept one, or a new one in its place."""
+    global _pool
+    if _pool is None or _pool[0] != workers:
+        if _pool is not None:
+            _pool[1].shutdown()  # its threads are idle; they end before the new ones start
+        # imported here: it costs every process that imports vmbsim ~8 ms otherwise
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = workers, ThreadPoolExecutor(workers, thread_name_prefix="vmbsim-worker")
+    return _pool[1]
+
+
 def _map_ordered(func, items):
     """Yield ``func(item)`` for each of ``items`` in order, computed on worker threads.
 
@@ -557,6 +587,14 @@ def _map_ordered(func, items):
     being yielded, so a lazy ``items`` is read only that far ahead, in the
     calling thread, and the results waiting for the caller stay bounded.
     ``func`` must not depend on the order in which items run.
+
+    The threads are the process's one pool (:func:`_worker_pool`), made at
+    the first pass that needs workers and kept idle between passes; a
+    different CPU count replaces it, and a forked child makes its own.  A
+    pass that raises or is closed cancels its queued items and waits for its
+    running ones, so no task of a finished pass still touches what the pass
+    handed it.  No ``func`` starts a pass of its own, which would wait on
+    the threads that run it.
     """
     workers = _chunk_workers()
     if workers <= 1:
@@ -567,20 +605,20 @@ def _map_ordered(func, items):
     if len(first) <= 1:  # one item runs no faster on a worker
         yield from map(func, first)
         return
-    # imported here: it costs every process that imports vmbsim ~8 ms otherwise
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool:
-        pending = deque(pool.submit(func, item) for item in first)
-        del first
-        try:
-            while pending:
-                result = pending.popleft().result()
-                pending.extend(pool.submit(func, item) for item in islice(items, 1))
-                yield result
-        finally:
-            for future in pending:
-                future.cancel()
+    pool = _worker_pool(workers)
+    pending = deque(pool.submit(func, item) for item in first)
+    del first
+    try:
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(func, item) for item in islice(items, 1))
+            yield result
+    finally:
+        for future in pending:
+            future.cancel()
+        for future in pending:
+            if not future.cancelled():
+                future.exception()  # waits for a running item, and does not raise its error
 
 
 def _step(samples_per_bin: int, size: int) -> int:

@@ -669,7 +669,7 @@ class TestAnalyze:
         kv = parse_key_values((out / "estimate.txt").read_text())
         expected = deltan_conversion(1e-6, ApparatusConfig(pem_frequency_hz=960.0))
         # boxcar demod attenuates by sinc(pi/16) and offsets the phase by pi/16
-        assert float(kv["deltanu_physical"]) == pytest.approx(expected, rel=0.03)
+        assert float(kv["deltanu_physical"]) == pytest.approx(expected, rel=0.03, abs=0.0)
 
     def test_noiseless_helium_to_one_percent(self, tmp_path):
         from vmbsim.configio import parse_key_values
@@ -681,7 +681,7 @@ class TestAnalyze:
         assert run("analyze", sim / "run-seed0.csv", "--out-dir", out) == 0
         kv = parse_key_values((out / "estimate.txt").read_text())
         injected = 2.1e-16 * 32e-3 / 1013.25
-        assert float(kv["deltanu_physical"]) == pytest.approx(injected, rel=0.01)
+        assert float(kv["deltanu_physical"]) == pytest.approx(injected, rel=0.01, abs=0.0)
 
 
 class TestCalibrateCommand:
@@ -735,7 +735,7 @@ class TestLimitsCommand:
         text = (out / "xsec_limit.txt").read_text()
         value = [l for l in text.splitlines() if l.startswith("sigma_gamma_gamma_m2")][0]
         sigma = float(value.split("=")[1])
-        assert sigma == pytest.approx(4.6e-66, rel=0.05)
+        assert sigma == pytest.approx(4.6e-66, rel=0.05, abs=0.0)
 
     def test_report(self, estimate, tmp_path):
         out = tmp_path / "lr"
@@ -1225,7 +1225,8 @@ class TestConfigFile:
             for unit, factor in (f.metadata["units"] or {"": None}).items():
                 number = value / factor if factor else value
                 cfg = parse_config(f"{f.metadata['key']} = {number!r} {unit}\n")
-                assert getattr(cfg, f.name) == pytest.approx(value, rel=1e-12), (f.name, unit)
+                assert getattr(cfg, f.name) == pytest.approx(value, rel=1e-12, abs=0.0), (
+                    f.name, unit)
                 assert replace(cfg, **{f.name: f.default}) == ApparatusConfig()
 
     @settings(max_examples=300, deadline=None)

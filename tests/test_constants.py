@@ -28,7 +28,8 @@ def test_constants_immutable():
 
 def test_reduced_compton_wavelength():
     # oracle: 3.86159267721e-13 m
-    assert CONSTANTS.reduced_compton_wavelength_e == pytest.approx(3.86159267721e-13, rel=1e-9)
+    assert CONSTANTS.reduced_compton_wavelength_e == pytest.approx(3.86159267721e-13, rel=1e-9,
+                                                                   abs=0.0)
 
 
 def test_photon_energy_1064nm():
@@ -79,7 +80,8 @@ class TestConvertPressure:
         assert convert_pressure(32.0, "ubar", "atm") == pytest.approx(3.158154e-5, rel=1e-6)
 
     def test_low_mbar_in_atm(self):
-        assert convert_pressure(2e-5, "mbar", "atm") == pytest.approx(1.9738465e-8, rel=1e-6)
+        assert convert_pressure(2e-5, "mbar", "atm") == pytest.approx(1.9738465e-8, rel=1e-6,
+                                                                         abs=0.0)
 
     def test_unknown_unit(self):
         with pytest.raises(ValueError, match="unknown pressure unit"):

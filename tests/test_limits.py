@@ -88,8 +88,9 @@ def read_curve(path) -> ExclusionCurve:
 
 class TestConfidenceBound:
     def test_headline_values(self):
-        assert confidence_bound(HEADLINE_LIMIT, 0.95) == pytest.approx(3.7e-22, rel=0.01)
-        assert confidence_bound(HEADLINE_LIMIT, 0.95) == pytest.approx(3.6897072539e-22, rel=1e-9)
+        assert confidence_bound(HEADLINE_LIMIT, 0.95) == pytest.approx(3.7e-22, rel=0.01, abs=0.0)
+        assert confidence_bound(HEADLINE_LIMIT, 0.95) == pytest.approx(3.6897072539e-22, rel=1e-9,
+                                                                       abs=0.0)
 
     def test_standard_quantile(self):
         lim = BirefringenceLimit(central=0.0, sigma=1.0)
@@ -142,7 +143,7 @@ class TestAlpExclusion:
                 p = AlpParams(g, m, CFG.photon_energy_ev, CFG.field_length_m)
                 dn = alp_deltan(p, b_eff)
                 assert dn / b_eff**2 == pytest.approx(
-                    curve.metadata["deltanu_bound_t2"], rel=1e-12)
+                    curve.metadata["deltanu_bound_t2"], rel=1e-12, abs=0.0)
 
     def test_equals_the_per_mass_reference(self):
         # the whole-grid curve does each mass's arithmetic in the same order as this loop
@@ -178,7 +179,7 @@ class TestAlpExclusion:
             if tag != "small-x":
                 continue
             g_limit = math.sqrt(48.0 * omega**2 * dn / (b_nat**2 * m**2 * l_nat**2))
-            assert g == pytest.approx(g_limit, rel=0.01)
+            assert g == pytest.approx(g_limit, rel=0.01, abs=0.0)
             checked += 1
         assert checked > 100
 
@@ -223,7 +224,7 @@ class TestAlpExclusion:
             x = l_nat * m * m / (4.0 * omega)
             factor = 1.0 - math.sin(2 * x) / (2 * x) if x > 1e-4 else (2 / 3) * x * x
             g_nat = math.sqrt(2.0 * m * m * (dn_u_nat * b_nat**2) / (b_nat**2 * factor))
-            assert g == pytest.approx(g_nat, rel=1e-6)
+            assert g == pytest.approx(g_nat, rel=1e-6, abs=0.0)
 
 
 class TestMcpExclusion:
@@ -255,9 +256,9 @@ class TestMcpExclusion:
                     params = McpParams(eps, m, CFG.photon_energy_ev, statistics)
                     value, regime = mcp_deltan(params, b_eff, allow_gap=True)
                     assert regime == tag
-                    assert abs(value) / b_eff**2 == pytest.approx(target, rel=1e-12)
+                    assert abs(value) / b_eff**2 == pytest.approx(target, rel=1e-12, abs=0.0)
                     assert mcp_deltan_over_b2_at(eps, m, statistics, CFG) == pytest.approx(
-                        target, rel=1e-9
+                        target, rel=1e-9, abs=0.0
                     )
 
     def test_a_mass_lists_its_small_chi_row_first(self, monkeypatch):
@@ -325,7 +326,7 @@ class TestMcpExclusion:
         for m, eps_analytic in picked:
             f = lambda e: mcp_deltan_over_b2_at(e, m, "scalar", CFG) - target
             eps_num = brentq(f, 1e-16, 0.999, rtol=1e-12)
-            assert eps_num == pytest.approx(eps_analytic, rel=1e-6)
+            assert eps_num == pytest.approx(eps_analytic, rel=1e-6, abs=0.0)
 
     def test_fermion_scalar_small_chi_ratio(self):
         cf = mcp_exclusion(HEADLINE_LIMIT, CFG, statistics="fermion")
@@ -374,7 +375,7 @@ class TestMcpExclusion:
 class TestCrossSectionLimit:
     def test_reproduces_published_value(self):
         result = cross_section_limit(HEADLINE_LIMIT)
-        assert result["sigma_gamma_gamma_m2"] == pytest.approx(4.6e-66, rel=0.05)
+        assert result["sigma_gamma_gamma_m2"] == pytest.approx(4.6e-66, rel=0.05, abs=0.0)
         assert result["deltanu_bound_t2"] == 2e-22
         assert result["rule"] == "one-sigma"
         assert "cl" not in result  # the rule ignores it, so no value (not a nan) is written
@@ -383,11 +384,11 @@ class TestCrossSectionLimit:
         from vmbsim.models import photon_photon_cross_section, qed_unitary_birefringence
 
         sigma = photon_photon_cross_section(qed_unitary_birefringence(), CFG.photon_energy_ev)
-        assert sigma == pytest.approx(1.84e-69, rel=0.02)
+        assert sigma == pytest.approx(1.84e-69, rel=0.02, abs=0.0)
 
     def test_gaussian_rule_alternative(self):
         result = cross_section_limit(HEADLINE_LIMIT, rule="gaussian-one-sided", cl=0.95)
-        assert result["deltanu_bound_t2"] == pytest.approx(3.6897072539e-22, rel=1e-9)
+        assert result["deltanu_bound_t2"] == pytest.approx(3.6897072539e-22, rel=1e-9, abs=0.0)
         assert result["cl"] == 0.95
 
 
@@ -411,6 +412,25 @@ class TestComparisonReport:
         assert rows[-2][1] == pytest.approx(0.4, rel=0.01)
         assert rows[-1][1:] == (2e-22 / qed, 0.0)
         assert rows[-1][1] == pytest.approx(50.0, rel=0.01)  # the abstract's "factor 50"
+
+    def test_epsilon_gain_rows(self):
+        rows = comparison_report(HEADLINE_LIMIT)
+        published = ReferenceResults.bundled().rows
+        # each published row, then its two gains
+        assert [name for name, _, _ in rows[:-3:3]] == [name for name, _, _ in published]
+        for (name, _, sigma), small, large in zip(published, rows[1:-3:3], rows[2:-3:3]):
+            assert small == (f"MCP epsilon gain over {name} (small chi)",
+                             (sigma / 20.0) ** 0.25, 0.0)
+            assert large == (f"MCP epsilon gain over {name} (large chi)",
+                             (sigma / 20.0) ** 0.375, 0.0)
+        gains = {name: value for name, value, _ in rows}
+        # the abstract's "factor two" over the PVLAS-FE test setup, sigma 400e-23 T^-2
+        assert f"{gains['MCP epsilon gain over PVLAS-FE test setup (small chi)']:.3g}" == "2.11"
+        assert f"{gains['MCP epsilon gain over PVLAS-FE test setup (large chi)']:.3g}" == "3.08"
+        # the gain does not depend on the central value: one-sigma bounds
+        moved = comparison_report(BirefringenceLimit(central=-7e-22, sigma=2e-22))
+        assert [row for row in moved if "gain" in row[0]] == [row for row in rows
+                                                             if "gain" in row[0]]
 
     def test_bundled_reference_table(self):
         refs = ReferenceResults.bundled()

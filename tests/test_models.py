@@ -46,7 +46,8 @@ class TestLagrangian:
         assert p.eta1 == pytest.approx(4.0 / 7.0 * p.eta2, rel=1e-12)
 
     def test_qed_deltan_u(self):
-        assert NonlinearLagrangianParams.qed().deltan_u == pytest.approx(3.97e-24, rel=5e-3)
+        assert NonlinearLagrangianParams.qed().deltan_u == pytest.approx(3.97e-24, rel=5e-3,
+                                                                         abs=0.0)
 
     def test_symmetric_lagrangian_gives_zero(self):
         p = NonlinearLagrangianParams(eta1=0.123, eta2=0.123)
@@ -55,7 +56,7 @@ class TestLagrangian:
 
     def test_qed_at_2p5_tesla(self):
         dn = deltan_from_lagrangian(NonlinearLagrangianParams.qed(), 2.5)
-        assert dn == pytest.approx(2.48e-23, rel=5e-3)
+        assert dn == pytest.approx(2.48e-23, rel=5e-3, abs=0.0)
 
     @given(st.floats(min_value=-100.0, max_value=100.0, allow_nan=False))
     def test_even_in_field(self, b):
@@ -66,8 +67,8 @@ class TestLagrangian:
 class TestQedUnitaryBirefringence:
     def test_value(self):
         # mpmath oracle: 3.97400598419e-24
-        assert qed_unitary_birefringence() == pytest.approx(3.974005984e-24, rel=1e-8)
-        assert qed_unitary_birefringence() == pytest.approx(3.97e-24, rel=5e-3)
+        assert qed_unitary_birefringence() == pytest.approx(3.974005984e-24, rel=1e-8, abs=0.0)
+        assert qed_unitary_birefringence() == pytest.approx(3.97e-24, rel=5e-3, abs=0.0)
 
     def test_cubic_in_compton_wavelength(self):
         from vmbsim.constants import CONSTANTS
@@ -79,8 +80,8 @@ class TestQedUnitaryBirefringence:
                     * lam**3 / (k.electron_mass_energy_ev * k.elementary_charge))
 
         lam = k.reduced_compton_wavelength_e
-        assert formula(2.0 * lam) == pytest.approx(8.0 * formula(lam), rel=1e-12)
-        assert formula(lam) == pytest.approx(qed_unitary_birefringence(), rel=1e-12)
+        assert formula(2.0 * lam) == pytest.approx(8.0 * formula(lam), rel=1e-12, abs=0.0)
+        assert formula(lam) == pytest.approx(qed_unitary_birefringence(), rel=1e-12, abs=0.0)
 
     def test_mass_scaling_through_derived_wavelength(self):
         from vmbsim.constants import CONSTANTS
@@ -88,15 +89,16 @@ class TestQedUnitaryBirefringence:
         # the MCP prefactor at the electron mass is the QED value; halving the mass doubles
         # lam and scales lam^3/(mc^2) by 16
         m_e = CONSTANTS.electron_mass_energy_ev
-        assert mcp_unitary_prefactor(m_e) == pytest.approx(qed_unitary_birefringence(), rel=1e-12)
+        assert mcp_unitary_prefactor(m_e) == pytest.approx(qed_unitary_birefringence(), rel=1e-12,
+                                                           abs=0.0)
         assert mcp_unitary_prefactor(m_e / 2) == pytest.approx(
-            16.0 * qed_unitary_birefringence(), rel=1e-12
+            16.0 * qed_unitary_birefringence(), rel=1e-12, abs=0.0
         )
 
     def test_consistent_with_lagrangian_route(self):
         a = qed_unitary_birefringence()
         b = NonlinearLagrangianParams.qed().deltan_u
-        assert a == pytest.approx(b, rel=1e-3)
+        assert a == pytest.approx(b, rel=1e-3, abs=0.0)
 
 
 class TestGasTable:
@@ -115,14 +117,14 @@ class TestGasTable:
         p = convert_pressure(32.0, "ubar", "atm")
         dn = cotton_mouton_deltan("He", p, 2.5)
         # the quoted 3.9e-20 is rounded; Table coefficients give 4.14e-20
-        assert dn == pytest.approx(3.9e-20, rel=0.10)
+        assert dn == pytest.approx(3.9e-20, rel=0.10, abs=0.0)
 
     def test_zero_pressure(self):
         for gas in GAS_TABLE.values():
             assert cotton_mouton_deltan(gas, 0.0, 2.5) == 0.0
 
     def test_oxygen_spot_value(self):
-        assert cotton_mouton_deltan("O2", 1e-6, 1.0) == pytest.approx(-2.5e-18, rel=1e-12)
+        assert cotton_mouton_deltan("O2", 1e-6, 1.0) == pytest.approx(-2.5e-18, rel=1e-12, abs=0.0)
 
     @given(
         st.sampled_from(sorted(GAS_TABLE)),
@@ -145,14 +147,14 @@ class TestEquivalentPressure:
 
     def test_oracle_values(self):
         for gas, expected in self.ORACLE.items():
-            assert equivalent_pressure(gas) == pytest.approx(expected, rel=1e-4)
+            assert equivalent_pressure(gas) == pytest.approx(expected, rel=1e-4, abs=0.0)
 
     def test_matches_published_table_at_one_sigfig(self):
         for gas, published in self.TABLE.items():
             p = equivalent_pressure(gas)
             exponent = math.floor(math.log10(p))
             rounded = round(p / 10**exponent) * 10**exponent
-            assert rounded == pytest.approx(published, rel=1e-9), gas
+            assert rounded == pytest.approx(published, rel=1e-9, abs=0.0), gas
 
     def test_unit_ratio_gas(self):
         from vmbsim.models import GasSpecies
@@ -172,7 +174,7 @@ class TestEquivalentPressure:
             p_atm = convert_pressure(equivalent_pressure(gas), "mbar", "atm")
             for b in (1.0, 2.5):
                 dn = abs(cotton_mouton_deltan(gas, p_atm, b))
-                assert dn == pytest.approx(qed_unitary_birefringence() * b**2, rel=1e-6)
+                assert dn == pytest.approx(qed_unitary_birefringence() * b**2, rel=1e-6, abs=0.0)
 
 
 class TestAlp:
@@ -187,7 +189,7 @@ class TestAlp:
         # 1 - sin(2x)/(2x) = (2/3)x^2 - (2/15)x^4 + O(x^6)
         for x in (1e-6, 1e-4, 1e-3, 0.01):
             taylor = (2.0 / 3.0) * x**2 - (2.0 / 15.0) * x**4
-            assert alp_oscillation_factor(x) == pytest.approx(taylor, rel=1e-4)
+            assert alp_oscillation_factor(x) == pytest.approx(taylor, rel=1e-4, abs=0.0)
 
     def test_small_x_limit_formula_within_1pc(self):
         # pick a mass giving x = 0.01
@@ -197,7 +199,8 @@ class TestAlp:
         m = math.sqrt(0.01 * 4.0 * OMEGA_1064 / l_nat)
         p = self._params(m=m)
         assert p.x == pytest.approx(0.01, rel=1e-9)
-        assert alp_deltan(p, 2.5) == pytest.approx(alp_deltan_small_mass(p, 2.5), rel=0.01)
+        assert alp_deltan(p, 2.5) == pytest.approx(alp_deltan_small_mass(p, 2.5), rel=0.01,
+                                                   abs=0.0)
 
     def test_large_x_limit_decade_average_within_1pc(self):
         from vmbsim.constants import NATURAL_UNITS
@@ -273,7 +276,7 @@ class TestMcp:
         vf, rf = mcp_deltan(f, 2.5)
         vs, rs = mcp_deltan(s, 2.5)
         assert rf == rs == "small-chi"
-        assert vs == pytest.approx(-0.5 * vf, rel=1e-12)
+        assert vs == pytest.approx(-0.5 * vf, rel=1e-12, abs=0.0)
 
     def test_zero_charge(self):
         p = McpParams(0.0, 0.1, OMEGA_1064)
@@ -314,8 +317,8 @@ class TestPhotonPhotonCrossSection:
     def test_qed_prediction(self):
         # mpmath oracle at the computed Eq-3 value: 1.818822819e-69 m^2
         sigma = photon_photon_cross_section(qed_unitary_birefringence(), OMEGA_1064)
-        assert sigma == pytest.approx(1.818822819e-69, rel=1e-6)
-        assert sigma == pytest.approx(1.84e-69, rel=0.02)
+        assert sigma == pytest.approx(1.818822819e-69, rel=1e-6, abs=0.0)
+        assert sigma == pytest.approx(1.84e-69, rel=0.02, abs=0.0)
 
     def test_zero(self):
         assert photon_photon_cross_section(0.0, OMEGA_1064) == 0.0
@@ -324,14 +327,15 @@ class TestPhotonPhotonCrossSection:
         # Delta n_u = 2.0e-22 (the 1-sigma error of the headline result) reproduces
         # the published 4.6e-66 m^2; mpmath oracle 4.606736292e-66
         sigma = photon_photon_cross_section(2.0e-22, OMEGA_1064)
-        assert sigma == pytest.approx(4.606736292e-66, rel=1e-6)
-        assert sigma == pytest.approx(4.6e-66, rel=0.05)
+        assert sigma == pytest.approx(4.606736292e-66, rel=1e-6, abs=0.0)
+        assert sigma == pytest.approx(4.6e-66, rel=0.05, abs=0.0)
 
     def test_scaling(self):
         s1 = photon_photon_cross_section(1e-23, OMEGA_1064)
-        assert photon_photon_cross_section(2e-23, OMEGA_1064) == pytest.approx(4 * s1, rel=1e-12)
+        assert photon_photon_cross_section(2e-23, OMEGA_1064) == pytest.approx(4 * s1, rel=1e-12,
+                                                                               abs=0.0)
         assert photon_photon_cross_section(1e-23, 2 * OMEGA_1064) == pytest.approx(
-            64 * s1, rel=1e-12
+            64 * s1, rel=1e-12, abs=0.0
         )
 
     def test_validity_warning(self):

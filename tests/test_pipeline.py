@@ -74,7 +74,7 @@ class TestDemodulate:
     def test_fixed_psi_256_revolution_fft_recovery(self):
         rec = synthesize_run(CFG, FixedEllipticitySource(1e-7), QUIET, 256 / 3.0)
         amp = abs(block_fft(demodulate(rec), CFG).amplitude_2omega[0])
-        assert amp == pytest.approx(1e-7, rel=1e-3)
+        assert amp == pytest.approx(1e-7, rel=1e-3, abs=0.0)
 
     def test_zero_signal_noise_statistics(self):
         asd = 2e-6
@@ -90,7 +90,7 @@ class TestDemodulate:
         rec_full = synthesize_run(CFG, src, QUIET, 16 / 3.0, fidelity="full")
         a_fast = abs(block_fft(demodulate(rec_fast), CFG, block_size=512).amplitude_2omega[0])
         a_full = abs(block_fft(demodulate(rec_full), CFG, block_size=512).amplitude_2omega[0])
-        assert a_full == pytest.approx(a_fast, rel=0.01)
+        assert a_full == pytest.approx(a_fast, rel=0.01, abs=0.0)
 
     def test_vanishing_normalization(self):
         rec = synthesize_run(CFG, NullSource(), QUIET, 8 / 3.0)
@@ -201,7 +201,7 @@ class TestRayleighSigma:
         spectra = with_rayleigh_sigma(block_fft(demodulate(rec), CFG))
         expected = asd / math.sqrt(8192 / CFG.sample_rate_hz)
         est = np.mean(spectra.rayleigh_sigma)
-        assert est == pytest.approx(expected, rel=0.05)
+        assert est == pytest.approx(expected, rel=0.05, abs=0.0)
 
     def test_all_zero_spectrum(self):
         spectra = BlockSpectra(np.zeros((1, 4097), dtype=complex), 512, 256, 96.0)
@@ -371,7 +371,7 @@ class TestProjection:
 class TestDeltanConversion:
     def test_headline_round_trip_value(self):
         cfg = ApparatusConfig(finesse=6.7e5)
-        assert deltan_conversion(5e-11, cfg) == pytest.approx(4e-24, rel=0.05)
+        assert deltan_conversion(5e-11, cfg) == pytest.approx(4e-24, rel=0.05, abs=0.0)
 
     def test_zero(self):
         assert deltan_conversion(0.0, CFG) == 0.0
@@ -379,7 +379,7 @@ class TestDeltanConversion:
     @given(st.floats(min_value=1e-26, max_value=1e-18))
     def test_forward_inverse_identity(self, dn):
         assert deltan_conversion(ellipticity_from_deltan(dn, CFG), CFG) == pytest.approx(
-            dn, rel=1e-12
+            dn, rel=1e-12, abs=0.0
         )
 
 
@@ -393,7 +393,7 @@ class TestAnalyzeRecord:
             est.complex_amplitude_2omega, analytic_calibration(CFG)
         )
         norm = physical**2 + nonphysical**2
-        assert norm == pytest.approx(abs(est.complex_amplitude_2omega) ** 2, rel=1e-12)
+        assert norm == pytest.approx(abs(est.complex_amplitude_2omega) ** 2, rel=1e-12, abs=0.0)
         assert est.n_blocks == 4
         assert est.hours == pytest.approx(4 * 8192 / 96.0 / 3600.0, rel=1e-9)
 
@@ -418,7 +418,7 @@ class TestAnalyzeRecord:
         mean, sigma, hours = combine_runs(ests)
         assert hours == pytest.approx(sum(e.hours for e in ests))
         expected_sigma = 1.0 / math.sqrt(sum(1.0 / e.deltan_over_b2_sigma**2 for e in ests))
-        assert sigma == pytest.approx(expected_sigma, rel=1e-12)
+        assert sigma == pytest.approx(expected_sigma, rel=1e-12, abs=0.0)
 
     def test_combine_runs_refuses_a_zero_run_sigma_as_a_run(self):
         est = analyze_record(synthesize_run(CFG, NullSource(), NoiseModel(1e-6, rng_seed=1),
@@ -811,7 +811,7 @@ class TestCalibrate:
         pressures = [convert_pressure(u, "ubar", "atm") for u in (32.0, 64.0)]
         recs = [synthesize_run(CFG, GasSource("He", p), QUIET, 256 / 3.0) for p in pressures]
         cal = calibrate([analyze_record(r) for r in recs], "He")
-        assert cal.fit_slope == pytest.approx(2.1e-16, rel=1e-9)
+        assert cal.fit_slope == pytest.approx(2.1e-16, rel=1e-9, abs=0.0)
         assert abs(cal.fit_intercept) < 1e-6 * abs(cal.fit_slope * pressures[0])
 
     def test_three_point_helium_scan(self):

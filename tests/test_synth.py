@@ -4,6 +4,7 @@ import io
 import math
 import mmap
 import os
+import signal
 import struct
 import sys
 import threading
@@ -76,7 +77,7 @@ SMALL_FULL = ApparatusConfig(pem_frequency_hz=960.0, magnet_rotation_hz=3.0)
 class TestEllipticityFormulas:
     def test_single_pass_qed(self):
         psi = single_pass_ellipticity(CFG, 3.97e-24, math.pi / 4)
-        assert psi == pytest.approx(1.2e-16, rel=0.02)
+        assert psi == pytest.approx(1.2e-16, rel=0.02, abs=0.0)
 
     def test_zero_angle(self):
         assert single_pass_ellipticity(CFG, 3.97e-24, 0.0) == pytest.approx(0.0, abs=1e-40)
@@ -84,16 +85,17 @@ class TestEllipticityFormulas:
     def test_22p5_degrees(self):
         full = single_pass_ellipticity(CFG, 3.97e-24, math.pi / 4)
         half = single_pass_ellipticity(CFG, 3.97e-24, math.pi / 8)
-        assert half == pytest.approx(full / math.sqrt(2.0), rel=1e-12)
+        assert half == pytest.approx(full / math.sqrt(2.0), rel=1e-12, abs=0.0)
 
     def test_cavity_value(self):
         cfg = ApparatusConfig(finesse=6.7e5)
-        assert cavity_ellipticity(cfg, 3.97e-24, math.pi / 4) == pytest.approx(5e-11, rel=0.05)
+        assert cavity_ellipticity(cfg, 3.97e-24, math.pi / 4) == pytest.approx(5e-11, rel=0.05,
+                                                                               abs=0.0)
 
     def test_unit_finesse_reduces_to_single_pass(self):
         cfg = ApparatusConfig(finesse=math.pi / 2.0)
         assert cavity_ellipticity(cfg, 1e-20, 0.3) == pytest.approx(
-            single_pass_ellipticity(cfg, 1e-20, 0.3), rel=1e-12
+            single_pass_ellipticity(cfg, 1e-20, 0.3), rel=1e-12, abs=0.0
         )
 
     def test_helium_32ubar_forward_value(self):
@@ -106,7 +108,7 @@ class TestEllipticityFormulas:
         cfg = ApparatusConfig(finesse=6.7e5)
         p_atm = convert_pressure(32.0, "ubar", "atm")
         psi = cavity_ellipticity(cfg, 2.1e-16 * p_atm, math.pi / 4.0)
-        assert psi == pytest.approx(8.6e-8, rel=0.01)
+        assert psi == pytest.approx(8.6e-8, rel=0.01, abs=0.0)
         assert psi / 1.13e-7 == pytest.approx(0.758, abs=0.01)
 
 
@@ -630,24 +632,105 @@ class TestDrawnAhead:
         assert all(apparatus._walk(channel, bounds, held))
 
     def test_a_failed_draw_raises_and_a_closed_pass_stops_its_helper(self, monkeypatch):
+        # the pool's threads outlive a pass by design; the pass's items do not
         monkeypatch.setattr(apparatus, "_chunk_workers", lambda: 2)
+        entered, exited = [], []
 
         def draw(target):
-            if target[0] == 3:
-                raise ArithmeticError("draw 3")
-            return target
+            entered.append((target[0], threading.get_ident()))
+            try:
+                time.sleep(0.02)  # the other worker takes the items ahead meanwhile
+                if target[0] == 3:
+                    raise ArithmeticError("draw 3")
+                return target
+            finally:
+                exited.append(target[0])
 
-        targets = [np.full(2, float(i)) for i in range(8)]
-        before = set(threading.enumerate())
+        def settled() -> list:
+            """The items that entered ``draw``, none of which is running or starts later."""
+            ran = [i for i, _ in entered]
+            assert sorted(exited) == sorted(ran)  # none is running
+            time.sleep(0.05)
+            assert [i for i, _ in entered] == ran  # none was left queued
+            assert len(pool_threads()) <= apparatus._chunk_workers()
+            return ran
+
         with pytest.raises(ArithmeticError, match="draw 3"):
-            for _ in apparatus._map_ordered(draw, targets):
+            for _ in apparatus._map_ordered(draw, [np.full(2, float(i)) for i in range(8)]):
                 pass
-        assert set(threading.enumerate()) <= before
-        drawn = apparatus._map_ordered(lambda t: t, targets)
-        next(drawn)
-        assert not set(threading.enumerate()) <= before  # the pass runs on worker threads
+        ran = settled()
+        # 0-3 in flight, 4-6 taken as 0-2 were yielded, 7 never; 4 and 5 start as 2 and 3
+        # end, and 6, still queued when 3 fails, is cancelled
+        assert {0, 1, 2, 3} <= set(ran) <= set(range(6))
+        assert threading.get_ident() not in {ident for _, ident in entered}
+        entered.clear()
+        exited.clear()
+        drawn = apparatus._map_ordered(draw, [np.full(2, float(i)) for i in range(10, 18)])
+        assert next(drawn)[0] == 10
         drawn.close()
-        assert set(threading.enumerate()) <= before
+        # 10-13 in flight and 14 taken as 10 was yielded, still queued when the pass closes
+        assert {10} <= set(settled()) <= set(range(10, 14))
+
+
+def pool_threads() -> list[threading.Thread]:
+    """The live threads of ``apparatus._map_ordered``'s pool."""
+    return [t for t in threading.enumerate() if t.name.startswith("vmbsim-worker")]
+
+
+class TestWorkerPool:
+    """``_map_ordered`` keeps one pool of worker threads per process."""
+
+    def test_consecutive_analyses_run_on_the_same_threads(self, monkeypatch):
+        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: 2)
+        samples, threads = apparatus._samples, set()
+
+        def recorded(*args, **kwargs):
+            # the thread itself: a new thread may reuse the ident of one that has ended
+            threads.add(threading.current_thread())
+            return samples(*args, **kwargs)
+
+        monkeypatch.setattr(apparatus, "_samples", recorded)
+        # 68 blocks of 8192 samples, nine chunks of up to eight blocks on the workers
+        rec = synthesize_run(CFG, NullSource(), NoiseModel(1e-6, rng_seed=3),
+                             17 * 1024 / CFG.magnet_rotation_hz)
+        runs = []
+        for _ in range(2):
+            threads.clear()
+            runs.append((analyze_record(rec), set(threads)))
+        (first, on_first), (second, on_second) = runs
+        assert first == second
+        assert threading.current_thread() not in on_first | on_second
+        assert on_first and on_second <= on_first <= set(pool_threads())
+
+    def test_a_different_worker_count_replaces_the_pool(self, monkeypatch):
+        items = [np.full(2, float(i)) for i in range(12)]
+        for workers in (2, 4, 2):
+            monkeypatch.setattr(apparatus, "_chunk_workers", lambda: workers)
+            assert [t[0] for t in apparatus._map_ordered(lambda t: t, items)] == list(range(12))
+            assert 0 < len(pool_threads()) <= workers
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+    def test_a_forked_child_runs_a_pass_on_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(apparatus, "_chunk_workers", lambda: 2)
+        items = [np.full(4, i / 7.0) for i in range(12)]
+        ref = b"".join(t.tobytes() for t in apparatus._map_ordered(np.sqrt, items))
+        assert pool_threads()  # the parent's pool, whose threads the child does not have
+        pid = os.fork()
+        if pid == 0:  # the child leaves by os._exit, never back into pytest
+            code = 1
+            try:
+                got = b"".join(t.tobytes() for t in apparatus._map_ordered(np.sqrt, items))
+                code = 0 if got == ref and pool_threads() else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while not (done := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if not done[0]:  # a child left with the parent's pool waits for threads it lacks
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's pass did not end in 60 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def whole_array_fast(config, source, noise, duration_s):
